@@ -17,7 +17,6 @@ from .rootsys import (
     WeylElement,
     build_root_system,
     root_system_from_cartan,
-    weyl_act,
 )
 from .qbg import (
     BRUHAT,
@@ -52,8 +51,8 @@ from .alcove import (
     lex_chain,
     segment_chain,
     split_admissible,
-    statistics,
     straight_crossings,
+    sweep_admissible,
 )
 from .ybmoves import (
     Sijection,

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
 from . import qbg
@@ -383,23 +384,132 @@ def _statistics(chain: LambdaChain, w: WeylElement, path: qbg.DirectedPath):
     )
 
 
-def statistics(a: AdmissibleSubset, with_coheight: bool = False):
-    """(wt, ed, down, height, n) of an admissible subset, plus coheight on request."""
-    base = (a.wt, a.ed, a.down, a.height, a.n)
-    if with_coheight:
-        return base + (a.coheight(),)
-    return base
-
-
-def enumerate_admissible(chain: LambdaChain, w: WeylElement) -> list[AdmissibleSubset]:
+def enumerate_admissible(
+    chain: LambdaChain, w: WeylElement
+) -> tuple[AdmissibleSubset, ...]:
     """All w-admissible subsets with statistics, in lex order of index sets."""
     cached = chain._adm_cache.get(w)
     if cached is not None:
         return cached
     paths = qbg.pi_compatible_paths(chain.rs, w, chain.roots)
-    out = [_statistics(chain, w, p) for p in paths]
+    out = tuple(_statistics(chain, w, p) for p in paths)
     chain._adm_cache[w] = out
     return out
+
+
+# -- the sweep kernel ---------------------------------------------------------
+
+
+def _sweep_tables(rs: RootSystem):
+    """Integer tables of the sweep, built once per root system.
+
+    Returns (target, quantum, root_wt, coroot): target[v][p] is the index of
+    v s_p in rs.weyl_elements if QBG has the edge v -> v s_p, else -1, and
+    quantum[v][p] flags a quantum edge (v indexes rs.weyl_elements, p
+    rs.positive_roots); root_wt[k] is rs.all_roots[k] in the fundamental-weight
+    basis and coroot[p] the coroot of rs.positive_roots[p].
+    """
+    if rs._sweep_tables is None:
+        edges = qbg._edge_table(rs)
+        target, quantum = [], []
+        for v in rs.weyl_elements:
+            row = [edges[(v, alpha)] for alpha in rs.positive_roots]
+            target.append(tuple(e.target.index if e else -1 for e in row))
+            quantum.append(tuple(bool(e) and e.kind == qbg.QUANTUM for e in row))
+        rs._sweep_tables = (
+            tuple(target),
+            tuple(quantum),
+            tuple(rs.root_to_weight(r).coeffs for r in rs.all_roots),
+            tuple(rs.coroot(r).coeffs for r in rs.positive_roots),
+        )
+    return rs._sweep_tables
+
+
+def _root_step(rs: RootSystem, beta: Root) -> tuple[int, int, int]:
+    """(index in all_roots, index of |beta| in positive_roots, sign) of beta."""
+    k = rs._root_index[beta]
+    npos = len(rs.positive_roots)
+    return k, k % npos, 1 if k < npos else -1
+
+
+def sweep_admissible(chain: LambdaChain, w: WeylElement) -> dict:
+    """The signed count of every end state of A(w, Gamma), without listing subsets.
+
+    Returns {(ed, wt, down, height): sum of (-1)^n over the subsets with these
+    statistics}, zero sums dropped.  The sweep carries signed counts of states
+    (v, c, down, height) from {(w, 0, 0, 0): 1} along the chain: at beta_j an
+    edge v -> v s_|beta_j| of the quantum Bruhat graph adds -l_j v(beta_j) to
+    c, a quantum edge also adds |beta_j|^vee to down and sign(beta_j) l~_j to
+    height, and a negative beta_j negates the count.  Subsets that reach the
+    same state merge, so the work follows the number of states, not of
+    subsets.  At the end wt = ed(lambda) - c.
+    """
+    rs = chain.rs
+    target, quantum, root_wt, coroot = _sweep_tables(rs)
+    n = rs.rank
+    zero = (0,) * n
+    perms = [v.root_perm for v in rs.weyl_elements]
+    # by vertex: {(c_1..c_n, down_1..down_n, height): count}, one flat tuple
+    # so that a step adds one increment vector
+    states: list = [None] * len(perms)
+    still = zero + (0,)  # (down, height) increment of a Bruhat edge
+    states[w.index] = {zero + still: 1}
+    for beta, l, tilde in zip(chain.roots, chain.levels, chain.tilde_levels):
+        k, p, sign = _root_step(rs, beta)
+        new = list(states)
+        for v, src in enumerate(states):
+            t = target[v][p]
+            if not src or t < 0:
+                continue
+            step = coroot[p] + (sign * tilde,) if quantum[v][p] else still
+            delta = tuple(-l * x for x in root_wt[perms[v][k]]) + step
+            dst = dict(states[t] or ())
+            get = dst.get
+            for key, cnt in src.items():
+                key = tuple(map(add, key, delta))
+                cnt = get(key, 0) + cnt * sign
+                if cnt:
+                    dst[key] = cnt
+                else:
+                    del dst[key]
+            new[t] = dst
+        states = new
+
+    out = {}
+    for v, final in enumerate(states):
+        if not final:
+            continue
+        ed = rs.weyl_elements[v]
+        top = rs.act(ed, chain.lam).coeffs
+        for key, cnt in final.items():
+            wt = Weight(tuple(map(sub, top, key[:n])))
+            out[(ed, wt, Coroot(key[n : 2 * n]), key[2 * n])] = cnt
+    return out
+
+
+def admissible_support(
+    chain: LambdaChain, w: WeylElement
+) -> tuple[frozenset, frozenset]:
+    """(positions taken by some w-admissible subset, heights that occur).
+
+    Sweeps the set of reachable (vertex, height) pairs, ignoring counts, so
+    subsets whose signed counts cancel still count as present.
+    """
+    rs = chain.rs
+    target, quantum, _, _ = _sweep_tables(rs)
+    reach = {(w.index, 0)}
+    taken = set()
+    for j, (beta, tilde) in enumerate(zip(chain.roots, chain.tilde_levels), 1):
+        _, p, sign = _root_step(rs, beta)
+        step = {
+            (target[v][p], h + sign * tilde if quantum[v][p] else h)
+            for v, h in reach
+            if target[v][p] >= 0
+        }
+        if step:
+            taken.add(j)
+            reach |= step
+    return frozenset(taken), frozenset(h for _, h in reach)
 
 
 def admissible_from_indices(

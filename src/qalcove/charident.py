@@ -13,9 +13,11 @@ from typing import Optional
 
 from .alcove import (
     LambdaChain,
+    admissible_support,
     enumerate_admissible,
     lambda_pm,
     lex_chain,
+    sweep_admissible,
 )
 from .genfun import AffineWeylElt, Laurent, par_enumerate
 from .rootsys import RootSystem, Weight, WeylElement
@@ -162,17 +164,14 @@ def verify_vanishing(
         raise ValueError("lambda must be antidominant and nonzero")
     if chain is None:
         chain = lex_chain(rs, lam)
+    taken, _ = admissible_support(chain, w)
+    if any(chain.roots[j - 1].is_positive for j in taken):
+        raise RuntimeError("antidominant chain produced a positive entry")
+    # every subset takes negative entries only, so (-1)^{|A|} = (-1)^n
     acc: dict = {}
-    for a in enumerate_admissible(chain, w):
-        if len(a.indices) != a.n:
-            raise RuntimeError("antidominant chain produced a positive entry")
-        prev = acc.get(a.wt, Laurent())
-        s = prev + Laurent.q_power(-a.height, a.sign)
-        if s.is_zero():
-            acc.pop(a.wt, None)
-        else:
-            acc[a.wt] = s
-    return not acc
+    for (_ed, wt, _down, height), count in sweep_admissible(chain, w).items():
+        acc[wt, height] = acc.get((wt, height), 0) + count
+    return not any(acc.values())
 
 
 def verify_factorization(

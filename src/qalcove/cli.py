@@ -15,7 +15,7 @@ import sys
 from . import alcove, qbg, qbops, suite, ybmoves
 from .charident import rhs_chevalley, verify_factorization, verify_vanishing
 from .genfun import AffineWeylElt, compose, genfun, genfun_equal, ghat
-from .rootsys import Coroot, build_root_system
+from .rootsys import Coroot, RootSystemError, build_root_system
 
 
 class CliError(Exception):
@@ -26,12 +26,20 @@ def _parse_ints(text):
     return [int(x) for x in text.split(",") if x != ""]
 
 
+def _parsed(make, *args):
+    """make(*args), with a RootSystemError reported as a usage error."""
+    try:
+        return make(*args)
+    except RootSystemError as exc:
+        raise CliError(exc) from exc
+
+
 def _rs(args):
-    return build_root_system(args.type, getattr(args, "rank", None))
+    return _parsed(build_root_system, args.type, getattr(args, "rank", None))
 
 
 def _weight(rs, text):
-    return rs.weight(_parse_ints(text))
+    return _parsed(rs.weight, _parse_ints(text))
 
 
 def _coroot(rs, text):
@@ -95,7 +103,10 @@ def cmd_qbg(args):
 def cmd_chain(args):
     rs = _rs(args)
     if args.action == "lex":
-        chain = alcove.lex_chain(rs, _weight(rs, args.lam))
+        lam = _weight(rs, args.lam)
+        if not (lam.is_dominant or lam.is_antidominant):
+            raise CliError("lex chains need a dominant or antidominant weight")
+        chain = alcove.lex_chain(rs, lam)
         _emit(args, chain.to_json(), json.dumps(chain.to_json()))
         return 0
     if args.action == "validate":
@@ -120,7 +131,7 @@ def cmd_chain(args):
 def cmd_adm(args):
     rs = _rs(args)
     chain = _chain(rs, args)
-    w = rs.element_from_word(args.w)
+    w = _parsed(rs.element_from_word, args.w)
     subsets = alcove.enumerate_admissible(chain, w)
     if args.action == "stats":
         subsets = [
@@ -159,7 +170,7 @@ def cmd_yb(args):
         return 0
     # sijection
     ctx = ybmoves.make_context(chain, args.t, args.q)
-    sij = ybmoves.build_sijection(ctx, rs.element_from_word(args.w))
+    sij = ybmoves.build_sijection(ctx, _parsed(rs.element_from_word, args.w))
     _emit(args, sij.report_json(), json.dumps(sij.report_json(), indent=1))
     return 0
 
@@ -168,7 +179,7 @@ def cmd_ops(args):
     rs = _rs(args)
     if args.action == "matrix":
         seq = tuple(
-            rs.root(_parse_ints(part)) for part in args.seq.split(";")
+            _parsed(rs.root, _parse_ints(part)) for part in args.seq.split(";")
         )
         mat = qbops.operator_matrix(rs, seq)
         print(mat.to_tsv())
@@ -209,7 +220,7 @@ def cmd_ops(args):
 
 def cmd_gf(args):
     rs = _rs(args)
-    x = AffineWeylElt(rs.element_from_word(args.w), _coroot(rs, args.xi))
+    x = AffineWeylElt(_parsed(rs.element_from_word, args.w), _coroot(rs, args.xi))
     if args.action == "eval":
         g = genfun(_chain(rs, args), x)
         _emit(args, g.to_json(), json.dumps(g.to_json()))
@@ -234,7 +245,7 @@ def cmd_gf(args):
 
 def cmd_chev(args):
     rs = _rs(args)
-    x = AffineWeylElt(rs.element_from_word(args.w), _coroot(rs, args.xi))
+    x = AffineWeylElt(_parsed(rs.element_from_word, args.w), _coroot(rs, args.xi))
     floor = args.floor if args.floor is not None else -8
     if args.action == "rhs":
         mu = _weight(rs, args.mu)
@@ -254,10 +265,7 @@ def cmd_chev(args):
             chain = alcove.lex_chain(rs, lam)
             ok = verify_vanishing(rs, lam, w, chain)
             all_ok &= ok
-            maxexp = max(
-                (abs(-a.height) for a in alcove.enumerate_admissible(chain, w)),
-                default=0,
-            )
+            maxexp = max(abs(h) for h in alcove.admissible_support(chain, w)[1])
             rows.append(
                 f"w={w.word_str}\t{'zero' if ok else 'NONZERO'}\t{maxexp}\t{_time.time() - t0:.4f}"
             )

@@ -2,8 +2,10 @@
 
 G_Gamma(w t_xi) sums (-1)^n q^{-height - <lambda, xi>} e^{wt} ed t_{xi + down}
 over the w-admissible subsets of Gamma; it extends linearly to finite formal
-sums.  The hatted variant further sums over tuples of bounded partitions and
-is computed exactly above a caller-supplied q-exponent floor.
+sums.  G is computed by the sweep `alcove.sweep_admissible`, which merges
+subsets with equal statistics as it runs instead of listing them.  The
+hatted variant further sums over tuples of bounded partitions and is
+computed exactly above a caller-supplied q-exponent floor.
 """
 
 from __future__ import annotations
@@ -12,7 +14,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .alcove import LambdaChain, enumerate_admissible, is_cancellation_free
+from .alcove import (
+    LambdaChain,
+    enumerate_admissible,
+    is_cancellation_free,
+    sweep_admissible,
+)
 from .rootsys import Coroot, RootSystem, Weight, WeylElement
 
 
@@ -169,11 +176,10 @@ def genfun(chain: LambdaChain, x: AffineWeylElt) -> GenFun:
     """The generating function G_Gamma(x) of one chain at x = w t_xi."""
     rs = chain.rs
     base = -rs.pair(chain.lam, x.xi)
-    out = GenFun(rs)
-    for a in enumerate_admissible(chain, x.w):
-        coeff = Laurent.q_power(-a.height + base, a.sign)
-        out.add_term(a.wt, AffineWeylElt(a.ed, x.xi + a.down), coeff)
-    return out
+    terms: dict = {}
+    for (ed, wt, down, height), count in sweep_admissible(chain, x.w).items():
+        terms.setdefault((wt, ed, x.xi + down), {})[base - height] = count
+    return GenFun(rs, {k: Laurent(v) for k, v in terms.items()})
 
 
 def genfun_extend(chain: LambdaChain, f: GenFun) -> GenFun:

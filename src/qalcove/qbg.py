@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .rootsys import Coroot, Root, RootSystem, WeylElement
+from .rootsys import Coroot, Root, RootSystem, RootSystemError, WeylElement
 
 BRUHAT = "B"
 QUANTUM = "Q"
@@ -118,7 +118,7 @@ def is_reflection_order(rs: RootSystem, order: Sequence[Root]) -> bool:
             s = tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
             try:
                 c = rs.root(s)
-            except Exception:
+            except RootSystemError:
                 continue
             lo, hi = sorted((pos[a], pos[b]))
             if not lo < pos[c] < hi:

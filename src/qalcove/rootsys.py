@@ -9,6 +9,7 @@ and hashing reduce to word equality.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -223,6 +224,7 @@ class RootSystem:
         )
         self._lock = threading.Lock()
         self._edge_table = None  # lazy QBG edge cache, owned by qalcove.qbg
+        self._sweep_tables = None  # lazy index tables, owned by qalcove.alcove
 
     # -- construction ------------------------------------------------------
 
@@ -237,6 +239,12 @@ class RootSystem:
             for j in range(n):
                 if i != j and (a[i][j] > 0 or (a[i][j] == 0) != (a[j][i] == 0)):
                     raise RootSystemError("not a finite-type Cartan matrix")
+        # finite type <=> every principal minor is positive (affine and
+        # hyperbolic matrices have infinitely many roots)
+        for size in range(2, n + 1):
+            for rows in itertools.combinations(range(n), size):
+                if _det([[a[i][j] for j in rows] for i in rows]) <= 0:
+                    raise RootSystemError("Cartan matrix is not of finite type")
 
     def _simple_reflect_root(self, i: int, coeffs: tuple[int, ...]) -> tuple[int, ...]:
         # s_i(beta) = beta - <beta, alpha_i^vee> alpha_i
@@ -555,9 +563,15 @@ def _solve_2d(u, v, target):
     return None
 
 
-def weyl_act(rs: RootSystem, u: WeylElement, x: Actable):
-    """Action of u on a Weight, Root or RationalPoint (method alias)."""
-    return rs.act(u, x)
+def _det(m) -> int:
+    """Determinant of a small square integer matrix, by cofactor expansion."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
 
 
 _cache: dict[str, RootSystem] = {}

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from . import alcove, qbg
 from .alcove import AdmissibleSubset, LambdaChain, admissible_from_indices
 from .qbg import DirectedPath, PathStep
-from .rootsys import Coroot, Root, RootSystem, WeylElement
+from .rootsys import Coroot, Root, RootSystem, RootSystemError, WeylElement
 
 
 class SijectionError(RuntimeError):
@@ -74,7 +74,7 @@ def find_yb_segments(chain: LambdaChain) -> list[tuple[int, int, Root, Root]]:
                 continue
             try:
                 seg = rs.rank2_subsystem(alpha, beta)
-            except Exception:
+            except RootSystemError:
                 continue
             if seg.q == q and seg.segment == chain.roots[t : t + q]:
                 out.append((t, q, alpha, beta))
@@ -89,7 +89,7 @@ def yb_transform(chain: LambdaChain, t: int, q: int) -> LambdaChain:
     alpha, beta = chain.roots[t], chain.roots[t + q - 1]
     try:
         seg = rs.rank2_subsystem(alpha, beta)
-    except Exception as exc:
+    except RootSystemError as exc:
         raise alcove.ChainError(f"not a Yang-Baxter segment: {exc}") from exc
     if seg.segment != chain.roots[t : t + q]:
         raise alcove.ChainError("positions do not form a Yang-Baxter segment")

@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 
 import qalcove as qa
-from qalcove.alcove import ChainError, chain_with_segment, report_tsv, straight_crossings
+from qalcove.alcove import (
+    ChainError,
+    admissible_support,
+    chain_with_segment,
+    report_tsv,
+    straight_crossings,
+)
 
 
 def walk_oracle(rs, roots, lam):
@@ -67,14 +73,15 @@ def test_lex_chain():
 
 
 def test_lex_chain_counting_oracle():
-    for label in ("A2", "C2", "G2", "A3", "B3"):
+    for label in ("A1", "A1xA1", "A2", "C2", "G2", "A3", "B3", "C3"):
         rs = qa.build_root_system(label)
-        lam = rs.weight([1] * rs.rank)
-        chain = qa.lex_chain(rs, lam)
-        for alpha in rs.positive_roots:
-            mult = sum(1 for b in chain.roots if b == alpha)
-            assert mult == rs.pair(lam, rs.coroot(alpha))
-        assert qa.is_reduced(chain)
+        for scale in (1, 2):  # lambda = rho and 2 rho
+            lam = rs.weight([scale] * rs.rank)
+            chain = qa.lex_chain(rs, lam)
+            for alpha in rs.positive_roots:
+                mult = sum(1 for b in chain.roots if b == alpha)
+                assert mult == rs.pair(lam, rs.coroot(alpha))
+            assert qa.is_reduced(chain)
 
 
 def test_segment_chain_reduced_everywhere():
@@ -273,3 +280,47 @@ def test_straight_crossings_match_segment_chain():
     sym = RationalPoint(tuple(c - 1 for c in rs.nu0.coeffs))
     with pytest.raises(ChainError):
         straight_crossings(rs, rs.nu0, sym)
+
+
+def test_enumerate_admissible_cache_is_immutable():
+    rs, g1 = a2_gamma1()
+    w = rs.element_from_word("s2")
+    subsets = qa.enumerate_admissible(g1, w)
+    assert isinstance(subsets, tuple)
+    assert qa.enumerate_admissible(g1, w) is subsets
+
+
+def enumerated_states(chain, w):
+    """The sweep's result, summed from the listed subsets."""
+    acc = {}
+    for a in qa.enumerate_admissible(chain, w):
+        key = (a.ed, a.wt, a.down, a.height)
+        acc[key] = acc.get(key, 0) + a.sign
+    return {k: v for k, v in acc.items() if v}
+
+
+def test_sweep_matches_enumeration():
+    rs, g1 = a2_gamma1()
+    g2 = qa.build_root_system("G2")
+    chains = [
+        g1,
+        qa.insert_pair(g1, 1, rs.highest_root),
+        qa.segment_chain(g2, g2.weight([1, -1])),
+        qa.lex_chain(g2, g2.weight([-1, 0])),
+    ]
+    for chain in chains:
+        for w in chain.rs.weyl_elements:
+            assert qa.sweep_admissible(chain, w) == enumerated_states(chain, w)
+            subsets = qa.enumerate_admissible(chain, w)
+            taken, heights = admissible_support(chain, w)
+            assert taken == {j for a in subsets for j in a.indices}
+            assert heights == {a.height for a in subsets}
+
+
+def test_sweep_merges_states():
+    # dominant lambda: every sign is +1, so the counts add up to |A(e, Gamma)|
+    rs = qa.build_root_system("G2")
+    chain = qa.lex_chain(rs, rs.weight([2, 2]))
+    states = qa.sweep_admissible(chain, rs.identity)
+    assert sum(states.values()) == 7**2 * 15**2
+    assert len(states) == 4199

@@ -77,6 +77,22 @@ def test_vanishing_small_cases():
         verify_vanishing(a2, a2.weight([0, 0]), a2.identity)
 
 
+def test_vanishing_rejects_positive_entries():
+    # an inserted (beta, -beta) pair gives subsets a positive entry to take
+    rs = qa.build_root_system("A2")
+    lam = rs.weight([-1, 0])
+    chain = qa.insert_pair(qa.lex_chain(rs, lam), 1, rs.highest_root)
+    for w in rs.weyl_elements:
+        positive = any(
+            len(a.indices) != a.n for a in qa.enumerate_admissible(chain, w)
+        )
+        if positive:
+            with pytest.raises(RuntimeError):
+                verify_vanishing(rs, lam, w, chain)
+        else:
+            assert verify_vanishing(rs, lam, w, chain)
+
+
 def test_vanishing_oracle_two_terms():
     # A1, lambda = -varpi: the two admissible subsets cancel exactly
     rs = qa.build_root_system("A1")

@@ -67,7 +67,35 @@ def test_usage_errors(capsys):
     code, _ = run(capsys, "adm", "enumerate", "--type", "A2", "--w", "s2")
     assert code == 2
     code, _ = run(capsys, "chain", "lex", "--type", "ZZ9", "--lambda", "1")
-    assert code != 0
+    assert code == 2
+    code, _ = run(capsys, "gf", "eval", "--type", "X9", "--lambda", "1")
+    assert code == 2
+    code, _ = run(capsys, "gf", "eval", "--type", "G2", "--lambda", "1,1,1")
+    assert code == 2
+    code, _ = run(capsys, "gf", "eval", "--type", "G2", "--lambda", "1,1", "--w", "s9")
+    assert code == 2
+    code, _ = run(capsys, "chain", "lex", "--type", "A2", "--lambda", "1,-1")
+    assert code == 2
+    code, _ = run(capsys, "ops", "matrix", "--type", "A2", "--seq", "2,0")
+    assert code == 2
+
+
+def test_corrupt_chain_fails_validation(tmp_path, capsys):
+    # a well-formed file whose roots are not a chain is a failed check, not misuse
+    rs = qa.build_root_system("A2")
+    data = qa.lex_chain(rs, rs.weight([1, 1])).to_json()
+    data["roots"] = data["roots"][::-1]
+    del data["levels"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, _ = run(capsys, "chain", "validate", "--type", "A2", "--chain", str(path))
+    assert code == 1
+    # a vector that is not a root is likewise a bad chain file, not misuse
+    data = qa.lex_chain(rs, rs.weight([1, 1])).to_json()
+    data["roots"][0] = [2, 0]
+    path.write_text(json.dumps(data))
+    code, _ = run(capsys, "chain", "validate", "--type", "A2", "--chain", str(path))
+    assert code == 1
 
 
 def test_deterministic_reports(capsys):

@@ -1,10 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qalcove as qa
+from qalcove.charident import verify_vanishing
 from qalcove.genfun import (
     AffineWeylElt,
     GenFun,
@@ -328,3 +329,91 @@ def test_genfun_json_deterministic():
     g = genfun(chain, x_at(rs))
     assert g.to_json() == genfun(chain, x_at(rs)).to_json()
     assert g.to_json()[0]["mu"] == [-1]
+
+
+# -- differential test: the subset enumerator as oracle for the sweep ---------
+
+
+def reference_genfun(chain, x):
+    """G_Gamma(x) summed over the listed admissible subsets."""
+    rs = chain.rs
+    base = -rs.pair(chain.lam, x.xi)
+    out = GenFun(rs)
+    for a in qa.enumerate_admissible(chain, x.w):
+        coeff = Laurent.q_power(base - a.height, a.sign)
+        out.add_term(a.wt, AffineWeylElt(a.ed, x.xi + a.down), coeff)
+    return out
+
+
+def reference_vanishing(chain, w):
+    """verify_vanishing's verdict from the listed subsets ("raises" on a positive entry)."""
+    acc = {}
+    for a in qa.enumerate_admissible(chain, w):
+        if len(a.indices) != a.n:
+            return "raises"
+        acc[a.wt, a.height] = acc.get((a.wt, a.height), 0) + (-1) ** len(a.indices)
+    return not any(acc.values())
+
+
+def count_admissible(chain, w):
+    """|A(w, Gamma)|, by counting QBG paths vertex by vertex."""
+    counts = {w: 1}
+    for beta in chain.roots:
+        for v, c in list(counts.items()):
+            edge = qa.qbg_edge(chain.rs, v, abs(beta))
+            if edge:
+                counts[edge.target] = counts.get(edge.target, 0) + c
+    return sum(counts.values())
+
+
+# |lambda_i| bounds per type; the rare case above 2,000 subsets is rejected
+WEIGHT_BOUND = {"A2": 2, "C2": 2, "G2": 1, "A3": 1, "B3": 1}
+
+
+@st.composite
+def sweep_cases(draw):
+    label = draw(st.sampled_from(sorted(WEIGHT_BOUND)))
+    rs = qa.build_root_system(label)
+    m = WEIGHT_BOUND[label]
+    shape = draw(st.sampled_from(("dominant", "antidominant", "mixed")))
+    lo, hi = {"dominant": (0, m), "antidominant": (-m, 0), "mixed": (-m, m)}[shape]
+    coeffs = draw(st.lists(st.integers(lo, hi), min_size=rs.rank, max_size=rs.rank))
+    if rs.rank == 3 and sum(map(abs, coeffs)) > 2:  # keep most cases small
+        coeffs = [c if k < 2 else 0 for k, c in enumerate(coeffs)]
+    lam = rs.weight(coeffs)
+    kind = draw(st.sampled_from(("lex", "segment", "insert", "yb")))
+    if kind == "lex":
+        plus, minus = qa.lambda_pm(lam)
+        chain = qa.concat_chains(qa.lex_chain(rs, plus), qa.lex_chain(rs, minus))
+    else:
+        chain = qa.segment_chain(rs, lam)
+    if kind == "insert":
+        u = draw(st.integers(0, len(chain)))
+        beta = draw(st.sampled_from(rs.positive_roots))
+        try:
+            chain = qa.insert_pair(chain, u, beta)
+        except qa.ChainError:
+            pass
+    if kind == "yb":
+        segments = qa.find_yb_segments(chain)
+        if segments:
+            t, q, _, _ = draw(st.sampled_from(segments))
+            chain = qa.yb_transform(chain, t, q)
+    w = draw(st.sampled_from(rs.weyl_elements))
+    assume(count_admissible(chain, w) <= 2000)
+    xi = draw(st.lists(st.integers(-2, 2), min_size=rs.rank, max_size=rs.rank))
+    return chain, AffineWeylElt(w, Coroot(tuple(xi)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=sweep_cases())
+def test_sweep_against_enumerator(case):
+    chain, x = case
+    rs, lam = chain.rs, chain.lam
+    assert genfun(chain, x).to_json() == reference_genfun(chain, x).to_json()
+    if lam.is_antidominant and not lam.is_zero():
+        try:
+            got = verify_vanishing(rs, lam, x.w, chain)
+        except RuntimeError:
+            got = "raises"
+        assert got == reference_vanishing(chain, x.w)

@@ -165,3 +165,24 @@ def test_word_round_trip():
     for w in rs.weyl_elements:
         assert rs.element_from_word(w.word_str) == w
         assert rs.element_from_json(rs.element_to_json(w)) == w
+
+
+@pytest.mark.parametrize(
+    "cartan",
+    [
+        [[2, -2], [-2, 2]],  # affine A1
+        [[2, -1], [-4, 2]],  # affine A2 twisted
+        [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],  # affine A2 cycle
+    ],
+)
+def test_non_finite_cartan_rejected(cartan):
+    # these matrices have infinitely many roots; building them used to hang
+    with pytest.raises(RootSystemError):
+        qa.root_system_from_cartan(cartan)
+
+
+def test_rank4_cartan_builds():
+    d4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+    f4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]]
+    assert len(qa.root_system_from_cartan(d4).weyl_elements) == 192
+    assert len(qa.root_system_from_cartan(f4).weyl_elements) == 1152
