@@ -19,8 +19,8 @@ from .alcove import (
     lex_chain,
     sweep_admissible,
 )
-from .genfun import AffineWeylElt, Laurent, par_enumerate
-from .rootsys import RootSystem, Weight, WeylElement
+from .genfun import AffineWeylElt, Laurent, par_convolve, par_groups
+from .rootsys import Coroot, RootSystem, Weight, WeylElement
 
 
 class FormalChar:
@@ -47,13 +47,6 @@ class FormalChar:
             self.terms.pop(key, None)
         else:
             self.terms[key] = new
-
-    def truncated(self, floor: int) -> "FormalChar":
-        return FormalChar(
-            self.rs,
-            self.mu_param,
-            {k: v.truncated(floor) for k, v in self.terms.items()},
-        )
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -106,32 +99,34 @@ def rhs_chevalley(
         raise ValueError("the character parameter must be dominant")
     if chain.lam != lam:
         raise ValueError("chain does not belong to lambda")
-    out = FormalChar(rs, mu)
     base = -rs.pair(lam, x.xi) - rs.pair(mu, x.xi)
-    subsets = enumerate_admissible(chain, x.w)
-    if not subsets:
-        return out
-    cmax = max(base - a.height - rs.pair(mu, a.down) for a in subsets)
-    bound = cmax - q_floor
+    # merge the subsets by (wt, ed) -> {exponent: signed count}
+    heads: dict = {}
+    for a in enumerate_admissible(chain, x.w):
+        poly = heads.setdefault((a.wt, a.ed), {})
+        h = base - a.height - rs.pair(mu, a.down)
+        poly[h] = poly.get(h, 0) + a.sign
+    bound = max((max(p) for p in heads.values()), default=q_floor - 1) - q_floor
     if bound < 0:
-        return out
-    tuples = par_enumerate(rs, lam, bound)
-    for a in subsets:
-        head = base - a.height - rs.pair(mu, a.down)
-        for chi in tuples:
-            iota = chi.iota()
-            e = head - chi.size - rs.pair(mu, iota)
-            if e < q_floor:
-                continue
-            key = (a.wt, a.ed)
-            coeff = Laurent.q_power(e, a.sign)
-            prev = out.terms.get(key)
-            new = coeff if prev is None else prev + coeff
-            if new.is_zero():
-                out.terms.pop(key, None)
-            else:
-                out.terms[key] = new
-    return out.truncated(q_floor)
+        return FormalChar(rs, mu)
+    drops = [(size + rs.pair(mu, iota), m) for iota, size, m in par_groups(rs, lam, bound)]
+    return _convolve(rs, mu, heads, drops, q_floor)
+
+
+def _convolve(rs: RootSystem, mu: Weight, heads: dict, drops: list, q_floor: int) -> FormalChar:
+    """The FormalChar of heads {(wt, ed): {exponent: count}} summed over
+    [(drop, multiplicity)], above q_floor.
+
+    The drops already hold the translations, folded into q by the
+    normalization, so `par_convolve` runs with every translation zero.
+    """
+    zero = Coroot((0,) * rs.rank)
+    acc = par_convolve(
+        {(wt, ed, zero): p for (wt, ed), p in heads.items()},
+        [(zero, drop, m) for drop, m in drops],
+        q_floor,
+    )
+    return FormalChar(rs, mu, {(wt, ed): Laurent(p) for (wt, ed, _zero), p in acc.items()})
 
 
 def specialize_trivial(f: FormalChar) -> dict:
@@ -195,11 +190,8 @@ def verify_factorization(
     gamma0 = concat_chains(chain_p, chain_m)
     flat = rhs_chevalley(rs, mu, lam, gamma0, x, q_floor)
 
-    nested = FormalChar(rs, mu)
-    subsets_p = enumerate_admissible(chain_p, x.w)
-    pair_data = []
-    cmax = None
-    for a in subsets_p:
+    heads: dict = {}
+    for a in enumerate_admissible(chain_p, x.w):
         for b in enumerate_admissible(chain_m, a.ed):
             c = (
                 -a.height
@@ -208,29 +200,14 @@ def verify_factorization(
                 - rs.pair(lam_m, x.xi + a.down)
                 - rs.pair(mu, x.xi + a.down + b.down)
             )
-            pair_data.append((a, b, c))
-            cmax = c if cmax is None else max(cmax, c)
-    if cmax is not None and cmax - q_floor >= 0:
-        tuples = par_enumerate(rs, lam_p, cmax - q_floor)
-        for a, b, c in pair_data:
-            for chi in tuples:
-                iota = chi.iota()
-                e = (
-                    c
-                    - chi.size
-                    - rs.pair(lam_m, iota)
-                    - rs.pair(mu, iota)
-                )
-                if e < q_floor:
-                    continue
-                sign = 1 if (a.n + b.n) % 2 == 0 else -1
-                key = (a.wt + b.wt, b.ed)
-                coeff = Laurent.q_power(e, sign)
-                prev = nested.terms.get(key)
-                new = coeff if prev is None else prev + coeff
-                if new.is_zero():
-                    nested.terms.pop(key, None)
-                else:
-                    nested.terms[key] = new
-    nested = nested.truncated(q_floor)
+            poly = heads.setdefault((a.wt + b.wt, b.ed), {})
+            poly[c] = poly.get(c, 0) + a.sign * b.sign
+    bound = max((max(p) for p in heads.values()), default=q_floor - 1) - q_floor
+    nested = FormalChar(rs, mu)
+    if bound >= 0:
+        drops = [
+            (size + rs.pair(lam_m + mu, iota), m)
+            for iota, size, m in par_groups(rs, lam_p, bound)
+        ]
+        nested = _convolve(rs, mu, heads, drops, q_floor)
     return flat == nested

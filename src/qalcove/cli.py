@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import alcove, qbg, qbops, suite, ybmoves
 from .charident import rhs_chevalley, verify_factorization, verify_vanishing
@@ -68,13 +69,23 @@ def _chain(rs, args):
     )
 
 
-def _emit(args, payload, text):
-    out = text if args.format != "json" else json.dumps(payload, indent=1)
+def _emit(args, payload, text=None):
+    """Print payload as indented JSON under --format json, else text.
+
+    text defaults to compact JSON, serialized only when it is printed.
+    With QALCOVE_OUTDIR set, the output is also written to
+    <command>-<action>.json (or .txt) there.
+    """
+    if args.format == "json":
+        out = json.dumps(payload, indent=1)
+    else:
+        out = json.dumps(payload) if text is None else text
     outdir = os.environ.get("QALCOVE_OUTDIR")
     if outdir:
         os.makedirs(outdir, exist_ok=True)
-        name = getattr(args, "outfile", None) or "report.txt"
-        with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
+        ext = "json" if args.format == "json" else "txt"
+        path = os.path.join(outdir, f"{args.command}-{args.action}.{ext}")
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(out + "\n")
     print(out)
 
@@ -106,8 +117,7 @@ def cmd_chain(args):
         lam = _weight(rs, args.lam)
         if not (lam.is_dominant or lam.is_antidominant):
             raise CliError("lex chains need a dominant or antidominant weight")
-        chain = alcove.lex_chain(rs, lam)
-        _emit(args, chain.to_json(), json.dumps(chain.to_json()))
+        _emit(args, alcove.lex_chain(rs, lam).to_json())
         return 0
     if args.action == "validate":
         chain = _chain(rs, args)
@@ -124,7 +134,7 @@ def cmd_chain(args):
         if args.t is None or args.q is None:
             raise CliError("transform needs --t and --q (or --delete)")
         out = ybmoves.yb_transform(chain, args.t, args.q)
-    _emit(args, out.to_json(), json.dumps(out.to_json()))
+    _emit(args, out.to_json())
     return 0
 
 
@@ -165,13 +175,13 @@ def cmd_yb(args):
     if args.t is None or args.q is None:
         raise CliError("need --t and --q")
     if args.action == "apply":
-        out = ybmoves.yb_transform(chain, args.t, args.q)
-        _emit(args, out.to_json(), json.dumps(out.to_json()))
+        _emit(args, ybmoves.yb_transform(chain, args.t, args.q).to_json())
         return 0
     # sijection
     ctx = ybmoves.make_context(chain, args.t, args.q)
     sij = ybmoves.build_sijection(ctx, _parsed(rs.element_from_word, args.w))
-    _emit(args, sij.report_json(), json.dumps(sij.report_json(), indent=1))
+    report = sij.report_json()
+    _emit(args, report, json.dumps(report, indent=1))
     return 0
 
 
@@ -222,8 +232,7 @@ def cmd_gf(args):
     rs = _rs(args)
     x = AffineWeylElt(_parsed(rs.element_from_word, args.w), _coroot(rs, args.xi))
     if args.action == "eval":
-        g = genfun(_chain(rs, args), x)
-        _emit(args, g.to_json(), json.dumps(g.to_json()))
+        _emit(args, genfun(_chain(rs, args), x).to_json())
         return 0
     if args.action == "compare":
         c1 = alcove.LambdaChain.load(args.chain1, rs)
@@ -234,12 +243,11 @@ def cmd_gf(args):
     if args.action == "compose":
         c1 = alcove.LambdaChain.load(args.chain1, rs)
         c2 = alcove.LambdaChain.load(args.chain2, rs)
-        g = compose(c1, c2, x)
-        _emit(args, g.to_json(), json.dumps(g.to_json()))
+        _emit(args, compose(c1, c2, x).to_json())
         return 0
     # ghat
     g = ghat(_chain(rs, args), x, args.floor if args.floor is not None else -8)
-    _emit(args, g.to_json(), json.dumps(g.to_json()))
+    _emit(args, g.to_json())
     return 0
 
 
@@ -251,8 +259,7 @@ def cmd_chev(args):
         mu = _weight(rs, args.mu)
         lam = _weight(rs, args.lam)
         chain = _chain(rs, args)
-        f = rhs_chevalley(rs, mu, lam, chain, x, floor)
-        _emit(args, f.to_json(), json.dumps(f.to_json()))
+        _emit(args, rhs_chevalley(rs, mu, lam, chain, x, floor).to_json())
         return 0
     if args.action == "vanish":
         import time as _time
@@ -393,12 +400,25 @@ def main(argv=None) -> int:
         args = parser.parse_args(_merge_negative_values(list(argv)))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    code = None
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe must raise here, not at exit
+        return code
     except (CliError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`): point fd 1 at devnull so
+        # the flush at interpreter exit does not raise again; a command cut
+        # short exits as if killed by SIGPIPE (128 + 13)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141 if code is None else code
     except Exception as exc:
+        if os.environ.get("QALCOVE_DEBUG"):
+            print(traceback.format_exc(), end="", file=sys.stderr)
         print(f"verification error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,7 +5,10 @@ over the w-admissible subsets of Gamma; it extends linearly to finite formal
 sums.  G is computed by the sweep `alcove.sweep_admissible`, which merges
 subsets with equal statistics as it runs instead of listing them.  The
 hatted variant further sums over tuples of bounded partitions and is
-computed exactly above a caller-supplied q-exponent floor.
+computed exactly above a caller-supplied q-exponent floor; a partition tuple
+chi enters only through (iota(chi), |chi|), so the sum runs over those groups
+(`par_groups`), and `par_convolve` adds each shifted term in place when it
+lies above the floor; the character expansions in `charident` use it too.
 """
 
 from __future__ import annotations
@@ -276,23 +279,65 @@ def par_concat(psi: ParTuple, omega: ParTuple, mu: Weight, nu: Weight) -> ParTup
 # -- hatted generating functions ----------------------------------------------
 
 
+def par_groups(rs: RootSystem, lam: Weight, bound: int) -> list:
+    """par_enumerate(rs, lam, bound) grouped by (iota, size).
+
+    Returns [(iota, size, multiplicity)] in order of increasing size; the
+    multiplicities sum to the number of tuples.
+    """
+    mult: dict = {}
+    for chi in par_enumerate(rs, lam, bound):
+        key = (chi.iota(), chi.size)
+        mult[key] = mult.get(key, 0) + 1
+    return [(iota, size, m) for (iota, size), m in mult.items()]
+
+
+def par_convolve(heads: dict, groups: list, q_floor: int) -> dict:
+    """Shift every head by every partition group, keeping exponents >= q_floor.
+
+    heads maps keys (..., xi), whose last entry is a translation, to
+    {exponent: count}, and groups lists (iota, drop, multiplicity); the
+    result maps (..., xi + iota) -> {exponent - drop: sum of count *
+    multiplicity}, accumulated in place.
+    """
+    groups = sorted(groups, key=lambda g: g[1])
+    # xi -> [xi + iota per group], one Coroot sum per distinct translation:
+    # G's translations x.xi + down(A) take few values (3-7 for 26-247 terms
+    # in the benchmark's ghat jobs), and Coroot sums per (head, group) would
+    # be the costliest step of the loop (BENCH_ghat.json)
+    shifted: dict = {}
+    acc: dict = {}
+    for key, poly in heads.items():
+        rest, xi = key[:-1], key[-1]
+        if xi not in shifted:
+            shifted[xi] = [xi + iota for iota, _drop, _m in groups]
+        top = max(poly)
+        for xi_iota, (_iota, drop, m) in zip(shifted[xi], groups):
+            if top - drop < q_floor:
+                break
+            out = acc.setdefault(rest + (xi_iota,), {})
+            for e, c in poly.items():
+                if e - drop >= q_floor:
+                    out[e - drop] = out.get(e - drop, 0) + c * m
+    return acc
+
+
 def ghat(chain: LambdaChain, x: AffineWeylElt, q_floor: int) -> GenFun:
     """Ghat_Gamma(x), exact in every q-exponent >= q_floor.
 
-    The partition-tuple sum is truncated with the provable bound
-    |chi| <= max-exponent(G) - q_floor, so no kept term is missed.
+    Ghat = sum_chi q^{-|chi|} G(x t_{iota(chi)}), with the partition-tuple sum
+    truncated by the provable bound |chi| <= max-exponent(G) - q_floor, so no
+    kept term is missed.  Tuples with equal (iota, |chi|) are summed as one
+    group, and each shifted G-term is added in place only above q_floor.
     """
     rs = chain.rs
     g = genfun(chain, x)
     top = g.max_exponent()
     if top is None:
         return GenFun(rs)
-    out = GenFun(rs)
-    for chi in par_enumerate(rs, chain.lam, top - q_floor):
-        shift = chi.iota()
-        coeff = Laurent.q_power(-chi.size)
-        out = out + g.scaled(coeff, Weight((0,) * rs.rank), shift)
-    return out.truncated(q_floor)
+    heads = {k: c.terms for k, c in g.terms.items()}
+    acc = par_convolve(heads, par_groups(rs, chain.lam, top - q_floor), q_floor)
+    return GenFun(rs, {k: Laurent(p) for k, p in acc.items()})
 
 
 def ghat_compose(
@@ -308,49 +353,27 @@ def ghat_compose(
     mu1, mu2 = chain1.lam, chain2.lam
     if not is_cancellation_free([mu1, mu2]):
         raise ValueError("ghat composition needs a cancellation-free split")
-    inner = []  # (B-subset term data) for chain2 at x
+    # merge the pairs (B, A) by what the partition sums see of them:
+    # (wt, ed, translation) -> {exponent: signed count}
     base2 = -rs.pair(mu2, x.xi)
+    heads: dict = {}
     for b in enumerate_admissible(chain2, x.w):
-        inner.append(b)
-    cmax = None
-    pairs = []
-    for b in inner:
+        head = base2 - b.height - rs.pair(mu1, x.xi + b.down)
         for a in enumerate_admissible(chain1, b.ed):
-            c = (
-                -b.height
-                + base2
-                - a.height
-                - rs.pair(mu1, x.xi + b.down)
-            )
-            pairs.append((b, a, c))
-            cmax = c if cmax is None else max(cmax, c)
-    out = GenFun(rs)
-    if cmax is None:
-        return out
-    bound = cmax - q_floor
+            poly = heads.setdefault((a.wt + b.wt, a.ed, x.xi + b.down + a.down), {})
+            c = head - a.height
+            poly[c] = poly.get(c, 0) + a.sign * b.sign
+    bound = max((max(p) for p in heads.values()), default=q_floor - 1) - q_floor
     if bound < 0:
-        return out
-    par2 = par_enumerate(rs, mu2, bound)
-    par1 = par_enumerate(rs, mu1, bound)
-    for b, a, c in pairs:
-        for omega in par2:
-            # e(omega) only lowers exponents on nodes where mu1 >= 0
-            shift_o = omega.iota()
-            e_omega = c - omega.size - rs.pair(mu1, shift_o)
-            if e_omega < q_floor:
-                continue
-            for psi in par1:
-                e = e_omega - psi.size
-                if e < q_floor:
-                    continue
-                sign = 1 if (a.n + b.n) % 2 == 0 else -1
-                xi = x.xi + b.down + shift_o + a.down + psi.iota()
-                out.add_term(
-                    a.wt + b.wt,
-                    AffineWeylElt(a.ed, xi),
-                    Laurent.q_power(e, sign),
-                )
-    return out.truncated(q_floor)
+        return GenFun(rs)
+    # e(omega) only lowers exponents on nodes where mu1 >= 0
+    groups2 = [
+        (iota, size + rs.pair(mu1, iota), m)
+        for iota, size, m in par_groups(rs, mu2, bound)
+    ]
+    omega = par_convolve(heads, groups2, q_floor)
+    acc = par_convolve(omega, par_groups(rs, mu1, bound), q_floor)
+    return GenFun(rs, {k: Laurent(p) for k, p in acc.items()})
 
 
 def weight_orbit_sum(chain: LambdaChain) -> dict:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -181,3 +184,66 @@ def test_suite_all_cli(capsys):
     assert code == 0
     lines = [l for l in out.strip().splitlines() if l.startswith("PASS")]
     assert len(lines) == 11
+
+
+def run_closed_pipe(*argv):
+    """Run the CLI in a child whose stdout reader is gone before it writes.
+
+    The child's stdout is block-buffered, as by default for a pipe.
+    """
+    src = os.path.dirname(os.path.dirname(qa.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from qalcove.cli import main; sys.exit(main())", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    return proc.wait(timeout=120), err.decode()
+
+
+def test_closed_stdout_pipe(tmp_path):
+    # short output: lost at the final flush, the command's own code stays
+    assert run_closed_pipe("gf", "eval", "--type", "A1", "--lambda", "1") == (0, "")
+    rs = qa.build_root_system("A2")
+    for name, lam in (("a.json", [1, 0]), ("b.json", [0, 1])):
+        (tmp_path / name).write_text(json.dumps(qa.lex_chain(rs, rs.weight(lam)).to_json()))
+    argv = ["gf", "compare", "--type", "A2", "--chain1", str(tmp_path / "a.json"),
+            "--chain2", str(tmp_path / "b.json")]
+    assert run_closed_pipe(*argv) == (1, "")
+    # output beyond the stdout buffer: the command is cut short
+    long_out = ["gf", "eval", "--type", "C2", "--lambda", "2,2", "--format", "json"]
+    assert run_closed_pipe(*long_out) == (141, "")
+
+
+def test_debug_traceback(tmp_path, capsys, monkeypatch):
+    rs = qa.build_root_system("A2")
+    data = qa.lex_chain(rs, rs.weight([1, 1])).to_json()
+    data["roots"] = data["roots"][::-1]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    argv = ["chain", "validate", "--type", "A2", "--chain", str(path)]
+    monkeypatch.delenv("QALCOVE_DEBUG", raising=False)
+    assert main(argv) == 1
+    quiet = capsys.readouterr().err
+    assert quiet.startswith("verification error:") and "Traceback" not in quiet
+    monkeypatch.setenv("QALCOVE_DEBUG", "1")
+    assert main(argv) == 1
+    loud = capsys.readouterr().err
+    assert loud.startswith("Traceback (most recent call last):")
+    assert loud.endswith(quiet)
+
+
+def test_outdir_names_file_per_command(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QALCOVE_OUTDIR", str(tmp_path))
+    code, lex = run(capsys, "chain", "lex", "--type", "A2", "--lambda", "1,0", "--format", "json")
+    assert code == 0
+    code, gf = run(capsys, "gf", "eval", "--type", "A1", "--lambda", "1")
+    assert code == 0
+    assert sorted(os.listdir(tmp_path)) == ["chain-lex.json", "gf-eval.txt"]
+    assert (tmp_path / "chain-lex.json").read_text(encoding="utf-8") == lex
+    assert (tmp_path / "gf-eval.txt").read_text(encoding="utf-8") == gf

@@ -1,11 +1,11 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qalcove as qa
-from qalcove.charident import verify_vanishing
+from qalcove.charident import rhs_chevalley, verify_vanishing
 from qalcove.genfun import (
     AffineWeylElt,
     GenFun,
@@ -20,6 +20,7 @@ from qalcove.genfun import (
     is_weyl_invariant,
     par_concat,
     par_enumerate,
+    par_groups,
     weight_orbit_sum,
 )
 from qalcove.rootsys import Coroot
@@ -417,3 +418,136 @@ def test_sweep_against_enumerator(case):
         except RuntimeError:
             got = "raises"
         assert got == reference_vanishing(chain, x.w)
+
+
+# -- differential test: per-tuple sums as oracle for the grouped convolution --
+
+
+def test_par_groups_count_tuples():
+    for label, coeffs, bound in (
+        ("A1", [2], 5), ("A2", [2, 1], 6), ("C2", [2, 2], 10), ("G2", [1, 1], 16),
+        ("A2", [-1, 0], 4), ("C2", [1, 1], -1),
+    ):
+        rs = qa.build_root_system(label)
+        lam = rs.weight(coeffs)
+        tuples = par_enumerate(rs, lam, bound)
+        groups = par_groups(rs, lam, bound)
+        assert sum(m for _iota, _size, m in groups) == len(tuples)
+        expect = {}
+        for chi in tuples:
+            expect[chi.iota(), chi.size] = expect.get((chi.iota(), chi.size), 0) + 1
+        assert {(iota, size): m for iota, size, m in groups} == expect
+        sizes = [size for _iota, size, _m in groups]
+        assert sizes == sorted(sizes)
+    c2 = qa.build_root_system("C2")
+    assert len(par_groups(c2, c2.weight([2, 2]), 10)) == 216  # of 336 tuples
+
+
+def reference_ghat(chain, x, q_floor):
+    """Ghat summed tuple by tuple, then truncated."""
+    rs = chain.rs
+    g = genfun(chain, x)
+    top = g.max_exponent()
+    out = GenFun(rs)
+    if top is None:
+        return out
+    for chi in par_enumerate(rs, chain.lam, top - q_floor):
+        out = out + g.scaled(
+            Laurent.q_power(-chi.size), rs.weight([0] * rs.rank), chi.iota()
+        )
+    return out.truncated(q_floor)
+
+
+def reference_ghat_compose(chain1, chain2, x, q_floor):
+    """Ghat_{Gamma1} o Ghat_{Gamma2}(x), one (B, A, omega, psi) at a time."""
+    rs = chain1.rs
+    mu1, mu2 = chain1.lam, chain2.lam
+    pairs = [
+        (b, a, -b.height - rs.pair(mu2, x.xi) - a.height - rs.pair(mu1, x.xi + b.down))
+        for b in qa.enumerate_admissible(chain2, x.w)
+        for a in qa.enumerate_admissible(chain1, b.ed)
+    ]
+    out = GenFun(rs)
+    bound = max(c for _b, _a, c in pairs) - q_floor
+    omegas, psis = par_enumerate(rs, mu2, bound), par_enumerate(rs, mu1, bound)
+    for b, a, c in pairs:
+        for omega in omegas:
+            for psi in psis:
+                e = c - omega.size - rs.pair(mu1, omega.iota()) - psi.size
+                if e >= q_floor:
+                    xi = x.xi + b.down + omega.iota() + a.down + psi.iota()
+                    out.add_term(
+                        a.wt + b.wt, AffineWeylElt(a.ed, xi),
+                        Laurent.q_power(e, a.sign * b.sign),
+                    )
+    return out
+
+
+def reference_rhs(rs, mu, lam, chain, x, q_floor):
+    """rhs_chevalley's terms, one (A, chi) at a time."""
+    subsets = qa.enumerate_admissible(chain, x.w)
+    base = -rs.pair(lam, x.xi) - rs.pair(mu, x.xi)
+    heads = [base - a.height - rs.pair(mu, a.down) for a in subsets]
+    tuples = par_enumerate(rs, lam, max(heads) - q_floor)
+    out = {}
+    for a, head in zip(subsets, heads):
+        for chi in tuples:
+            e = head - chi.size - rs.pair(mu, chi.iota())
+            if e >= q_floor:
+                key = (a.wt, a.ed)
+                out[key] = out.get(key, Laurent()) + Laurent.q_power(e, a.sign)
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def lex_pm(rs, lam):
+    plus, minus = qa.lambda_pm(lam)
+    return qa.concat_chains(qa.lex_chain(rs, plus), qa.lex_chain(rs, minus))
+
+
+# sum of |lambda_i| per type, split between the two composed chains
+CONVOLUTION_SIZE = {"A1": 4, "A2": 4, "C2": 2, "G2": 2}
+
+
+@st.composite
+def convolution_cases(draw):
+    label = draw(st.sampled_from(sorted(CONVOLUTION_SIZE)))
+    rs = qa.build_root_system(label)
+    budget = CONVOLUTION_SIZE[label]
+    mu1, mu2 = [], []
+    for _ in range(rs.rank):
+        a1 = draw(st.integers(0, budget))
+        a2 = draw(st.integers(0, budget - a1))
+        budget -= a1 + a2
+        sign = draw(st.sampled_from((1, -1)))  # one sign per node: cancellation free
+        mu1.append(sign * a1)
+        mu2.append(sign * a2)
+    w = draw(st.sampled_from(rs.weyl_elements))
+    xi = draw(st.lists(st.integers(-2, 2), min_size=rs.rank, max_size=rs.rank))
+    mu = draw(st.lists(st.integers(0, 1), min_size=rs.rank, max_size=rs.rank))
+    depth = draw(st.integers(0, 6))
+    return rs, rs.weight(mu1), rs.weight(mu2), rs.weight(mu), AffineWeylElt(w, Coroot(tuple(xi))), depth
+
+
+def convolution_case(label, mu1, mu2, mu, word, xi, depth):
+    rs = qa.build_root_system(label)
+    x = x_at(rs, word, xi)
+    return rs, rs.weight(mu1), rs.weight(mu2), rs.weight(mu), x, depth
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=convolution_cases())
+# groups of several tuples: (2,1,1) and (2,2) on one node; (2,1),(1) and
+# (2),(1,1) across two nodes
+@example(case=convolution_case("A1", [3], [1], [1], "s1", [1], 6))
+@example(case=convolution_case("A2", [1, 1], [1, 1], [0, 1], "s2", [1, -1], 3))
+def test_grouped_convolution_against_per_tuple(case):
+    rs, mu1, mu2, mu, x, depth = case
+    lam = mu1 + mu2
+    chain = lex_pm(rs, lam)
+    floor = genfun(chain, x).max_exponent() - depth
+    assert ghat(chain, x, floor) == reference_ghat(chain, x, floor)
+    c1, c2 = lex_pm(rs, mu1), lex_pm(rs, mu2)
+    assert ghat_compose(c1, c2, x, floor) == reference_ghat_compose(c1, c2, x, floor)
+    floor -= rs.pair(mu, x.xi)
+    f = rhs_chevalley(rs, mu, lam, chain, x, floor)
+    assert f.terms == reference_rhs(rs, mu, lam, chain, x, floor)
