@@ -153,6 +153,10 @@ def label_increasing_path(
 ) -> DirectedPath:
     """The unique label-increasing directed path v -> w for a reflection order."""
     matches = [p for p in pi_compatible_paths(rs, v, order) if p.end == w]
+    return _unique_path(matches, v, w, order)
+
+
+def _unique_path(matches, v, w, order) -> DirectedPath:
     if len(matches) != 1:
         raise RuntimeError(
             f"shellability defect: {len(matches)} label-increasing paths "
@@ -161,10 +165,31 @@ def label_increasing_path(
     return matches[0]
 
 
+def shellability_pairs(rs: RootSystem, order: Sequence[Root]):
+    """(v, w, minimal) for every pair of Weyl elements, v outer, in ShortLex order.
+
+    minimal says whether the label-increasing path v -> w for the reflection
+    order has length l(v => w).  Each v takes one breadth-first search and one
+    compatible-path enumeration, grouped by end.  Raises label_increasing_path's
+    RuntimeError at the first pair without exactly one such path.
+    """
+    for v in rs.weyl_elements:
+        dist = _bfs(rs, v)
+        ends: dict = {}
+        for p in pi_compatible_paths(rs, v, order):
+            ends.setdefault(p.end, []).append(p)
+        for w in rs.weyl_elements:
+            path = _unique_path(ends.get(w, []), v, w, order)
+            yield v, w, path.length == dist[w][0]
+
+
 def shortest_stats(rs: RootSystem, v: WeylElement, w: WeylElement):
     """(l(v => w), wt(v => w)) via breadth-first search."""
-    if v == w:
-        return 0, Coroot((0,) * rs.rank)
+    return _bfs(rs, v)[w]
+
+
+def _bfs(rs: RootSystem, v: WeylElement) -> dict:
+    """{w: (l(v => w), wt(v => w))} for every w; QBG is strongly connected."""
     dist = {v: (0, Coroot((0,) * rs.rank))}
     queue = deque([v])
     while queue:
@@ -174,10 +199,8 @@ def shortest_stats(rs: RootSystem, v: WeylElement, w: WeylElement):
             if e.target not in dist:
                 nacc = acc + rs.coroot(e.label) if e.kind == QUANTUM else acc
                 dist[e.target] = (d + 1, nacc)
-                if e.target == w:
-                    return d + 1, nacc
                 queue.append(e.target)
-    raise RuntimeError("QBG is strongly connected; this cannot happen")
+    return dist
 
 
 def canonical_reflection_orders(rs: RootSystem) -> list[tuple[Root, ...]]:

@@ -13,9 +13,10 @@ import hashlib
 import json
 from dataclasses import dataclass
 from importlib import resources
+from operator import add
 from typing import Sequence
 
-from . import qbg
+from . import alcove
 from .rootsys import Root, RootSystem, WeylElement
 
 
@@ -156,45 +157,83 @@ class GroupAlgebraElt:
         self.rs = rs
         self.terms = {w: p for w, p in (terms or {}).items() if not p.is_zero()}
 
-    @classmethod
-    def basis(cls, rs: RootSystem, w: WeylElement) -> "GroupAlgebraElt":
-        return cls(rs, {w: QPoly.const(rs.rank, 1)})
-
-    def __add__(self, other: "GroupAlgebraElt") -> "GroupAlgebraElt":
-        out = dict(self.terms)
-        for w, p in other.terms.items():
-            out[w] = out.get(w, QPoly.zero(self.rs.rank)) + p
-        return GroupAlgebraElt(self.rs, out)
-
     def __eq__(self, other):
         return isinstance(other, GroupAlgebraElt) and self.terms == other.terms
-
-    def coefficient(self, w: WeylElement) -> QPoly:
-        return self.terms.get(w, QPoly.zero(self.rs.rank))
 
     def __repr__(self):
         items = sorted(self.terms.items(), key=lambda t: t[0].index)
         return " + ".join(f"({p})*{w}" for w, p in items) or "0"
 
 
+# -- the operator sweep --------------------------------------------------------
+#
+# A state list holds, by vertex index v of rs.weyl_elements, None or
+# {(start, down_1..down_n): count}: the coefficient of Q^down at v in the image
+# of the basis vector rs.weyl_elements[start].  The sweep runs on the integer
+# QBG tables of alcove's sweep kernel, so every column advances in one pass.
+
+
+def _step(rs: RootSystem, states: list, gamma: Root, keep: bool) -> list:
+    """The states after R_gamma (keep=True) or Q_gamma (keep=False).
+
+    Every state at v moves to v s_|gamma| if QBG has that edge, a quantum edge
+    adding |gamma|^vee to down, and its count is negated when gamma is
+    negative.  v -> v s_|gamma| is injective, so each target hears from one v.
+    """
+    target, quantum, _, coroot = alcove._sweep_tables(rs)
+    _, p, sign = alcove._root_step(rs, gamma)
+    shift = (0,) + coroot[p]
+    new = list(states) if keep else [None] * len(states)
+    for v, src in enumerate(states):
+        t = target[v][p]
+        if not src or t < 0:
+            continue
+        moved = src.items()
+        if quantum[v][p]:
+            moved = [(tuple(map(add, key, shift)), cnt) for key, cnt in moved]
+        dst = dict(new[t] or ())
+        get = dst.get
+        for key, cnt in moved:
+            cnt = get(key, 0) + sign * cnt
+            if cnt:
+                dst[key] = cnt
+            else:
+                del dst[key]
+        new[t] = dst or None
+    return new
+
+
+def _sweep(rs: RootSystem, seq: Sequence[Root], starts: Sequence[int]) -> list:
+    """End states of R_{gamma_r} ... R_{gamma_1} on each start vertex index."""
+    zero = (0,) * rs.rank
+    states: list = [None] * len(rs.weyl_elements)
+    for s in starts:
+        states[s] = {(s,) + zero: 1}
+    for gamma in seq:
+        states = _step(rs, states, gamma, keep=True)
+    return states
+
+
+def _to_elt(rs: RootSystem, states: list) -> GroupAlgebraElt:
+    """The states as a group-algebra element; they must share one start."""
+    terms = {}
+    for v, final in enumerate(states):
+        if final:
+            poly = QPoly(rs.rank, {key[1:]: c for key, c in final.items()})
+            terms[rs.weyl_elements[v]] = poly
+    return GroupAlgebraElt(rs, terms)
+
+
 def apply_Q(rs: RootSystem, gamma: Root, elt) -> GroupAlgebraElt:
     """Apply the quantum Bruhat operator Q_gamma (signed) to v or a sum."""
     if isinstance(elt, WeylElement):
-        elt = GroupAlgebraElt.basis(rs, elt)
-    sign = gamma.sign
-    alpha = abs(gamma)
-    out: dict = {}
-    for v, p in elt.terms.items():
-        edge = qbg.qbg_edge(rs, v, alpha)
-        if edge is None:
-            continue
-        if edge.kind == qbg.QUANTUM:
-            factor = QPoly.monomial(rs.rank, rs.coroot(alpha).coeffs, sign)
-        else:
-            factor = QPoly.const(rs.rank, sign)
-        prev = out.get(edge.target, QPoly.zero(rs.rank))
-        out[edge.target] = prev + p * factor
-    return GroupAlgebraElt(rs, out)
+        terms = {elt: QPoly.const(rs.rank, 1)}
+    else:
+        terms = elt.terms
+    states: list = [None] * len(rs.weyl_elements)
+    for w, p in terms.items():
+        states[w.index] = {(0,) + e: c for e, c in p.terms.items()}
+    return _to_elt(rs, _step(rs, states, gamma, keep=False))
 
 
 def apply_R_sequence(
@@ -205,10 +244,7 @@ def apply_R_sequence(
     The sequence is given in application order, matching the path order of
     compatible-path sums.
     """
-    acc = GroupAlgebraElt.basis(rs, v)
-    for gamma in seq:
-        acc = acc + apply_Q(rs, gamma, acc)
-    return acc
+    return _to_elt(rs, _sweep(rs, seq, (v.index,)))
 
 
 @dataclass(frozen=True)
@@ -253,18 +289,36 @@ class OperatorMatrix:
 def operator_matrix(rs: RootSystem, seq: Sequence[Root]) -> OperatorMatrix:
     """Matrix of R_{gamma_r} ... R_{gamma_1}, seq in application order."""
     n = len(rs.weyl_elements)
-    cols = [apply_R_sequence(rs, seq, w) for w in rs.weyl_elements]
-    entries = tuple(
-        tuple(cols[j].coefficient(rs.weyl_elements[i]) for j in range(n))
-        for i in range(n)
-    )
+    cells = [[{} for _ in range(n)] for _ in range(n)]
+    for v, final in enumerate(_sweep(rs, seq, range(n))):
+        for key, c in (final or {}).items():
+            cells[v][key[0]][key[1:]] = c
+    entries = tuple(tuple(QPoly(rs.rank, c) for c in row) for row in cells)
     return OperatorMatrix(rs, entries)
+
+
+def same_operator(rs: RootSystem, seq1: Sequence[Root], seq2: Sequence[Root]) -> bool:
+    """True iff the two R-operator products are equal, compared as end states."""
+    starts = range(len(rs.weyl_elements))
+    return _sweep(rs, seq1, starts) == _sweep(rs, seq2, starts)
+
+
+def yang_baxter_pairs(rs: RootSystem):
+    """Signed root pairs (alpha, beta) with alpha != +-beta and <alpha, beta^vee> <= 0.
+
+    These are the pairs whose rank-2 segment check_yang_baxter checks.
+    """
+    for alpha in rs.all_roots:
+        for beta in rs.all_roots:
+            if alpha in (beta, -beta) or rs.root_pair(alpha, rs.coroot(beta)) > 0:
+                continue
+            yield alpha, beta
 
 
 def check_yang_baxter(rs: RootSystem, alpha: Root, beta: Root) -> bool:
     """R_alpha R_{s_alpha(beta)} ... R_beta = R_beta ... R_alpha as matrices."""
     seg = rs.rank2_subsystem(alpha, beta).segment
-    return operator_matrix(rs, seg) == operator_matrix(rs, tuple(reversed(seg)))
+    return same_operator(rs, seg, tuple(reversed(seg)))
 
 
 # -- multiplicity checks -------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 from collections import deque
 
 import pytest
@@ -97,6 +98,38 @@ def test_label_increasing_unique_and_minimal():
                     path = qa.label_increasing_path(rs, v, w, order)
                     assert path.length == found[0]
                     assert path.length == bfs_oracle(rs, v, w)[0]
+
+
+def per_pair_shell(rs, order):
+    """The per-pair shellability loop: one path enumeration and one BFS per (v, w)."""
+    for v in rs.weyl_elements:
+        for w in rs.weyl_elements:
+            path = qa.label_increasing_path(rs, v, w, order)
+            yield v, w, path.length == qa.shortest_stats(rs, v, w)[0]
+
+
+def test_shellability_pairs():
+    a2 = qa.build_root_system("A2")
+    orders = qa.reflection_orders(a2)
+    perms = list(itertools.permutations(a2.positive_roots))
+    assert len(orders) == 2 and len(perms) == 6
+    for perm in perms:
+        if perm in orders:
+            got = list(qbg.shellability_pairs(a2, perm))
+            assert got == list(per_pair_shell(a2, perm))
+            assert len(got) == 36 and all(m for _, _, m in got)
+            continue
+        with pytest.raises(RuntimeError, match="shellability defect") as want:
+            list(per_pair_shell(a2, perm))
+        with pytest.raises(RuntimeError) as got:
+            list(qbg.shellability_pairs(a2, perm))
+        assert str(got.value) == str(want.value)
+    a3 = qa.build_root_system("A3")
+    orders = qa.reflection_orders(a3)
+    assert len(orders) == 16
+    for order in orders:
+        got = list(qbg.shellability_pairs(a3, order))
+        assert len(got) == 576 and all(m for _, _, m in got)
 
 
 def test_shortest_stats():

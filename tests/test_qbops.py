@@ -8,7 +8,9 @@ from qalcove.qbops import (
     operator_matrix,
     parse_qpoly,
     rank2_chain,
+    same_operator,
     verify_matrix_props,
+    yang_baxter_pairs,
 )
 
 
@@ -43,33 +45,45 @@ def test_apply_q_examples():
     # negated root flips the sign
     out = qa.apply_Q(a2, -a2.simple_root(0), e)
     assert out.terms == {s1: QPoly.const(2, -1)}
+    # on a sum with polynomial coefficients: w0 -> w0 s1 = s1s2 is quantum
+    c = QPoly.monomial(2, (1, 0)) + QPoly.const(2, 2)
+    elt = qa.GroupAlgebraElt(a2, {e: c, w0: QPoly.const(2, -1)})
+    assert qa.apply_Q(a2, theta, elt).terms == {e: QPoly.monomial(2, (1, 1), -1)}
+    out = qa.apply_Q(a2, a2.simple_root(0), elt)
+    s1s2 = a2.element_from_word("s1s2")
+    assert out.terms == {s1: c, s1s2: QPoly.monomial(2, (1, 0), -1)}
+
+
+def path_sum(rs, seq, v, signed=True):
+    """{w: sum over compatible paths v -> w of (+-1) Q^wt}, zero sums dropped."""
+    out = {}
+    for p in qa.pi_compatible_paths(rs, v, seq):
+        sign = (-1) ** p.nega if signed else 1
+        term = QPoly.monomial(rs.rank, p.wt(rs).coeffs, sign)
+        out[p.end] = out.get(p.end, QPoly.zero(rs.rank)) + term
+    return {w: c for w, c in out.items() if not c.is_zero()}
 
 
 def test_operator_product_lemma_oracle():
-    # both halves of the product law against the path-sum oracle
+    # both halves of the product law against the path-sum oracle, for single
+    # columns (apply_R_sequence) and for whole matrices (operator_matrix)
     rng = random.Random(3)
-    for label in ("A2", "C2", "G2"):
+    for label in ("A2", "C2", "G2", "A3", "B3"):
         rs = qa.build_root_system(label)
         for _ in range(6):
-            k = rng.randint(1, len(rs.all_roots) // 2)
+            k = rng.randint(1, min(len(rs.all_roots) // 2, 7))
             seq = tuple(rng.sample(rs.all_roots, k))
+            unsigned = tuple(abs(g) for g in seq)
             for v in rng.sample(rs.weyl_elements, 3):
-                got = qa.apply_R_sequence(rs, seq, v)
-                signed = {}
-                for p in qa.pi_compatible_paths(rs, v, seq):
-                    term = QPoly.monomial(rs.rank, p.wt(rs).coeffs, (-1) ** p.nega)
-                    prev = signed.get(p.end, QPoly.zero(rs.rank))
-                    signed[p.end] = prev + term
-                signed = {w: c for w, c in signed.items() if not c.is_zero()}
-                assert got.terms == signed
-                # unsigned variant
-                got_abs = qa.apply_R_sequence(rs, tuple(abs(g) for g in seq), v)
-                unsigned = {}
-                for p in qa.pi_compatible_paths(rs, v, seq):
-                    term = QPoly.monomial(rs.rank, p.wt(rs).coeffs, 1)
-                    prev = unsigned.get(p.end, QPoly.zero(rs.rank))
-                    unsigned[p.end] = prev + term
-                assert got_abs.terms == unsigned
+                assert qa.apply_R_sequence(rs, seq, v).terms == path_sum(rs, seq, v)
+                got_abs = qa.apply_R_sequence(rs, unsigned, v)
+                assert got_abs.terms == path_sum(rs, seq, v, signed=False)
+            for s, signed in ((seq, True), (unsigned, False)):
+                mat = operator_matrix(rs, s)
+                for v in rs.weyl_elements:
+                    want = path_sum(rs, seq, v, signed)
+                    for w in rs.weyl_elements:
+                        assert mat.entry(w, v) == want.get(w, QPoly.zero(rs.rank))
 
 
 def test_empty_sequence_is_identity():
@@ -107,6 +121,28 @@ def test_yang_baxter_equation():
     assert qa.check_yang_baxter(g2, g2.simple_root(0), g2.simple_root(1))
     with pytest.raises(Exception):
         qa.check_yang_baxter(a2, a2.simple_root(0), -a2.simple_root(0))
+
+
+def test_same_operator_tells_products_apart():
+    # R_a1 R_a2 != R_a2 R_a1 in A2: the comparison check_yang_baxter makes
+    # must see it, as the matrices do
+    a2 = qa.build_root_system("A2")
+    a1, a2_ = a2.simple_root(0), a2.simple_root(1)
+    assert operator_matrix(a2, (a1, a2_)) != operator_matrix(a2, (a2_, a1))
+    assert not same_operator(a2, (a1, a2_), (a2_, a1))
+    assert not same_operator(a2, (a1,), (-a1,))
+    assert same_operator(a2, (a1, a2_), (a1, a2_))
+    seg = a2.rank2_subsystem(a1, a2_).segment
+    assert not same_operator(a2, seg, seg[1:])
+
+
+@pytest.mark.parametrize("label, pairs", [("A3", 72), ("B3", 192), ("C3", 192)])
+def test_yang_baxter_rank3(label, pairs):
+    rs = qa.build_root_system(label)
+    todo = list(yang_baxter_pairs(rs))
+    assert len(todo) == pairs
+    for alpha, beta in todo:
+        assert qa.check_yang_baxter(rs, alpha, beta), (alpha, beta)
 
 
 def test_sweep_endpoints_match_shellability():
