@@ -31,6 +31,8 @@ class FormalChar:
     """
 
     __slots__ = ("rs", "mu_param", "terms")
+    # names of the row vectors in the JSON items, after "q"
+    ROW_NAMES = ("mu", "gch_w")
 
     def __init__(self, rs: RootSystem, mu_param: Weight, terms: dict | None = None):
         self.rs = rs
@@ -58,17 +60,23 @@ class FormalChar:
             and self.terms == other.terms
         )
 
+    def rows(self) -> list:
+        """The terms as sorted rows (mu, gch_w, q_pairs) of int tuples.
+
+        gch_w is the 1-based reduced word and q_pairs the (exponent,
+        coefficient) pairs by increasing exponent; rows are sorted by the
+        unique (mu, gch_w).
+        """
+        return sorted(
+            (mu.coeffs, tuple(i + 1 for i in w.word), tuple(sorted(c.terms.items())))
+            for (mu, w), c in self.terms.items()
+        )
+
     def to_json(self) -> list:
-        items = [
-            {
-                "q": sorted([e, c] for e, c in coeff.terms.items()),
-                "mu": list(mu.coeffs),
-                "gch_w": [i + 1 for i in w.word],
-            }
-            for (mu, w), coeff in self.terms.items()
+        return [
+            {"q": [list(p) for p in q], "mu": list(mu), "gch_w": list(w)}
+            for mu, w, q in self.rows()
         ]
-        items.sort(key=lambda d: (d["mu"], d["gch_w"]))
-        return items
 
     def __repr__(self):
         body = ", ".join(

@@ -16,7 +16,7 @@ import traceback
 
 from . import alcove, qbg, qbops, suite, ybmoves
 from .charident import rhs_chevalley, verify_factorization, verify_vanishing
-from .genfun import AffineWeylElt, compose, genfun, genfun_equal, ghat
+from .genfun import AffineWeylElt, compose, genfun, genfun_equal, ghat, rows_json
 from .rootsys import Coroot, RootSystemError, build_root_system
 
 
@@ -74,13 +74,29 @@ def _emit(args, payload, text=None):
     """Print payload as indented JSON under --format json, else text.
 
     text defaults to compact JSON, serialized only when it is printed.
-    With QALCOVE_OUTDIR set, the output is also written to
-    <command>-<action>.json (or .txt) there.
     """
     if args.format == "json":
-        out = json.dumps(payload, indent=1)
+        _write(args, json.dumps(payload, indent=1))
     else:
-        out = json.dumps(payload) if text is None else text
+        _write(args, json.dumps(payload) if text is None else text)
+
+
+def _emit_terms(args, f):
+    """Print a GenFun or FormalChar f as _emit(args, f.to_json()) would.
+
+    Under --format json the indented JSON is written straight from f's
+    sorted rows, without building the items or running the pure-Python
+    indenting encoder.
+    """
+    if args.format == "json":
+        _write(args, rows_json(f.rows(), f.ROW_NAMES))
+    else:
+        _write(args, json.dumps(f.to_json()))
+
+
+def _write(args, out):
+    """Print out; with QALCOVE_OUTDIR set, also write it to
+    <command>-<action>.json (or .txt) there."""
     outdir = os.environ.get("QALCOVE_OUTDIR")
     if outdir:
         os.makedirs(outdir, exist_ok=True)
@@ -179,8 +195,8 @@ def cmd_yb(args):
     # sijection
     ctx = ybmoves.make_context(chain, args.t, args.q)
     sij = ybmoves.build_sijection(ctx, _parsed(rs.element_from_word, args.w))
-    report = sij.report_json()
-    _emit(args, report, json.dumps(report, indent=1))
+    # indented JSON under either format
+    _write(args, json.dumps(sij.report_json(), indent=1))
     return 0
 
 
@@ -222,7 +238,7 @@ def cmd_gf(args):
     rs = _rs(args)
     x = AffineWeylElt(_parsed(rs.element_from_word, args.w), _coroot(rs, args.xi))
     if args.action == "eval":
-        _emit(args, genfun(_chain(rs, args), x).to_json())
+        _emit_terms(args, genfun(_chain(rs, args), x))
         return 0
     if args.action == "compare":
         c1 = alcove.LambdaChain.load(args.chain1, rs)
@@ -233,11 +249,11 @@ def cmd_gf(args):
     if args.action == "compose":
         c1 = alcove.LambdaChain.load(args.chain1, rs)
         c2 = alcove.LambdaChain.load(args.chain2, rs)
-        _emit(args, compose(c1, c2, x).to_json())
+        _emit_terms(args, compose(c1, c2, x))
         return 0
     # ghat
     g = ghat(_chain(rs, args), x, args.floor if args.floor is not None else -8)
-    _emit(args, g.to_json())
+    _emit_terms(args, g)
     return 0
 
 
@@ -249,7 +265,7 @@ def cmd_chev(args):
         mu = _weight(rs, args.mu)
         lam = _weight(rs, args.lam)
         chain = _chain(rs, args)
-        _emit(args, rhs_chevalley(rs, mu, lam, chain, x, floor).to_json())
+        _emit_terms(args, rhs_chevalley(rs, mu, lam, chain, x, floor))
         return 0
     if args.action == "vanish":
         lam = _weight(rs, args.lam)

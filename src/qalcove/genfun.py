@@ -113,6 +113,8 @@ class GenFun:
     """A finite formal sum of (Laurent in q) * e^mu * (w t_xi)."""
 
     __slots__ = ("rs", "terms")
+    # names of the row vectors in the JSON items, after "q"
+    ROW_NAMES = ("mu", "w", "xi")
 
     def __init__(self, rs: RootSystem, terms: dict | None = None):
         self.rs = rs
@@ -151,19 +153,23 @@ class GenFun:
     def __eq__(self, other):
         return isinstance(other, GenFun) and self.terms == other.terms
 
+    def rows(self) -> list:
+        """The terms as sorted rows (mu, w, xi, q_pairs) of int tuples.
+
+        w is the 1-based reduced word and q_pairs the (exponent, coefficient)
+        pairs by increasing exponent; rows are sorted by (mu, w, xi), which
+        are unique, so the sort never compares q_pairs.
+        """
+        return sorted(
+            (mu.coeffs, tuple(i + 1 for i in w.word), xi.coeffs, tuple(sorted(c.terms.items())))
+            for (mu, w, xi), c in self.terms.items()
+        )
+
     def to_json(self) -> list:
-        items = []
-        for (mu, w, xi), c in self.terms.items():
-            items.append(
-                {
-                    "q": sorted([e, coef] for e, coef in c.terms.items()),
-                    "mu": list(mu.coeffs),
-                    "w": [i + 1 for i in w.word],
-                    "xi": list(xi.coeffs),
-                }
-            )
-        items.sort(key=lambda d: (d["mu"], d["w"], d["xi"]))
-        return items
+        return [
+            {"q": [list(p) for p in q], "mu": list(mu), "w": list(w), "xi": list(xi)}
+            for mu, w, xi, q in self.rows()
+        ]
 
     def __repr__(self):
         body = ", ".join(
@@ -379,22 +385,63 @@ def ghat_compose(
 def weight_orbit_sum(chain: LambdaChain) -> dict:
     """sum_{A in A(e, Gamma)} q^{height(A)} e^{wt(A)}, as {weight: Laurent}."""
     rs = chain.rs
-    out: dict = {}
+    acc: dict = {}
     for a in enumerate_admissible(chain, rs.identity):
-        prev = out.get(a.wt, Laurent())
-        out[a.wt] = prev + Laurent.q_power(a.height)
-    return {k: v for k, v in out.items() if not v.is_zero()}
+        poly = acc.setdefault(a.wt, {})
+        poly[a.height] = poly.get(a.height, 0) + 1
+    # every count is positive, so no sum is zero
+    return {k: Laurent(p) for k, p in acc.items()}
 
 
 def is_weyl_invariant(rs: RootSystem, f: dict) -> bool:
     """Whether a {weight: Laurent} sum is invariant under the Weyl action."""
     for i in range(rs.rank):
         s = rs.simple_reflection(i)
-        image: dict = {}
+        acc: dict = {}
         for mu, c in f.items():
-            key = rs.act(s, mu)
-            image[key] = image.get(key, Laurent()) + c
-        image = {k: v for k, v in image.items() if not v.is_zero()}
-        if image != f:
+            poly = acc.setdefault(rs.act(s, mu), {})
+            for e, k in c.terms.items():
+                poly[e] = poly.get(e, 0) + k
+        if {k: Laurent(p) for k, p in acc.items() if any(p.values())} != f:
             return False
     return True
+
+
+# -- JSON writer ----------------------------------------------------------------
+
+
+def _json_list(elems: list, pad: int) -> str:
+    """An indent=1 JSON list of rendered elems, its closing bracket at column pad."""
+    if not elems:
+        return "[]"
+    sep = "\n" + " " * (pad + 1)
+    return "[" + sep + ("," + sep).join(elems) + "\n" + " " * pad + "]"
+
+
+def _row_template(names: tuple, shape: tuple) -> str:
+    """The %d template of one item: shape is (number of q pairs, vector lengths)."""
+    pairs = _json_list([_json_list(["%d"] * 2, 3)] * shape[0], 2)
+    fields = ['"q": ' + pairs]
+    fields += [f'"{name}": ' + _json_list(["%d"] * n, 2) for name, n in zip(names, shape[1:])]
+    return "{\n  " + ",\n  ".join(fields) + "\n }"
+
+
+def rows_json(rows: list, names: tuple) -> str:
+    """json.dumps(items, indent=1), byte for byte, written from sorted rows.
+
+    A row (v_1, ..., v_k, q_pairs) of int tuples stands for the item
+    {"q": [[e, c], ...], names[0]: v_1, ..., names[k-1]: v_k}, as `rows()`
+    of a GenFun or a FormalChar returns it.  Rows of one shape (number of q
+    pairs, vector lengths) share one %d template, so an item costs one
+    C-level format instead of a pass of the pure-Python encoder, which
+    json.dumps takes whenever it indents.
+    """
+    templates: dict = {}
+    items = []
+    for *vecs, q in rows:
+        shape = (len(q), *map(len, vecs))
+        template = templates.get(shape)
+        if template is None:
+            template = templates[shape] = _row_template(names, shape)
+        items.append(template % tuple(itertools.chain(*q, *vecs)))
+    return _json_list(items, 0)

@@ -58,6 +58,33 @@ def test_gf_eval_json(capsys):
     assert {tuple(d["mu"]) for d in data} == {(-1,), (1,)}
 
 
+def test_generating_function_json_layout(tmp_path, capsys):
+    rs = qa.build_root_system("C2")
+    for name, lam in (("c1.json", [1, 1]), ("c2.json", [1, 0])):
+        (tmp_path / name).write_text(json.dumps(qa.lex_chain(rs, rs.weight(lam)).to_json()))
+    commands = (
+        ("gf", "eval", "--type", "G2", "--lambda", "1,-1", "--w", "s2", "--xi", "1,-2"),
+        ("gf", "compose", "--type", "C2", "--chain1", str(tmp_path / "c1.json"),
+         "--chain2", str(tmp_path / "c2.json"), "--w", "s1"),
+        ("gf", "ghat", "--type", "A2", "--lambda", "1,1", "--xi", "1,0", "--floor", "-6"),
+        ("gf", "ghat", "--type", "C2", "--lambda", "1,1", "--floor", "5"),  # no term
+        ("chev", "rhs", "--type", "C2", "--mu", "1,1", "--lambda", "2,1", "--floor", "-8"),
+    )
+    for argv in commands:
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        items = json.loads(out)
+        assert out == json.dumps(items, indent=1) + "\n"
+        code, compact = run(capsys, *argv)
+        assert code == 0
+        assert compact == json.dumps(items) + "\n"
+    # the Yang-Baxter sijection report is indented JSON under either format
+    argv = ("yb", "sijection", "--type", "C2", "--lambda", "1,1", "--t", "0", "--q", "4", "--w", "s2")
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0 and out == json.dumps(json.loads(out), indent=1) + "\n"
+    assert run(capsys, *argv) == (0, out)
+
+
 def test_chev_vanish(capsys):
     code, out = run(capsys, "chev", "vanish", "--type", "A2", "--lambda", "-1,0")
     assert code == 0

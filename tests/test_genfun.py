@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qalcove as qa
-from qalcove.charident import rhs_chevalley, verify_vanishing
+from qalcove.charident import FormalChar, rhs_chevalley, verify_vanishing
 from qalcove.genfun import (
     AffineWeylElt,
     GenFun,
@@ -21,9 +22,10 @@ from qalcove.genfun import (
     par_concat,
     par_enumerate,
     par_groups,
+    rows_json,
     weight_orbit_sum,
 )
-from qalcove.rootsys import Coroot
+from qalcove.rootsys import Coroot, WeylElement
 
 
 def x_at(rs, word="e", xi=None):
@@ -318,10 +320,15 @@ def test_dominant_specialization_invariant():
             chain = qa.lex_chain(rs, rs.weight(coeffs))
             f = weight_orbit_sum(chain)
             assert is_weyl_invariant(rs, f)
-    # a non-invariant sum is recognized
+            expect = {}
+            for a in qa.enumerate_admissible(chain, rs.identity):
+                expect[a.wt] = expect.get(a.wt, Laurent()) + Laurent.q_power(a.height)
+            assert f == expect
+    # a non-invariant sum is recognized, also one holding a zero coefficient
     rs = qa.build_root_system("A2")
     bogus = {rs.weight([1, 0]): Laurent.q_power(0)}
     assert not is_weyl_invariant(rs, bogus)
+    assert not is_weyl_invariant(rs, {rs.weight([0, 0]): Laurent()})
 
 
 def test_genfun_json_deterministic():
@@ -551,3 +558,75 @@ def test_grouped_convolution_against_per_tuple(case):
     floor -= rs.pair(mu, x.xi)
     f = rhs_chevalley(rs, mu, lam, chain, x, floor)
     assert f.terms == reference_rhs(rs, mu, lam, chain, x, floor)
+
+
+# -- differential test: json.dumps as oracle for the row writer ---------------
+
+
+def reference_items(f):
+    """f.to_json() of a GenFun or FormalChar, built as dicts sorted on list keys."""
+    items = []
+    for key, c in f.terms.items():
+        vecs = [
+            [i + 1 for i in v.word] if isinstance(v, WeylElement) else list(v.coeffs)
+            for v in key
+        ]
+        item = {"q": sorted([e, k] for e, k in c.terms.items())}
+        item.update(zip(f.ROW_NAMES, vecs))
+        items.append(item)
+    items.sort(key=lambda d: [d[name] for name in f.ROW_NAMES])
+    return items
+
+
+def assert_rows_json(f):
+    assert f.to_json() == reference_items(f)
+    assert rows_json(f.rows(), f.ROW_NAMES) == json.dumps(f.to_json(), indent=1)
+
+
+def test_rows_json_edge_cases():
+    a1, b3 = qa.build_root_system("A1"), qa.build_root_system("B3")
+    assert rows_json(GenFun(a1).rows(), GenFun.ROW_NAMES) == "[]"
+    assert rows_json(FormalChar(a1, a1.weight([0])).rows(), FormalChar.ROW_NAMES) == "[]"
+    single = GenFun(a1)  # rank 1, one q pair
+    single.add_term(a1.weight([-3]), x_at(a1, "s1", [11]), Laurent.q_power(-1, -1))
+    wide = GenFun(b3)  # rank 3, w = e, multi-digit and negative entries
+    wide.add_term(b3.weight([-10, 0, 123]), x_at(b3, "s1s2s3", [-7, 0, 45]),
+                  Laurent({-12: -345, 7: 10, 0: 1}))
+    wide.add_term(b3.weight([-10, 0, 123]), x_at(b3, "e", [-7, 0, 45]),
+                  Laurent.q_power(-100, 2048))
+    wide.add_term(b3.weight([0, 0, 0]), x_at(b3), Laurent.q_power(0, -1))
+    char = FormalChar(b3, b3.weight([2, 0, 1]))
+    char.add_symbol(b3.weight([5, -14, 0]), x_at(b3, "s3s2", [3, -1, 0]),
+                    Laurent({-21: 99, 13: -1000}))
+    char.add_symbol(b3.weight([5, -14, 0]), x_at(b3), Laurent.q_power(1))
+    for f in (GenFun(a1), single, wide, char, genfun(qa.lex_chain(a1, a1.weight([2])), x_at(a1))):
+        assert_rows_json(f)
+    assert json.loads(rows_json(single.rows(), single.ROW_NAMES)) == [
+        {"q": [[-1, -1]], "mu": [-3], "w": [1], "xi": [11]}
+    ]
+
+
+# a weight per type whose chains have at most a few hundred subsets
+JSON_LAMBDA = {"A2": [2, -1], "C2": [1, 1], "G2": [0, 1], "B3": [1, 0, 1]}
+
+
+@st.composite
+def json_cases(draw):
+    label = draw(st.sampled_from(sorted(JSON_LAMBDA)))
+    rs = qa.build_root_system(label)
+    w = draw(st.sampled_from(rs.weyl_elements))
+    xi = draw(st.lists(st.integers(-3, 3), min_size=rs.rank, max_size=rs.rank))
+    depth = draw(st.integers(0, 4))
+    return rs, rs.weight(JSON_LAMBDA[label]), AffineWeylElt(w, Coroot(tuple(xi))), depth
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=json_cases())
+def test_rows_json_against_json_dumps(case):
+    rs, lam, x, depth = case
+    chain = lex_pm(rs, lam)
+    g = genfun(chain, x)
+    floor = g.max_exponent() - depth
+    mu = rs.weight([1] + [0] * (rs.rank - 1))
+    for f in (g, ghat(chain, x, floor), rhs_chevalley(rs, mu, lam, chain, x, floor)):
+        assert_rows_json(f)
