@@ -354,12 +354,6 @@ class AdmissibleSubset:
     def sign(self) -> int:
         return -1 if self.n % 2 else 1
 
-    def key(self):
-        return self.indices
-
-    def stats_tuple(self):
-        return (self.sign, self.wt, self.height, self.down, self.ed)
-
     def __repr__(self):
         return f"A{list(self.indices)}"
 
@@ -403,24 +397,28 @@ def enumerate_admissible(
 def _sweep_tables(rs: RootSystem):
     """Integer tables of the sweep, built once per root system.
 
-    Returns (target, quantum, root_wt, coroot): target[v][p] is the index of
-    v s_p in rs.weyl_elements if QBG has the edge v -> v s_p, else -1, and
-    quantum[v][p] flags a quantum edge (v indexes rs.weyl_elements, p
-    rs.positive_roots); root_wt[k] is rs.all_roots[k] in the fundamental-weight
-    basis and coroot[p] the coroot of rs.positive_roots[p].
+    Returns (column, quantum, root_wt, coroot, shift), indexed by p in
+    rs.positive_roots and then by v in rs.weyl_elements: column[p][v] is the
+    index of v s_p if QBG has the edge v -> v s_p, else -1, and quantum[p][v]
+    flags a quantum edge; root_wt[k] is rs.all_roots[k] in the
+    fundamental-weight basis and coroot[p] the coroot of rs.positive_roots[p];
+    shift[p][v] is the operators' key increment (0, coroot[p]) on a quantum
+    edge and None on a Bruhat one.
     """
     if rs._sweep_tables is None:
         edges = qbg._edge_table(rs)
-        target, quantum = [], []
-        for v in rs.weyl_elements:
-            row = [edges[(v, alpha)] for alpha in rs.positive_roots]
-            target.append(tuple(e.target.index if e else -1 for e in row))
-            quantum.append(tuple(bool(e) and e.kind == qbg.QUANTUM for e in row))
+        column, quantum = [], []
+        for alpha in rs.positive_roots:
+            col = [edges[(v, alpha)] for v in rs.weyl_elements]
+            column.append(tuple(e.target.index if e else -1 for e in col))
+            quantum.append(tuple(bool(e) and e.kind == qbg.QUANTUM for e in col))
+        coroot = tuple(rs.coroot(r).coeffs for r in rs.positive_roots)
         rs._sweep_tables = (
-            tuple(target),
+            tuple(column),
             tuple(quantum),
             tuple(rs.root_to_weight(r).coeffs for r in rs.all_roots),
-            tuple(rs.coroot(r).coeffs for r in rs.positive_roots),
+            coroot,
+            tuple(tuple((0,) + c if q else None for q in qs) for c, qs in zip(coroot, quantum)),
         )
     return rs._sweep_tables
 
@@ -432,48 +430,71 @@ def _root_step(rs: RootSystem, beta: Root) -> tuple[int, int, int]:
     return k, k % npos, 1 if k < npos else -1
 
 
-def sweep_admissible(chain: LambdaChain, w: WeylElement) -> dict:
-    """The signed count of every end state of A(w, Gamma), without listing subsets.
+def sweep_step(
+    states: list, column: Sequence[int], incs: Sequence, sign: int, keep: bool
+) -> list:
+    """The state list after one QBG step along a positive root.
 
-    Returns {(ed, wt, down, height): sum of (-1)^n over the subsets with these
-    statistics}, zero sums dropped.  The sweep carries signed counts of states
-    (v, c, down, height) from {(w, 0, 0, 0): 1} along the chain: at beta_j an
-    edge v -> v s_|beta_j| of the quantum Bruhat graph adds -l_j v(beta_j) to
-    c, a quantum edge also adds |beta_j|^vee to down and sign(beta_j) l~_j to
-    height, and a negative beta_j negates the count.  Subsets that reach the
-    same state merge, so the work follows the number of states, not of
-    subsets.  At the end wt = ed(lambda) - c.
+    states[v] is None or {key: count} for v in rs.weyl_elements; G keys a
+    state by (c, down, height), the operators by (start, down).  Every state
+    at v moves to column[v] (-1: QBG has no edge there), its key shifted by
+    incs[v] (None: unchanged) and its count multiplied by sign; keep=True
+    also leaves it at v, as R = 1 + Q does, keep=False does not, as Q does.
+    States that meet merge, zero counts dropped.  v -> v s_p is injective,
+    so each target hears from one v.
+    """
+    new = list(states) if keep else [None] * len(states)
+    for v, src in enumerate(states):
+        t = column[v]
+        if not src or t < 0:
+            continue
+        inc = incs[v]
+        moved = src.items()
+        if inc is not None:
+            moved = zip([tuple(map(add, key, inc)) for key in src], src.values())
+        dst = dict(new[t] or ())
+        get = dst.get
+        for key, cnt in moved:
+            cnt = get(key, 0) + sign * cnt
+            if cnt:
+                dst[key] = cnt
+            else:
+                del dst[key]
+        new[t] = dst or None
+    return new
+
+
+def sweep_seeded(chain: LambdaChain, seeds: dict) -> dict:
+    """The sweep along chain from seeds {v: {(c, down, height): count}}.
+
+    c, down and height are flat int tuples (rank, rank, 1).  Returns {(ed,
+    wt, down, height): count} over the end states, zero counts dropped, with
+    wt = ed(lambda) - c.  At beta_j an edge v -> v s_|beta_j| of the quantum
+    Bruhat graph adds -l_j v(beta_j) to c, a quantum edge also adds
+    |beta_j|^vee to down and sign(beta_j) l~_j to height, and a negative
+    beta_j negates the count; the state also stays at v, since a subset may
+    skip j.  Subsets that reach the same state merge, so the work follows the
+    number of states, not of subsets.
     """
     rs = chain.rs
-    target, quantum, root_wt, coroot = _sweep_tables(rs)
+    column, quantum, root_wt, coroot, _ = _sweep_tables(rs)
     n = rs.rank
-    zero = (0,) * n
     perms = [v.root_perm for v in rs.weyl_elements]
-    # by vertex: {(c_1..c_n, down_1..down_n, height): count}, one flat tuple
-    # so that a step adds one increment vector
     states: list = [None] * len(perms)
-    still = zero + (0,)  # (down, height) increment of a Bruhat edge
-    states[w.index] = {zero + still: 1}
+    for v, seed in seeds.items():
+        states[v.index] = seed
+    still = (0,) * (n + 1)  # (down, height) increment of a Bruhat edge
     for beta, l, tilde in zip(chain.roots, chain.levels, chain.tilde_levels):
         k, p, sign = _root_step(rs, beta)
-        new = list(states)
-        for v, src in enumerate(states):
-            t = target[v][p]
-            if not src or t < 0:
-                continue
-            step = coroot[p] + (sign * tilde,) if quantum[v][p] else still
-            delta = tuple(-l * x for x in root_wt[perms[v][k]]) + step
-            dst = dict(states[t] or ())
-            get = dst.get
-            for key, cnt in src.items():
-                key = tuple(map(add, key, delta))
-                cnt = get(key, 0) + cnt * sign
-                if cnt:
-                    dst[key] = cnt
-                else:
-                    del dst[key]
-            new[t] = dst
-        states = new
+        col, qcol = column[p], quantum[p]
+        lift = coroot[p] + (sign * tilde,)
+        incs = [
+            tuple(-l * x for x in root_wt[perms[v][k]]) + (lift if qcol[v] else still)
+            if src and col[v] >= 0
+            else None
+            for v, src in enumerate(states)
+        ]
+        states = sweep_step(states, col, incs, sign, keep=True)
 
     out = {}
     for v, final in enumerate(states):
@@ -487,6 +508,15 @@ def sweep_admissible(chain: LambdaChain, w: WeylElement) -> dict:
     return out
 
 
+def sweep_admissible(chain: LambdaChain, w: WeylElement) -> dict:
+    """The signed count of every end state of A(w, Gamma), without listing subsets.
+
+    Returns {(ed, wt, down, height): sum of (-1)^n over the subsets with these
+    statistics}, zero sums dropped: the sweep seeded with (w, 0, 0, 0).
+    """
+    return sweep_seeded(chain, {w: {(0,) * (2 * chain.rs.rank + 1): 1}})
+
+
 def admissible_support(
     chain: LambdaChain, w: WeylElement
 ) -> tuple[frozenset, frozenset]:
@@ -496,15 +526,16 @@ def admissible_support(
     subsets whose signed counts cancel still count as present.
     """
     rs = chain.rs
-    target, quantum, _, _ = _sweep_tables(rs)
+    column, quantum, _, _, _ = _sweep_tables(rs)
     reach = {(w.index, 0)}
     taken = set()
     for j, (beta, tilde) in enumerate(zip(chain.roots, chain.tilde_levels), 1):
         _, p, sign = _root_step(rs, beta)
+        col, qcol = column[p], quantum[p]
         step = {
-            (target[v][p], h + sign * tilde if quantum[v][p] else h)
+            (col[v], h + sign * tilde if qcol[v] else h)
             for v, h in reach
-            if target[v][p] >= 0
+            if col[v] >= 0
         }
         if step:
             taken.add(j)

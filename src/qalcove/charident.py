@@ -14,12 +14,12 @@ from typing import Optional
 from .alcove import (
     LambdaChain,
     admissible_support,
-    enumerate_admissible,
+    concat_chains,
     lambda_pm,
     lex_chain,
     sweep_admissible,
 )
-from .genfun import AffineWeylElt, Laurent, par_convolve, par_groups
+from .genfun import AffineWeylElt, GenFun, Laurent, compose, genfun, par_convolve, par_groups
 from .rootsys import Coroot, RootSystem, Weight, WeylElement
 
 
@@ -107,33 +107,35 @@ def rhs_chevalley(
         raise ValueError("the character parameter must be dominant")
     if chain.lam != lam:
         raise ValueError("chain does not belong to lambda")
-    base = -rs.pair(lam, x.xi) - rs.pair(mu, x.xi)
-    # merge the subsets by (wt, ed) -> {exponent: signed count}
+    return _expand(rs, mu, genfun(chain, x), lam, mu, q_floor)
+
+
+def _expand(
+    rs: RootSystem, mu: Weight, g: GenFun, lam: Weight, shift: Weight, q_floor: int
+) -> FormalChar:
+    """The terms of g as characters normalized by mu, summed over the
+    partition tuples chi of lam, each lowered by |chi| + <shift, iota(chi)>,
+    above q_floor.
+
+    The normalization folds every translation into q, so `par_convolve` runs
+    with every translation zero.
+    """
+    zero = Coroot((0,) * rs.rank)
+    # (wt, ed, zero) -> {exponent - <mu, xi>: count}
     heads: dict = {}
-    for a in enumerate_admissible(chain, x.w):
-        poly = heads.setdefault((a.wt, a.ed), {})
-        h = base - a.height - rs.pair(mu, a.down)
-        poly[h] = poly.get(h, 0) + a.sign
+    for (wt, ed, xi), c in g.terms.items():
+        poly = heads.setdefault((wt, ed, zero), {})
+        s = rs.pair(mu, xi)
+        for e, k in c.terms.items():
+            poly[e - s] = poly.get(e - s, 0) + k
     bound = max((max(p) for p in heads.values()), default=q_floor - 1) - q_floor
     if bound < 0:
         return FormalChar(rs, mu)
-    drops = [(size + rs.pair(mu, iota), m) for iota, size, m in par_groups(rs, lam, bound)]
-    return _convolve(rs, mu, heads, drops, q_floor)
-
-
-def _convolve(rs: RootSystem, mu: Weight, heads: dict, drops: list, q_floor: int) -> FormalChar:
-    """The FormalChar of heads {(wt, ed): {exponent: count}} summed over
-    [(drop, multiplicity)], above q_floor.
-
-    The drops already hold the translations, folded into q by the
-    normalization, so `par_convolve` runs with every translation zero.
-    """
-    zero = Coroot((0,) * rs.rank)
-    acc = par_convolve(
-        {(wt, ed, zero): p for (wt, ed), p in heads.items()},
-        [(zero, drop, m) for drop, m in drops],
-        q_floor,
-    )
+    groups = [
+        (zero, size + rs.pair(shift, iota), m)
+        for iota, size, m in par_groups(rs, lam, bound)
+    ]
+    acc = par_convolve(heads, groups, q_floor)
     return FormalChar(rs, mu, {(wt, ed): Laurent(p) for (wt, ed, _zero), p in acc.items()})
 
 
@@ -141,15 +143,12 @@ def specialize_trivial(f: FormalChar) -> dict:
     """Substitute gch[w] := 1 for all w; defined only for mu_param = 0."""
     if not f.mu_param.is_zero():
         raise ValueError("specialization requires mu = 0")
-    out: dict = {}
+    acc: dict = {}
     for (mu, _w), coeff in f.terms.items():
-        prev = out.get(mu, Laurent())
-        s = prev + coeff
-        if s.is_zero():
-            out.pop(mu, None)
-        else:
-            out[mu] = s
-    return out
+        poly = acc.setdefault(mu, {})
+        for e, c in coeff.terms.items():
+            poly[e] = poly.get(e, 0) + c
+    return {k: Laurent(p) for k, p in acc.items() if any(p.values())}
 
 
 def verify_vanishing(
@@ -187,35 +186,14 @@ def verify_factorization(
     """Compare the flat expansion over lex(l+)*lex(l-) with the nested one.
 
     The nested form runs the dominant expansion first and the antidominant
-    one second, exactly as the hatted composition factors; both sides are
-    truncated at q_floor.
+    one second, exactly as the hatted composition factors: it expands the
+    composition G_{lex(l-)}(G_{lex(l+)}(x)) over the partition tuples of l+;
+    both sides are truncated at q_floor.
     """
-    from .alcove import concat_chains
-
     lam_p, lam_m = lambda_pm(lam)
     chain_p = lex_chain(rs, lam_p)
     chain_m = lex_chain(rs, lam_m)
     gamma0 = concat_chains(chain_p, chain_m)
     flat = rhs_chevalley(rs, mu, lam, gamma0, x, q_floor)
-
-    heads: dict = {}
-    for a in enumerate_admissible(chain_p, x.w):
-        for b in enumerate_admissible(chain_m, a.ed):
-            c = (
-                -a.height
-                - rs.pair(lam_p, x.xi)
-                - b.height
-                - rs.pair(lam_m, x.xi + a.down)
-                - rs.pair(mu, x.xi + a.down + b.down)
-            )
-            poly = heads.setdefault((a.wt + b.wt, b.ed), {})
-            poly[c] = poly.get(c, 0) + a.sign * b.sign
-    bound = max((max(p) for p in heads.values()), default=q_floor - 1) - q_floor
-    nested = FormalChar(rs, mu)
-    if bound >= 0:
-        drops = [
-            (size + rs.pair(lam_m + mu, iota), m)
-            for iota, size, m in par_groups(rs, lam_p, bound)
-        ]
-        nested = _convolve(rs, mu, heads, drops, q_floor)
+    nested = _expand(rs, mu, compose(chain_m, chain_p, x), lam_p, lam_m + mu, q_floor)
     return flat == nested

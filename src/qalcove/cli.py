@@ -374,10 +374,6 @@ def build_parser():
     sp = sub.add_parser("suite", help="run the verification suite")
     sp.add_argument("action", choices=("all",))
     sp.add_argument("--seed", type=int, default=suite.DEFAULT_SEED)
-    sp.add_argument(
-        "--workers", type=int, default=None,
-        help="ignored: the criteria run one after the other",
-    )
     sp.set_defaults(fn=cmd_suite)
 
     return p

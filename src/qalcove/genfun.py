@@ -2,13 +2,17 @@
 
 G_Gamma(w t_xi) sums (-1)^n q^{-height - <lambda, xi>} e^{wt} ed t_{xi + down}
 over the w-admissible subsets of Gamma; it extends linearly to finite formal
-sums.  G is computed by the sweep `alcove.sweep_admissible`, which merges
-subsets with equal statistics as it runs instead of listing them.  The
-hatted variant further sums over tuples of bounded partitions and is
+sums.  Both are one sweep along the chain (`alcove.sweep_seeded`), seeded
+with one state per term of the sum, which merges subsets with equal
+statistics as it runs instead of listing them; G(x) is the sweep seeded
+with x alone, and the composition G_{Gamma1}(G_{Gamma2}(x)), which is G of
+the concatenated chain, the sweep along Gamma1 seeded with G_{Gamma2}(x).
+The hatted variant further sums over tuples of bounded partitions and is
 computed exactly above a caller-supplied q-exponent floor; a partition tuple
 chi enters only through (iota(chi), |chi|), so the sum runs over those groups
-(`par_groups`), and `par_convolve` adds each shifted term in place when it
-lies above the floor; the character expansions in `charident` use it too.
+(`par_groups`), and `par_convolve` adds each shifted term of G, or of the
+composition for the hatted composition, in place when it lies above the
+floor; the character expansions in `charident` use it too.
 """
 
 from __future__ import annotations
@@ -17,12 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .alcove import (
-    LambdaChain,
-    enumerate_admissible,
-    is_cancellation_free,
-    sweep_admissible,
-)
+from .alcove import LambdaChain, is_cancellation_free, sweep_seeded
 from .rootsys import Coroot, RootSystem, Weight, WeylElement
 
 
@@ -101,9 +100,6 @@ class AffineWeylElt:
 
     w: WeylElement
     xi: Coroot
-
-    def translated(self, delta: Coroot) -> "AffineWeylElt":
-        return AffineWeylElt(self.w, self.xi + delta)
 
     def __repr__(self):
         return f"{self.w.word_str}*t{self.xi.coeffs}"
@@ -184,20 +180,29 @@ class GenFun:
 def genfun(chain: LambdaChain, x: AffineWeylElt) -> GenFun:
     """The generating function G_Gamma(x) of one chain at x = w t_xi."""
     rs = chain.rs
-    base = -rs.pair(chain.lam, x.xi)
-    terms: dict = {}
-    for (ed, wt, down, height), count in sweep_admissible(chain, x.w).items():
-        terms.setdefault((wt, ed, x.xi + down), {})[base - height] = count
-    return GenFun(rs, {k: Laurent(v) for k, v in terms.items()})
+    unit = {(Weight((0,) * rs.rank), x.w, x.xi): Laurent({0: 1})}
+    return genfun_extend(chain, GenFun(rs, unit))
 
 
 def genfun_extend(chain: LambdaChain, f: GenFun) -> GenFun:
-    """Linear extension of G_Gamma over a finite formal sum."""
-    out = GenFun(f.rs)
+    """Linear extension of G_Gamma over a finite formal sum, in one sweep.
+
+    A term q^e e^mu w t_xi seeds the state at w with c = -mu, down = xi and
+    height = <lambda, xi> - e, so an end state reads back as the exponent
+    -height and the weight ed(lambda) - c = mu + wt.
+    """
+    rs = f.rs
+    seeds: dict = {}
     for (mu, w, xi), c in f.terms.items():
-        g = genfun(chain, AffineWeylElt(w, xi))
-        out = out + g.scaled(c, mu, Coroot((0,) * f.rs.rank))
-    return out
+        head = tuple(-m for m in mu.coeffs) + xi.coeffs
+        lx = rs.pair(chain.lam, xi)
+        seed = seeds.setdefault(w, {})
+        for e, k in c.terms.items():
+            seed[head + (lx - e,)] = k
+    terms: dict = {}
+    for (ed, wt, down, height), count in sweep_seeded(chain, seeds).items():
+        terms.setdefault((wt, ed, down), {})[-height] = count
+    return GenFun(rs, {k: Laurent(v) for k, v in terms.items()})
 
 
 def compose(chain1: LambdaChain, chain2: LambdaChain, x: AffineWeylElt) -> GenFun:
@@ -359,16 +364,9 @@ def ghat_compose(
     mu1, mu2 = chain1.lam, chain2.lam
     if not is_cancellation_free([mu1, mu2]):
         raise ValueError("ghat composition needs a cancellation-free split")
-    # merge the pairs (B, A) by what the partition sums see of them:
-    # (wt, ed, translation) -> {exponent: signed count}
-    base2 = -rs.pair(mu2, x.xi)
-    heads: dict = {}
-    for b in enumerate_admissible(chain2, x.w):
-        head = base2 - b.height - rs.pair(mu1, x.xi + b.down)
-        for a in enumerate_admissible(chain1, b.ed):
-            poly = heads.setdefault((a.wt + b.wt, a.ed, x.xi + b.down + a.down), {})
-            c = head - a.height
-            poly[c] = poly.get(c, 0) + a.sign * b.sign
+    # the partition sums see the pairs (B, A) only through the terms of
+    # G_{Gamma1}(G_{Gamma2}(x)): (wt, ed, translation) -> {exponent: count}
+    heads = {k: c.terms for k, c in compose(chain1, chain2, x).terms.items()}
     bound = max((max(p) for p in heads.values()), default=q_floor - 1) - q_floor
     if bound < 0:
         return GenFun(rs)
@@ -383,13 +381,20 @@ def ghat_compose(
 
 
 def weight_orbit_sum(chain: LambdaChain) -> dict:
-    """sum_{A in A(e, Gamma)} q^{height(A)} e^{wt(A)}, as {weight: Laurent}."""
+    """sum_{A in A(e, Gamma)} q^{height(A)} e^{wt(A)}, as {weight: Laurent}.
+
+    Read off G_Gamma(e): the chain must hold positive roots only, so that
+    every subset counts +1 and no sum is zero.
+    """
     rs = chain.rs
+    if not all(beta.is_positive for beta in chain.roots):
+        raise ValueError("weight_orbit_sum needs a chain of positive roots")
     acc: dict = {}
-    for a in enumerate_admissible(chain, rs.identity):
-        poly = acc.setdefault(a.wt, {})
-        poly[a.height] = poly.get(a.height, 0) + 1
-    # every count is positive, so no sum is zero
+    g = genfun(chain, AffineWeylElt(rs.identity, Coroot((0,) * rs.rank)))
+    for (wt, _ed, _xi), c in g.terms.items():
+        poly = acc.setdefault(wt, {})
+        for e, k in c.terms.items():
+            poly[-e] = poly.get(-e, 0) + k
     return {k: Laurent(p) for k, p in acc.items()}
 
 

@@ -13,7 +13,6 @@ import hashlib
 import json
 from dataclasses import dataclass
 from importlib import resources
-from operator import add
 from typing import Sequence
 
 from . import alcove
@@ -169,38 +168,15 @@ class GroupAlgebraElt:
 #
 # A state list holds, by vertex index v of rs.weyl_elements, None or
 # {(start, down_1..down_n): count}: the coefficient of Q^down at v in the image
-# of the basis vector rs.weyl_elements[start].  The sweep runs on the integer
-# QBG tables of alcove's sweep kernel, so every column advances in one pass.
+# of the basis vector rs.weyl_elements[start].  Each operator is one
+# `alcove.sweep_step`, so every column advances in one pass.
 
 
 def _step(rs: RootSystem, states: list, gamma: Root, keep: bool) -> list:
-    """The states after R_gamma (keep=True) or Q_gamma (keep=False).
-
-    Every state at v moves to v s_|gamma| if QBG has that edge, a quantum edge
-    adding |gamma|^vee to down, and its count is negated when gamma is
-    negative.  v -> v s_|gamma| is injective, so each target hears from one v.
-    """
-    target, quantum, _, coroot = alcove._sweep_tables(rs)
+    """The states after R_gamma (keep=True) or Q_gamma (keep=False)."""
+    column, _, _, _, shift = alcove._sweep_tables(rs)
     _, p, sign = alcove._root_step(rs, gamma)
-    shift = (0,) + coroot[p]
-    new = list(states) if keep else [None] * len(states)
-    for v, src in enumerate(states):
-        t = target[v][p]
-        if not src or t < 0:
-            continue
-        moved = src.items()
-        if quantum[v][p]:
-            moved = [(tuple(map(add, key, shift)), cnt) for key, cnt in moved]
-        dst = dict(new[t] or ())
-        get = dst.get
-        for key, cnt in moved:
-            cnt = get(key, 0) + sign * cnt
-            if cnt:
-                dst[key] = cnt
-            else:
-                del dst[key]
-        new[t] = dst or None
-    return new
+    return alcove.sweep_step(states, column[p], shift[p], sign, keep)
 
 
 def _sweep(rs: RootSystem, seq: Sequence[Root], starts: Sequence[int]) -> list:

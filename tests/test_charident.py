@@ -56,6 +56,13 @@ def test_specialize_trivial():
     g.add_symbol(rs.weight([1, 0]), x_at(rs, "s1"), Laurent.q_power(-2))
     spec = specialize_trivial(g)
     assert spec[rs.weight([1, 0])].terms == {-2: 1}
+    # symbols of one weight add up across w, and a zero sum is dropped
+    h = FormalChar(rs, rs.weight([0, 0]))
+    h.add_symbol(rs.weight([1, 0]), x_at(rs, "s1"), Laurent({0: 1, -1: 2}))
+    h.add_symbol(rs.weight([1, 0]), x_at(rs, "s2"), Laurent({0: -1, -3: 1}))
+    h.add_symbol(rs.weight([0, 1]), x_at(rs, "s1"), Laurent.q_power(-1))
+    h.add_symbol(rs.weight([0, 1]), x_at(rs, "s2s1"), Laurent.q_power(-1, -1))
+    assert specialize_trivial(h) == {rs.weight([1, 0]): Laurent({-1: 2, -3: 1})}
     bad = FormalChar(rs, rs.weight([1, 0]))
     with pytest.raises(ValueError):
         specialize_trivial(bad)

@@ -108,6 +108,8 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _ = run(capsys, "ops", "matrix", "--type", "A2", "--seq", "2,0")
     assert code == 2
+    code, _ = run(capsys, "suite", "all", "--workers", "2")
+    assert code == 2
 
 
 def test_corrupt_chain_fails_validation(tmp_path, capsys):
@@ -207,7 +209,7 @@ def test_chev_rhs_and_factor(capsys):
 
 
 def test_suite_all_cli(capsys):
-    code, out = run(capsys, "suite", "all", "--workers", "2")
+    code, out = run(capsys, "suite", "all")
     assert code == 0
     lines = [l for l in out.strip().splitlines() if l.startswith("PASS")]
     assert len(lines) == 11

@@ -6,7 +6,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qalcove as qa
-from qalcove.charident import FormalChar, rhs_chevalley, verify_vanishing
+from qalcove.charident import (
+    FormalChar,
+    _expand,
+    rhs_chevalley,
+    verify_factorization,
+    verify_vanishing,
+)
 from qalcove.genfun import (
     AffineWeylElt,
     GenFun,
@@ -314,9 +320,14 @@ def test_genfun_equal_with_floor():
 
 
 def test_dominant_specialization_invariant():
-    for label in ("A2", "C2"):
+    for label, weights in (
+        ("A2", ([1, 0], [0, 1], [1, 1])),
+        ("C2", ([1, 0], [0, 1], [1, 1])),
+        ("G2", ([1, 0], [1, 1])),
+        ("B3", ([0, 0, 1], [1, 0, 1])),
+    ):
         rs = qa.build_root_system(label)
-        for coeffs in ([1, 0], [0, 1], [1, 1]):
+        for coeffs in weights:
             chain = qa.lex_chain(rs, rs.weight(coeffs))
             f = weight_orbit_sum(chain)
             assert is_weyl_invariant(rs, f)
@@ -329,6 +340,19 @@ def test_dominant_specialization_invariant():
     bogus = {rs.weight([1, 0]): Laurent.q_power(0)}
     assert not is_weyl_invariant(rs, bogus)
     assert not is_weyl_invariant(rs, {rs.weight([0, 0]): Laurent()})
+
+
+def test_weight_orbit_sum_needs_positive_roots():
+    # a negative root would give signed counts, which may cancel
+    rs = qa.build_root_system("A2")
+    for chain in (
+        qa.lex_chain(rs, rs.weight([-1, 0])),
+        qa.segment_chain(rs, rs.weight([1, -1])),
+        lex_pm(rs, rs.weight([2, -1])),
+    ):
+        assert not all(beta.is_positive for beta in chain.roots)
+        with pytest.raises(ValueError):
+            weight_orbit_sum(chain)
 
 
 def test_genfun_json_deterministic():
@@ -427,6 +451,126 @@ def test_sweep_against_enumerator(case):
         assert got == reference_vanishing(chain, x.w)
 
 
+# -- differential test: the enumerator as oracle for the seeded sweep ---------
+
+
+def reference_extend(chain, f):
+    """G_Gamma over a formal sum, one (term, subset) at a time."""
+    rs = chain.rs
+    out = GenFun(rs)
+    for (mu, w, xi), c in f.terms.items():
+        base = -rs.pair(chain.lam, xi)
+        for a in qa.enumerate_admissible(chain, w):
+            coeff = c * Laurent.q_power(base - a.height, a.sign)
+            out.add_term(mu + a.wt, AffineWeylElt(a.ed, xi + a.down), coeff)
+    return out
+
+
+def reference_nested(rs, mu, lam, x, q_floor):
+    """The nested side of verify_factorization, one (A, B, chi) at a time."""
+    lam_p, lam_m = qa.lambda_pm(lam)
+    chain_p, chain_m = qa.lex_chain(rs, lam_p), qa.lex_chain(rs, lam_m)
+    pairs = []
+    for a in qa.enumerate_admissible(chain_p, x.w):
+        for b in qa.enumerate_admissible(chain_m, a.ed):
+            c = (
+                -a.height
+                - rs.pair(lam_p, x.xi)
+                - b.height
+                - rs.pair(lam_m, x.xi + a.down)
+                - rs.pair(mu, x.xi + a.down + b.down)
+            )
+            pairs.append((a.wt + b.wt, b.ed, c, a.sign * b.sign))
+    out = FormalChar(rs, mu)
+    tuples = par_enumerate(rs, lam_p, max(c for *_k, c, _s in pairs) - q_floor)
+    for wt, ed, c, sign in pairs:
+        for chi in tuples:
+            e = c - chi.size - rs.pair(lam_m + mu, chi.iota())
+            if e >= q_floor:
+                out.add_symbol(wt, AffineWeylElt(ed, Coroot((0,) * rs.rank)), Laurent.q_power(e, sign))
+    return out
+
+
+@st.composite
+def seeded_cases(draw, label):
+    rs = qa.build_root_system(label)
+    m = WEIGHT_BOUND[label]
+
+    def vector(lo, hi):
+        return draw(st.lists(st.integers(lo, hi), min_size=rs.rank, max_size=rs.rank))
+
+    def chain(size):
+        coeffs = vector(-m, m)
+        if rs.rank == 3 and sum(map(abs, coeffs)) > size:  # keep most cases small
+            coeffs = [c if k < size else 0 for k, c in enumerate(coeffs)]
+        lam = rs.weight(coeffs)
+        return lex_pm(rs, lam) if draw(st.booleans()) else qa.segment_chain(rs, lam)
+
+    def point():
+        return AffineWeylElt(draw(st.sampled_from(rs.weyl_elements)), Coroot(tuple(vector(-2, 2))))
+
+    chain1, chain2, x = chain(2), chain(1), point()
+    # a formal sum with nonzero mu and xi and polynomial coefficients
+    f = GenFun(rs)
+    for _ in range(draw(st.integers(1, 3))):
+        mu = vector(-2, 2)
+        assume(any(mu))
+        poly = draw(st.dictionaries(st.integers(-3, 3), st.sampled_from((-2, -1, 1, 3)), min_size=1, max_size=3))
+        f.add_term(rs.weight(mu), point(), Laurent(poly))
+    assume(sum(count_admissible(chain1, w) for _mu, w, _xi in f.terms) <= 2000)
+    # one term whose empty subset cancels a term of another's image
+    image = reference_extend(chain1, f).terms
+    assume(image)
+    (wt, ed, xi), c = draw(st.sampled_from(sorted(
+        image.items(), key=lambda kv: (kv[0][0].coeffs, kv[0][1].index, kv[0][2].coeffs)
+    )))
+    e = draw(st.sampled_from(sorted(c.terms)))
+    mu = wt - rs.act(ed, chain1.lam)
+    assume((mu, ed, xi) not in f.terms)
+    f.add_term(mu, AffineWeylElt(ed, xi), Laurent.q_power(e + rs.pair(chain1.lam, xi), -c.terms[e]))
+    assume(count_admissible(qa.concat_chains(chain2, chain1), x.w) <= 2000)
+    return chain1, chain2, x, f
+
+
+@pytest.mark.parametrize("label", sorted(WEIGHT_BOUND))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_seeded_sweep_against_enumerator(label, data):
+    chain1, chain2, x, f = data.draw(seeded_cases(label))
+    assert genfun_extend(chain1, f) == reference_extend(chain1, f)
+    assert compose(chain1, chain2, x) == reference_extend(chain1, reference_genfun(chain2, x))
+
+
+@st.composite
+def factorization_cases(draw, label):
+    rs = qa.build_root_system(label)
+    m = WEIGHT_BOUND[label]
+    coeffs = draw(st.lists(st.integers(-m, m), min_size=rs.rank, max_size=rs.rank))
+    if rs.rank == 3 and sum(map(abs, coeffs)) > 2:
+        coeffs = [c if k < 2 else 0 for k, c in enumerate(coeffs)]
+    lam = rs.weight(coeffs)
+    mu = rs.weight(draw(st.lists(st.integers(0, 1), min_size=rs.rank, max_size=rs.rank)))
+    w = draw(st.sampled_from(rs.weyl_elements))
+    xi = draw(st.lists(st.integers(-2, 2), min_size=rs.rank, max_size=rs.rank))
+    assume(count_admissible(lex_pm(rs, lam), w) <= 2000)
+    return rs, mu, lam, AffineWeylElt(w, Coroot(tuple(xi))), draw(st.integers(0, 4))
+
+
+@pytest.mark.parametrize("label", sorted(WEIGHT_BOUND))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_factorization_nested_side_against_enumerator(label, data):
+    rs, mu, lam, x, depth = data.draw(factorization_cases(label))
+    lam_p, lam_m = qa.lambda_pm(lam)
+    g = compose(qa.lex_chain(rs, lam_m), qa.lex_chain(rs, lam_p), x)
+    assume(g.terms)
+    floor = max(e - rs.pair(mu, xi) for (_wt, _ed, xi), c in g.terms.items() for e in c.terms) - depth
+    nested = _expand(rs, mu, g, lam_p, lam_m + mu, floor)
+    assert nested == reference_nested(rs, mu, lam, x, floor)
+    assert nested == rhs_chevalley(rs, mu, lam, lex_pm(rs, lam), x, floor)
+    assert verify_factorization(rs, mu, lam, x, floor)
+
+
 # -- differential test: per-tuple sums as oracle for the grouped convolution --
 
 
@@ -512,7 +656,7 @@ def lex_pm(rs, lam):
 
 
 # sum of |lambda_i| per type, split between the two composed chains
-CONVOLUTION_SIZE = {"A1": 4, "A2": 4, "C2": 2, "G2": 2}
+CONVOLUTION_SIZE = {"A1": 4, "A2": 4, "C2": 2, "G2": 2, "A3": 2, "B3": 1}
 
 
 @st.composite
