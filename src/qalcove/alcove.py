@@ -358,24 +358,52 @@ class AdmissibleSubset:
         return f"A{list(self.indices)}"
 
 
-def _statistics(chain: LambdaChain, w: WeylElement, path: qbg.DirectedPath):
+def _with_statistics(
+    chain: LambdaChain, w: WeylElement, paths: Iterable[qbg.DirectedPath]
+) -> tuple[AdmissibleSubset, ...]:
+    """Each path from w along chain, as an AdmissibleSubset with its statistics.
+
+    Uses the sweep's integer increments (see sweep_seeded): the step at j
+    from vertex v adds -l_j v(beta_j) to c, a quantum step also adds
+    |beta_j|^vee to down and sign(beta_j) l~_j to height, and n counts the
+    negative beta_j; then wt = ed(lambda) - c.
+    """
     rs = chain.rs
-    down = Coroot((0,) * rs.rank)
-    height = 0
-    n = 0
-    for s in path.steps:
-        if not s.root.is_positive:
-            n += 1
-        if s.edge.kind == qbg.QUANTUM:
-            down = down + rs.coroot(s.edge.label)
-            height += s.root.sign * chain._tilde(s.index - 1)
-    x = -chain.lam
-    for s in reversed(path.steps):
-        x = rs.affine_reflect(x, s.root, -chain.levels[s.index - 1])
-    wt = -rs.act(w, x)
-    return AdmissibleSubset(
-        chain, w, path.index_set, path, wt, path.end, down, height, n
-    )
+    _, _, root_wt, coroot, _ = _sweep_tables(rs)
+    n = rs.rank
+    steps = [_root_step(rs, beta) for beta in chain.roots]
+    levels, tilde = chain.levels, chain.tilde_levels
+    tops: dict = {}  # ed -> ed(lambda)
+    out = []
+    for path in paths:
+        c = [0] * n
+        down = [0] * n
+        height = neg = 0
+        v = w
+        for s in path.steps:
+            j = s.index - 1
+            k, p, sign = steps[j]
+            l = levels[j]
+            if l:
+                for i, x in enumerate(root_wt[v.root_perm[k]]):
+                    c[i] -= l * x
+            if s.edge.kind == qbg.QUANTUM:
+                for i, x in enumerate(coroot[p]):
+                    down[i] += x
+                height += sign * tilde[j]
+            if sign < 0:
+                neg += 1
+            v = s.edge.target
+        top = tops.get(v)
+        if top is None:
+            top = tops[v] = rs.act(v, chain.lam).coeffs
+        wt = Weight(tuple(map(sub, top, c)))
+        out.append(
+            AdmissibleSubset(
+                chain, w, path.index_set, path, wt, v, Coroot(tuple(down)), height, neg
+            )
+        )
+    return tuple(out)
 
 
 def enumerate_admissible(
@@ -385,8 +413,7 @@ def enumerate_admissible(
     cached = chain._adm_cache.get(w)
     if cached is not None:
         return cached
-    paths = qbg.pi_compatible_paths(chain.rs, w, chain.roots)
-    out = tuple(_statistics(chain, w, p) for p in paths)
+    out = _with_statistics(chain, w, qbg.pi_compatible_paths(chain.rs, w, chain.roots))
     chain._adm_cache[w] = out
     return out
 
@@ -557,7 +584,7 @@ def admissible_from_indices(
             raise ChainError(f"index set not admissible at position {j}")
         steps.append(qbg.PathStep(j, beta, edge))
         current = edge.target
-    return _statistics(chain, w, qbg.DirectedPath(w, tuple(steps)))
+    return _with_statistics(chain, w, [qbg.DirectedPath(w, tuple(steps))])[0]
 
 
 # -- concatenation ----------------------------------------------------------

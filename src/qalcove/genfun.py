@@ -211,9 +211,19 @@ def compose(chain1: LambdaChain, chain2: LambdaChain, x: AffineWeylElt) -> GenFu
 
 
 def genfun_equal(f: GenFun, g: GenFun, q_floor: Optional[int] = None) -> bool:
+    """f == g; with q_floor, equality of the q-exponents >= q_floor only."""
     if q_floor is None:
         return f == g
-    return f.truncated(q_floor) == g.truncated(q_floor)
+
+    def floored(h: GenFun) -> dict:
+        out = {}
+        for key, c in h.terms.items():
+            kept = {e: k for e, k in c.terms.items() if e >= q_floor}
+            if kept:
+                out[key] = kept
+        return out
+
+    return floored(f) == floored(g)
 
 
 # -- partition tuples ---------------------------------------------------------

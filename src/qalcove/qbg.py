@@ -134,13 +134,14 @@ def pi_compatible_paths(
     The empty path is included; output is in lexicographic order of index sets.
     """
     table = _edge_table(rs)
+    labels = [abs(gamma) for gamma in pi]
     out: list[DirectedPath] = []
 
     def rec(pos: int, current: WeylElement, steps: tuple[PathStep, ...]):
         out.append(DirectedPath(v, steps))
         for j in range(pos, len(pi)):
             gamma = pi[j]
-            edge = table.get((current, abs(gamma)))
+            edge = table.get((current, labels[j]))
             if edge is not None:
                 rec(j + 1, edge.target, steps + (PathStep(j + 1, gamma, edge),))
 

@@ -3,12 +3,14 @@
 All arithmetic is exact: roots and coroots are integer vectors in the
 simple-(co)root basis, weights are integer vectors in the fundamental-weight
 basis, and alcove-walk points are vectors of Fractions.  Weyl elements carry
-their ShortLex-minimal reduced word plus cached action tables, so equality
-and hashing reduce to word equality.
+their ShortLex-minimal reduced word plus cached action tables; each root
+system makes exactly one instance per element, so equality and hashing are
+object identity.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from dataclasses import dataclass
@@ -143,8 +145,10 @@ class RationalPoint:
 class WeylElement:
     """A Weyl group element, canonicalized by its ShortLex-minimal reduced word.
 
-    Instances are created only by RootSystem enumeration; equality and hashing
-    use the canonical word (plus root-system identity).
+    Instances are created only by RootSystem enumeration, one per root
+    permutation, and every operation returns one of them; equality and
+    hashing are therefore the default object identity.  Elements of two
+    root systems are never equal, even with the same word.
     """
 
     __slots__ = ("rs", "word", "index", "root_perm", "wt_cols")
@@ -163,16 +167,6 @@ class WeylElement:
     @property
     def word_str(self) -> str:
         return "e" if not self.word else "".join(f"s{i + 1}" for i in self.word)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WeylElement)
-            and self.rs is other.rs
-            and self.word == other.word
-        )
-
-    def __hash__(self):
-        return hash((id(self.rs), self.word))
 
     def __repr__(self):
         return self.word_str
@@ -503,33 +497,41 @@ class RootSystem:
 
         Requires <alpha, beta^vee> <= 0 and alpha != -beta.  The segment lists
         the roots a*alpha + b*beta (a, b >= 0) of the rank-2 subsystem
-        generated by alpha and beta, swept from alpha to beta.
+        generated by alpha and beta, swept from alpha to beta: the orbit of
+        {alpha, beta} under <s_alpha, s_beta>, taken on all_roots indices
+        through the two reflections' root permutations, with (a, b) read off
+        by Cramer's rule on one nonsingular 2x2 minor.
         """
         if alpha == -beta or alpha == beta:
             raise RootSystemError("alpha and beta must be non-proportional")
         if self.root_pair(alpha, self.coroot(beta)) > 0:
             raise RootSystemError("<alpha, beta^vee> must be <= 0")
-        members = {alpha, beta}
-        frontier = [alpha, beta]
+        perms = (self.reflection(alpha).root_perm, self.reflection(beta).root_perm)
+        members = {self._root_index[alpha], self._root_index[beta]}
+        frontier = list(members)
         while frontier:
-            nxt = []
-            for g in frontier:
-                for d in list(members):
-                    img = self._reflect_root(g, d)
-                    if img not in members:
-                        members.add(img)
-                        nxt.append(img)
-            frontier = nxt
+            frontier = [
+                img for k in frontier for perm in perms if (img := perm[k]) not in members
+            ]
+            members.update(frontier)
+        u, v = alpha.coeffs, beta.coeffs
+        i, j = next(
+            (i, j)
+            for i, j in itertools.combinations(range(self.rank), 2)
+            if u[i] * v[j] != u[j] * v[i]
+        )
+        det = u[i] * v[j] - u[j] * v[i]
         segment = []
-        for gamma in members:
-            ab = _solve_2d(alpha.coeffs, beta.coeffs, gamma.coeffs)
-            if ab is None:
-                continue
-            a, b = ab
+        for k in members:
+            g = self.all_roots[k].coeffs
+            # members are integer combinations of alpha and beta
+            a = (g[i] * v[j] - g[j] * v[i]) // det
+            b = (u[i] * g[j] - u[j] * g[i]) // det
             if a >= 0 and b >= 0:
-                segment.append((Fraction(b, a + b), gamma))
-        segment.sort(key=lambda t: t[0])
-        roots = tuple(g for _, g in segment)
+                segment.append((a, b, self.all_roots[k]))
+        # sweep order b/(a+b), compared by cross-multiplying
+        segment.sort(key=functools.cmp_to_key(lambda x, y: x[1] * y[0] - y[1] * x[0]))
+        roots = tuple(g for _, _, g in segment)
         if roots[0] != alpha or roots[-1] != beta:
             raise RootSystemError("segment construction failed")
         q = len(roots)
@@ -545,22 +547,6 @@ class RootSystem:
 
     def element_from_json(self, data) -> WeylElement:
         return self.element_from_word(tuple(i - 1 for i in data))
-
-
-def _solve_2d(u, v, target):
-    """Solve a*u + b*v = target exactly over the rationals, if possible."""
-    n = len(u)
-    for i in range(n):
-        for j in range(i + 1, n):
-            det = u[i] * v[j] - u[j] * v[i]
-            if det == 0:
-                continue
-            a = Fraction(target[i] * v[j] - target[j] * v[i], det)
-            b = Fraction(u[i] * target[j] - u[j] * target[i], det)
-            if all(a * u[k] + b * v[k] == target[k] for k in range(n)):
-                return a, b
-            return None
-    return None
 
 
 def _det(m) -> int:

@@ -49,12 +49,16 @@ class YbContext:
     def pi_prime(self) -> tuple[Root, ...]:
         return self.chain2.roots[self.t : self.t + self.q]
 
-    def paths(self, v: WeylElement, primed: bool) -> list[DirectedPath]:
+    def paths(self, v: WeylElement, primed: bool) -> dict:
+        """The segment paths from v on one side, grouped once by (end, wt)."""
         key = (v, primed)
-        if key not in self._path_cache:
+        groups = self._path_cache.get(key)
+        if groups is None:
             seq = self.pi_prime if primed else self.pi
-            self._path_cache[key] = qbg.pi_compatible_paths(self.rs, v, seq)
-        return self._path_cache[key]
+            groups = self._path_cache[key] = {}
+            for p in qbg.pi_compatible_paths(self.rs, v, seq):
+                groups.setdefault((p.end, p.wt(self.rs)), []).append(p)
+        return groups
 
 
 def find_yb_segments(chain: LambdaChain) -> list[tuple[int, int, Root, Root]]:
@@ -159,13 +163,11 @@ def _exceptional_family(rs, v, p, pi):
     """Return (triple, single, pi_side_has_triple) when (v, p, pi) is exceptional."""
     if rs.type_label != "G2" or len(pi) != 6:
         return None
-    kind = _pattern_kind(pi)
-    if kind is None:
-        return None
     for side in ("A", "B"):
         if v.word_str != _EXC_VERTEX[side]:
             continue
-        if p.end.word_str != _EXC_END[side]:
+        kind = _pattern_kind(pi)
+        if kind is None or p.end.word_str != _EXC_END[side]:
             return None
         if p.wt(rs) != Coroot((1, 1)):
             return None
@@ -250,19 +252,13 @@ def _classify(ctx: YbContext, a: AdmissibleSubset, primed: bool):
                 return 5, partner, other
         raise SijectionError(f"unrecognized exceptional path {labels}")
 
-    end, wt = p.end, p.wt(rs)
+    key = (p.end, p.wt(rs))
     mine = p.index_set
-    same = [
-        r
-        for r in ctx.paths(v, primed)
-        if r.index_set != mine and r.end == end and r.wt(rs) == wt
-    ]
+    same = [r for r in ctx.paths(v, primed).get(key, ()) if r.index_set != mine]
     if len(same) == 1:
         return 1, same[0], own
     if not same:
-        others = [
-            r for r in ctx.paths(v, not primed) if r.end == end and r.wt(rs) == wt
-        ]
+        others = ctx.paths(v, not primed).get(key, ())
         if len(others) == 1:
             return 2, others[0], other
     raise SijectionError(
@@ -270,37 +266,36 @@ def _classify(ctx: YbContext, a: AdmissibleSubset, primed: bool):
     )
 
 
-def _assemble(
-    ctx: YbContext, a: AdmissibleSubset, partner: DirectedPath, primed: bool
-) -> AdmissibleSubset:
-    chain = ctx.chain2 if primed else ctx.chain1
+def _partner_indices(
+    ctx: YbContext, a: AdmissibleSubset, partner: DirectedPath
+) -> tuple[int, ...]:
+    """a's index set with its segment part replaced by the partner path's."""
     a1, _, a3 = alcove.split_admissible(a.indices, ctx.t, ctx.q)
-    mid = tuple(ctx.t + j for j in partner.index_set)
-    return admissible_from_indices(chain, a.w, a1 + mid + a3)
+    return a1 + tuple(ctx.t + j for j in partner.index_set) + a3
+
+
+def _move(ctx: YbContext, a: AdmissibleSubset, allowed, primed: bool, what: str):
+    """One move applied to a single subset; the partner is built from its indices."""
+    phi, partner, p_primed = _classify(ctx, a, primed)
+    if phi not in allowed:
+        raise SijectionError(f"{what} is undefined on class {phi}")
+    chain = ctx.chain2 if p_primed else ctx.chain1
+    return admissible_from_indices(chain, a.w, _partner_indices(ctx, a, partner))
 
 
 def yb_Y(a: AdmissibleSubset, ctx: YbContext) -> AdmissibleSubset:
     """The quantum Yang-Baxter move A |-> Y(A), defined for classes 2, 4, 5."""
-    phi, partner, primed = _classify(ctx, a, primed=False)
-    if phi not in (2, 4, 5):
-        raise SijectionError(f"Y is undefined on class {phi}")
-    return _assemble(ctx, a, partner, primed)
+    return _move(ctx, a, (2, 4, 5), False, "Y")
 
 
 def yb_I1(a: AdmissibleSubset, ctx: YbContext) -> AdmissibleSubset:
     """The sign-reversing involution on the complement of A_0(w, Gamma1)."""
-    phi, partner, primed = _classify(ctx, a, primed=False)
-    if phi not in (1, 3):
-        raise SijectionError(f"I1 is undefined on class {phi}")
-    return _assemble(ctx, a, partner, primed)
+    return _move(ctx, a, (1, 3), False, "I1")
 
 
 def yb_I2(b: AdmissibleSubset, ctx: YbContext) -> AdmissibleSubset:
     """The sign-reversing involution on the complement of A_0(w, Gamma2)."""
-    phi, partner, primed = _classify(ctx, b, primed=True)
-    if phi not in (1, 3):
-        raise SijectionError(f"I2 is undefined on class {phi}")
-    return _assemble(ctx, b, partner, primed)
+    return _move(ctx, b, (1, 3), True, "I2")
 
 
 @dataclass(frozen=True)
@@ -351,24 +346,41 @@ def _check_preserved(a, b, sign_flip: bool, what: str):
         raise SijectionError(f"{what} has the wrong sign behaviour: {a} vs {b}")
 
 
-def _pair_up(side, classes, ctx, primed, what):
-    """Build involution pairs on {phi in (1,3)} and check they really pair up."""
-    pending = {a.indices: a for a in side if classes[a.indices][0] in (1, 3)}
+def _assemble(ctx: YbContext, a: AdmissibleSubset, entry, listed) -> AdmissibleSubset:
+    """The partner of a under its class entry (phi, path, primed).
+
+    listed = ({indices: subset} of side 1, the same of side 2); the partner
+    is looked up on its own side, never rebuilt.
+    """
+    _, partner, primed = entry
+    indices = _partner_indices(ctx, a, partner)
+    b = listed[primed].get(indices)
+    if b is None:
+        raise SijectionError(f"partner {list(indices)} of {a} is not an admissible subset")
+    return b
+
+
+def _pair_up(side, classes, ctx, listed, what):
+    """Build involution pairs on {phi in (1,3)} and check they really pair up.
+
+    side is in lex order of index sets, so each pair starts at the least
+    index set still unpaired.
+    """
+    pending = {a.indices for a in side if classes[a.indices][0] in (1, 3)}
     pairs = []
-    while pending:
-        _, a = sorted(pending.items())[0]
-        phi, partner, p_primed = classes[a.indices]
-        b = _assemble(ctx, a, partner, p_primed)
+    for a in side:
+        if a.indices not in pending:
+            continue
+        b = _assemble(ctx, a, classes[a.indices], listed)
         if b.indices == a.indices or b.indices not in pending:
             raise SijectionError(f"{what} pairing escaped its domain")
         _check_preserved(a, b, sign_flip=True, what=what)
-        phi_b = classes[b.indices][0]
-        back = _assemble(ctx, b, classes[b.indices][1], classes[b.indices][2])
-        if phi_b not in (1, 3) or back.indices != a.indices:
+        back = _assemble(ctx, b, classes[b.indices], listed)
+        if classes[b.indices][0] not in (1, 3) or back.indices != a.indices:
             raise SijectionError(f"{what} is not an involution at {a}")
         pairs.append((a, b))
-        del pending[a.indices]
-        del pending[b.indices]
+        pending.remove(a.indices)
+        pending.remove(b.indices)
     return tuple(pairs)
 
 
@@ -376,14 +388,15 @@ def build_sijection(ctx: YbContext, w: WeylElement) -> Sijection:
     """Construct and fully verify the sijection for one (YB) move and one w."""
     side1 = alcove.enumerate_admissible(ctx.chain1, w)
     side2 = alcove.enumerate_admissible(ctx.chain2, w)
+    listed = ({a.indices: a for a in side1}, {b.indices: b for b in side2})
     classes1 = {a.indices: _classify(ctx, a, primed=False) for a in side1}
     classes2 = {b.indices: _classify(ctx, b, primed=True) for b in side2}
 
     core = []
     for a in side1:
-        phi, partner, primed = classes1[a.indices]
-        if phi in (2, 4, 5):
-            b = _assemble(ctx, a, partner, primed)
+        entry = classes1[a.indices]
+        if entry[0] in (2, 4, 5):
+            b = _assemble(ctx, a, entry, listed)
             _check_preserved(a, b, sign_flip=False, what="Y")
             core.append((a, b))
     image = {b.indices for _, b in core}
@@ -395,8 +408,8 @@ def build_sijection(ctx: YbContext, w: WeylElement) -> Sijection:
     if image != expected_image:
         raise SijectionError("image of Y does not match A_0(w, Gamma2)")
 
-    invol1 = _pair_up(side1, classes1, ctx, primed=False, what="I1")
-    invol2 = _pair_up(side2, classes2, ctx, primed=True, what="I2")
+    invol1 = _pair_up(side1, classes1, ctx, listed, what="I1")
+    invol2 = _pair_up(side2, classes2, ctx, listed, what="I2")
 
     signed = {}
     for a in side1:

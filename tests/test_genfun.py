@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qalcove as qa
+from qalcove import qbg
 from qalcove.charident import (
     FormalChar,
     _expand,
@@ -319,6 +320,37 @@ def test_genfun_equal_with_floor():
     assert genfun_equal(f, f)
 
 
+def random_genfun(rng, rs, terms):
+    f = GenFun(rs)
+    for _ in range(terms):
+        mu = rs.weight([rng.randint(-1, 1) for _ in range(rs.rank)])
+        x = AffineWeylElt(rng.choice(rs.weyl_elements), Coroot((rng.randint(-1, 1),) * rs.rank))
+        f.add_term(mu, x, Laurent({rng.randint(-6, 2): rng.choice((-2, -1, 1, 2))}))
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), floor=st.integers(-6, 3))
+def test_genfun_equal_against_truncated(seed, floor):
+    rng = random.Random(seed)
+    rs = qa.build_root_system(rng.choice(("A1", "A2")))
+    f = random_genfun(rng, rs, rng.randint(0, 6))
+    g = random_genfun(rng, rs, rng.randint(0, 6))
+    # g2 differs from f only below the floor; g3 loses one term of f above it
+    g2 = GenFun(rs, dict(f.terms))
+    g2.add_term(rs.weight([0] * rs.rank), x_at(rs), Laurent.q_power(floor - 1, 3))
+    g3 = GenFun(rs, dict(f.terms))
+    above = [(k, e) for k, c in f.terms.items() for e in c.terms if e >= floor]
+    if above:
+        (mu, w, xi), e = rng.choice(above)
+        g3.add_term(mu, AffineWeylElt(w, xi), Laurent.q_power(e, -f.terms[mu, w, xi].terms[e]))
+    for a, b in ((f, g), (f, g2), (g2, f), (f, g3), (g3, f), (f, f)):
+        expect = a.truncated(floor) == b.truncated(floor)
+        assert genfun_equal(a, b, floor) == expect
+    assert genfun_equal(f, g2, floor)
+    assert genfun_equal(f, g3, floor) == (not above)
+
+
 def test_dominant_specialization_invariant():
     for label, weights in (
         ("A2", ([1, 0], [0, 1], [1, 1])),
@@ -403,10 +435,10 @@ WEIGHT_BOUND = {"A2": 2, "C2": 2, "G2": 1, "A3": 1, "B3": 1}
 
 
 @st.composite
-def sweep_cases(draw):
-    label = draw(st.sampled_from(sorted(WEIGHT_BOUND)))
+def sweep_cases(draw, bounds=WEIGHT_BOUND):
+    label = draw(st.sampled_from(sorted(bounds)))
     rs = qa.build_root_system(label)
-    m = WEIGHT_BOUND[label]
+    m = bounds[label]
     shape = draw(st.sampled_from(("dominant", "antidominant", "mixed")))
     lo, hi = {"dominant": (0, m), "antidominant": (-m, 0), "mixed": (-m, m)}[shape]
     coeffs = draw(st.lists(st.integers(lo, hi), min_size=rs.rank, max_size=rs.rank))
@@ -774,3 +806,57 @@ def test_rows_json_against_json_dumps(case):
     mu = rs.weight([1] + [0] * (rs.rank - 1))
     for f in (g, ghat(chain, x, floor), rhs_chevalley(rs, mu, lam, chain, x, floor)):
         assert_rows_json(f)
+
+
+# -- differential test: the affine walk as oracle for the integer statistics --
+
+
+def walk_statistics(chain, w, path):
+    """(wt, ed, down, height, n) of a path by the exact affine-reflection walk.
+
+    wt = -w(s_{beta_{j_1}, -l_{j_1}} ... s_{beta_{j_s}, -l_{j_s}}(-lambda)).
+    """
+    rs = chain.rs
+    down = Coroot((0,) * rs.rank)
+    height = 0
+    n = 0
+    for s in path.steps:
+        if not s.root.is_positive:
+            n += 1
+        if s.edge.kind == qbg.QUANTUM:
+            down = down + rs.coroot(s.edge.label)
+            height += s.root.sign * chain._tilde(s.index - 1)
+    x = -chain.lam
+    for s in reversed(path.steps):
+        x = rs.affine_reflect(x, s.root, -chain.levels[s.index - 1])
+    return -rs.act(w, x), path.end, down, height, n
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=sweep_cases({**WEIGHT_BOUND, "C3": 1}))
+def test_integer_statistics_against_affine_walk(case):
+    chain, x = case
+    subsets = qa.enumerate_admissible(chain, x.w)
+    assert len(subsets) == count_admissible(chain, x.w)
+    for a in subsets:
+        expect = walk_statistics(chain, x.w, a.path)
+        assert (a.wt, a.ed, a.down, a.height, a.n) == expect
+        b = qa.admissible_from_indices(chain, x.w, a.indices)
+        assert b.indices == a.indices
+        assert (b.wt, b.ed, b.down, b.height, b.n) == expect
+
+
+def test_integer_statistics_every_w():
+    # every start vertex on one mixed chain per type: the lex concatenation,
+    # and in rank 2 also the segment chain
+    for label, coeffs in (("C2", (2, -1)), ("G2", (1, -1)), ("B3", (1, 0, -1)), ("C3", (1, -1, 0))):
+        rs = qa.build_root_system(label)
+        lam = rs.weight(coeffs)
+        plus, minus = qa.lambda_pm(lam)
+        chains = [qa.concat_chains(qa.lex_chain(rs, plus), qa.lex_chain(rs, minus))]
+        if rs.rank == 2:
+            chains.append(qa.segment_chain(rs, lam))
+        for chain in chains:
+            for w in rs.weyl_elements:
+                for a in qa.enumerate_admissible(chain, w):
+                    assert (a.wt, a.ed, a.down, a.height, a.n) == walk_statistics(chain, w, a.path)

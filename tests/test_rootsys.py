@@ -2,7 +2,7 @@ import pytest
 from fractions import Fraction
 
 import qalcove as qa
-from qalcove.rootsys import Coroot, RationalPoint, RootSystemError
+from qalcove.rootsys import Coroot, RationalPoint, Root, RootSystemError
 
 
 def test_standard_data():
@@ -186,3 +186,113 @@ def test_rank4_cartan_builds():
     f4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]]
     assert len(qa.root_system_from_cartan(d4).weyl_elements) == 192
     assert len(qa.root_system_from_cartan(f4).weyl_elements) == 1152
+
+
+# -- differential test: reflection closure as oracle for rank2_subsystem -------
+
+D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+F4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]]
+
+
+def solve_2d(u, v, target):
+    """Solve a*u + b*v = target exactly over the rationals, if possible."""
+    n = len(u)
+    for i in range(n):
+        for j in range(i + 1, n):
+            det = u[i] * v[j] - u[j] * v[i]
+            if det == 0:
+                continue
+            a = Fraction(target[i] * v[j] - target[j] * v[i], det)
+            b = Fraction(u[i] * target[j] - u[j] * target[i], det)
+            if all(a * u[k] + b * v[k] == target[k] for k in range(n)):
+                return a, b
+            return None
+    return None
+
+
+def closure_segment(rs, alpha, beta):
+    """(label, segment) from closing {alpha, beta} under all member reflections."""
+    if alpha == -beta or alpha == beta:
+        raise RootSystemError("alpha and beta must be non-proportional")
+    if rs.root_pair(alpha, rs.coroot(beta)) > 0:
+        raise RootSystemError("<alpha, beta^vee> must be <= 0")
+
+    def reflect(g, d):
+        p = rs.root_pair(d, rs.coroot(g))
+        return Root(tuple(x - p * y for x, y in zip(d.coeffs, g.coeffs)))
+
+    members = {alpha, beta}
+    frontier = [alpha, beta]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for d in list(members):
+                img = reflect(g, d)
+                if img not in members:
+                    members.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    segment = []
+    for gamma in members:
+        ab = solve_2d(alpha.coeffs, beta.coeffs, gamma.coeffs)
+        if ab is not None and ab[0] >= 0 and ab[1] >= 0:
+            segment.append((Fraction(ab[1], ab[0] + ab[1]), gamma))
+    segment.sort(key=lambda t: t[0])
+    roots = tuple(g for _, g in segment)
+    if roots[0] != alpha or roots[-1] != beta:
+        raise RootSystemError("segment construction failed")
+    label = {2: "A1xA1", 3: "A2", 4: "C2", 6: "G2"}.get(len(roots))
+    if label is None:
+        raise RootSystemError(f"unexpected rank-2 segment length {len(roots)}")
+    return label, roots
+
+
+def integer_segment(rs, alpha, beta):
+    seg = rs.rank2_subsystem(alpha, beta)
+    return seg.type_label, seg.segment
+
+
+def outcome(fn, *args):
+    """fn's (label, segment), or ("error", message) for a RootSystemError."""
+    try:
+        return fn(*args)
+    except RootSystemError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize("label", ["A1xA1", "A2", "C2", "G2", "A3", "B3", "C3", "D4", "F4"])
+def test_rank2_subsystem_against_closure(label):
+    cartan = {"D4": D4, "F4": F4}.get(label)
+    rs = qa.root_system_from_cartan(cartan, label) if cartan else qa.build_root_system(label)
+    segments = 0
+    for alpha in rs.all_roots:
+        for beta in rs.all_roots:
+            got = outcome(integer_segment, rs, alpha, beta)
+            assert got == outcome(closure_segment, rs, alpha, beta), (alpha, beta)
+            segments += got[0] != "error"
+    assert segments > 0
+
+
+def test_weyl_elements_are_canonical_instances():
+    # equality and hashing are identity: every operation must hand back the
+    # root system's own instance
+    for label in ("A2", "C2", "G2", "B3"):
+        rs = qa.build_root_system(label)
+        own = {id(w) for w in rs.weyl_elements}
+        for w in rs.weyl_elements:
+            assert rs.element_from_word(w.word) is w
+            assert rs.element_from_word(w.word_str) is w
+            assert rs.element_from_json(rs.element_to_json(w)) is w
+            assert id(rs.inverse(w)) in own
+            assert rs.mult(w, rs.inverse(w)) is rs.identity
+            for u in rs.weyl_elements[:8]:
+                assert id(rs.mult(w, u)) in own
+            for e in qa.out_edges(rs, w):
+                assert e.source is w and id(e.target) in own
+        for alpha in rs.all_roots:
+            assert id(rs.reflection(alpha)) in own
+    a2 = qa.build_root_system("A2")
+    twin = qa.root_system_from_cartan(a2.cartan, "A2")
+    for w, v in zip(a2.weyl_elements, twin.weyl_elements):
+        assert w.word == v.word and w != v
+    assert qa.build_root_system("C2").identity != a2.identity

@@ -1,8 +1,15 @@
+import contextlib
+import hashlib
+import io
+import json
+import types
+
 import pytest
 
 import qalcove as qa
 from qalcove import ybmoves
 from qalcove.alcove import chain_with_segment
+from qalcove.cli import main
 
 
 def a2_gamma1():
@@ -204,3 +211,66 @@ def test_sijection_report_json():
     assert rep["w"] == "s2" and rep["q"] == 3
     assert len(rep["Y"]) == len(sij.core_pairs)
     assert {"from", "to", "stats"} <= set(rep["Y"][0])
+
+
+def test_missing_partner_raises(monkeypatch):
+    # a class entry whose partner index set is not listed on its side must
+    # fail the build, not be rebuilt or skipped
+    rs, g1 = a2_gamma1()
+    ctx = qa.make_context(g1, 0, 3)
+    w = rs.element_from_word("s2")
+    classify = ybmoves._classify
+    bogus = types.SimpleNamespace(index_set=(1, 1))  # never an index set
+
+    def patched(ctx_, a, primed):
+        phi, partner, p_primed = classify(ctx_, a, primed)
+        if not primed and phi == 2 and a.indices == ():
+            return phi, bogus, p_primed
+        return phi, partner, p_primed
+
+    monkeypatch.setattr(ybmoves, "_classify", patched)
+    with pytest.raises(ybmoves.SijectionError, match="not an admissible subset"):
+        qa.build_sijection(ctx, w)
+
+
+# Pinned SHA-256 of the stdout of `yb segments` and `yb sijection --format
+# json`, so a reordered pair or a changed statistic fails here.  The G2
+# chains host the two exceptional segment patterns (see
+# g2_exceptional_context) and are read from E13.json / E24.json.
+YB_DIGESTS = {
+    "yb segments --type A2 --lambda 2,1": "d71f5483d26c04ac3518e413a9dc416783a5fddaddc205ca97b281ba8a7e7a7a",
+    "yb sijection --type A2 --lambda 2,1 --t 0 --q 3 --w e --format json": "95967e1e492886fba6b36416cad00e6450d3eeae83722920985e7d795a24659a",
+    "yb sijection --type A2 --lambda 2,1 --t 0 --q 3 --w s1 --format json": "654f91189fa5f9a5199918b59cacacfffa346d5e18b57418b9960c087555cf01",
+    "yb sijection --type A2 --lambda 2,1 --t 0 --q 3 --w s2s1 --format json": "6887fe6d8f90cb4656e19bb524897c8d7377aed66583b622575aa89671f7029c",
+    "yb sijection --type A2 --lambda 2,1 --t 0 --q 3 --w s1s2s1 --format json": "828b6b14e2d80f0cba4969a4fd3bc0fbd5b9c12ff89e2bf1c9f0db72f7528185",
+    "yb segments --type C2 --lambda 2,1": "a2e8b34998e4def6738356569b06fa202b69231f5f70cd6814374b8ef1a6fa4c",
+    "yb sijection --type C2 --lambda 2,1 --t 0 --q 4 --w e --format json": "464c5d2f03ea3a28703355f75f1aeff8242b6a26c63e581dce43a9a1dc1d1a67",
+    "yb sijection --type C2 --lambda 2,1 --t 0 --q 4 --w s2 --format json": "9b7c317633436c7957f80acc59c373e9a1b6121dc1592e965ea090b46a03d187",
+    "yb sijection --type C2 --lambda 2,1 --t 0 --q 4 --w s1s2s1 --format json": "9eb0a680d658fc68294fa81d67daab9e8183724a5585c0d467cb5df5a284e01e",
+    "yb sijection --type C2 --lambda 2,1 --t 6 --q 2 --w e --format json": "6481badb1ee2f26eb6cda254c30b05ca44da6fd8cb6d12ca7501580fda925ef4",
+    "yb sijection --type C2 --lambda 2,1 --t 6 --q 2 --w s2 --format json": "cc7ac61c6920a7274f070a351a1b61ba86d496cf55636434e7bef2341a3e81d7",
+    "yb sijection --type C2 --lambda 2,1 --t 6 --q 2 --w s1s2s1 --format json": "523fdc453f8dc863d90d8a114afbc2e192bb55b3e63aac93045b628a4351317b",
+    "yb segments --type G2 --chain @E13.json": "3141fba07d28e76504851f1dfb5a28cd9b7ab40507e546ccd46abcbe111c0113",
+    "yb sijection --type G2 --chain @E13.json --t 2 --q 6 --w e --format json": "56f74f6a5f6936a66f7b4ad21772219dae3595dfbef8ed94056fd11fb7677f0f",
+    "yb sijection --type G2 --chain @E13.json --t 2 --q 6 --w s1s2s1 --format json": "c592e15faddcf31524fbce2b9499a733c677ae0ea32a854c2faef7fbf70a6f98",
+    "yb sijection --type G2 --chain @E13.json --t 2 --q 6 --w s2s1s2s1 --format json": "d2f80ee85134586aa45601bed5d774228722f5be8533959026b6b82000441368",
+    "yb sijection --type G2 --chain @E13.json --t 2 --q 6 --w s1s2s1s2s1s2 --format json": "37beb84841b164052f02955eefe8dd41b04aed4d04363210b7fab9012342d774",
+    "yb segments --type G2 --chain @E24.json": "c1644a3c6bfcdc28137c11567259c75afb87d470d1c26e809032e499a6ac3255",
+    "yb sijection --type G2 --chain @E24.json --t 4 --q 6 --w e --format json": "d6a39f58c77cd55034ef4e97e2ba8b7ebb9a7bd78ea80e81bcb49c1965e0d5a6",
+    "yb sijection --type G2 --chain @E24.json --t 4 --q 6 --w s1s2s1 --format json": "3d0a2bf26fa92b68bb5210725b8ced72a5f914cbf390320edb0364e35648bc02",
+    "yb sijection --type G2 --chain @E24.json --t 4 --q 6 --w s2s1s2s1 --format json": "fddc86aba0c23fb4fc254b207decf9229ebfcdb59dcd8e82afe5b8d4cf519dc4",
+    "yb sijection --type G2 --chain @E24.json --t 4 --q 6 --w s1s2s1s2s1s2 --format json": "e6d6b0cf1b70d26af324f11e427c214f99d4a3fcd7a8e7fa5d7180f675b8a899",
+}
+
+
+def test_yb_cli_golden_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for kind in ("E13", "E24"):
+        _, ctx, t = g2_exceptional_context(kind)
+        (tmp_path / f"{kind}.json").write_text(json.dumps(ctx.chain1.to_json()))
+        assert f"--chain @{kind}.json --t {t} " in " ".join(YB_DIGESTS)
+    for command, digest in YB_DIGESTS.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(command.split()) == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, command
