@@ -2,10 +2,13 @@
 
 A lambda-chain records the walls crossed by an alcove path from the
 fundamental alcove to its translate by -lambda.  Levels are recovered by an
-exact rational walk of the base point nu0 = rho/h: each step reflects the
-current point across the wall of its alcove in the direction of the negated
-chain entry, so a genuine chain reproduces its own levels and a corrupted
-sequence fails the endpoint or counting check.
+exact walk of the base point nu0 = rho/h: each step reflects the current
+point across the wall of its alcove in the direction of the negated chain
+entry, so a genuine chain reproduces its own levels and a corrupted sequence
+fails the endpoint or counting check.  Every point of the walk lies in
+(1/h) times the weight lattice, so the walk carries h times the point as an
+integer vector; only straight segments between arbitrary rational points
+(straight_crossings, chain_with_segment) use Fractions.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from . import qbg
@@ -83,36 +86,53 @@ class LambdaChain:
             return LambdaChain.from_json(json.load(fh), rs)
 
 
-def _walk(rs: RootSystem, roots: Sequence[Root], certify: bool = False):
-    """Run the alcove walk from nu0; return (levels, endpoint)."""
-    point = rs.nu0
+def _walk(rs: RootSystem, ks: Sequence[int], certify: bool = False):
+    """Run the alcove walk from nu0 along rs.all_roots[k] for k in ks.
+
+    Returns (levels, h x) for the endpoint x.  The walk carries h x as an
+    int tuple, h*nu0 = (1, ..., 1): at beta the pairing P = <h x, beta^vee>
+    splits as P = m h + r, the level is -m, and the reflection across the
+    wall <., beta^vee> = m sends h x to h x - r beta.  r = 0 would put x
+    on a wall.
+    """
+    h = rs.coxeter_number
+    root_wt, coroot = rs._root_wt, rs._coroot_vec
+    x = (1,) * rs.rank
     levels = []
-    for beta in roots:
-        p = rs.pair(point, rs.coroot(beta))
-        if p.denominator == 1:
+    for k in ks:
+        m, r = divmod(sum(map(mul, x, coroot[k])), h)
+        if not r:
             raise ChainError("walk point landed on a wall; corrupt chain")
-        m = p.numerator // p.denominator  # exact floor
-        if certify and not _adjacency_certificate(rs, point, beta, m):
+        if certify and not _adjacency_certificate(rs, x, k, r):
             raise ChainError("step is not certified as a facet crossing")
-        point = rs.affine_reflect(point, beta, m)
+        x = tuple(c - r * a for c, a in zip(x, root_wt[k]))
         levels.append(-m)
-    return tuple(levels), point
+    return tuple(levels), x
 
 
-def _adjacency_certificate(rs, point, beta, m) -> bool:
-    # midpoint of the segment to the mirror point; adjacent if it avoids
-    # every other hyperplane family (sufficient, not necessary)
-    f = rs.pair(point, rs.coroot(beta)) - m
-    bw = rs.root_to_weight(beta)
-    mid = RationalPoint(
-        tuple(c - f / 2 * a for c, a in zip(point.coeffs, bw.coeffs))
+def _adjacency_certificate(rs: RootSystem, x: tuple, k: int, r: int) -> bool:
+    # 2h times the midpoint of the segment from x to its mirror point across
+    # the wall of rs.all_roots[k], where <h x, beta^vee> leaves remainder r;
+    # adjacent if it avoids every other hyperplane family (sufficient, not
+    # necessary)
+    h2 = 2 * rs.coxeter_number
+    mid = tuple(2 * c - r * a for c, a in zip(x, rs._root_wt[k]))
+    npos = len(rs.positive_roots)
+    return all(
+        sum(map(mul, mid, cor)) % h2
+        for p, cor in enumerate(rs._coroot_vec[:npos])
+        if p != k % npos
     )
-    for gamma in rs.positive_roots:
-        if gamma == abs(beta):
-            continue
-        if rs.pair(mid, rs.coroot(gamma)).denominator == 1:
-            return False
-    return True
+
+
+def _point_repr(rs: RootSystem, hx: Sequence[int]) -> str:
+    """repr(RationalPoint(x)) from h x, reducing each c/h by integer gcd."""
+    h = rs.coxeter_number
+    parts = []
+    for c in hx:
+        g = math.gcd(c, h)
+        parts.append(str(c // g) if g == h else f"{c // g}/{h // g}")
+    return "Point(" + ", ".join(parts) + ")"
 
 
 def compute_levels(
@@ -124,19 +144,21 @@ def compute_levels(
     <lambda, alpha^vee> = #{beta_j = alpha} - #{beta_j = -alpha}.
     """
     roots = tuple(roots)
-    levels, endpoint = _walk(rs, roots, certify=certify)
-    expected = RationalPoint(
-        tuple(c - l for c, l in zip(rs.nu0.coeffs, lam.coeffs))
-    )
-    if endpoint != expected:
+    ks = [rs._root_index[b] for b in roots]
+    levels, end = _walk(rs, ks, certify=certify)
+    h = rs.coxeter_number
+    expected = tuple(1 - h * l for l in lam.coeffs)
+    if end != expected:
         raise ChainError(
-            f"walk ends at {endpoint}, expected {expected}: not a {lam}-chain"
+            f"walk ends at {_point_repr(rs, end)}, expected {_point_repr(rs, expected)}: "
+            f"not a {lam}-chain"
         )
-    for alpha in rs.positive_roots:
-        count = sum(1 for b in roots if b == alpha) - sum(
-            1 for b in roots if b == -alpha
-        )
-        if count != rs.pair(lam, rs.coroot(alpha)):
+    counts = [0] * len(rs.all_roots)
+    for k in ks:
+        counts[k] += 1
+    npos = len(rs.positive_roots)
+    for p, alpha in enumerate(rs.positive_roots):
+        if counts[p] - counts[p + npos] != sum(map(mul, lam.coeffs, rs._coroot_vec[p])):
             raise ChainError(f"counting fact fails at root {alpha}")
     return LambdaChain(rs, lam, roots, levels)
 
@@ -163,7 +185,8 @@ def lex_chain(rs: RootSystem, lam: Weight) -> LambdaChain:
     """The lex lambda-chain for dominant lam; reverse-negated for antidominant.
 
     Pairs (alpha, k), 0 <= k < <lam, alpha^vee>, are sorted by the rational
-    vector (k, b_1, ..., b_n)/<lam, alpha^vee> (alpha = sum b_i alpha_i).  The
+    vector (k, b_1, ..., b_n)/<lam, alpha^vee> (alpha = sum b_i alpha_i),
+    compared as the integer vector scaled by the lcm L of the pairings.  The
     result is validated by the walk; if the sort ever failed to produce a
     genuine chain we fall back to the generic-segment chain.
     """
@@ -175,12 +198,13 @@ def lex_chain(rs: RootSystem, lam: Weight) -> LambdaChain:
         return compute_levels(rs, roots, lam)
     if not lam.is_dominant:
         raise ChainError("lex chain needs a dominant or antidominant weight")
+    cs = [rs.pair(lam, rs.coroot(alpha)) for alpha in rs.positive_roots]
+    lcm = math.lcm(*(c for c in cs if c))
     pairs = []
-    for alpha in rs.positive_roots:
-        c = rs.pair(lam, rs.coroot(alpha))
+    for alpha, c in zip(rs.positive_roots, cs):
+        s = lcm // c if c else 0
         for k in range(c):
-            key = (Fraction(k, c),) + tuple(Fraction(b, c) for b in alpha.coeffs)
-            pairs.append((key, alpha))
+            pairs.append(((k * s,) + tuple(b * s for b in alpha.coeffs), alpha))
     pairs.sort(key=lambda t: t[0])
     roots = tuple(alpha for _, alpha in pairs)
     try:
@@ -227,24 +251,29 @@ def segment_chain(rs: RootSystem, lam: Weight) -> LambdaChain:
 
     Orders the separating hyperplanes by crossing time along the segment,
     tie-broken by a generic perturbation of the base point.  Works for every
-    weight, dominant or not.
+    weight, dominant or not.  The rational key ((<rho/h, alpha^vee> - k)/c,
+    slope/c), c = <lam, alpha^vee>, is compared as the integer key
+    ((height - k h) L/c, slope L/c), L the lcm of the |c|.
     """
     if lam.is_zero():
         return compute_levels(rs, (), lam)
+    h = rs.coxeter_number
+    cs = [rs.pair(lam, rs.coroot(alpha)) for alpha in rs.positive_roots]
+    lcm = math.lcm(*(c for c in cs if c))
     for m in range(1, 60):
-        d = tuple(Fraction(m**i + i, 1) for i in range(rs.rank))
+        d = tuple(m**i + i for i in range(rs.rank))
         crossings = []
         collision = False
         seen = set()
-        for alpha in rs.positive_roots:
-            c = rs.pair(lam, rs.coroot(alpha))
+        for alpha, c in zip(rs.positive_roots, cs):
             if c == 0:
                 continue
-            c0 = Fraction(rs.coroot(alpha).height, rs.coxeter_number)
-            slope = sum(x * y for x, y in zip(d, rs.coroot(alpha).coeffs))
+            cor = rs.coroot(alpha)
+            s = lcm // c
+            slope = sum(x * y for x, y in zip(d, cor.coeffs))
             ks = range(0, -c, -1) if c > 0 else range(1, -c + 1)
             for k in ks:
-                key = (Fraction(c0 - k, c), Fraction(slope, c))
+                key = ((cor.height - k * h) * s, slope * s)
                 if key in seen:
                     collision = True
                     break
@@ -271,12 +300,13 @@ def insert_pair(chain: LambdaChain, u: int, beta: Root) -> LambdaChain:
     positions where the certificate fails are rejected.
     """
     rs = chain.rs
-    point = rs.nu0
-    for k in range(u):
-        p = rs.pair(point, rs.coroot(chain.roots[k]))
-        point = rs.affine_reflect(point, chain.roots[k], p.numerator // p.denominator)
-    p = rs.pair(point, rs.coroot(beta))
-    if not _adjacency_certificate(rs, point, beta, p.numerator // p.denominator):
+    if not 0 <= u <= len(chain):
+        raise ChainError(f"insert position {u} outside 0..{len(chain)}")
+    index = rs._root_index
+    _, x = _walk(rs, [index[b] for b in chain.roots[:u]])
+    k = index[beta]
+    r = sum(map(mul, x, rs._coroot_vec[k])) % rs.coxeter_number
+    if not _adjacency_certificate(rs, x, k, r):
         raise ChainError("inserted pair is not a facet crossing here")
     roots = chain.roots[:u] + (beta, -beta) + chain.roots[u:]
     return compute_levels(chain.rs, roots, chain.lam)
@@ -439,11 +469,11 @@ def _sweep_tables(rs: RootSystem):
             col = [edges[(v, alpha)] for v in rs.weyl_elements]
             column.append(tuple(e.target.index if e else -1 for e in col))
             quantum.append(tuple(bool(e) and e.kind == qbg.QUANTUM for e in col))
-        coroot = tuple(rs.coroot(r).coeffs for r in rs.positive_roots)
+        coroot = rs._coroot_vec[: len(rs.positive_roots)]
         rs._sweep_tables = (
             tuple(column),
             tuple(quantum),
-            tuple(rs.root_to_weight(r).coeffs for r in rs.all_roots),
+            rs._root_wt,
             coroot,
             tuple(tuple((0,) + c if q else None for q in qs) for c, qs in zip(coroot, quantum)),
         )
@@ -570,6 +600,19 @@ def admissible_support(
     return frozenset(taken), frozenset(h for _, h in reach)
 
 
+def index_subset(chain: LambdaChain, indices: Iterable[int]) -> tuple[int, ...]:
+    """The 1-based indices as an increasing tuple; ChainError unless they are
+    distinct positions 1..len(chain)."""
+    out = tuple(sorted(indices))
+    for j in out:
+        if not 1 <= j <= len(chain):
+            raise ChainError(f"index {j} outside 1..{len(chain)}")
+    for j, k in zip(out, out[1:]):
+        if j == k:
+            raise ChainError(f"index {j} repeated")
+    return out
+
+
 def admissible_from_indices(
     chain: LambdaChain, w: WeylElement, indices: Iterable[int]
 ) -> AdmissibleSubset:
@@ -577,7 +620,7 @@ def admissible_from_indices(
     rs = chain.rs
     steps = []
     current = w
-    for j in sorted(indices):
+    for j in index_subset(chain, indices):
         beta = chain.roots[j - 1]
         edge = qbg.qbg_edge(rs, current, abs(beta))
         if edge is None:

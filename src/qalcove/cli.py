@@ -29,10 +29,13 @@ def _parse_ints(text):
 
 
 def _parsed(make, *args):
-    """make(*args), with a RootSystemError reported as a usage error."""
+    """make(*args), with a RootSystemError or ChainError reported as a usage error.
+
+    Only for calls that check user input, never for a chain's validation.
+    """
     try:
         return make(*args)
-    except RootSystemError as exc:
+    except (RootSystemError, alcove.ChainError) as exc:
         raise CliError(exc) from exc
 
 
@@ -42,6 +45,13 @@ def _rs(args):
 
 def _weight(rs, text):
     return _parsed(rs.weight, _parse_ints(text))
+
+
+def _lex_weight(rs, text):
+    lam = _weight(rs, text)
+    if not (lam.is_dominant or lam.is_antidominant):
+        raise CliError("lex chains need a dominant or antidominant weight")
+    return lam
 
 
 def _coroot(rs, text):
@@ -129,10 +139,7 @@ def cmd_qbg(args):
 def cmd_chain(args):
     rs = _rs(args)
     if args.action == "lex":
-        lam = _weight(rs, args.lam)
-        if not (lam.is_dominant or lam.is_antidominant):
-            raise CliError("lex chains need a dominant or antidominant weight")
-        _emit(args, alcove.lex_chain(rs, lam).to_json())
+        _emit(args, alcove.lex_chain(rs, _lex_weight(rs, args.lam)).to_json())
         return 0
     if args.action == "validate":
         chain = _chain(rs, args)
@@ -157,11 +164,11 @@ def cmd_adm(args):
     rs = _rs(args)
     chain = _chain(rs, args)
     w = _parsed(rs.element_from_word, args.w)
-    subsets = alcove.enumerate_admissible(chain, w)
     if args.action == "stats":
-        subsets = [
-            alcove.admissible_from_indices(chain, w, _parse_ints(args.indices))
-        ]
+        indices = _parsed(alcove.index_subset, chain, _parse_ints(args.indices))
+        subsets = [alcove.admissible_from_indices(chain, w, indices)]
+    else:
+        subsets = alcove.enumerate_admissible(chain, w)
     payload = [
         {
             "indices": list(a.indices),
@@ -268,12 +275,12 @@ def cmd_chev(args):
         _emit_terms(args, rhs_chevalley(rs, mu, lam, chain, x, floor))
         return 0
     if args.action == "vanish":
-        lam = _weight(rs, args.lam)
+        lam = _lex_weight(rs, args.lam)
+        chain = alcove.lex_chain(rs, lam)
         rows = ["case\tresult\tmax_abs_qexp\tseconds"]
         all_ok = True
         for w in rs.weyl_elements:
             t0 = time.perf_counter()
-            chain = alcove.lex_chain(rs, lam)
             ok = verify_vanishing(rs, lam, w, chain)
             all_ok &= ok
             maxexp = max(abs(h) for h in alcove.admissible_support(chain, w)[1])

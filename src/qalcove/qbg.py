@@ -11,8 +11,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import add
 from typing import Optional, Sequence
 
+# alcove imports this module at its top; its sweep tables and kernel are
+# used only inside functions, so the partial module is enough here
+from . import alcove
 from .rootsys import Coroot, Root, RootSystem, RootSystemError, WeylElement
 
 BRUHAT = "B"
@@ -154,53 +158,75 @@ def label_increasing_path(
 ) -> DirectedPath:
     """The unique label-increasing directed path v -> w for a reflection order."""
     matches = [p for p in pi_compatible_paths(rs, v, order) if p.end == w]
-    return _unique_path(matches, v, w, order)
-
-
-def _unique_path(matches, v, w, order) -> DirectedPath:
     if len(matches) != 1:
-        raise RuntimeError(
-            f"shellability defect: {len(matches)} label-increasing paths "
-            f"{v} -> {w} for order {order}"
-        )
+        raise _shell_defect(len(matches), v, w, order)
     return matches[0]
+
+
+def _shell_defect(count, v, w, order) -> RuntimeError:
+    return RuntimeError(
+        f"shellability defect: {count} label-increasing paths "
+        f"{v} -> {w} for order {order}"
+    )
 
 
 def shellability_pairs(rs: RootSystem, order: Sequence[Root]):
     """(v, w, minimal) for every pair of Weyl elements, v outer, in ShortLex order.
 
     minimal says whether the label-increasing path v -> w for the reflection
-    order has length l(v => w).  Each v takes one breadth-first search and one
-    compatible-path enumeration, grouped by end.  Raises label_increasing_path's
-    RuntimeError at the first pair without exactly one such path.
+    order has length l(v => w).  One sweep along the order (alcove.sweep_step
+    on the QBG columns) from every start v at once, with states
+    {(v, length): count}, counts the label-increasing paths by start, end and
+    length; each v then takes one breadth-first search.  Raises
+    label_increasing_path's RuntimeError at the first pair without exactly
+    one such path.
     """
+    column = alcove._sweep_tables(rs)[0]
+    n = len(rs.weyl_elements)
+    inc = [(0, 1)] * n  # every edge keeps the start and adds one to the length
+    states: list = [{(v, 0): 1} for v in range(n)]
+    for alpha in order:
+        col = column[alcove._root_step(rs, alpha)[1]]
+        states = alcove.sweep_step(states, col, inc, 1, keep=True)
+    count = [[0] * n for _ in range(n)]
+    length = [[0] * n for _ in range(n)]
+    for w, ends in enumerate(states):
+        for (v, l), c in ends.items():
+            count[v][w] += c
+            length[v][w] = l
     for v in rs.weyl_elements:
-        dist = _bfs(rs, v)
-        ends: dict = {}
-        for p in pi_compatible_paths(rs, v, order):
-            ends.setdefault(p.end, []).append(p)
+        dist = _bfs(rs, v.index)
         for w in rs.weyl_elements:
-            path = _unique_path(ends.get(w, []), v, w, order)
-            yield v, w, path.length == dist[w][0]
+            c = count[v.index][w.index]
+            if c != 1:
+                raise _shell_defect(c, v, w, order)
+            yield v, w, length[v.index][w.index] == dist[w.index][0]
 
 
 def shortest_stats(rs: RootSystem, v: WeylElement, w: WeylElement):
     """(l(v => w), wt(v => w)) via breadth-first search."""
-    return _bfs(rs, v)[w]
+    d, acc = _bfs(rs, v.index)[w.index]
+    return d, Coroot(acc)
 
 
-def _bfs(rs: RootSystem, v: WeylElement) -> dict:
-    """{w: (l(v => w), wt(v => w))} for every w; QBG is strongly connected."""
-    dist = {v: (0, Coroot((0,) * rs.rank))}
-    queue = deque([v])
+def _bfs(rs: RootSystem, s: int) -> list:
+    """[(l(v => w), wt(v => w) as an int tuple)] by w.index, for v of index s.
+
+    One breadth-first search over the sweep's QBG columns, labels in
+    positive-root order; QBG is strongly connected.
+    """
+    column, quantum, _, coroot, _ = alcove._sweep_tables(rs)
+    dist: list = [None] * len(rs.weyl_elements)
+    dist[s] = (0, (0,) * rs.rank)
+    queue = deque([s])
     while queue:
         u = queue.popleft()
         d, acc = dist[u]
-        for e in out_edges(rs, u):
-            if e.target not in dist:
-                nacc = acc + rs.coroot(e.label) if e.kind == QUANTUM else acc
-                dist[e.target] = (d + 1, nacc)
-                queue.append(e.target)
+        for col, qcol, cor in zip(column, quantum, coroot):
+            t = col[u]
+            if t >= 0 and dist[t] is None:
+                dist[t] = (d + 1, tuple(map(add, acc, cor)) if qcol[u] else acc)
+                queue.append(t)
     return dist
 
 
@@ -218,14 +244,27 @@ def canonical_reflection_orders(rs: RootSystem) -> list[tuple[Root, ...]]:
 
 
 def reflection_orders(rs: RootSystem) -> list[tuple[Root, ...]]:
-    """All reflection orders on the positive roots (small types only)."""
-    import itertools
+    """All reflection orders on the positive roots, sorted by positive-root index.
 
-    out = []
-    for perm in itertools.permutations(rs.positive_roots):
-        if is_reflection_order(rs, perm):
-            out.append(perm)
-    return out
+    The reflection orders are the inversion sequences alpha_{i1},
+    s_{i1}(alpha_{i2}), ... of the reduced words of w0 (Dyer, Compositio
+    1993; Papi, Proc. AMS 1994).  The words are walked up the weak order:
+    w s_i covers w whenever w(alpha_i) > 0, and that step records w(alpha_i).
+    """
+    npos = len(rs.positive_roots)
+    simple = [(rs._root_index[rs.simple_root(i)], rs.simple_reflection(i)) for i in range(rs.rank)]
+    words = []
+
+    def up(w: WeylElement, seq: tuple[int, ...]):
+        if len(seq) == npos:
+            words.append(seq)
+        for a, s in simple:
+            k = w.root_perm[a]
+            if k < npos:
+                up(rs.mult(w, s), seq + (k,))
+
+    up(rs.identity, ())
+    return [tuple(rs.positive_roots[k] for k in seq) for seq in sorted(words)]
 
 
 def to_dot(rs: RootSystem) -> str:

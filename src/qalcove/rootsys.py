@@ -1,11 +1,13 @@
 """Exact root-system and Weyl-group arithmetic for finite types of rank <= 4.
 
 All arithmetic is exact: roots and coroots are integer vectors in the
-simple-(co)root basis, weights are integer vectors in the fundamental-weight
-basis, and alcove-walk points are vectors of Fractions.  Weyl elements carry
-their ShortLex-minimal reduced word plus cached action tables; each root
-system makes exactly one instance per element, so equality and hashing are
-object identity.
+simple-(co)root basis and weights are integer vectors in the
+fundamental-weight basis.  The alcove walk runs on h times its points, which
+are integer vectors; RationalPoint (a vector of Fractions) remains for
+straight segments between arbitrary points.  Weyl elements carry their
+ShortLex-minimal reduced word plus cached action tables; each root system
+makes exactly one instance per element, so equality and hashing are object
+identity.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -41,29 +43,34 @@ class RootSystemError(ValueError):
 
 @dataclass(frozen=True)
 class Root:
-    """A root, as an integer vector in the simple-root basis."""
+    """A root, as an integer vector in the simple-root basis.
+
+    sign (+1 or -1) is fixed when the coefficients are validated; negation
+    skips the validation, since the negative of a root is one.
+    """
 
     coeffs: tuple[int, ...]
+    sign: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pos = any(c > 0 for c in self.coeffs)
         neg = any(c < 0 for c in self.coeffs)
         if (pos and neg) or not (pos or neg):
             raise RootSystemError(f"not a root coefficient vector: {self.coeffs}")
-
-    @property
-    def sign(self) -> int:
-        return 1 if all(c >= 0 for c in self.coeffs) else -1
+        object.__setattr__(self, "sign", 1 if pos else -1)
 
     @property
     def is_positive(self) -> bool:
         return self.sign == 1
 
     def __neg__(self) -> "Root":
-        return Root(tuple(-c for c in self.coeffs))
+        neg = object.__new__(Root)
+        object.__setattr__(neg, "coeffs", tuple(-c for c in self.coeffs))
+        object.__setattr__(neg, "sign", -self.sign)
+        return neg
 
     def __abs__(self) -> "Root":
-        return self if self.is_positive else -self
+        return self if self.sign == 1 else -self
 
     def __repr__(self):
         return f"Root{self.coeffs}"
@@ -281,6 +288,10 @@ class RootSystem:
         self._coroots = {Root(c): Coroot(d) for c, d in seen.items()}
         for r in self.positive_roots:
             self._coroots[-r] = -self._coroots[r]
+        # by all_roots index: the root in the fundamental-weight basis and
+        # its coroot in the simple-coroot basis, as int tuples
+        self._root_wt = tuple(self.root_to_weight(r).coeffs for r in self.all_roots)
+        self._coroot_vec = tuple(self._coroots[r].coeffs for r in self.all_roots)
 
     def _build_weyl_group(self):
         n = self.rank

@@ -13,20 +13,73 @@ from qalcove.alcove import (
 )
 
 
-def walk_oracle(rs, roots, lam):
-    """Independent level computation: reflect the base point step by step."""
+def _pair(point, rs, beta):
+    return sum(a * b for a, b in zip(point, rs.coroot(beta).coeffs))
+
+
+def certificate_oracle(rs, point, beta):
+    """Fraction form of the adjacency certificate: the midpoint of the step
+    across beta's wall lies on no hyperplane of another positive root."""
+    p = _pair(point, rs, beta)
+    f = p - (p.numerator // p.denominator)
+    bw = rs.root_to_weight(beta).coeffs
+    mid = [c - f / 2 * a for c, a in zip(point, bw)]
+    return all(
+        Fraction(_pair(mid, rs, gamma)).denominator != 1
+        for gamma in rs.positive_roots
+        if gamma != abs(beta)
+    )
+
+
+def reflect_oracle(rs, point, beta):
+    """(level, next point) of one step of the Fraction walk."""
+    p = _pair(point, rs, beta)
+    m = p.numerator // p.denominator
+    bw = rs.root_to_weight(beta).coeffs
+    return -m, [c - (p - m) * a for c, a in zip(point, bw)]
+
+
+def walk_oracle(rs, roots, lam, certify=False):
+    """Independent level computation: reflect the base point nu0 = rho/h step
+    by step in Fractions; raises compute_levels' ChainError, with its message,
+    where the sequence is no lambda-chain."""
     point = list(rs.nu0.coeffs)
     levels = []
     for beta in roots:
-        cor = rs.coroot(beta).coeffs
-        p = sum(a * b for a, b in zip(point, cor))
-        m = p.numerator // p.denominator
-        bw = rs.root_to_weight(beta).coeffs
-        point = [c - (p - m) * a for c, a in zip(point, bw)]
-        levels.append(-m)
-    target = [c - l for c, l in zip(rs.nu0.coeffs, lam.coeffs)]
-    assert [Fraction(c) for c in point] == [Fraction(c) for c in target]
+        if Fraction(_pair(point, rs, beta)).denominator == 1:
+            raise ChainError("walk point landed on a wall; corrupt chain")
+        if certify and not certificate_oracle(rs, point, beta):
+            raise ChainError("step is not certified as a facet crossing")
+        level, point = reflect_oracle(rs, point, beta)
+        levels.append(level)
+    end = qa.RationalPoint(tuple(Fraction(c) for c in point))
+    target = qa.RationalPoint(tuple(c - l for c, l in zip(rs.nu0.coeffs, lam.coeffs)))
+    if end != target:
+        raise ChainError(f"walk ends at {end}, expected {target}: not a {lam}-chain")
+    for alpha in rs.positive_roots:
+        if roots.count(alpha) - roots.count(-alpha) != rs.pair(lam, rs.coroot(alpha)):
+            raise ChainError(f"counting fact fails at root {alpha}")
     return tuple(levels)
+
+
+def insert_oracle(chain, u, beta):
+    """insert_pair's levels from the Fraction walk and certificate."""
+    rs = chain.rs
+    point = list(rs.nu0.coeffs)
+    for gamma in chain.roots[:u]:
+        _, point = reflect_oracle(rs, point, gamma)
+    if not certificate_oracle(rs, point, beta):
+        raise ChainError("inserted pair is not a facet crossing here")
+    return walk_oracle(rs, chain.roots[:u] + (beta, -beta) + chain.roots[u:], chain.lam)
+
+
+def outcome(fn, *args, **kw):
+    """Levels of the chain fn returns, or the message of its ChainError."""
+    try:
+        got = fn(*args, **kw)
+    except ChainError as exc:
+        return "ChainError: " + str(exc)
+    return got if isinstance(got, tuple) else got.levels
 
 
 def a2_gamma1():
@@ -324,3 +377,151 @@ def test_sweep_merges_states():
     states = qa.sweep_admissible(chain, rs.identity)
     assert sum(states.values()) == 7**2 * 15**2
     assert len(states) == 4199
+
+
+# -- differential tests: the integer walk against the Fraction walk ----------
+
+
+def corrupted(roots, rng):
+    """Three corruptions of a root sequence: two entries swapped, one
+    dropped, one negated."""
+    if not roots:
+        return []
+    i, j = rng.randrange(len(roots)), rng.randrange(len(roots))
+    swapped = list(roots)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    return [
+        tuple(swapped),
+        roots[:i] + roots[i + 1 :],
+        roots[:j] + (-roots[j],) + roots[j + 1 :],
+    ]
+
+
+def sample_chains(rs, rng):
+    """Lex, segment, concatenated, inserted and YB-transformed chains."""
+    n = rs.rank
+    chains = []
+    for coeffs in ((1,) * n, (2,) + (0,) * (n - 1), (-1,) * n):
+        chains.append(qa.lex_chain(rs, rs.weight(coeffs)))
+    for _ in range(2):
+        lam = rs.weight([rng.randint(-2, 2) for _ in range(n)])
+        chains.append(qa.segment_chain(rs, lam))
+        plus, minus = qa.lambda_pm(lam)
+        chains.append(qa.concat_chains(qa.lex_chain(rs, plus), qa.lex_chain(rs, minus)))
+    for chain in list(chains[:4]):
+        for t, q, _, _ in qa.find_yb_segments(chain)[:1]:
+            chains.append(qa.yb_transform(chain, t, q))
+        inserted = []
+        for _ in range(20):
+            u = rng.randrange(len(chain) + 1)
+            try:
+                inserted.append(qa.insert_pair(chain, u, rng.choice(rs.all_roots)))
+            except ChainError:
+                continue
+            if len(inserted) == 2:
+                break
+        chains += inserted
+    return chains
+
+
+@pytest.mark.parametrize("label", ["A2", "C2", "G2", "A3", "B3", "C3"])
+def test_integer_walk_matches_fraction_walk(label):
+    rs = qa.build_root_system(label)
+    rng = random.Random(label)
+    kinds = set()
+    for chain in sample_chains(rs, rng):
+        assert chain.levels == walk_oracle(rs, chain.roots, chain.lam)
+        for roots in [chain.roots] + corrupted(chain.roots, rng):
+            for certify in (False, True):
+                want = outcome(walk_oracle, rs, roots, chain.lam, certify=certify)
+                got = outcome(qa.compute_levels, rs, roots, chain.lam, certify=certify)
+                assert got == want
+                kinds.add(("walk", certify, want if isinstance(want, str) else "ok"))
+        for u in rng.sample(range(len(chain) + 1), min(4, len(chain) + 1)):
+            beta = rng.choice(rs.all_roots)
+            want = outcome(insert_oracle, chain, u, beta)
+            assert outcome(qa.insert_pair, chain, u, beta) == want
+            kinds.add(("insert", isinstance(want, str)))
+    # both walks accepted and rejected sequences, with and without certify
+    assert ("insert", False) in kinds
+    for certify in (False, True):
+        assert ("walk", certify, "ok") in kinds
+        assert any(k[:2] == ("walk", certify) and k[2] != "ok" for k in kinds)
+
+
+def test_insert_pair_matches_fraction_walk_everywhere():
+    # every position and root on chains whose certificate both accepts and rejects
+    for label in ("A2", "G2"):
+        rs = qa.build_root_system(label)
+        chain = qa.lex_chain(rs, rs.weight([2, 1]))
+        rejected = 0
+        for u in range(len(chain) + 1):
+            for beta in rs.all_roots:
+                want = outcome(insert_oracle, chain, u, beta)
+                assert outcome(qa.insert_pair, chain, u, beta) == want
+                rejected += isinstance(want, str)
+        assert rejected > 0
+
+
+def test_hosted_segments_match_fraction_walk():
+    # chain_with_segment validates with certify=True; a segment it cannot
+    # host fails the same way on both walks
+    from qalcove.qbops import yang_baxter_pairs
+
+    for label in ("A2", "C2", "G2"):
+        rs = qa.build_root_system(label)
+        hosted = 0
+        for alpha, beta in yang_baxter_pairs(rs):
+            seg = rs.rank2_subsystem(alpha, beta).segment
+            try:
+                chain, t = chain_with_segment(rs, seg)
+            except ChainError:
+                continue
+            assert chain.roots[t : t + len(seg)] == seg
+            assert chain.levels == walk_oracle(rs, chain.roots, chain.lam, certify=True)
+            hosted += 1
+        assert hosted > 0
+
+
+def test_insert_position_out_of_range():
+    rs, g1 = a2_gamma1()
+    for u in (-1, len(g1) + 1):
+        with pytest.raises(ChainError, match="insert position"):
+            qa.insert_pair(g1, u, rs.highest_root)
+
+
+def test_validation_uses_integers_only(monkeypatch):
+    """Chain construction builds neither QBG nor a Fraction, nor reads nu0."""
+    import qalcove.alcove as alcove_mod
+    from qalcove.rootsys import _CARTAN
+
+    def no_fraction(*args):
+        raise AssertionError("Fraction built during chain validation")
+
+    monkeypatch.setattr(alcove_mod, "Fraction", no_fraction)
+    for label in ("A2", "C2", "G2", "B3"):
+        rs = qa.root_system_from_cartan(_CARTAN[label], label)
+        rs.nu0 = None
+        n = rs.rank
+        chains = [
+            qa.lex_chain(rs, rs.weight((1,) * n)),
+            qa.lex_chain(rs, rs.weight((-2,) + (0,) * (n - 1))),
+            qa.segment_chain(rs, rs.weight((1, -1) + (0,) * (n - 2))),
+        ]
+        for chain in chains:
+            qa.compute_levels(rs, chain.roots, chain.lam)
+            for u in range(len(chain) + 1):
+                try:
+                    qa.insert_pair(chain, u, rs.positive_roots[-1])
+                except ChainError:
+                    pass
+        assert rs._edge_table is None and rs._sweep_tables is None
+
+
+def test_admissible_from_indices_rejects_non_subsets():
+    rs, g1 = a2_gamma1()
+    w = rs.element_from_word("s2")
+    for bad in ([-1], [0], [5], [1, 1], [2, 3, 3]):
+        with pytest.raises(ChainError, match="outside|repeated"):
+            qa.admissible_from_indices(g1, w, bad)
+    assert qa.admissible_from_indices(g1, w, [4, 1]).indices == (1, 4)

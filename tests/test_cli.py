@@ -112,6 +112,30 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+def test_shell_check_rank3(capsys):
+    # reflection orders from reduced words of w0, paths counted by the sweep
+    for label in ("B3", "C3"):
+        code, out = run(capsys, "qbg", "shell-check", "--type", label)
+        assert (code, out) == (0, "orders=42 pairs=2304 violations=0\n")
+
+
+def test_adm_stats_rejects_non_subsets(capsys):
+    base = ("adm", "stats", "--type", "A2", "--lambda", "1,1", "--indices")
+    for bad in ("-1", "0", "5", "1,1", "2,3,2"):
+        code, out = run(capsys, *base, bad)
+        assert (code, out) == (2, "")
+    # a genuine index set that is not admissible stays a failed check
+    code, _ = run(capsys, *base, "1,2", "--w", "s1s2s1")
+    assert code == 1
+
+
+def test_chev_vanish_mixed_sign_is_usage_error(capsys):
+    code = main(["chev", "vanish", "--type", "A2", "--lambda", "1,-1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "usage error: lex chains need a dominant or antidominant weight" in captured.err
+
+
 def test_corrupt_chain_fails_validation(tmp_path, capsys):
     # a well-formed file whose roots are not a chain is a failed check, not misuse
     rs = qa.build_root_system("A2")

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import deque
 
 import pytest
@@ -108,6 +109,51 @@ def per_pair_shell(rs, order):
             yield v, w, path.length == qa.shortest_stats(rs, v, w)[0]
 
 
+def permutation_filter(rs):
+    """Reflection orders as the permutations of the positive roots that pass
+    is_reflection_order, in the order itertools lists them."""
+    return [
+        perm
+        for perm in itertools.permutations(rs.positive_roots)
+        if qa.is_reflection_order(rs, perm)
+    ]
+
+
+def test_reflection_orders_match_permutation_filter():
+    for label in ("A1", "A1xA1", "A2", "C2", "G2", "A3"):
+        rs = qa.build_root_system(label)
+        assert qa.reflection_orders(rs) == permutation_filter(rs)
+    for label in ("B3", "C3"):
+        rs = qa.build_root_system(label)
+        orders = qa.reflection_orders(rs)
+        assert len(orders) == len(set(orders)) == 42
+        assert all(qa.is_reflection_order(rs, order) for order in orders)
+
+
+def test_reflection_orders_rank4():
+    # the reduced words of w0 in A4 = S5: 10!/(1^4 3^3 5^2 7) = 768
+    a4 = qa.root_system_from_cartan(
+        [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]], "A4"
+    )
+    orders = qa.reflection_orders(a4)
+    assert len(set(orders)) == 768
+    for order in random.Random(4).sample(orders, 2):
+        assert qa.is_reflection_order(a4, order)
+        got = list(qbg.shellability_pairs(a4, order))
+        assert len(got) == 120**2 and all(m for _, _, m in got)
+
+
+def shell_outcome(pairs):
+    """The list of yielded triples, and the message of the error that ends it."""
+    out = []
+    try:
+        for triple in pairs:
+            out.append(triple)
+    except RuntimeError as exc:
+        return out, str(exc)
+    return out, None
+
+
 def test_shellability_pairs():
     a2 = qa.build_root_system("A2")
     orders = qa.reflection_orders(a2)
@@ -132,16 +178,31 @@ def test_shellability_pairs():
         assert len(got) == 576 and all(m for _, _, m in got)
 
 
+def test_shellability_pairs_match_per_pair_loop():
+    # every reflection order, and non-orders that fail at the same first pair
+    # with the same message
+    rng = random.Random(2)
+    for label in ("C2", "G2"):
+        rs = qa.build_root_system(label)
+        perms = list(itertools.permutations(rs.positive_roots))
+        orders = qa.reflection_orders(rs)
+        others = [p for p in rng.sample(perms, 10) if p not in orders]
+        for perm in orders + others:
+            want = shell_outcome(per_pair_shell(rs, perm))
+            assert shell_outcome(qbg.shellability_pairs(rs, perm)) == want
+            assert (want[1] is None) == (perm in orders)
+
+
 def test_shortest_stats():
     a2 = qa.build_root_system("A2")
     e, w0 = a2.identity, a2.longest_element
     assert qa.shortest_stats(a2, e, e) == (0, qa.Coroot((0, 0)))
     assert qa.shortest_stats(a2, e, w0) == (3, qa.Coroot((0, 0)))
     assert qa.shortest_stats(a2, w0, e) == (1, qa.Coroot((1, 1)))
-    for label in ("A2", "C2", "A3"):
+    for label, limit in (("A2", None), ("C2", None), ("G2", None), ("A3", 6)):
         rs = qa.build_root_system(label)
-        for v in rs.weyl_elements[:6]:
-            for w in rs.weyl_elements[:6]:
+        for v in rs.weyl_elements[:limit]:
+            for w in rs.weyl_elements[:limit]:
                 assert qa.shortest_stats(rs, v, w) == bfs_oracle(rs, v, w)
 
 

@@ -95,6 +95,25 @@ def test_sign_and_abs():
         assert scaled == alpha
 
 
+def test_root_negation_skips_validation(monkeypatch):
+    rs = qa.build_root_system("G2")
+    calls = []
+    monkeypatch.setattr(Root, "__post_init__", lambda self: calls.append(self))
+    for alpha in rs.all_roots:
+        neg = -alpha
+        assert abs(neg) == abs(alpha) and neg.sign == -alpha.sign
+        assert neg == alpha.__class__(tuple(-c for c in alpha.coeffs))
+    assert len(calls) == len(rs.all_roots)  # the explicit constructions only
+    monkeypatch.undo()
+    for alpha in rs.all_roots:
+        neg = -alpha
+        assert hash(neg) == hash(Root(neg.coeffs)) and repr(neg) == repr(Root(neg.coeffs))
+        assert neg.is_positive == (not alpha.is_positive)
+    for bad in ((1, -1), (0, 0), ()):
+        with pytest.raises(RootSystemError):
+            Root(bad)
+
+
 def test_inverse_roundtrip():
     rs = qa.build_root_system("G2")
     for w in rs.weyl_elements:
