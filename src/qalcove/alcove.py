@@ -522,16 +522,17 @@ def sweep_step(
 
 
 def sweep_seeded(chain: LambdaChain, seeds: dict) -> dict:
-    """The sweep along chain from seeds {v: {(c, down, height): count}}.
+    """The sweep along chain from seeds {v index: {(c, down, height): count}}.
 
-    c, down and height are flat int tuples (rank, rank, 1).  Returns {(ed,
-    wt, down, height): count} over the end states, zero counts dropped, with
-    wt = ed(lambda) - c.  At beta_j an edge v -> v s_|beta_j| of the quantum
-    Bruhat graph adds -l_j v(beta_j) to c, a quantum edge also adds
-    |beta_j|^vee to down and sign(beta_j) l~_j to height, and a negative
-    beta_j negates the count; the state also stays at v, since a subset may
-    skip j.  Subsets that reach the same state merge, so the work follows the
-    number of states, not of subsets.
+    c, down and height are flat int tuples (rank, rank, 1).  Returns {(ed
+    index, wt, down, height): count} over the end states, with wt and down
+    int tuples (fundamental-weight and simple-coroot coordinates), zero
+    counts dropped, and wt = ed(lambda) - c.  At beta_j an edge v -> v
+    s_|beta_j| of the quantum Bruhat graph adds -l_j v(beta_j) to c, a
+    quantum edge also adds |beta_j|^vee to down and sign(beta_j) l~_j to
+    height, and a negative beta_j negates the count; the state also stays at
+    v, since a subset may skip j.  Subsets that reach the same state merge,
+    so the work follows the number of states, not of subsets.
     """
     rs = chain.rs
     column, quantum, root_wt, coroot, _ = _sweep_tables(rs)
@@ -539,7 +540,7 @@ def sweep_seeded(chain: LambdaChain, seeds: dict) -> dict:
     perms = [v.root_perm for v in rs.weyl_elements]
     states: list = [None] * len(perms)
     for v, seed in seeds.items():
-        states[v.index] = seed
+        states[v] = seed
     still = (0,) * (n + 1)  # (down, height) increment of a Bruhat edge
     for beta, l, tilde in zip(chain.roots, chain.levels, chain.tilde_levels):
         k, p, sign = _root_step(rs, beta)
@@ -557,21 +558,20 @@ def sweep_seeded(chain: LambdaChain, seeds: dict) -> dict:
     for v, final in enumerate(states):
         if not final:
             continue
-        ed = rs.weyl_elements[v]
-        top = rs.act(ed, chain.lam).coeffs
+        top = rs.act(rs.weyl_elements[v], chain.lam).coeffs
         for key, cnt in final.items():
-            wt = Weight(tuple(map(sub, top, key[:n])))
-            out[(ed, wt, Coroot(key[n : 2 * n]), key[2 * n])] = cnt
+            out[v, tuple(map(sub, top, key[:n])), key[n : 2 * n], key[2 * n]] = cnt
     return out
 
 
 def sweep_admissible(chain: LambdaChain, w: WeylElement) -> dict:
     """The signed count of every end state of A(w, Gamma), without listing subsets.
 
-    Returns {(ed, wt, down, height): sum of (-1)^n over the subsets with these
-    statistics}, zero sums dropped: the sweep seeded with (w, 0, 0, 0).
+    Returns {(ed index, wt, down, height): sum of (-1)^n over the subsets
+    with these statistics}, wt and down as int tuples, zero sums dropped:
+    the sweep seeded with (w, 0, 0, 0).
     """
-    return sweep_seeded(chain, {w: {(0,) * (2 * chain.rs.rank + 1): 1}})
+    return sweep_seeded(chain, {w.index: {(0,) * (2 * chain.rs.rank + 1): 1}})
 
 
 def admissible_support(

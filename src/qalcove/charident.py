@@ -8,7 +8,8 @@ above a q-exponent floor, and specializes combinatorially at mu = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from operator import mul
 from typing import Optional
 
 from .alcove import (
@@ -19,45 +20,74 @@ from .alcove import (
     lex_chain,
     sweep_admissible,
 )
-from .genfun import AffineWeylElt, GenFun, Laurent, compose, genfun, par_convolve, par_groups
-from .rootsys import Coroot, RootSystem, Weight, WeylElement
+from .genfun import (
+    AffineWeylElt,
+    GenFun,
+    Laurent,
+    TermView,
+    add_poly,
+    compose,
+    genfun,
+    par_convolve,
+    par_groups,
+)
+from .rootsys import RootSystem, Weight, WeylElement
 
 
 class FormalChar:
     """A finite sum of (Laurent in q) * e^{weight} * gch[w], normalized.
 
-    Terms are keyed by (weight exponent, finite Weyl part); translation parts
-    have already been folded into the q-coefficient using mu_param.
+    Translation parts have already been folded into the q-coefficient using
+    mu_param.  It is held as one table {(mu, w): {exponent: count}}, mu an
+    int tuple in the fundamental-weight basis and w the index in
+    rs.weyl_elements, as GenFun holds its terms; `terms` shows it as
+    {(Weight, WeylElement): Laurent}.
     """
 
-    __slots__ = ("rs", "mu_param", "terms")
+    __slots__ = ("rs", "mu_param", "table")
     # names of the row vectors in the JSON items, after "q"
     ROW_NAMES = ("mu", "gch_w")
 
-    def __init__(self, rs: RootSystem, mu_param: Weight, terms: dict | None = None):
+    def __init__(self, rs: RootSystem, mu_param: Weight, terms: Mapping | None = None):
         self.rs = rs
         self.mu_param = mu_param
-        self.terms = {k: v for k, v in (terms or {}).items() if not v.is_zero()}
+        self.table: dict = {}
+        for (mu, w), c in (terms or {}).items():
+            add_poly(self.table, (mu.coeffs, w.index), c.terms)
+
+    @classmethod
+    def of_table(cls, rs: RootSystem, mu_param: Weight, table: dict) -> "FormalChar":
+        """The FormalChar holding table, which must follow GenFun's invariant."""
+        f = cls.__new__(cls)
+        f.rs = rs
+        f.mu_param = mu_param
+        f.table = table
+        return f
+
+    @property
+    def terms(self) -> TermView:
+        elements = self.rs.weyl_elements
+        return TermView(
+            self.table,
+            lambda k: (Weight(k[0]), elements[k[1]]),
+            lambda key: (key[0].coeffs, key[1].index),
+        )
 
     def add_symbol(self, mu: Weight, x: AffineWeylElt, coeff: Laurent):
         """Add coeff * e^mu * gch[x], normalizing gch[w t_xi] to q^{-<mu_param,xi>} gch[w]."""
         shift = -self.rs.pair(self.mu_param, x.xi)
-        key = (mu, x.w)
-        prev = self.terms.get(key)
-        new = coeff.shifted(shift) if prev is None else prev + coeff.shifted(shift)
-        if new.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
+        poly = {e + shift: c for e, c in coeff.terms.items()}
+        add_poly(self.table, (mu.coeffs, x.w.index), poly)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.table
 
     def __eq__(self, other):
         return (
             isinstance(other, FormalChar)
+            and self.rs is other.rs
             and self.mu_param == other.mu_param
-            and self.terms == other.terms
+            and self.table == other.table
         )
 
     def rows(self) -> list:
@@ -67,9 +97,9 @@ class FormalChar:
         coefficient) pairs by increasing exponent; rows are sorted by the
         unique (mu, gch_w).
         """
+        words = self.rs._json_words
         return sorted(
-            (mu.coeffs, tuple(i + 1 for i in w.word), tuple(sorted(c.terms.items())))
-            for (mu, w), c in self.terms.items()
+            [(mu, words[w], tuple(sorted(p.items()))) for (mu, w), p in self.table.items()]
         )
 
     def to_json(self) -> list:
@@ -79,11 +109,10 @@ class FormalChar:
         ]
 
     def __repr__(self):
+        elements = self.rs.weyl_elements
         body = ", ".join(
-            f"({c})*e^{mu.coeffs}*gch[{w.word_str}]"
-            for (mu, w), c in sorted(
-                self.terms.items(), key=lambda kv: (kv[0][0].coeffs, kv[0][1].index)
-            )
+            f"({Laurent(self.table[mu, w])})*e^{mu}*gch[{elements[w].word_str}]"
+            for mu, w in sorted(self.table)
         )
         return f"FormalChar[{body}]"
 
@@ -118,25 +147,25 @@ def _expand(
     above q_floor.
 
     The normalization folds every translation into q, so `par_convolve` runs
-    with every translation zero.
+    with the empty translation ().
     """
-    zero = Coroot((0,) * rs.rank)
-    # (wt, ed, zero) -> {exponent - <mu, xi>: count}
+    mu_c = mu.coeffs
+    # (wt, ed, ()) -> {exponent - <mu, xi>: count}
     heads: dict = {}
-    for (wt, ed, xi), c in g.terms.items():
-        poly = heads.setdefault((wt, ed, zero), {})
-        s = rs.pair(mu, xi)
-        for e, k in c.terms.items():
-            poly[e - s] = poly.get(e - s, 0) + k
+    for (wt, ed, xi), poly in g.table.items():
+        head = heads.setdefault((wt, ed, ()), {})
+        s = sum(map(mul, mu_c, xi))
+        for e, k in poly.items():
+            head[e - s] = head.get(e - s, 0) + k
     bound = max((max(p) for p in heads.values()), default=q_floor - 1) - q_floor
     if bound < 0:
         return FormalChar(rs, mu)
     groups = [
-        (zero, size + rs.pair(shift, iota), m)
+        ((), size + rs.pair(shift, iota), m)
         for iota, size, m in par_groups(rs, lam, bound)
     ]
     acc = par_convolve(heads, groups, q_floor)
-    return FormalChar(rs, mu, {(wt, ed): Laurent(p) for (wt, ed, _zero), p in acc.items()})
+    return FormalChar.of_table(rs, mu, {(wt, ed): p for (wt, ed, _), p in acc.items()})
 
 
 def specialize_trivial(f: FormalChar) -> dict:
@@ -144,11 +173,11 @@ def specialize_trivial(f: FormalChar) -> dict:
     if not f.mu_param.is_zero():
         raise ValueError("specialization requires mu = 0")
     acc: dict = {}
-    for (mu, _w), coeff in f.terms.items():
-        poly = acc.setdefault(mu, {})
-        for e, c in coeff.terms.items():
-            poly[e] = poly.get(e, 0) + c
-    return {k: Laurent(p) for k, p in acc.items() if any(p.values())}
+    for (mu, _w), poly in f.table.items():
+        out = acc.setdefault(mu, {})
+        for e, c in poly.items():
+            out[e] = out.get(e, 0) + c
+    return {Weight(k): Laurent(p) for k, p in acc.items() if any(p.values())}
 
 
 def verify_vanishing(

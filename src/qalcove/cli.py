@@ -25,7 +25,10 @@ class CliError(Exception):
 
 
 def _parse_ints(text):
-    return [int(x) for x in text.split(",") if x != ""]
+    try:
+        return [int(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        raise CliError(f"not a comma-separated list of integers: {text!r}") from None
 
 
 def _parsed(make, *args):

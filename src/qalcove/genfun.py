@@ -12,13 +12,18 @@ computed exactly above a caller-supplied q-exponent floor; a partition tuple
 chi enters only through (iota(chi), |chi|), so the sum runs over those groups
 (`par_groups`), and `par_convolve` adds each shifted term of G, or of the
 composition for the hatted composition, in place when it lies above the
-floor; the character expansions in `charident` use it too.
+floor; the character expansions in `charident` use it too.  All of these
+work on int-keyed term tables (see GenFun), from the sweep's end states to
+the JSON writer `rows_json`; `Laurent` and the key objects are built only
+where a caller reads `.terms`.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Optional
 
 from .alcove import LambdaChain, is_cancellation_free, sweep_seeded
@@ -105,49 +110,117 @@ class AffineWeylElt:
         return f"{self.w.word_str}*t{self.xi.coeffs}"
 
 
-class GenFun:
-    """A finite formal sum of (Laurent in q) * e^mu * (w t_xi)."""
+class TermView(Mapping):
+    """A read-only view of an int-keyed term table as {key: Laurent}.
 
-    __slots__ = ("rs", "terms")
+    decode turns a table key into the key callers see (Weight, WeylElement,
+    Coroot, ...) and encode turns it back; every lookup builds a fresh
+    Laurent.  The package itself works on the table.
+    """
+
+    __slots__ = ("_table", "_decode", "_encode")
+
+    def __init__(self, table: dict, decode, encode):
+        self._table = table
+        self._decode = decode
+        self._encode = encode
+
+    def __len__(self):
+        return len(self._table)
+
+    def __iter__(self):
+        return map(self._decode, self._table)
+
+    def __getitem__(self, key):
+        poly = self._table.get(self._encode(key))
+        if poly is None:
+            raise KeyError(key)
+        return Laurent(poly)
+
+
+def add_poly(table: dict, key, poly: dict):
+    """table[key] += poly for a {exponent: count} poly, dropping zero counts
+    and an entry left empty."""
+    acc = table.get(key)
+    if acc is None:
+        acc = table[key] = {}
+    for e, c in poly.items():
+        c += acc.get(e, 0)
+        if c:
+            acc[e] = c
+        else:
+            acc.pop(e, None)
+    if not acc:
+        del table[key]
+
+
+class GenFun:
+    """A finite formal sum of (Laurent in q) * e^mu * (w t_xi).
+
+    It is held as one table {(mu, w, xi): {exponent: count}}: mu and xi are
+    int tuples in the fundamental-weight and simple-coroot bases, w is the
+    index in rs.weyl_elements, every count is nonzero and no entry is empty.
+    `terms` shows the table as {(Weight, WeylElement, Coroot): Laurent}.
+    """
+
+    __slots__ = ("rs", "table")
     # names of the row vectors in the JSON items, after "q"
     ROW_NAMES = ("mu", "w", "xi")
 
-    def __init__(self, rs: RootSystem, terms: dict | None = None):
+    def __init__(self, rs: RootSystem, terms: Mapping | None = None):
         self.rs = rs
-        self.terms = {k: v for k, v in (terms or {}).items() if not v.is_zero()}
+        self.table: dict = {}
+        for (mu, w, xi), c in (terms or {}).items():
+            add_poly(self.table, (mu.coeffs, w.index, xi.coeffs), c.terms)
+
+    @classmethod
+    def of_table(cls, rs: RootSystem, table: dict) -> "GenFun":
+        """The GenFun holding table, which must follow the class invariant."""
+        f = cls.__new__(cls)
+        f.rs = rs
+        f.table = table
+        return f
+
+    @property
+    def terms(self) -> TermView:
+        elements = self.rs.weyl_elements
+        return TermView(
+            self.table,
+            lambda k: (Weight(k[0]), elements[k[1]], Coroot(k[2])),
+            lambda key: (key[0].coeffs, key[1].index, key[2].coeffs),
+        )
 
     def add_term(self, mu: Weight, x: AffineWeylElt, coeff: Laurent):
-        key = (mu, x.w, x.xi)
-        prev = self.terms.get(key)
-        new = coeff if prev is None else prev + coeff
-        if new.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
+        add_poly(self.table, (mu.coeffs, x.w.index, x.xi.coeffs), coeff.terms)
 
     def __add__(self, other: "GenFun") -> "GenFun":
-        out = GenFun(self.rs, dict(self.terms))
-        for (mu, w, xi), c in other.terms.items():
-            out.add_term(mu, AffineWeylElt(w, xi), c)
+        out = GenFun.of_table(self.rs, {k: dict(p) for k, p in self.table.items()})
+        for key, poly in other.table.items():
+            add_poly(out.table, key, poly)
         return out
 
     def scaled(self, coeff: Laurent, mu_shift: Weight, xi_shift: Coroot) -> "GenFun":
         out = GenFun(self.rs)
-        for (mu, w, xi), c in self.terms.items():
-            out.add_term(mu + mu_shift, AffineWeylElt(w, xi + xi_shift), c * coeff)
+        for (mu, w, xi), poly in self.table.items():
+            key = (tuple(map(add, mu, mu_shift.coeffs)), w, tuple(map(add, xi, xi_shift.coeffs)))
+            for e1, c1 in poly.items():
+                add_poly(out.table, key, {e1 + e2: c1 * c2 for e2, c2 in coeff.terms.items()})
         return out
 
     def truncated(self, floor: int) -> "GenFun":
-        return GenFun(
-            self.rs, {k: v.truncated(floor) for k, v in self.terms.items()}
-        )
+        """The terms with exponent >= floor."""
+        table = {}
+        for key, poly in self.table.items():
+            kept = {e: c for e, c in poly.items() if e >= floor}
+            if kept:
+                table[key] = kept
+        return GenFun.of_table(self.rs, table)
 
     def max_exponent(self) -> Optional[int]:
-        exps = [v.max_exponent() for v in self.terms.values()]
-        return max(exps) if exps else None
+        return max((max(p) for p in self.table.values()), default=None)
 
     def __eq__(self, other):
-        return isinstance(other, GenFun) and self.terms == other.terms
+        return isinstance(other, GenFun) and self.rs is other.rs and self.table == other.table
 
     def rows(self) -> list:
         """The terms as sorted rows (mu, w, xi, q_pairs) of int tuples.
@@ -156,9 +229,9 @@ class GenFun:
         pairs by increasing exponent; rows are sorted by (mu, w, xi), which
         are unique, so the sort never compares q_pairs.
         """
+        words = self.rs._json_words
         return sorted(
-            (mu.coeffs, tuple(i + 1 for i in w.word), xi.coeffs, tuple(sorted(c.terms.items())))
-            for (mu, w, xi), c in self.terms.items()
+            [(mu, words[w], xi, tuple(sorted(p.items()))) for (mu, w, xi), p in self.table.items()]
         )
 
     def to_json(self) -> list:
@@ -168,11 +241,10 @@ class GenFun:
         ]
 
     def __repr__(self):
+        elements = self.rs.weyl_elements
         body = ", ".join(
-            f"({c})*e^{mu.coeffs}*{w.word_str}*t{xi.coeffs}"
-            for (mu, w, xi), c in sorted(
-                self.terms.items(), key=lambda kv: (kv[0][0].coeffs, kv[0][1].index, kv[0][2].coeffs)
-            )
+            f"({Laurent(self.table[mu, w, xi])})*e^{mu}*{elements[w].word_str}*t{xi}"
+            for mu, w, xi in sorted(self.table)
         )
         return f"GenFun[{body}]"
 
@@ -180,8 +252,8 @@ class GenFun:
 def genfun(chain: LambdaChain, x: AffineWeylElt) -> GenFun:
     """The generating function G_Gamma(x) of one chain at x = w t_xi."""
     rs = chain.rs
-    unit = {(Weight((0,) * rs.rank), x.w, x.xi): Laurent({0: 1})}
-    return genfun_extend(chain, GenFun(rs, unit))
+    unit = {((0,) * rs.rank, x.w.index, x.xi.coeffs): {0: 1}}
+    return genfun_extend(chain, GenFun.of_table(rs, unit))
 
 
 def genfun_extend(chain: LambdaChain, f: GenFun) -> GenFun:
@@ -191,18 +263,18 @@ def genfun_extend(chain: LambdaChain, f: GenFun) -> GenFun:
     height = <lambda, xi> - e, so an end state reads back as the exponent
     -height and the weight ed(lambda) - c = mu + wt.
     """
-    rs = f.rs
+    lam = chain.lam.coeffs
     seeds: dict = {}
-    for (mu, w, xi), c in f.terms.items():
-        head = tuple(-m for m in mu.coeffs) + xi.coeffs
-        lx = rs.pair(chain.lam, xi)
+    for (mu, w, xi), poly in f.table.items():
+        head = tuple(-m for m in mu) + xi
+        lx = sum(map(mul, lam, xi))
         seed = seeds.setdefault(w, {})
-        for e, k in c.terms.items():
+        for e, k in poly.items():
             seed[head + (lx - e,)] = k
-    terms: dict = {}
+    table: dict = {}
     for (ed, wt, down, height), count in sweep_seeded(chain, seeds).items():
-        terms.setdefault((wt, ed, down), {})[-height] = count
-    return GenFun(rs, {k: Laurent(v) for k, v in terms.items()})
+        table.setdefault((wt, ed, down), {})[-height] = count
+    return GenFun.of_table(f.rs, table)
 
 
 def compose(chain1: LambdaChain, chain2: LambdaChain, x: AffineWeylElt) -> GenFun:
@@ -214,16 +286,7 @@ def genfun_equal(f: GenFun, g: GenFun, q_floor: Optional[int] = None) -> bool:
     """f == g; with q_floor, equality of the q-exponents >= q_floor only."""
     if q_floor is None:
         return f == g
-
-    def floored(h: GenFun) -> dict:
-        out = {}
-        for key, c in h.terms.items():
-            kept = {e: k for e, k in c.terms.items() if e >= q_floor}
-            if kept:
-                out[key] = kept
-        return out
-
-    return floored(f) == floored(g)
+    return f.truncated(q_floor) == g.truncated(q_floor)
 
 
 # -- partition tuples ---------------------------------------------------------
@@ -316,30 +379,37 @@ def par_groups(rs: RootSystem, lam: Weight, bound: int) -> list:
 def par_convolve(heads: dict, groups: list, q_floor: int) -> dict:
     """Shift every head by every partition group, keeping exponents >= q_floor.
 
-    heads maps keys (..., xi), whose last entry is a translation, to
-    {exponent: count}, and groups lists (iota, drop, multiplicity); the
-    result maps (..., xi + iota) -> {exponent - drop: sum of count *
-    multiplicity}, accumulated in place.
+    heads maps keys (..., xi), whose last entry is a translation as an int
+    tuple, to {exponent: count}, and groups lists (iota, drop, multiplicity)
+    with iota an int tuple of the same length; the result maps (..., xi +
+    iota) -> {exponent - drop: sum of count * multiplicity}, accumulated in
+    place, zero counts and empty entries dropped.
     """
     groups = sorted(groups, key=lambda g: g[1])
-    # xi -> [xi + iota per group], one Coroot sum per distinct translation:
-    # G's translations x.xi + down(A) take few values (3-7 for 26-247 terms
-    # in the benchmark's ghat jobs), and Coroot sums per (head, group) would
-    # be the costliest step of the loop (BENCH_ghat.json)
+    # xi -> [xi + iota per group], one sum per distinct translation: G's
+    # translations x.xi + down(A) take few values (3-7 for 26-247 terms in
+    # the benchmark's ghat jobs)
     shifted: dict = {}
     acc: dict = {}
     for key, poly in heads.items():
         rest, xi = key[:-1], key[-1]
-        if xi not in shifted:
-            shifted[xi] = [xi + iota for iota, _drop, _m in groups]
+        targets = shifted.get(xi)
+        if targets is None:
+            targets = shifted[xi] = [tuple(map(add, xi, iota)) for iota, _drop, _m in groups]
         top = max(poly)
-        for xi_iota, (_iota, drop, m) in zip(shifted[xi], groups):
+        for xi_iota, (_iota, drop, m) in zip(targets, groups):
             if top - drop < q_floor:
                 break
             out = acc.setdefault(rest + (xi_iota,), {})
             for e, c in poly.items():
                 if e - drop >= q_floor:
                     out[e - drop] = out.get(e - drop, 0) + c * m
+    for key in [k for k, p in acc.items() if 0 in p.values()]:
+        poly = {e: c for e, c in acc[key].items() if c}
+        if poly:
+            acc[key] = poly
+        else:
+            del acc[key]
     return acc
 
 
@@ -356,9 +426,8 @@ def ghat(chain: LambdaChain, x: AffineWeylElt, q_floor: int) -> GenFun:
     top = g.max_exponent()
     if top is None:
         return GenFun(rs)
-    heads = {k: c.terms for k, c in g.terms.items()}
-    acc = par_convolve(heads, par_groups(rs, chain.lam, top - q_floor), q_floor)
-    return GenFun(rs, {k: Laurent(p) for k, p in acc.items()})
+    groups = [(iota.coeffs, size, m) for iota, size, m in par_groups(rs, chain.lam, top - q_floor)]
+    return GenFun.of_table(rs, par_convolve(g.table, groups, q_floor))
 
 
 def ghat_compose(
@@ -376,18 +445,18 @@ def ghat_compose(
         raise ValueError("ghat composition needs a cancellation-free split")
     # the partition sums see the pairs (B, A) only through the terms of
     # G_{Gamma1}(G_{Gamma2}(x)): (wt, ed, translation) -> {exponent: count}
-    heads = {k: c.terms for k, c in compose(chain1, chain2, x).terms.items()}
+    heads = compose(chain1, chain2, x).table
     bound = max((max(p) for p in heads.values()), default=q_floor - 1) - q_floor
     if bound < 0:
         return GenFun(rs)
     # e(omega) only lowers exponents on nodes where mu1 >= 0
     groups2 = [
-        (iota, size + rs.pair(mu1, iota), m)
+        (iota.coeffs, size + rs.pair(mu1, iota), m)
         for iota, size, m in par_groups(rs, mu2, bound)
     ]
+    groups1 = [(iota.coeffs, size, m) for iota, size, m in par_groups(rs, mu1, bound)]
     omega = par_convolve(heads, groups2, q_floor)
-    acc = par_convolve(omega, par_groups(rs, mu1, bound), q_floor)
-    return GenFun(rs, {k: Laurent(p) for k, p in acc.items()})
+    return GenFun.of_table(rs, par_convolve(omega, groups1, q_floor))
 
 
 def weight_orbit_sum(chain: LambdaChain) -> dict:
@@ -401,11 +470,11 @@ def weight_orbit_sum(chain: LambdaChain) -> dict:
         raise ValueError("weight_orbit_sum needs a chain of positive roots")
     acc: dict = {}
     g = genfun(chain, AffineWeylElt(rs.identity, Coroot((0,) * rs.rank)))
-    for (wt, _ed, _xi), c in g.terms.items():
-        poly = acc.setdefault(wt, {})
-        for e, k in c.terms.items():
-            poly[-e] = poly.get(-e, 0) + k
-    return {k: Laurent(p) for k, p in acc.items()}
+    for (wt, _ed, _xi), poly in g.table.items():
+        out = acc.setdefault(wt, {})
+        for e, k in poly.items():
+            out[-e] = out.get(-e, 0) + k
+    return {Weight(k): Laurent(p) for k, p in acc.items()}
 
 
 def is_weyl_invariant(rs: RootSystem, f: dict) -> bool:
@@ -434,10 +503,11 @@ def _json_list(elems: list, pad: int) -> str:
 
 
 def _row_template(names: tuple, shape: tuple) -> str:
-    """The %d template of one item: shape is (number of q pairs, vector lengths)."""
-    pairs = _json_list([_json_list(["%d"] * 2, 3)] * shape[0], 2)
+    """The %d template of one item; shape is the lengths of its row's entries
+    (the vectors, then the number of q pairs)."""
+    pairs = _json_list([_json_list(["%d"] * 2, 3)] * shape[-1], 2)
     fields = ['"q": ' + pairs]
-    fields += [f'"{name}": ' + _json_list(["%d"] * n, 2) for name, n in zip(names, shape[1:])]
+    fields += [f'"{name}": ' + _json_list(["%d"] * n, 2) for name, n in zip(names, shape)]
     return "{\n  " + ",\n  ".join(fields) + "\n }"
 
 
@@ -446,17 +516,24 @@ def rows_json(rows: list, names: tuple) -> str:
 
     A row (v_1, ..., v_k, q_pairs) of int tuples stands for the item
     {"q": [[e, c], ...], names[0]: v_1, ..., names[k-1]: v_k}, as `rows()`
-    of a GenFun or a FormalChar returns it.  Rows of one shape (number of q
-    pairs, vector lengths) share one %d template, so an item costs one
-    C-level format instead of a pass of the pure-Python encoder, which
-    json.dumps takes whenever it indents.
+    of a GenFun or a FormalChar returns it.  Rows of one shape share one %d
+    template; the templates of all rows are joined into one document, which
+    one flat tuple of the rows' ints fills with a single C-level format,
+    instead of a pass of the pure-Python encoder, which json.dumps takes
+    whenever it indents.
     """
     templates: dict = {}
     items = []
-    for *vecs, q in rows:
-        shape = (len(q), *map(len, vecs))
+    values: list = []
+    put = values.extend
+    for row in rows:
+        shape = tuple(map(len, row))
         template = templates.get(shape)
         if template is None:
             template = templates[shape] = _row_template(names, shape)
-        items.append(template % tuple(itertools.chain(*q, *vecs)))
-    return _json_list(items, 0)
+        items.append(template)
+        for pair in row[-1]:
+            put(pair)
+        for vec in row[:-1]:
+            put(vec)
+    return _json_list(items, 0) % tuple(values)

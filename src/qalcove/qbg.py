@@ -177,9 +177,9 @@ def shellability_pairs(rs: RootSystem, order: Sequence[Root]):
     order has length l(v => w).  One sweep along the order (alcove.sweep_step
     on the QBG columns) from every start v at once, with states
     {(v, length): count}, counts the label-increasing paths by start, end and
-    length; each v then takes one breadth-first search.  Raises
-    label_increasing_path's RuntimeError at the first pair without exactly
-    one such path.
+    length; l(v => w) comes from the distance table, built once per root
+    system.  Raises label_increasing_path's RuntimeError at the first pair
+    without exactly one such path.
     """
     column = alcove._sweep_tables(rs)[0]
     n = len(rs.weyl_elements)
@@ -194,8 +194,9 @@ def shellability_pairs(rs: RootSystem, order: Sequence[Root]):
         for (v, l), c in ends.items():
             count[v][w] += c
             length[v][w] = l
+    distances = _distances(rs)
     for v in rs.weyl_elements:
-        dist = _bfs(rs, v.index)
+        dist = distances[v.index]
         for w in rs.weyl_elements:
             c = count[v.index][w.index]
             if c != 1:
@@ -205,8 +206,15 @@ def shellability_pairs(rs: RootSystem, order: Sequence[Root]):
 
 def shortest_stats(rs: RootSystem, v: WeylElement, w: WeylElement):
     """(l(v => w), wt(v => w)) via breadth-first search."""
-    d, acc = _bfs(rs, v.index)[w.index]
+    d, acc = _distances(rs)[v.index][w.index]
     return d, Coroot(acc)
+
+
+def _distances(rs: RootSystem) -> tuple:
+    """_bfs(rs, s) for every start s, by s: built once per root system."""
+    if rs._distances is None:
+        rs._distances = tuple(_bfs(rs, s) for s in range(len(rs.weyl_elements)))
+    return rs._distances
 
 
 def _bfs(rs: RootSystem, s: int) -> list:

@@ -226,6 +226,7 @@ class RootSystem:
         self._lock = threading.Lock()
         self._edge_table = None  # lazy QBG edge cache, owned by qalcove.qbg
         self._sweep_tables = None  # lazy index tables, owned by qalcove.alcove
+        self._distances = None  # lazy QBG distance table, owned by qalcove.qbg
 
     # -- construction ------------------------------------------------------
 
@@ -336,6 +337,8 @@ class RootSystem:
                     nxt.append(u)
             queue = nxt
         self.weyl_elements: tuple[WeylElement, ...] = tuple(elements)
+        # 1-based reduced words by element index, as element_to_json writes them
+        self._json_words = tuple(tuple(i + 1 for i in w.word) for w in elements)
         self._by_perm = by_perm
         self._reflections: dict[Root, WeylElement] = {}
         for r in self.positive_roots:
@@ -554,7 +557,7 @@ class RootSystem:
     # -- serialization helpers ----------------------------------------------
 
     def element_to_json(self, w: WeylElement) -> list[int]:
-        return [i + 1 for i in w.word]
+        return list(self._json_words[w.index])
 
     def element_from_json(self, data) -> WeylElement:
         return self.element_from_word(tuple(i - 1 for i in data))

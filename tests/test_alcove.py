@@ -347,7 +347,7 @@ def enumerated_states(chain, w):
     """The sweep's result, summed from the listed subsets."""
     acc = {}
     for a in qa.enumerate_admissible(chain, w):
-        key = (a.ed, a.wt, a.down, a.height)
+        key = (a.ed.index, a.wt.coeffs, a.down.coeffs, a.height)
         acc[key] = acc.get(key, 0) + a.sign
     return {k: v for k, v in acc.items() if v}
 

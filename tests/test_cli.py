@@ -6,7 +6,9 @@ import sys
 import pytest
 
 import qalcove as qa
+from qalcove import qbg
 from qalcove.cli import main
+from qalcove.genfun import Laurent
 
 
 def run(capsys, *argv):
@@ -110,6 +112,14 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _ = run(capsys, "suite", "all", "--workers", "2")
     assert code == 2
+    # a non-integer weight, index or translation is a usage error, not a failed check
+    for argv in (
+        ("chain", "lex", "--type", "A2", "--lambda", "a,1"),
+        ("adm", "stats", "--type", "A2", "--lambda", "1,1", "--indices", "x"),
+        ("gf", "eval", "--type", "A2", "--lambda", "1,1", "--xi", "1,q"),
+    ):
+        code, out = run(capsys, *argv)
+        assert (code, out) == (2, "")
 
 
 def test_shell_check_rank3(capsys):
@@ -117,6 +127,18 @@ def test_shell_check_rank3(capsys):
     for label in ("B3", "C3"):
         code, out = run(capsys, "qbg", "shell-check", "--type", label)
         assert (code, out) == (0, "orders=42 pairs=2304 violations=0\n")
+
+
+def test_shell_check_bfs_once_per_element(capsys, monkeypatch):
+    # the distance table is built once per root system, not once per order
+    rs = qa.build_root_system("A3")
+    monkeypatch.setattr(rs, "_distances", None)
+    calls = []
+    bfs = qbg._bfs
+    monkeypatch.setattr(qbg, "_bfs", lambda rs, s: calls.append(s) or bfs(rs, s))
+    code, out = run(capsys, "qbg", "shell-check", "--type", "A3")
+    assert (code, out) == (0, "orders=16 pairs=576 violations=0\n")
+    assert sorted(calls) == list(range(24))
 
 
 def test_adm_stats_rejects_non_subsets(capsys):
@@ -230,6 +252,24 @@ def test_chev_rhs_and_factor(capsys):
         "--lambda", "-1,1", "--w", "e", "--floor", "-5",
     )
     assert code == 0 and "holds" in out
+
+
+@pytest.mark.parametrize("fmt", ("json", "tsv"))
+def test_term_outputs_build_no_laurent(capsys, monkeypatch, fmt):
+    # G, Ghat and the character expansion go from the sweep to the output
+    # as int-keyed tables; Laurent is built only where a caller asks for it
+    built = []
+    init = Laurent.__init__
+    monkeypatch.setattr(Laurent, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    for argv in (
+        ("gf", "eval", "--type", "C2", "--lambda", "1,1", "--w", "s1", "--xi", "1,-1"),
+        ("gf", "ghat", "--type", "G2", "--lambda", "1,0", "--xi", "0,1", "--floor", "-6"),
+        ("chev", "rhs", "--type", "A2", "--mu", "1,0", "--lambda", "1,1", "--floor", "-4"),
+    ):
+        code, out = run(capsys, *argv, "--format", fmt)
+        assert code == 0 and len(json.loads(out)) > 1
+    assert built == []
+    assert str(Laurent({0: 1})) == "1" and len(built) == 1  # the patch counts
 
 
 def test_suite_all_cli(capsys):

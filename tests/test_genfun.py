@@ -320,6 +320,19 @@ def test_genfun_equal_with_floor():
     assert genfun_equal(f, f)
 
 
+def test_sums_of_different_root_systems_differ():
+    # the tables hold element indices, and an index means a different
+    # element in another root system
+    a2, c2 = qa.build_root_system("A2"), qa.build_root_system("C2")
+    f, g = GenFun(a2), GenFun(c2)
+    fc, gc = FormalChar(a2, a2.weight([0, 0])), FormalChar(c2, c2.weight([0, 0]))
+    for rs, h, hc in ((a2, f, fc), (c2, g, gc)):
+        h.add_term(rs.weight([1, 0]), x_at(rs, "s1"), Laurent.q_power(-1))
+        hc.add_symbol(rs.weight([1, 0]), x_at(rs, "s1"), Laurent.q_power(-1))
+    assert f.table == g.table and f != g
+    assert fc.table == gc.table and fc != gc
+
+
 def random_genfun(rng, rs, terms):
     f = GenFun(rs)
     for _ in range(terms):
@@ -806,6 +819,54 @@ def test_rows_json_against_json_dumps(case):
     mu = rs.weight([1] + [0] * (rs.rank - 1))
     for f in (g, ghat(chain, x, floor), rhs_chevalley(rs, mu, lam, chain, x, floor)):
         assert_rows_json(f)
+
+
+# -- differential test: Laurent sums as oracle for the term tables ------------
+
+
+@st.composite
+def term_lists(draw):
+    """A root system and (mu, w, xi, {exponent: coefficient}) terms on a few
+    shared keys, then the negatives of none, some or all of them."""
+    rs = qa.build_root_system(draw(st.sampled_from(("A1", "A2", "B3"))))
+    vec = st.lists(st.integers(-12, 12), min_size=rs.rank, max_size=rs.rank).map(tuple)
+    keys = draw(st.lists(st.tuples(vec, st.sampled_from(rs.weyl_elements), vec), min_size=1, max_size=3))
+    poly = st.dictionaries(st.integers(-15, 4), st.integers(-3, 3), max_size=3)
+    terms = draw(st.lists(st.tuples(st.sampled_from(keys), poly), max_size=6))
+    mode = draw(st.sampled_from(("none", "some", "all")))
+    undone = terms if mode == "all" else []
+    if mode == "some" and terms:
+        undone = draw(st.lists(st.sampled_from(terms), max_size=len(terms)))
+    terms = terms + [(key, {e: -c for e, c in p.items()}) for key, p in undone]
+    return rs, terms, mode
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=term_lists())
+def test_term_tables_against_laurent_sums(case):
+    rs, terms, mode = case
+    mu_param = rs.weight([1] * rs.rank)
+    f, char = GenFun(rs), FormalChar(rs, mu_param)
+    expect_f, expect_char = {}, {}
+    for (mu, w, xi), poly in terms:
+        x = AffineWeylElt(w, Coroot(xi))
+        f.add_term(rs.weight(mu), x, Laurent(poly))
+        char.add_symbol(rs.weight(mu), x, Laurent(poly))
+        key = (rs.weight(mu), w, x.xi)
+        expect_f[key] = expect_f.get(key, Laurent()) + Laurent(poly)
+        normalized = Laurent(poly).shifted(-rs.pair(mu_param, x.xi))
+        expect_char[key[:2]] = expect_char.get(key[:2], Laurent()) + normalized
+    for h, expect, rebuilt in (
+        (f, expect_f, GenFun(rs, dict(f.terms))),
+        (char, expect_char, FormalChar(rs, mu_param, dict(char.terms))),
+    ):
+        nonzero = {k: v for k, v in expect.items() if not v.is_zero()}
+        assert len(h.terms) == len(nonzero)
+        assert dict(h.terms) == nonzero
+        assert rebuilt == h
+        assert_rows_json(h)
+    if mode == "all":
+        assert not f.terms and not char.terms and f.rows() == [] and char.is_zero()
 
 
 # -- differential test: the affine walk as oracle for the integer statistics --
