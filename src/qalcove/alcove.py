@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul, sub
@@ -35,6 +36,7 @@ class LambdaChain:
     roots: tuple[Root, ...]
     levels: tuple[int, ...]
     _adm_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _step_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def tilde_levels(self) -> tuple[int, ...]:
@@ -358,17 +360,34 @@ def chain_with_segment(
 
 @dataclass(frozen=True)
 class AdmissibleSubset:
-    """A w-admissible index subset of a chain, with cached statistics."""
+    """A w-admissible index subset of a chain, with cached statistics.
+
+    vertices holds, for each index in turn, the index in rs.weyl_elements of
+    the QBG vertex the path reaches by that step; path rebuilds the
+    DirectedPath from the indices on demand.
+    """
 
     chain: LambdaChain
     w: WeylElement
     indices: tuple[int, ...]  # 1-based, increasing
-    path: qbg.DirectedPath
+    vertices: tuple[int, ...]  # vertex index after each step
     wt: Weight
     ed: WeylElement
     down: Coroot
     height: int
     n: int
+
+    @property
+    def path(self) -> qbg.DirectedPath:
+        rs = self.chain.rs
+        steps = []
+        v = self.w
+        for j in self.indices:
+            beta = self.chain.roots[j - 1]
+            edge = qbg.qbg_edge(rs, v, abs(beta))
+            steps.append(qbg.PathStep(j, beta, edge))
+            v = edge.target
+        return qbg.DirectedPath(self.w, tuple(steps))
 
     def coheight(self) -> int:
         """Sum of levels over quantum steps; defined for dominant lam, w = e."""
@@ -388,63 +407,88 @@ class AdmissibleSubset:
         return f"A{list(self.indices)}"
 
 
-def _with_statistics(
-    chain: LambdaChain, w: WeylElement, paths: Iterable[qbg.DirectedPath]
-) -> tuple[AdmissibleSubset, ...]:
-    """Each path from w along chain, as an AdmissibleSubset with its statistics.
+def _vertex_steps(chain: LambdaChain, v: int) -> tuple[list, list, tuple]:
+    """(positions, steps, v(lambda)) at the vertex of index v, built once per chain.
 
-    Uses the sweep's integer increments (see sweep_seeded): the step at j
-    from vertex v adds -l_j v(beta_j) to c, a quantum step also adds
-    |beta_j|^vee to down and sign(beta_j) l~_j to height, and n counts the
-    negative beta_j; then wt = ed(lambda) - c.
+    positions lists, increasing, the 0-based j at which QBG has the edge v ->
+    v s_|beta_j|, and steps[i] = (j, target index, increment) for j =
+    positions[i].  The increment is that of the sweep (see sweep_seeded) on
+    the flat key (c, down, height, n): -l_j v(beta_j) to c, on a quantum
+    edge |beta_j|^vee to down and sign(beta_j) l~_j to height, and 1 to n
+    when beta_j is negative.
+    """
+    got = chain._step_cache.get(v)
+    if got is None:
+        rs = chain.rs
+        column, quantum, root_wt, coroot, _ = _sweep_tables(rs)
+        element = rs.weyl_elements[v]
+        perm = element.root_perm
+        lam = chain.lam.coeffs
+        still = (0,) * (rs.rank + 1)
+        positions, steps = [], []
+        for j, (beta, l) in enumerate(zip(chain.roots, chain.levels)):
+            k, p, sign = _root_step(rs, beta)
+            t = column[p][v]
+            if t < 0:
+                continue
+            if quantum[p][v]:
+                tilde = sum(map(mul, lam, rs._coroot_vec[k])) - l
+                lift = coroot[p] + (sign * tilde,)
+            else:
+                lift = still
+            inc = tuple(-l * x for x in root_wt[perm[k]]) + lift + (int(sign < 0),)
+            positions.append(j)
+            steps.append((j, t, inc))
+        got = chain._step_cache[v] = (positions, steps, rs.act(element, chain.lam).coeffs)
+    return got
+
+
+def _subset(chain, w, indices, vertices, key, top) -> AdmissibleSubset:
+    """The subset from its steps' end vertices and flat key (c, down, height, n).
+
+    Its path ends at ed = vertices[-1] (w if there is no step), and top is
+    ed(lambda), so wt = top - c.
     """
     rs = chain.rs
-    _, _, root_wt, coroot, _ = _sweep_tables(rs)
     n = rs.rank
-    steps = [_root_step(rs, beta) for beta in chain.roots]
-    levels, tilde = chain.levels, chain.tilde_levels
-    tops: dict = {}  # ed -> ed(lambda)
-    out = []
-    for path in paths:
-        c = [0] * n
-        down = [0] * n
-        height = neg = 0
-        v = w
-        for s in path.steps:
-            j = s.index - 1
-            k, p, sign = steps[j]
-            l = levels[j]
-            if l:
-                for i, x in enumerate(root_wt[v.root_perm[k]]):
-                    c[i] -= l * x
-            if s.edge.kind == qbg.QUANTUM:
-                for i, x in enumerate(coroot[p]):
-                    down[i] += x
-                height += sign * tilde[j]
-            if sign < 0:
-                neg += 1
-            v = s.edge.target
-        top = tops.get(v)
-        if top is None:
-            top = tops[v] = rs.act(v, chain.lam).coeffs
-        wt = Weight(tuple(map(sub, top, c)))
-        out.append(
-            AdmissibleSubset(
-                chain, w, path.index_set, path, wt, v, Coroot(tuple(down)), height, neg
-            )
-        )
-    return tuple(out)
+    v = vertices[-1] if vertices else w.index
+    return AdmissibleSubset(
+        chain,
+        w,
+        indices,
+        vertices,
+        Weight(tuple(map(sub, top, key[:n]))),
+        rs.weyl_elements[v],
+        Coroot(key[n : 2 * n]),
+        key[2 * n],
+        key[2 * n + 1],
+    )
 
 
 def enumerate_admissible(
     chain: LambdaChain, w: WeylElement
 ) -> tuple[AdmissibleSubset, ...]:
-    """All w-admissible subsets with statistics, in lex order of index sets."""
+    """All w-admissible subsets with statistics, in lex order of index sets.
+
+    A depth-first search over the QBG steps of _vertex_steps: each subset
+    extends its parent's (vertex, key) by one step, and its children are
+    the steps at later positions, so a subset is listed before its
+    extensions and siblings in increasing order of their new index.  Cached
+    per w on the chain.
+    """
     cached = chain._adm_cache.get(w)
     if cached is not None:
         return cached
-    out = _with_statistics(chain, w, qbg.pi_compatible_paths(chain.rs, w, chain.roots))
-    chain._adm_cache[w] = out
+    out = []
+
+    def visit(pos, v, key, indices, vertices):
+        positions, steps, top = _vertex_steps(chain, v)
+        out.append(_subset(chain, w, indices, vertices, key, top))
+        for j, t, inc in steps[bisect_left(positions, pos) :]:
+            visit(j + 1, t, tuple(map(add, key, inc)), indices + (j + 1,), vertices + (t,))
+
+    visit(0, w.index, (0,) * (2 * chain.rs.rank + 2), (), ())
+    out = chain._adm_cache[w] = tuple(out)
     return out
 
 
@@ -617,17 +661,20 @@ def admissible_from_indices(
     chain: LambdaChain, w: WeylElement, indices: Iterable[int]
 ) -> AdmissibleSubset:
     """Build one admissible subset from a 1-based index set; errors if invalid."""
-    rs = chain.rs
-    steps = []
-    current = w
-    for j in index_subset(chain, indices):
-        beta = chain.roots[j - 1]
-        edge = qbg.qbg_edge(rs, current, abs(beta))
-        if edge is None:
+    indices = index_subset(chain, indices)
+    v = w.index
+    key = (0,) * (2 * chain.rs.rank + 2)
+    vertices = []
+    for j in indices:
+        positions, steps, _ = _vertex_steps(chain, v)
+        i = bisect_left(positions, j - 1)
+        if i == len(positions) or positions[i] != j - 1:
             raise ChainError(f"index set not admissible at position {j}")
-        steps.append(qbg.PathStep(j, beta, edge))
-        current = edge.target
-    return _with_statistics(chain, w, [qbg.DirectedPath(w, tuple(steps))])[0]
+        _, v, inc = steps[i]
+        key = tuple(map(add, key, inc))
+        vertices.append(v)
+    top = _vertex_steps(chain, v)[2]
+    return _subset(chain, w, indices, tuple(vertices), key, top)
 
 
 # -- concatenation ----------------------------------------------------------

@@ -199,6 +199,8 @@ def cmd_yb(args):
         return 0
     if args.t is None or args.q is None:
         raise CliError("need --t and --q")
+    if (args.t, args.q) not in {(t, q) for t, q, _, _ in ybmoves.find_yb_segments(chain)}:
+        raise CliError(f"--t {args.t} --q {args.q} is not a Yang-Baxter segment of the chain")
     if args.action == "apply":
         _emit(args, ybmoves.yb_transform(chain, args.t, args.q).to_json())
         return 0
@@ -220,12 +222,17 @@ def cmd_ops(args):
         print(mat.to_tsv())
         return 0
     if args.action == "yang-baxter":
-        pairs = list(qbops.yang_baxter_pairs(rs))
-        bad = sum(not qbops.check_yang_baxter(rs, a, b) for a, b in pairs)
-        print(f"pairs={len(pairs)} violations={bad}")
+        checks = list(qbops.yang_baxter_checks(rs))
+        bad = sum(not ok for _, _, ok in checks)
+        print(f"pairs={len(checks)} violations={bad}")
         return 0 if bad == 0 else 1
     if args.action == "verify-props":
-        ks = [args.k] if args.k is not None else list(range(len(rs.positive_roots) + 1))
+        if rs.rank != 2:
+            raise CliError("verify-props takes rank-2 types only")
+        q = len(rs.positive_roots)
+        if args.k is not None and not 0 <= args.k <= q:
+            raise CliError(f"--k must be within 0..{q}")
+        ks = [args.k] if args.k is not None else list(range(q + 1))
         failures = 0
         for reverse in (False, True):
             for k in ks:
@@ -236,6 +243,9 @@ def cmd_ops(args):
                 failures += not rep.passed
         return 0 if failures == 0 else 1
     # golden
+    types = sorted({item["type"] for item in qbops.load_golden_manifest()})
+    if rs.type_label not in types:
+        raise CliError(f"no golden matrices for {rs.type_label}; golden data covers {', '.join(types)}")
     results = qbops.check_golden(rs)
     for name, ok in results:
         print(f"{name}\t{'PASS' if ok else 'FAIL'}")

@@ -297,6 +297,22 @@ def check_yang_baxter(rs: RootSystem, alpha: Root, beta: Root) -> bool:
     return same_operator(rs, seg, tuple(reversed(seg)))
 
 
+def yang_baxter_checks(rs: RootSystem):
+    """(alpha, beta, check_yang_baxter(rs, alpha, beta)) for every Yang-Baxter pair.
+
+    The segment of (beta, alpha) is that of (alpha, beta) reversed, so both
+    orders compare the same two products: each unordered pair is checked
+    once, and the pairs come in yang_baxter_pairs order.
+    """
+    done: dict = {}
+    for alpha, beta in yang_baxter_pairs(rs):
+        key = frozenset((alpha, beta))
+        ok = done.get(key)
+        if ok is None:
+            ok = done[key] = check_yang_baxter(rs, alpha, beta)
+        yield alpha, beta, ok
+
+
 # -- multiplicity checks -------------------------------------------------------
 
 

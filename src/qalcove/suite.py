@@ -226,8 +226,8 @@ def criterion_yang_baxter(seed=DEFAULT_SEED):
         total = 0
         for label in ("A2", "C2", "G2"):
             rs = build_root_system(label)
-            for alpha, beta in qbops.yang_baxter_pairs(rs):
-                if not qbops.check_yang_baxter(rs, alpha, beta):
+            for alpha, beta, ok in qbops.yang_baxter_checks(rs):
+                if not ok:
                     return False, f"{label}: fails at {alpha}, {beta}"
                 total += 1
         return True, f"{total} sign patterns"

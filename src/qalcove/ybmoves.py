@@ -4,14 +4,20 @@ A Yang-Baxter transformation reverses a maximal rank-2 segment
 (alpha, s_alpha(beta), ..., s_beta(alpha), beta) of a chain.  Between the
 admissible sets of the two chains there is a sign-preserving bijection Y on
 subsets A_0 together with sign-reversing involutions I1, I2 on the
-complements; all three preserve wt, height, down and ed.  The classification
-of each element (class 1..5) is by direct path enumeration in the rank-2
-segment, with the four explicit G2 families handled by hard-coded label
-sequences cross-checked against the enumeration.
+complements; all three preserve wt, height, down and ed.
+
+The class 1..5 of an admissible subset, and its partner, depend only on the
+side, the vertex its prefix path ends at, and its segment part: the path
+from that vertex along the segment with those indices is unique.  Each
+YbContext keeps a class table on that key, filled on first use from the
+segment paths of the vertex (grouped by end and weight), with the four
+explicit G2 families handled by hard-coded label sequences; the partner of a
+subset is its index set with the segment part swapped for the table's.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -36,6 +42,7 @@ class YbContext:
     alpha: Root
     beta: Root
     _path_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _class_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def rs(self) -> RootSystem:
@@ -49,16 +56,25 @@ class YbContext:
     def pi_prime(self) -> tuple[Root, ...]:
         return self.chain2.roots[self.t : self.t + self.q]
 
-    def paths(self, v: WeylElement, primed: bool) -> dict:
-        """The segment paths from v on one side, grouped once by (end, wt)."""
+    def paths(self, v: WeylElement, primed: bool) -> tuple[list, dict]:
+        """The segment paths from v on one side, built once.
+
+        Returns ([(path, index set, (end, wt))], {(end, wt): [index sets]}),
+        index sets within the segment (1..q).
+        """
         key = (v, primed)
-        groups = self._path_cache.get(key)
-        if groups is None:
+        got = self._path_cache.get(key)
+        if got is None:
             seq = self.pi_prime if primed else self.pi
-            groups = self._path_cache[key] = {}
-            for p in qbg.pi_compatible_paths(self.rs, v, seq):
-                groups.setdefault((p.end, p.wt(self.rs)), []).append(p)
-        return groups
+            paths = [
+                (p, p.index_set, (p.end, p.wt(self.rs)))
+                for p in qbg.pi_compatible_paths(self.rs, v, seq)
+            ]
+            groups: dict = {}
+            for _, js, group in paths:
+                groups.setdefault(group, []).append(js)
+            got = self._path_cache[key] = (paths, groups)
+        return got
 
 
 def find_yb_segments(chain: LambdaChain) -> list[tuple[int, int, Root, Root]]:
@@ -205,82 +221,78 @@ def _path_from_labels(
 
 def classify_phi(a: AdmissibleSubset, ctx: YbContext, primed: bool = False) -> int:
     """The class 1..5 of the segment part of `a` (classes 3..5 are G2-only)."""
-    phi, _, _ = _classify(ctx, a, primed)
-    return phi
+    return _class_entry(ctx, a, primed)[0]
 
 
-def _segment_path(ctx: YbContext, a: AdmissibleSubset) -> tuple[WeylElement, DirectedPath]:
-    """(v, p): end of the prefix path and the segment path reindexed to 1..q."""
-    v = a.w
-    steps = []
-    for s in a.path.steps:
-        if s.index <= ctx.t:
-            v = s.edge.target
-        elif s.index <= ctx.t + ctx.q:
-            steps.append(PathStep(s.index - ctx.t, s.root, s.edge))
-    start = v
-    return start, DirectedPath(start, tuple(steps))
+def _class_entry(ctx: YbContext, a: AdmissibleSubset, primed: bool):
+    """(phi, partner index set, partner primed) of `a`, from the context's class table.
+
+    The indices up to t are the prefix, those in t+1..t+q the segment part;
+    the prefix path ends at the vertex its last step reaches (w if empty).
+    """
+    indices = a.indices
+    m = bisect_right(indices, ctx.t)
+    m2 = bisect_right(indices, ctx.t + ctx.q, m)
+    v = a.vertices[m - 1] if m else a.w.index
+    table = ctx._class_cache.get((primed, v))
+    if table is None:
+        table = ctx._class_cache[primed, v] = _classify(ctx, primed, ctx.rs.weyl_elements[v])
+    phi, partner, p_primed = table[indices[m:m2]]
+    return phi, indices[:m] + partner + indices[m2:], p_primed
 
 
-def _classify(ctx: YbContext, a: AdmissibleSubset, primed: bool):
-    """Classify one admissible subset; return (phi, partner_path, partner_primed).
+def _classify(ctx: YbContext, primed: bool, v: WeylElement) -> dict:
+    """The class table of the segment paths from v on one side.
 
-    `primed` selects the side: False for chain1 (pi is its own segment), True
-    for chain2.  The partner path is indexed within its own segment sequence.
+    Returns {segment indices: (phi, partner segment indices, partner
+    primed)}, indices absolute in each side's chain.  `primed` selects the
+    side: False for chain1 (pi is its own segment), True for chain2.
     """
     rs = ctx.rs
-    v, p = _segment_path(ctx, a)
-    own, other = (True, False) if primed else (False, True)
     pi = ctx.pi_prime if primed else ctx.pi
     pi_other = ctx.pi if primed else ctx.pi_prime
-
-    exc = _exceptional_family(rs, v, p, pi)
-    if exc is not None:
-        triple, single, own_has_triple = exc
-        labels = _path_labels(p)
-        if own_has_triple:
-            if labels == triple[1]:
-                partner = _path_from_labels(rs, v, pi_other, single)
-                return 4, partner, other
-            for i, jj in ((0, 2), (2, 0)):
-                if labels == triple[i]:
-                    partner = _path_from_labels(rs, v, pi, triple[jj])
-                    return 3, partner, own
+    paths, groups = ctx.paths(v, primed)
+    table = {}
+    for p, mine, group in paths:
+        exc = _exceptional_family(rs, v, p, pi)
+        if exc is not None:
+            phi, path, across = _exceptional_class(rs, v, p, pi, pi_other, exc)
+            partner, side = path.index_set, primed != across
         else:
-            if labels == single:
-                partner = _path_from_labels(rs, v, pi_other, triple[1])
-                return 5, partner, other
-        raise SijectionError(f"unrecognized exceptional path {labels}")
-
-    key = (p.end, p.wt(rs))
-    mine = p.index_set
-    same = [r for r in ctx.paths(v, primed).get(key, ()) if r.index_set != mine]
-    if len(same) == 1:
-        return 1, same[0], own
-    if not same:
-        others = ctx.paths(v, not primed).get(key, ())
-        if len(others) == 1:
-            return 2, others[0], other
-    raise SijectionError(
-        f"rank-2 shellability defect at v={v}, segment {p.index_set}"
-    )
+            same = [js for js in groups[group] if js != mine]
+            others = () if same else ctx.paths(v, not primed)[1].get(group, ())
+            if len(same) == 1:
+                phi, partner, side = 1, same[0], primed
+            elif len(others) == 1:
+                phi, partner, side = 2, others[0], not primed
+            else:
+                raise SijectionError(f"rank-2 shellability defect at v={v}, segment {mine}")
+        table[tuple(ctx.t + j for j in mine)] = (phi, tuple(ctx.t + j for j in partner), side)
+    return table
 
 
-def _partner_indices(
-    ctx: YbContext, a: AdmissibleSubset, partner: DirectedPath
-) -> tuple[int, ...]:
-    """a's index set with its segment part replaced by the partner path's."""
-    a1, _, a3 = alcove.split_admissible(a.indices, ctx.t, ctx.q)
-    return a1 + tuple(ctx.t + j for j in partner.index_set) + a3
+def _exceptional_class(rs, v, p, pi, pi_other, exc) -> tuple[int, DirectedPath, bool]:
+    """(phi, partner path, partner on the other side) of a path in a G2 family."""
+    triple, single, own_has_triple = exc
+    labels = _path_labels(p)
+    if own_has_triple:
+        if labels == triple[1]:
+            return 4, _path_from_labels(rs, v, pi_other, single), True
+        for i, jj in ((0, 2), (2, 0)):
+            if labels == triple[i]:
+                return 3, _path_from_labels(rs, v, pi, triple[jj]), False
+    elif labels == single:
+        return 5, _path_from_labels(rs, v, pi_other, triple[1]), True
+    raise SijectionError(f"unrecognized exceptional path {labels}")
 
 
 def _move(ctx: YbContext, a: AdmissibleSubset, allowed, primed: bool, what: str):
     """One move applied to a single subset; the partner is built from its indices."""
-    phi, partner, p_primed = _classify(ctx, a, primed)
+    phi, indices, p_primed = _class_entry(ctx, a, primed)
     if phi not in allowed:
         raise SijectionError(f"{what} is undefined on class {phi}")
     chain = ctx.chain2 if p_primed else ctx.chain1
-    return admissible_from_indices(chain, a.w, _partner_indices(ctx, a, partner))
+    return admissible_from_indices(chain, a.w, indices)
 
 
 def yb_Y(a: AdmissibleSubset, ctx: YbContext) -> AdmissibleSubset:
@@ -346,21 +358,20 @@ def _check_preserved(a, b, sign_flip: bool, what: str):
         raise SijectionError(f"{what} has the wrong sign behaviour: {a} vs {b}")
 
 
-def _assemble(ctx: YbContext, a: AdmissibleSubset, entry, listed) -> AdmissibleSubset:
-    """The partner of a under its class entry (phi, path, primed).
+def _assemble(a: AdmissibleSubset, entry, listed) -> AdmissibleSubset:
+    """The partner of a under its class entry (phi, partner indices, primed).
 
     listed = ({indices: subset} of side 1, the same of side 2); the partner
     is looked up on its own side, never rebuilt.
     """
-    _, partner, primed = entry
-    indices = _partner_indices(ctx, a, partner)
+    _, indices, primed = entry
     b = listed[primed].get(indices)
     if b is None:
         raise SijectionError(f"partner {list(indices)} of {a} is not an admissible subset")
     return b
 
 
-def _pair_up(side, classes, ctx, listed, what):
+def _pair_up(side, classes, listed, what):
     """Build involution pairs on {phi in (1,3)} and check they really pair up.
 
     side is in lex order of index sets, so each pair starts at the least
@@ -371,11 +382,11 @@ def _pair_up(side, classes, ctx, listed, what):
     for a in side:
         if a.indices not in pending:
             continue
-        b = _assemble(ctx, a, classes[a.indices], listed)
+        b = _assemble(a, classes[a.indices], listed)
         if b.indices == a.indices or b.indices not in pending:
             raise SijectionError(f"{what} pairing escaped its domain")
         _check_preserved(a, b, sign_flip=True, what=what)
-        back = _assemble(ctx, b, classes[b.indices], listed)
+        back = _assemble(b, classes[b.indices], listed)
         if classes[b.indices][0] not in (1, 3) or back.indices != a.indices:
             raise SijectionError(f"{what} is not an involution at {a}")
         pairs.append((a, b))
@@ -389,14 +400,14 @@ def build_sijection(ctx: YbContext, w: WeylElement) -> Sijection:
     side1 = alcove.enumerate_admissible(ctx.chain1, w)
     side2 = alcove.enumerate_admissible(ctx.chain2, w)
     listed = ({a.indices: a for a in side1}, {b.indices: b for b in side2})
-    classes1 = {a.indices: _classify(ctx, a, primed=False) for a in side1}
-    classes2 = {b.indices: _classify(ctx, b, primed=True) for b in side2}
+    classes1 = {a.indices: _class_entry(ctx, a, False) for a in side1}
+    classes2 = {b.indices: _class_entry(ctx, b, True) for b in side2}
 
     core = []
     for a in side1:
         entry = classes1[a.indices]
         if entry[0] in (2, 4, 5):
-            b = _assemble(ctx, a, entry, listed)
+            b = _assemble(a, entry, listed)
             _check_preserved(a, b, sign_flip=False, what="Y")
             core.append((a, b))
     image = {b.indices for _, b in core}
@@ -408,8 +419,8 @@ def build_sijection(ctx: YbContext, w: WeylElement) -> Sijection:
     if image != expected_image:
         raise SijectionError("image of Y does not match A_0(w, Gamma2)")
 
-    invol1 = _pair_up(side1, classes1, ctx, listed, what="I1")
-    invol2 = _pair_up(side2, classes2, ctx, listed, what="I2")
+    invol1 = _pair_up(side1, classes1, listed, what="I1")
+    invol2 = _pair_up(side2, classes2, listed, what="I2")
 
     signed = {}
     for a in side1:

@@ -120,6 +120,39 @@ def test_usage_errors(capsys):
     ):
         code, out = run(capsys, *argv)
         assert (code, out) == (2, "")
+    # positions that are no Yang-Baxter segment of the chain, in or out of range
+    for action in ("apply", "sijection"):
+        for t, q in (("9", "3"), ("-1", "3"), ("0", "2")):
+            argv = ("yb", action, "--type", "A2", "--lambda", "2,1", "--t", t, "--q", q)
+            assert run(capsys, *argv) == (2, "")
+    # verify-props outside rank 2 or outside 0..q
+    for argv in (
+        ("ops", "verify-props", "--type", "A3"),
+        ("ops", "verify-props", "--type", "G2", "--k", "9"),
+        ("ops", "verify-props", "--type", "G2", "--k", "-1"),
+    ):
+        assert run(capsys, *argv) == (2, "")
+
+
+def test_ops_golden_names_covered_types(capsys):
+    # a type without golden data is a usage error, not a vacuous 0/0 pass
+    for label in ("A2", "A3"):
+        code = main(["ops", "golden", "--type", label])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "golden data covers C2, G2" in captured.err
+
+
+def test_yb_invalid_chain_file_is_failed_check(tmp_path, capsys):
+    # a chain that fails validation stays a failed check, also in yb
+    rs = qa.build_root_system("A2")
+    data = qa.lex_chain(rs, rs.weight([2, 1])).to_json()
+    data["levels"] = [l + 1 for l in data["levels"]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    for action in ("apply", "sijection"):
+        argv = ("yb", action, "--type", "A2", "--chain", f"@{path}", "--t", "0", "--q", "3")
+        assert run(capsys, *argv) == (1, "")
 
 
 def test_shell_check_rank3(capsys):

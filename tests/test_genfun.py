@@ -921,3 +921,38 @@ def test_integer_statistics_every_w():
             for w in rs.weyl_elements:
                 for a in qa.enumerate_admissible(chain, w):
                     assert (a.wt, a.ed, a.down, a.height, a.n) == walk_statistics(chain, w, a.path)
+
+
+# -- differential test: QBG path listing as oracle for the integer enumerator --
+
+
+def oracle_chains(rs, coeffs):
+    """lambda_pm's lex chains concatenated in both orders, and the YB
+    transform of each at its first segment."""
+    plus, minus = qa.lambda_pm(rs.weight(coeffs))
+    lex = (qa.lex_chain(rs, plus), qa.lex_chain(rs, minus))
+    chains = [qa.concat_chains(*lex), qa.concat_chains(*reversed(lex))]
+    for chain in chains[:2]:
+        for t, q, _, _ in qa.find_yb_segments(chain)[:1]:
+            chains.append(qa.yb_transform(chain, t, q))
+    return chains
+
+
+@pytest.mark.parametrize(
+    "label, coeffs",
+    [("A2", (2, -1)), ("C2", (2, -1)), ("G2", (1, -1)), ("A3", (0, 1, -1)), ("B3", (1, 0, -1))],
+)
+def test_enumerator_against_path_listing(label, coeffs):
+    rs = qa.build_root_system(label)
+    chains = oracle_chains(rs, coeffs)
+    assert len(chains) > 2  # some YB transform is among them
+    for chain in chains:
+        assert any(not b.is_positive for b in chain.roots)
+        for w in rs.weyl_elements:
+            paths = qbg.pi_compatible_paths(rs, w, chain.roots)
+            subsets = qa.enumerate_admissible(chain, w)
+            assert [a.indices for a in subsets] == [p.index_set for p in paths]
+            for a, p in zip(subsets, paths):
+                assert (a.wt, a.ed, a.down, a.height, a.n) == walk_statistics(chain, w, p)
+                assert a.path == p
+                assert a.vertices == tuple(v.index for v in p.vertices()[1:])

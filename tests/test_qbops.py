@@ -3,6 +3,7 @@ import random
 import pytest
 
 import qalcove as qa
+from qalcove import qbops
 from qalcove.qbops import (
     QPoly,
     operator_matrix,
@@ -143,6 +144,37 @@ def test_yang_baxter_rank3(label, pairs):
     assert len(todo) == pairs
     for alpha, beta in todo:
         assert qa.check_yang_baxter(rs, alpha, beta), (alpha, beta)
+
+
+@pytest.mark.parametrize("label", ["A2", "C2", "G2", "A3", "B3", "C3"])
+def test_yang_baxter_pair_reversal(label):
+    # (beta, alpha) is a pair with (alpha, beta), and its segment is the
+    # reversed one, so both orders compare the same two products
+    rs = qa.build_root_system(label)
+    pairs = set(yang_baxter_pairs(rs))
+    for alpha, beta in pairs:
+        assert (beta, alpha) in pairs
+        seg = rs.rank2_subsystem(alpha, beta).segment
+        assert rs.rank2_subsystem(beta, alpha).segment == tuple(reversed(seg))
+
+
+def test_yang_baxter_checks_once_per_unordered_pair(monkeypatch):
+    rs = qa.build_root_system("G2")
+    pairs = list(yang_baxter_pairs(rs))
+    bad = frozenset(pairs[5])
+    calls = []
+
+    def check(rs_, alpha, beta):
+        calls.append(frozenset((alpha, beta)))
+        return frozenset((alpha, beta)) != bad
+
+    monkeypatch.setattr(qbops, "check_yang_baxter", check)
+    got = list(qbops.yang_baxter_checks(rs))
+    assert [(a, b) for a, b, _ in got] == pairs
+    assert [ok for a, b, ok in got] == [frozenset((a, b)) != bad for a, b in pairs]
+    assert len(calls) == len(set(calls)) == len(pairs) // 2
+    monkeypatch.undo()
+    assert all(ok for _, _, ok in qbops.yang_baxter_checks(rs))
 
 
 def test_sweep_endpoints_match_shellability():

@@ -2,14 +2,14 @@ import contextlib
 import hashlib
 import io
 import json
-import types
 
 import pytest
 
 import qalcove as qa
-from qalcove import ybmoves
+from qalcove import suite, ybmoves
 from qalcove.alcove import chain_with_segment
 from qalcove.cli import main
+from qalcove.qbg import PathStep
 
 
 def a2_gamma1():
@@ -220,17 +220,91 @@ def test_missing_partner_raises(monkeypatch):
     ctx = qa.make_context(g1, 0, 3)
     w = rs.element_from_word("s2")
     classify = ybmoves._classify
-    bogus = types.SimpleNamespace(index_set=(1, 1))  # never an index set
 
-    def patched(ctx_, a, primed):
-        phi, partner, p_primed = classify(ctx_, a, primed)
-        if not primed and phi == 2 and a.indices == ():
-            return phi, bogus, p_primed
-        return phi, partner, p_primed
+    def patched(ctx_, primed, v):
+        table = classify(ctx_, primed, v)
+        phi, _, p_primed = table[()]
+        if not primed and phi == 2:
+            table[()] = phi, (1, 1), p_primed  # never an index set
+        return table
 
     monkeypatch.setattr(ybmoves, "_classify", patched)
     with pytest.raises(ybmoves.SijectionError, match="not an admissible subset"):
         qa.build_sijection(ctx, w)
+
+
+def per_subset_entry(ctx, a, primed):
+    """(phi, partner index set, partner primed) of `a`, classified on its own.
+
+    Reads the prefix end and the segment path off a.path and lists the
+    segment paths afresh, sharing nothing with the context's class table.
+    """
+    rs = ctx.rs
+    v, steps = a.w, []
+    for s in a.path.steps:
+        if s.index <= ctx.t:
+            v = s.edge.target
+        elif s.index <= ctx.t + ctx.q:
+            steps.append(PathStep(s.index - ctx.t, s.root, s.edge))
+    p = qa.DirectedPath(v, tuple(steps))
+    pi, pi_other = (ctx.pi_prime, ctx.pi) if primed else (ctx.pi, ctx.pi_prime)
+    exc = ybmoves._exceptional_family(rs, v, p, pi)
+    if exc is not None:
+        triple, single, own_has_triple = exc
+        labels = tuple(s.edge.label.coeffs for s in p.steps)
+        if not own_has_triple:
+            assert labels == single
+            phi, seq, labels2, side = 5, pi_other, triple[1], not primed
+        elif labels == triple[1]:
+            phi, seq, labels2, side = 4, pi_other, single, not primed
+        else:
+            assert labels in (triple[0], triple[2])
+            other = triple[2] if labels == triple[0] else triple[0]
+            phi, seq, labels2, side = 3, pi, other, primed
+        partner = ybmoves._path_from_labels(rs, v, seq, labels2)
+    else:
+        key = (p.end, p.wt(rs))
+        same = [
+            r
+            for r in qa.pi_compatible_paths(rs, v, pi)
+            if (r.end, r.wt(rs)) == key and r.index_set != p.index_set
+        ]
+        others = [r for r in qa.pi_compatible_paths(rs, v, pi_other) if (r.end, r.wt(rs)) == key]
+        if same:
+            assert len(same) == 1
+            phi, partner, side = 1, same[0], primed
+        else:
+            assert len(others) == 1
+            phi, partner, side = 2, others[0], not primed
+    a1, _, a3 = qa.split_admissible(a.indices, ctx.t, ctx.q)
+    return phi, a1 + tuple(ctx.t + j for j in partner.index_set) + a3, side
+
+
+def test_class_table_against_per_subset_classification(monkeypatch):
+    # the criterion-7 contexts, which include both G2 exceptional ones
+    built = []
+    build = ybmoves.build_sijection
+
+    def recording(ctx, w):
+        built.append((ctx, w))
+        return build(ctx, w)
+
+    monkeypatch.setattr(ybmoves, "build_sijection", recording)
+    assert suite.criterion_sijection().passed
+    kinds = {ybmoves._pattern_kind(ctx.pi) for ctx, _ in built}
+    assert {"E13", "E24"} <= kinds
+    checked = 0
+    for ctx, w in built:
+        for primed, chain in ((False, ctx.chain1), (True, ctx.chain2)):
+            for a in qa.enumerate_admissible(chain, w):
+                expect = per_subset_entry(ctx, a, primed)
+                assert ybmoves._class_entry(ctx, a, primed) == expect, (ctx.t, w, a)
+                assert qa.classify_phi(a, ctx, primed) == expect[0]
+                checked += 1
+    # one class per (side, prefix end, segment part), shared by subsets and w
+    contexts = {id(ctx): ctx for ctx, _ in built}.values()
+    keys = sum(len(table) for ctx in contexts for table in ctx._class_cache.values())
+    assert keys < checked
 
 
 # Pinned SHA-256 of the stdout of `yb segments` and `yb sijection --format
