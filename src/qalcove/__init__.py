@@ -9,7 +9,6 @@ character expansion.
 
 from .rootsys import (
     Coroot,
-    RationalPoint,
     Root,
     RootSystem,
     RootSystemError,
@@ -23,7 +22,6 @@ from .qbg import (
     QUANTUM,
     DirectedPath,
     QbgEdge,
-    canonical_reflection_orders,
     is_reflection_order,
     label_increasing_path,
     out_edges,

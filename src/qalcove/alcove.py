@@ -2,13 +2,12 @@
 
 A lambda-chain records the walls crossed by an alcove path from the
 fundamental alcove to its translate by -lambda.  Levels are recovered by an
-exact walk of the base point nu0 = rho/h: each step reflects the current
-point across the wall of its alcove in the direction of the negated chain
-entry, so a genuine chain reproduces its own levels and a corrupted sequence
-fails the endpoint or counting check.  Every point of the walk lies in
-(1/h) times the weight lattice, so the walk carries h times the point as an
-integer vector; only straight segments between arbitrary rational points
-(straight_crossings, chain_with_segment) use Fractions.
+exact walk of the base point rho/h: each step reflects the current point
+across the wall of its alcove in the direction of the negated chain entry,
+so a genuine chain reproduces its own levels and a corrupted sequence fails
+the endpoint or counting check.  Every point x is carried as the integer
+vector d x, for one denominator d per walk: h for chain validation (rho/h
+becomes (1, ..., 1)), a multiple of h in chain_with_segment.
 """
 
 from __future__ import annotations
@@ -17,12 +16,11 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from . import qbg
-from .rootsys import Coroot, RationalPoint, Root, RootSystem, Weight, WeylElement
+from .rootsys import Coroot, Root, RootSystem, Weight, WeylElement
 
 
 class ChainError(ValueError):
@@ -88,47 +86,47 @@ class LambdaChain:
             return LambdaChain.from_json(json.load(fh), rs)
 
 
-def _walk(rs: RootSystem, ks: Sequence[int], certify: bool = False):
-    """Run the alcove walk from nu0 along rs.all_roots[k] for k in ks.
+def _walk(rs: RootSystem, ks: Sequence[int], x=None, d=None, certify: bool = False):
+    """Run the alcove walk from x/d along rs.all_roots[k] for k in ks.
 
-    Returns (levels, h x) for the endpoint x.  The walk carries h x as an
-    int tuple, h*nu0 = (1, ..., 1): at beta the pairing P = <h x, beta^vee>
-    splits as P = m h + r, the level is -m, and the reflection across the
-    wall <., beta^vee> = m sends h x to h x - r beta.  r = 0 would put x
-    on a wall.
+    x is an int tuple, d times the start point; the default is the base
+    point rho/h, x = (1, ..., 1) with d = h.  Returns (levels, d y) for the
+    endpoint y.  At beta the pairing P = <x, beta^vee> splits as P = m d + r,
+    the level is -m, and the reflection across the wall <., beta^vee> = m
+    sends x to x - r beta.  r = 0 would put the point on a wall.
     """
-    h = rs.coxeter_number
+    if x is None:
+        x, d = (1,) * rs.rank, rs.coxeter_number
     root_wt, coroot = rs._root_wt, rs._coroot_vec
-    x = (1,) * rs.rank
     levels = []
     for k in ks:
-        m, r = divmod(sum(map(mul, x, coroot[k])), h)
+        m, r = divmod(sum(map(mul, x, coroot[k])), d)
         if not r:
             raise ChainError("walk point landed on a wall; corrupt chain")
-        if certify and not _adjacency_certificate(rs, x, k, r):
+        if certify and not _adjacency_certificate(rs, x, d, k, r):
             raise ChainError("step is not certified as a facet crossing")
         x = tuple(c - r * a for c, a in zip(x, root_wt[k]))
         levels.append(-m)
     return tuple(levels), x
 
 
-def _adjacency_certificate(rs: RootSystem, x: tuple, k: int, r: int) -> bool:
-    # 2h times the midpoint of the segment from x to its mirror point across
-    # the wall of rs.all_roots[k], where <h x, beta^vee> leaves remainder r;
-    # adjacent if it avoids every other hyperplane family (sufficient, not
+def _adjacency_certificate(rs: RootSystem, x: tuple, d: int, k: int, r: int) -> bool:
+    # 2d times the midpoint of the segment from x/d to its mirror point across
+    # the wall of rs.all_roots[k], where <x, beta^vee> leaves remainder r mod
+    # d; adjacent if it avoids every other hyperplane family (sufficient, not
     # necessary)
-    h2 = 2 * rs.coxeter_number
+    d2 = 2 * d
     mid = tuple(2 * c - r * a for c, a in zip(x, rs._root_wt[k]))
     npos = len(rs.positive_roots)
     return all(
-        sum(map(mul, mid, cor)) % h2
+        sum(map(mul, mid, cor)) % d2
         for p, cor in enumerate(rs._coroot_vec[:npos])
         if p != k % npos
     )
 
 
 def _point_repr(rs: RootSystem, hx: Sequence[int]) -> str:
-    """repr(RationalPoint(x)) from h x, reducing each c/h by integer gcd."""
+    """"Point(x_1, ..., x_n)" from h x, each x_i = c/h in lowest terms."""
     h = rs.coxeter_number
     parts = []
     for c in hx:
@@ -189,8 +187,10 @@ def lex_chain(rs: RootSystem, lam: Weight) -> LambdaChain:
     Pairs (alpha, k), 0 <= k < <lam, alpha^vee>, are sorted by the rational
     vector (k, b_1, ..., b_n)/<lam, alpha^vee> (alpha = sum b_i alpha_i),
     compared as the integer vector scaled by the lcm L of the pairings.  The
-    result is validated by the walk; if the sort ever failed to produce a
-    genuine chain we fall back to the generic-segment chain.
+    result is validated by the walk; one that fails is replaced by
+    segment_chain(rs, lam), as for every C2, G2 and B3 weight tried and most
+    C3 weights.  Lex order keys by coroot coefficients, not root ones; that
+    fix (ROADMAP item 3) changes pinned outputs.
     """
     if lam.is_zero():
         return compute_levels(rs, (), lam)
@@ -212,44 +212,45 @@ def lex_chain(rs: RootSystem, lam: Weight) -> LambdaChain:
     try:
         return compute_levels(rs, roots, lam)
     except ChainError:
-        # not expected for any supported type; keep a working fallback anyway
         return segment_chain(rs, lam)
 
 
 def straight_crossings(
-    rs: RootSystem, start: RationalPoint, end: RationalPoint
+    rs: RootSystem, start: Sequence[int], end: Sequence[int], d: int
 ) -> tuple[Root, ...]:
-    """Chain entries crossed by the straight segment start -> end, in order.
+    """Chain entries crossed by the straight segment start/d -> end/d, in order.
 
-    Both endpoints must be interior points of alcoves and the segment must
-    cross hyperplanes one at a time; otherwise a ChainError asks the caller
-    to perturb.
+    start and end are int vectors, d times interior points of alcoves; a
+    segment that meets two hyperplanes at once raises ChainError, asking the
+    caller to perturb.  Crossing times (pa - k d)/(pa - pb) are compared as
+    integers scaled by the lcm of their denominators.
     """
     crossings = []
     seen = set()
-    for alpha in rs.positive_roots:
-        pa = rs.pair(start, rs.coroot(alpha))
-        pb = rs.pair(end, rs.coroot(alpha))
-        if pa.denominator == 1 or pb.denominator == 1:
+    for alpha, cor in zip(rs.positive_roots, rs._coroot_vec):
+        pa = sum(map(mul, start, cor))
+        pb = sum(map(mul, end, cor))
+        if not (pa % d and pb % d):
             raise ChainError("endpoint lies on a wall")
         if pa == pb:
             continue
-        lo, hi = min(pa, pb), max(pa, pb)
-        first = math.floor(lo) + 1
-        last = math.ceil(hi) - 1
-        for kk in range(first, last + 1):
-            t = Fraction(pa - kk, pa - pb)
+        beta = alpha if pb < pa else -alpha
+        den = abs(pa - pb)
+        for kk in range(min(pa, pb) // d + 1, max(pa, pb) // d + 1):
+            num = abs(pa - kk * d)
+            g = math.gcd(num, den)
+            t = (num // g, den // g)
             if t in seen:
                 raise ChainError("simultaneous crossings; perturb an endpoint")
             seen.add(t)
-            beta = alpha if pb < pa else -alpha
             crossings.append((t, beta))
-    crossings.sort(key=lambda x: x[0])
+    lcm = math.lcm(*(den for (_, den), _ in crossings))
+    crossings.sort(key=lambda c: c[0][0] * (lcm // c[0][1]))
     return tuple(beta for _, beta in crossings)
 
 
 def segment_chain(rs: RootSystem, lam: Weight) -> LambdaChain:
-    """A reduced lambda-chain from a generic straight segment nu0 -> nu0 - lam.
+    """A reduced lambda-chain from a generic straight segment rho/h -> rho/h - lam.
 
     Orders the separating hyperplanes by crossing time along the segment,
     tie-broken by a generic perturbation of the base point.  Works for every
@@ -307,8 +308,9 @@ def insert_pair(chain: LambdaChain, u: int, beta: Root) -> LambdaChain:
     index = rs._root_index
     _, x = _walk(rs, [index[b] for b in chain.roots[:u]])
     k = index[beta]
-    r = sum(map(mul, x, rs._coroot_vec[k])) % rs.coxeter_number
-    if not _adjacency_certificate(rs, x, k, r):
+    h = rs.coxeter_number
+    r = sum(map(mul, x, rs._coroot_vec[k])) % h
+    if not _adjacency_certificate(rs, x, h, k, r):
         raise ChainError("inserted pair is not a facet crossing here")
     roots = chain.roots[:u] + (beta, -beta) + chain.roots[u:]
     return compute_levels(chain.rs, roots, chain.lam)
@@ -320,37 +322,36 @@ def chain_with_segment(
     """A genuine lambda-chain containing the given YB segment consecutively.
 
     The segment is walked as a sweep around a vertex of the affine
-    arrangement, spliced between straight alcove paths from nu0 and back to
-    nu0 - lam.  Returns (chain, t) with the segment at positions t+1..t+q.
-    Rank-2 systems only.
+    arrangement, spliced between straight alcove paths from rho/h and back
+    to rho/h - lam, all scaled by d = h p1 p6 |det|.  Returns (chain, t)
+    with the segment at positions t+1..t+q.  Rank-2 systems only.
     """
     if rs.rank != 2:
         raise ChainError("segment hosting is implemented for rank 2")
     if lam is None:
         lam = Weight((0,) * rs.rank)
     segment = tuple(segment)
+    ks = [rs._root_index[gamma] for gamma in segment]
     c1 = rs.coroot(segment[0]).coeffs
     c6 = rs.coroot(segment[-1]).coeffs
     det = c1[0] * c6[1] - c1[1] * c6[0]
     if det == 0:
         raise ChainError("segment endpoints are proportional")
-    target = RationalPoint(
-        tuple(c - l for c, l in zip(rs.nu0.coeffs, lam.coeffs))
-    )
+    h = rs.coxeter_number
+    sign = 1 if det > 0 else -1
     for p1, p6 in ((5, 7), (7, 5), (9, 11), (11, 13), (13, 17)):
-        v1, v6 = Fraction(1, p1), Fraction(1, p6)
-        x = Fraction(v1 * c6[1] - v6 * c1[1], det)
-        y = Fraction(c1[0] * v6 - c6[0] * v1, det)
-        start = RationalPoint((x, y))
-        point = start
+        # start/d pairs to 1/p1 with c1 and 1/p6 with c6; rho/h is (e, e)/d
+        e = p1 * p6 * abs(det)
+        d = h * e
+        start = (
+            sign * h * (p6 * c6[1] - p1 * c1[1]),
+            sign * h * (p1 * c1[0] - p6 * c6[0]),
+        )
         try:
-            for gamma in segment:
-                p = rs.pair(point, rs.coroot(gamma))
-                if p.denominator == 1:
-                    raise ChainError("sweep point on a wall")
-                point = rs.affine_reflect(point, gamma, p.numerator // p.denominator)
-            prefix = straight_crossings(rs, rs.nu0, start)
-            suffix = straight_crossings(rs, point, target)
+            point = _walk(rs, ks, start, d)[1]
+            prefix = straight_crossings(rs, (e, e), start, d)
+            target = tuple(e - d * l for l in lam.coeffs)
+            suffix = straight_crossings(rs, point, target, d)
             chain = compute_levels(rs, prefix + segment + suffix, lam, certify=True)
             return chain, len(prefix)
         except ChainError:
@@ -499,24 +500,18 @@ def _sweep_tables(rs: RootSystem):
     """Integer tables of the sweep, built once per root system.
 
     Returns (column, quantum, root_wt, coroot, shift), indexed by p in
-    rs.positive_roots and then by v in rs.weyl_elements: column[p][v] is the
-    index of v s_p if QBG has the edge v -> v s_p, else -1, and quantum[p][v]
-    flags a quantum edge; root_wt[k] is rs.all_roots[k] in the
+    rs.positive_roots and then by v in rs.weyl_elements: column and quantum
+    are the graph, qbg._columns(rs); root_wt[k] is rs.all_roots[k] in the
     fundamental-weight basis and coroot[p] the coroot of rs.positive_roots[p];
     shift[p][v] is the operators' key increment (0, coroot[p]) on a quantum
     edge and None on a Bruhat one.
     """
     if rs._sweep_tables is None:
-        edges = qbg._edge_table(rs)
-        column, quantum = [], []
-        for alpha in rs.positive_roots:
-            col = [edges[(v, alpha)] for v in rs.weyl_elements]
-            column.append(tuple(e.target.index if e else -1 for e in col))
-            quantum.append(tuple(bool(e) and e.kind == qbg.QUANTUM for e in col))
+        column, quantum = qbg._columns(rs)
         coroot = rs._coroot_vec[: len(rs.positive_roots)]
         rs._sweep_tables = (
-            tuple(column),
-            tuple(quantum),
+            column,
+            quantum,
             rs._root_wt,
             coroot,
             tuple(tuple((0,) + c if q else None for q in qs) for c, qs in zip(coroot, quantum)),

@@ -154,13 +154,22 @@ def cmd_chain(args):
     # transform
     chain = _chain(rs, args)
     if args.delete is not None:
-        out = ybmoves.delete_pair(chain, args.delete)
+        # deleting a (beta, -beta) pair leaves a valid chain valid, so a
+        # ChainError here can only be a bad position
+        out = _parsed(ybmoves.delete_pair, chain, args.delete)
     else:
         if args.t is None or args.q is None:
             raise CliError("transform needs --t and --q (or --delete)")
+        _check_segment(chain, args)
         out = ybmoves.yb_transform(chain, args.t, args.q)
     _emit(args, out.to_json())
     return 0
+
+
+def _check_segment(chain, args):
+    """Usage error unless --t/--q name a Yang-Baxter segment of the chain."""
+    if (args.t, args.q) not in {(t, q) for t, q, _, _ in ybmoves.find_yb_segments(chain)}:
+        raise CliError(f"--t {args.t} --q {args.q} is not a Yang-Baxter segment of the chain")
 
 
 def cmd_adm(args):
@@ -199,8 +208,7 @@ def cmd_yb(args):
         return 0
     if args.t is None or args.q is None:
         raise CliError("need --t and --q")
-    if (args.t, args.q) not in {(t, q) for t, q, _, _ in ybmoves.find_yb_segments(chain)}:
-        raise CliError(f"--t {args.t} --q {args.q} is not a Yang-Baxter segment of the chain")
+    _check_segment(chain, args)
     if args.action == "apply":
         _emit(args, ybmoves.yb_transform(chain, args.t, args.q).to_json())
         return 0
@@ -332,8 +340,7 @@ def build_parser():
     def common(sp, lam=True, chain=True, w=False, xi=False, floor=False):
         sp.add_argument("--type", required=True, help="root-system label, e.g. A2, C2, G2")
         sp.add_argument("--rank", type=int, default=None)
-        sp.add_argument("--format", choices=("json", "tsv", "dot"), default="tsv")
-        sp.add_argument("--seed", type=int, default=suite.DEFAULT_SEED)
+        sp.add_argument("--format", choices=("json", "tsv"), default="tsv")
         if lam:
             sp.add_argument("--lambda", dest="lam", help="weight, comma-separated")
         if chain:

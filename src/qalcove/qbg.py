@@ -4,7 +4,8 @@ The graph QBG(W) has the Weyl group as vertex set and, for each positive
 root alpha, an edge v -> v*s_alpha when the length either goes up by one
 (Bruhat edge) or drops by 2<rho, alpha^vee> - 1 (quantum edge).  Directed
 paths carry the statistics end, weight (sum of coroots over quantum steps)
-and nega (number of negative labels used).
+and nega (number of negative labels used).  The graph is held once, as
+the integer tables of _columns; edges and paths are views built from them.
 """
 
 from __future__ import annotations
@@ -68,44 +69,46 @@ class DirectedPath:
     def index_set(self) -> tuple[int, ...]:
         return tuple(s.index for s in self.steps)
 
-    def labels(self) -> tuple[Root, ...]:
-        return tuple(s.edge.label for s in self.steps)
-
     def vertices(self) -> tuple[WeylElement, ...]:
         return (self.start,) + tuple(s.edge.target for s in self.steps)
 
 
-def _edge_table(rs: RootSystem):
-    with rs._lock:
-        if rs._edge_table is None:
-            table = {}
-            for v in rs.weyl_elements:
-                for alpha in rs.positive_roots:
-                    table[(v, alpha)] = _compute_edge(rs, v, alpha)
-            rs._edge_table = table
-    return rs._edge_table
+def _columns(rs: RootSystem) -> tuple[tuple, tuple]:
+    """(column, quantum) by positive root p, then by vertex index v.
+
+    column[p][v] is the index of v s_p if QBG has the edge v -> v s_p, else
+    -1, and quantum[p][v] flags a quantum edge.  Cached by
+    alcove._sweep_tables, through which every reader of the graph goes.
+    """
+    column, quantum = [], []
+    for alpha in rs.positive_roots:
+        s, drop = rs.reflection(alpha), 2 * rs.coroot(alpha).height - 1
+        ends = [(v.length, rs.mult(v, s)) for v in rs.weyl_elements]
+        column.append(tuple(t.index if t.length in (l + 1, l - drop) else -1 for l, t in ends))
+        quantum.append(tuple(t.length == l - drop for l, t in ends))
+    return tuple(column), tuple(quantum)
 
 
-def _compute_edge(rs: RootSystem, v: WeylElement, alpha: Root) -> Optional[QbgEdge]:
-    target = rs.mult(v, rs.reflection(alpha))
-    if target.length == v.length + 1:
-        return QbgEdge(v, target, alpha, BRUHAT)
-    drop = 2 * rs.coroot(alpha).height - 1
-    if target.length == v.length - drop:
-        return QbgEdge(v, target, alpha, QUANTUM)
-    return None
+def _edge(rs: RootSystem, v: WeylElement, p: int) -> Optional[QbgEdge]:
+    """The edge v -> v s_p for p indexing rs.positive_roots, as a QbgEdge view."""
+    column, quantum = alcove._sweep_tables(rs)[:2]
+    t = column[p][v.index]
+    if t < 0:
+        return None
+    kind = QUANTUM if quantum[p][v.index] else BRUHAT
+    return QbgEdge(v, rs.weyl_elements[t], rs.positive_roots[p], kind)
 
 
 def qbg_edge(rs: RootSystem, v: WeylElement, alpha: Root) -> Optional[QbgEdge]:
     """The edge v -> v s_alpha, if the Bruhat or quantum condition holds."""
     if not alpha.is_positive:
         raise ValueError("edge labels are positive roots")
-    return _edge_table(rs)[(v, alpha)]
+    return _edge(rs, v, rs._root_index[alpha])
 
 
 def out_edges(rs: RootSystem, v: WeylElement) -> list[QbgEdge]:
-    table = _edge_table(rs)
-    return [e for alpha in rs.positive_roots if (e := table[(v, alpha)])]
+    edges = (_edge(rs, v, p) for p in range(len(rs.positive_roots)))
+    return [e for e in edges if e]
 
 
 def is_reflection_order(rs: RootSystem, order: Sequence[Root]) -> bool:
@@ -137,17 +140,15 @@ def pi_compatible_paths(
 
     The empty path is included; output is in lexicographic order of index sets.
     """
-    table = _edge_table(rs)
-    labels = [abs(gamma) for gamma in pi]
+    labels = [alcove._root_step(rs, gamma)[1] for gamma in pi]
     out: list[DirectedPath] = []
 
     def rec(pos: int, current: WeylElement, steps: tuple[PathStep, ...]):
         out.append(DirectedPath(v, steps))
         for j in range(pos, len(pi)):
-            gamma = pi[j]
-            edge = table.get((current, labels[j]))
+            edge = _edge(rs, current, labels[j])
             if edge is not None:
-                rec(j + 1, edge.target, steps + (PathStep(j + 1, gamma, edge),))
+                rec(j + 1, edge.target, steps + (PathStep(j + 1, pi[j], edge),))
 
     rec(0, v, ())
     return out
@@ -236,19 +237,6 @@ def _bfs(rs: RootSystem, s: int) -> list:
                 dist[t] = (d + 1, tuple(map(add, acc, cor)) if qcol[u] else acc)
                 queue.append(t)
     return dist
-
-
-def canonical_reflection_orders(rs: RootSystem) -> list[tuple[Root, ...]]:
-    """The two reflection orders swept between the simple roots (rank <= 2)."""
-    if rs.rank == 1:
-        return [(rs.simple_root(0),)]
-    if rs.rank != 2:
-        raise ValueError("canonical orders are defined for rank <= 2")
-    a0, a1 = rs.simple_root(0), rs.simple_root(1)
-    return [
-        rs.rank2_subsystem(a0, a1).segment,
-        rs.rank2_subsystem(a1, a0).segment,
-    ]
 
 
 def reflection_orders(rs: RootSystem) -> list[tuple[Root, ...]]:

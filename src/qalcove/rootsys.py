@@ -2,9 +2,8 @@
 
 All arithmetic is exact: roots and coroots are integer vectors in the
 simple-(co)root basis and weights are integer vectors in the
-fundamental-weight basis.  The alcove walk runs on h times its points, which
-are integer vectors; RationalPoint (a vector of Fractions) remains for
-straight segments between arbitrary points.  Weyl elements carry their
+fundamental-weight basis; the alcove walk carries d times each point, an
+integer vector.  Weyl elements carry their
 ShortLex-minimal reduced word plus cached action tables; each root system
 makes exactly one instance per element, so equality and hashing are object
 identity.
@@ -16,7 +15,6 @@ import functools
 import itertools
 import threading
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Union
 
 # a_{ij} = <alpha_j, alpha_i^vee>; row i gives the pairings with alpha_i^vee.
@@ -133,22 +131,6 @@ class Weight:
         return f"Weight{self.coeffs}"
 
 
-@dataclass(frozen=True)
-class RationalPoint:
-    """An exact rational point of h*_R, in the fundamental-weight basis."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __add__(self, other: "RationalPoint") -> "RationalPoint":
-        return RationalPoint(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "RationalPoint") -> "RationalPoint":
-        return RationalPoint(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __repr__(self):
-        return "Point(" + ", ".join(str(c) for c in self.coeffs) + ")"
-
-
 class WeylElement:
     """A Weyl group element, canonicalized by its ShortLex-minimal reduced word.
 
@@ -179,7 +161,7 @@ class WeylElement:
         return self.word_str
 
 
-Actable = Union[Weight, Root, RationalPoint]
+Actable = Union[Weight, Root]
 
 
 @dataclass(frozen=True)
@@ -202,7 +184,9 @@ class RootSystem:
     """Cartan datum with enumerated roots, coroots and Weyl group.
 
     Construct via :func:`build_root_system`.  Instances are immutable after
-    construction and safe to share across threads.
+    construction but for lazy tables, which take no lock: each is built whole
+    and assigned once, so a race only builds it twice.  Only
+    build_root_system's cache is locked, so that a label has one instance.
     """
 
     def __init__(self, type_label: str, cartan: tuple[tuple[int, ...], ...]):
@@ -220,12 +204,7 @@ class RootSystem:
         self.coxeter_number = 1 + max(
             self.coroot(b).height for b in self.positive_roots
         )
-        self.nu0 = RationalPoint(
-            tuple(Fraction(1, self.coxeter_number) for _ in range(self.rank))
-        )
-        self._lock = threading.Lock()
-        self._edge_table = None  # lazy QBG edge cache, owned by qalcove.qbg
-        self._sweep_tables = None  # lazy index tables, owned by qalcove.alcove
+        self._sweep_tables = None  # lazy QBG and index tables, owned by qalcove.alcove
         self._distances = None  # lazy QBG distance table, owned by qalcove.qbg
 
     # -- construction ------------------------------------------------------
@@ -427,8 +406,8 @@ class RootSystem:
             )
         )
 
-    def pair(self, x: Union[Weight, RationalPoint], c: Coroot):
-        """Canonical pairing <x, c>; exact int (or Fraction for points)."""
+    def pair(self, x: Weight, c: Coroot) -> int:
+        """Canonical pairing <x, c>."""
         return sum(a * b for a, b in zip(x.coeffs, c.coeffs))
 
     def root_pair(self, beta: Root, c: Coroot) -> int:
@@ -478,33 +457,14 @@ class RootSystem:
         return self._by_perm[tuple(inv)]
 
     def act(self, w: WeylElement, x: Actable):
-        """Action of w on a Weight, Root or RationalPoint."""
+        """Action of w on a Weight or Root."""
         if isinstance(x, Root):
             return self.all_roots[w.root_perm[self._root_index[x]]]
-        if isinstance(x, (Weight, RationalPoint)):
-            n = self.rank
-            out = [0 * x.coeffs[0]] * n
-            for j in range(n):
-                cj = x.coeffs[j]
-                if cj:
-                    col = w.wt_cols[j]
-                    for k in range(n):
-                        out[k] += cj * col[k]
-            if isinstance(x, Weight):
-                return Weight(tuple(out))
-            return RationalPoint(tuple(Fraction(v) for v in out))
+        if isinstance(x, Weight):
+            return Weight(self._apply_cols(w.wt_cols, x.coeffs))
         raise TypeError(f"cannot act on {type(x).__name__}")
 
-    # -- affine reflections and rank-2 subsystems ----------------------------
-
-    def affine_reflect(self, x: Union[Weight, RationalPoint], alpha: Root, k):
-        """s_{alpha,k}(x) = x - (<x, alpha^vee> - k) alpha, exactly."""
-        p = self.pair(x, self.coroot(alpha)) - k
-        aw = self.root_to_weight(alpha)
-        coeffs = tuple(c - p * a for c, a in zip(x.coeffs, aw.coeffs))
-        if isinstance(x, Weight):
-            return Weight(tuple(int(c) for c in coeffs))
-        return RationalPoint(tuple(Fraction(c) for c in coeffs))
+    # -- rank-2 subsystems ----------------------------------------------------
 
     def rank2_subsystem(self, alpha: Root, beta: Root) -> Rank2Segment:
         """Ordered YB segment (alpha, s_alpha(beta), ..., s_beta(alpha), beta).

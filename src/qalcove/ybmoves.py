@@ -128,7 +128,7 @@ def yb_transform(chain: LambdaChain, t: int, q: int) -> LambdaChain:
 def delete_pair(chain: LambdaChain, u: int) -> LambdaChain:
     """Delete the segment (beta, -beta) at 1-based positions u+1, u+2."""
     if not 0 <= u <= len(chain) - 2 or chain.roots[u + 1] != -chain.roots[u]:
-        raise alcove.ChainError("positions u+1, u+2 are not a (beta, -beta) pair")
+        raise alcove.ChainError(f"positions {u + 1}, {u + 2} are not a (beta, -beta) pair")
     roots = chain.roots[: u] + chain.roots[u + 2 :]
     return alcove.compute_levels(chain.rs, roots, chain.lam)
 

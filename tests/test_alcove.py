@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 import qalcove as qa
 from qalcove.alcove import (
     ChainError,
+    _walk,
     admissible_support,
     chain_with_segment,
     report_tsv,
@@ -39,11 +41,20 @@ def reflect_oracle(rs, point, beta):
     return -m, [c - (p - m) * a for c, a in zip(point, bw)]
 
 
+def base_point(rs):
+    """rho/h in Fractions."""
+    return [Fraction(1, rs.coxeter_number)] * rs.rank
+
+
+def point_repr(point):
+    return "Point(" + ", ".join(str(Fraction(c)) for c in point) + ")"
+
+
 def walk_oracle(rs, roots, lam, certify=False):
-    """Independent level computation: reflect the base point nu0 = rho/h step
-    by step in Fractions; raises compute_levels' ChainError, with its message,
+    """Independent level computation: reflect the base point rho/h step by
+    step in Fractions; raises compute_levels' ChainError, with its message,
     where the sequence is no lambda-chain."""
-    point = list(rs.nu0.coeffs)
+    point = base_point(rs)
     levels = []
     for beta in roots:
         if Fraction(_pair(point, rs, beta)).denominator == 1:
@@ -52,10 +63,11 @@ def walk_oracle(rs, roots, lam, certify=False):
             raise ChainError("step is not certified as a facet crossing")
         level, point = reflect_oracle(rs, point, beta)
         levels.append(level)
-    end = qa.RationalPoint(tuple(Fraction(c) for c in point))
-    target = qa.RationalPoint(tuple(c - l for c, l in zip(rs.nu0.coeffs, lam.coeffs)))
-    if end != target:
-        raise ChainError(f"walk ends at {end}, expected {target}: not a {lam}-chain")
+    target = [c - l for c, l in zip(base_point(rs), lam.coeffs)]
+    if point != target:
+        raise ChainError(
+            f"walk ends at {point_repr(point)}, expected {point_repr(target)}: not a {lam}-chain"
+        )
     for alpha in rs.positive_roots:
         if roots.count(alpha) - roots.count(-alpha) != rs.pair(lam, rs.coroot(alpha)):
             raise ChainError(f"counting fact fails at root {alpha}")
@@ -65,7 +77,7 @@ def walk_oracle(rs, roots, lam, certify=False):
 def insert_oracle(chain, u, beta):
     """insert_pair's levels from the Fraction walk and certificate."""
     rs = chain.rs
-    point = list(rs.nu0.coeffs)
+    point = base_point(rs)
     for gamma in chain.roots[:u]:
         _, point = reflect_oracle(rs, point, gamma)
     if not certificate_oracle(rs, point, beta):
@@ -74,7 +86,8 @@ def insert_oracle(chain, u, beta):
 
 
 def outcome(fn, *args, **kw):
-    """Levels of the chain fn returns, or the message of its ChainError."""
+    """Levels of the chain fn returns (or the tuple it returns), or the
+    message of its ChainError."""
     try:
         got = fn(*args, **kw)
     except ChainError as exc:
@@ -321,18 +334,150 @@ def test_chain_with_segment_hosts():
 def test_straight_crossings_match_segment_chain():
     rs = qa.build_root_system("A2")
     lam = rs.weight([2, 1])
-    from qalcove.rootsys import RationalPoint
-
-    target = RationalPoint(
-        tuple(c - l for c, l in zip(rs.nu0.coeffs, lam.coeffs))
-    )
-    roots = straight_crossings(rs, rs.nu0, target)
+    h = rs.coxeter_number
+    # from rho/h to rho/h - lam, both scaled by d = h
+    target = tuple(1 - h * l for l in lam.coeffs)
+    roots = straight_crossings(rs, (1, 1), target, h)
     chain = qa.compute_levels(rs, roots, lam)
     assert qa.is_reduced(chain)
     # the symmetric weight rho does tie; the caller is asked to perturb
-    sym = RationalPoint(tuple(c - 1 for c in rs.nu0.coeffs))
-    with pytest.raises(ChainError):
-        straight_crossings(rs, rs.nu0, sym)
+    with pytest.raises(ChainError, match="simultaneous"):
+        straight_crossings(rs, (1, 1), (1 - h, 1 - h), h)
+    with pytest.raises(ChainError, match="wall"):
+        straight_crossings(rs, (1, 1), (h, 1), h)
+
+
+def crossings_oracle(rs, start, end):
+    """straight_crossings on Fraction points: crossing times as Fractions."""
+    crossings = []
+    seen = set()
+    for alpha in rs.positive_roots:
+        pa, pb = Fraction(_pair(start, rs, alpha)), Fraction(_pair(end, rs, alpha))
+        if pa.denominator == 1 or pb.denominator == 1:
+            raise ChainError("endpoint lies on a wall")
+        if pa == pb:
+            continue
+        lo, hi = min(pa, pb), max(pa, pb)
+        for kk in range(math.floor(lo) + 1, math.ceil(hi)):
+            t = (pa - kk) / (pa - pb)
+            if t in seen:
+                raise ChainError("simultaneous crossings; perturb an endpoint")
+            seen.add(t)
+            crossings.append((t, alpha if pb < pa else -alpha))
+    crossings.sort(key=lambda c: c[0])
+    return tuple(beta for _, beta in crossings)
+
+
+def hosting_oracle(rs, segment, lam):
+    """chain_with_segment on Fraction points: (roots, levels, t), or the
+    message of its ChainError.  The sweep and the straight pieces run in
+    Fractions; the hosted sequence is validated by compute_levels, which
+    the tests above check against the Fraction walk."""
+    c1, c6 = rs.coroot(segment[0]).coeffs, rs.coroot(segment[-1]).coeffs
+    det = c1[0] * c6[1] - c1[1] * c6[0]
+    for p1, p6 in ((5, 7), (7, 5), (9, 11), (11, 13), (13, 17)):
+        v1, v6 = Fraction(1, p1), Fraction(1, p6)
+        start = [(v1 * c6[1] - v6 * c1[1]) / det, (c1[0] * v6 - c6[0] * v1) / det]
+        point = start
+        try:
+            for gamma in segment:
+                if Fraction(_pair(point, rs, gamma)).denominator == 1:
+                    raise ChainError("sweep point on a wall")
+                point = reflect_oracle(rs, point, gamma)[1]
+            prefix = crossings_oracle(rs, base_point(rs), start)
+            target = [c - l for c, l in zip(base_point(rs), lam.coeffs)]
+            roots = prefix + segment + crossings_oracle(rs, point, target)
+            return roots, qa.compute_levels(rs, roots, lam, certify=True).levels, len(prefix)
+        except ChainError:
+            continue
+    return "ChainError: could not host the segment in a genuine chain"
+
+
+def test_hosting_matches_fraction_oracle():
+    # every Yang-Baxter segment of the rank-2 types, at three weights; both
+    # outcomes occur
+    from qalcove.qbops import yang_baxter_pairs
+
+    kinds = set()
+    for label in ("A2", "C2", "G2"):
+        rs = qa.build_root_system(label)
+        for alpha, beta in yang_baxter_pairs(rs):
+            seg = rs.rank2_subsystem(alpha, beta).segment
+            for coeffs in ((0, 0), (1, 0), (-1, 2)):
+                lam = rs.weight(coeffs)
+                want = hosting_oracle(rs, seg, lam)
+                try:
+                    chain, t = chain_with_segment(rs, seg, lam)
+                    got = chain.roots, chain.levels, t
+                except ChainError as exc:
+                    got = "ChainError: " + str(exc)
+                assert got == want
+                kinds.add(isinstance(want, str))
+    assert kinds == {False, True}
+
+
+def test_straight_crossings_match_fraction_oracle():
+    # random integer endpoints and denominators: crossings, walls and ties
+    rng = random.Random(5)
+    kinds = set()
+    for label in ("A2", "C2", "G2"):
+        rs = qa.build_root_system(label)
+        for _ in range(300):
+            d = rng.randint(1, 12)
+            start, end = ([rng.randint(-4 * d, 4 * d) for _ in range(2)] for _ in range(2))
+            want = outcome(crossings_oracle, rs, [Fraction(c, d) for c in start],
+                              [Fraction(c, d) for c in end])
+            assert outcome(straight_crossings, rs, start, end, d) == want
+            kinds.add(want if isinstance(want, str) else "ok")
+    assert len(kinds) == 3
+
+
+def test_walk_step_and_back():
+    # a step along beta and back along -beta returns to the start, from any
+    # interior point; the step from rho/h across a linear wall is s_beta
+    rng = random.Random(3)
+    for label in ("A2", "C2", "G2", "B3"):
+        rs = qa.build_root_system(label)
+        h = rs.coxeter_number
+        for k, beta in enumerate(rs.all_roots):
+            back = rs._root_index[-beta]
+            if beta.is_positive:
+                levels, x = _walk(rs, [k])
+                assert levels == (0,) and x == rs.act(rs.reflection(beta), rs.rho).coeffs
+            d = h * rng.randint(1, 30)
+            start = tuple(rng.randint(-3 * d, 3 * d) for _ in range(rs.rank))
+            try:
+                levels, x = _walk(rs, [k, back], start, d)
+            except ChainError:
+                # the start lies on a wall of beta
+                assert _pair(start, rs, beta) % d == 0
+                continue
+            assert x == start and levels[0] == -levels[1]
+            mid = _walk(rs, [k], start, d)[1]
+            want = reflect_oracle(rs, [Fraction(c, d) for c in start], beta)[1]
+            assert [Fraction(c, d) for c in mid] == want
+    # a walk scaled by any multiple of h, certified or not, is the walk from
+    # rho/h: the same levels and verdicts, the end scaled; both verdicts occur
+    g2 = qa.build_root_system("G2")
+    h = g2.coxeter_number
+    ks = [g2._root_index[b] for b in qa.lex_chain(g2, g2.weight([2, 1])).roots]
+    verdicts = set()
+    for certify in (False, True):
+        for u in range(len(ks)):
+            seq = ks[:u] + ks[-1:]
+            want = outcome(_walk, g2, seq, certify=certify)
+            verdicts.add(isinstance(want, str))
+            for e in (2, 35):
+                got = outcome(_walk, g2, seq, (e, e), h * e, certify=certify)
+                if isinstance(want, str):
+                    assert got == want
+                else:
+                    assert got == (want[0], tuple(e * c for c in want[1]))
+    assert verdicts == {False, True}
+    # a start on a wall raises
+    a2 = qa.build_root_system("A2")
+    with pytest.raises(ChainError, match="wall"):
+        _walk(a2, [a2._root_index[a2.simple_root(0)]], (0, 1), 3)
 
 
 def test_enumerate_admissible_cache_is_immutable():
@@ -491,23 +636,27 @@ def test_insert_position_out_of_range():
 
 
 def test_validation_uses_integers_only(monkeypatch):
-    """Chain construction builds neither QBG nor a Fraction, nor reads nu0."""
-    import qalcove.alcove as alcove_mod
+    """Chain construction, hosting and straight crossings build neither QBG
+    nor a Fraction."""
     from qalcove.rootsys import _CARTAN
 
-    def no_fraction(*args):
-        raise AssertionError("Fraction built during chain validation")
+    def no_fraction(cls, *args, **kw):
+        raise AssertionError("Fraction built during chain construction")
 
-    monkeypatch.setattr(alcove_mod, "Fraction", no_fraction)
+    monkeypatch.setattr(Fraction, "__new__", no_fraction)
+    with pytest.raises(AssertionError):
+        Fraction(1, 2)
     for label in ("A2", "C2", "G2", "B3"):
         rs = qa.root_system_from_cartan(_CARTAN[label], label)
-        rs.nu0 = None
         n = rs.rank
         chains = [
             qa.lex_chain(rs, rs.weight((1,) * n)),
             qa.lex_chain(rs, rs.weight((-2,) + (0,) * (n - 1))),
             qa.segment_chain(rs, rs.weight((1, -1) + (0,) * (n - 2))),
         ]
+        if n == 2:
+            seg = rs.rank2_subsystem(rs.simple_root(0), rs.simple_root(1)).segment
+            chains.append(chain_with_segment(rs, seg, rs.weight((1, 1)))[0])
         for chain in chains:
             qa.compute_levels(rs, chain.roots, chain.lam)
             for u in range(len(chain) + 1):
@@ -515,7 +664,7 @@ def test_validation_uses_integers_only(monkeypatch):
                     qa.insert_pair(chain, u, rs.positive_roots[-1])
                 except ChainError:
                     pass
-        assert rs._edge_table is None and rs._sweep_tables is None
+        assert rs._sweep_tables is None
 
 
 def test_admissible_from_indices_rejects_non_subsets():

@@ -125,6 +125,16 @@ def test_usage_errors(capsys):
         for t, q in (("9", "3"), ("-1", "3"), ("0", "2")):
             argv = ("yb", action, "--type", "A2", "--lambda", "2,1", "--t", t, "--q", q)
             assert run(capsys, *argv) == (2, "")
+    # chain transform at positions that hold no segment or no (beta, -beta) pair
+    for extra in (("--t", "9", "--q", "3"), ("--t", "0", "--q", "2"), ("--delete", "7")):
+        argv = ("chain", "transform", "--type", "A2", "--lambda", "2,1") + extra
+        assert run(capsys, *argv) == (2, "")
+    # --seed belongs to suite only, and --format has no dot choice
+    for argv in (
+        ("gf", "eval", "--type", "A2", "--lambda", "1,0", "--seed", "99"),
+        ("qbg", "export", "--type", "A2", "--format", "dot"),
+    ):
+        assert run(capsys, *argv) == (2, "")
     # verify-props outside rank 2 or outside 0..q
     for argv in (
         ("ops", "verify-props", "--type", "A3"),
@@ -207,6 +217,9 @@ def test_corrupt_chain_fails_validation(tmp_path, capsys):
     path.write_text(json.dumps(data))
     code, _ = run(capsys, "chain", "validate", "--type", "A2", "--chain", str(path))
     assert code == 1
+    # a transform of a chain file that fails validation is a failed check too
+    code, _ = run(capsys, "chain", "transform", "--type", "A2", "--chain", str(path), "--delete", "0")
+    assert code == 1
 
 
 def test_deterministic_reports(capsys):
@@ -239,11 +252,19 @@ def test_chain_transform_and_delete(tmp_path, capsys):
         capsys, "chain", "validate", "--type", "A2", "--chain", str(chain_file)
     )
     assert code == 0 and "reduced" in out
-    # insert + delete round trip via library, transform via CLI
     code, out = run(
         capsys, "yb", "segments", "--type", "A2", "--chain", str(chain_file)
     )
     assert code == 0
+    # insert via the library, delete via the CLI: the round trip is the chain
+    rs = qa.build_root_system("A2")
+    chain = qa.LambdaChain.load(str(chain_file))
+    inserted = qa.insert_pair(chain, 1, rs.highest_root)
+    chain_file.write_text(json.dumps(inserted.to_json()))
+    code, out = run(
+        capsys, "chain", "transform", "--type", "A2", "--chain", str(chain_file), "--delete", "1"
+    )
+    assert code == 0 and json.loads(out) == chain.to_json()
 
 
 def test_gf_compare_and_compose(tmp_path, capsys):

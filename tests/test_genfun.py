@@ -889,8 +889,14 @@ def walk_statistics(chain, w, path):
             height += s.root.sign * chain._tilde(s.index - 1)
     x = -chain.lam
     for s in reversed(path.steps):
-        x = rs.affine_reflect(x, s.root, -chain.levels[s.index - 1])
+        x = affine_reflect(rs, x, s.root, -chain.levels[s.index - 1])
     return -rs.act(w, x), path.end, down, height, n
+
+
+def affine_reflect(rs, x, alpha, k):
+    """s_{alpha,k}(x) = x - (<x, alpha^vee> - k) alpha for a weight x."""
+    p = rs.pair(x, rs.coroot(alpha)) - k
+    return x - qa.Weight(tuple(p * a for a in rs.root_to_weight(alpha).coeffs))
 
 
 @settings(max_examples=40, deadline=None)

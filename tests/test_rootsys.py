@@ -2,7 +2,7 @@ import pytest
 from fractions import Fraction
 
 import qalcove as qa
-from qalcove.rootsys import Coroot, RationalPoint, Root, RootSystemError
+from qalcove.rootsys import Root, RootSystemError
 
 
 def test_standard_data():
@@ -120,28 +120,13 @@ def test_inverse_roundtrip():
         assert rs.mult(rs.inverse(w), w) == rs.identity
 
 
-def test_affine_reflect():
-    a2 = qa.build_root_system("A2")
-    alpha = a2.simple_root(0)
-    nu = a2.nu0
-    # k = 0 is the linear reflection
-    assert a2.affine_reflect(nu, alpha, 0) == a2.act(a2.simple_reflection(0), nu)
-    # involution
-    img = a2.affine_reflect(nu, alpha, 2)
-    assert a2.affine_reflect(img, alpha, 2) == nu
-    # fixed point on the hyperplane
-    a1 = qa.build_root_system("A1")
-    w = RationalPoint((Fraction(1),))
-    assert a1.affine_reflect(w, a1.simple_root(0), 1) == w
-
-
 def test_base_point_interior():
     # strictly between consecutive integers for every positive coroot
     for label in ("A1", "A1xA1", "A2", "C2", "G2", "A3", "B3", "C3"):
         rs = qa.build_root_system(label)
         for alpha in rs.positive_roots:
-            p = rs.pair(rs.nu0, rs.coroot(alpha))
-            assert 0 < p < 1
+            # <rho/h, alpha^vee> in (0, 1), scaled by h
+            assert 0 < rs.pair(rs.rho, rs.coroot(alpha)) < rs.coxeter_number
 
 
 def test_rank2_segments():
