@@ -8,6 +8,7 @@ fundamental / simple-coroot bases; Weyl elements are words like s1s2s1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -16,7 +17,7 @@ import traceback
 
 from . import alcove, qbg, qbops, suite, ybmoves
 from .charident import rhs_chevalley, verify_factorization, verify_vanishing
-from .genfun import AffineWeylElt, compose, genfun, genfun_equal, ghat, rows_json
+from .genfun import AffineWeylElt, compose, genfun, genfun_equal, ghat, table_json
 from .rootsys import Coroot, RootSystemError, build_root_system
 
 
@@ -98,11 +99,11 @@ def _emit_terms(args, f):
     """Print a GenFun or FormalChar f as _emit(args, f.to_json()) would.
 
     Under --format json the indented JSON is written straight from f's
-    sorted rows, without building the items or running the pure-Python
+    term table, without building the items or running the pure-Python
     indenting encoder.
     """
     if args.format == "json":
-        _write(args, rows_json(f.rows(), f.ROW_NAMES))
+        _write(args, table_json(f.table, f.rs._json_words, f.ROW_NAMES))
     else:
         _write(args, json.dumps(f.to_json()))
 
@@ -145,6 +146,7 @@ def cmd_chain(args):
         _emit(args, alcove.lex_chain(rs, _lex_weight(rs, args.lam)).to_json())
         return 0
     if args.action == "validate":
+        _text_only(args)
         chain = _chain(rs, args)
         kind = "reduced" if alcove.is_reduced(chain) else (
             "weakly-reduced" if alcove.is_weakly_reduced(chain) else "generic"
@@ -164,6 +166,12 @@ def cmd_chain(args):
         out = ybmoves.yb_transform(chain, args.t, args.q)
     _emit(args, out.to_json())
     return 0
+
+
+def _text_only(args):
+    """Usage error for --format json on an action that prints text only."""
+    if args.format == "json":
+        raise CliError(f"{args.command} {args.action} has no JSON output")
 
 
 def _check_segment(chain, args):
@@ -295,8 +303,11 @@ def cmd_chev(args):
         chain = _chain(rs, args)
         _emit_terms(args, rhs_chevalley(rs, mu, lam, chain, x, floor))
         return 0
+    _text_only(args)
     if args.action == "vanish":
         lam = _lex_weight(rs, args.lam)
+        if not lam.is_antidominant or lam.is_zero():
+            raise CliError("chev vanish needs an antidominant nonzero --lambda")
         chain = alcove.lex_chain(rs, lam)
         rows = ["case\tresult\tmax_abs_qexp\tseconds"]
         all_ok = True
@@ -334,13 +345,15 @@ def cmd_suite(args):
 
 
 def build_parser():
+    """The argument parser; main builds it once per process (`_parser`)."""
     p = argparse.ArgumentParser(prog="qalcove", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, lam=True, chain=True, w=False, xi=False, floor=False):
+    def common(sp, lam=True, chain=True, w=False, xi=False, floor=False, fmt=True):
         sp.add_argument("--type", required=True, help="root-system label, e.g. A2, C2, G2")
         sp.add_argument("--rank", type=int, default=None)
-        sp.add_argument("--format", choices=("json", "tsv"), default="tsv")
+        if fmt:
+            sp.add_argument("--format", choices=("json", "tsv"), default="tsv")
         if lam:
             sp.add_argument("--lambda", dest="lam", help="weight, comma-separated")
         if chain:
@@ -354,7 +367,7 @@ def build_parser():
 
     sp = sub.add_parser("qbg", help="graph export and shellability check")
     sp.add_argument("action", choices=("export", "shell-check"))
-    common(sp, lam=False, chain=False)
+    common(sp, lam=False, chain=False, fmt=False)
     sp.set_defaults(fn=cmd_qbg)
 
     sp = sub.add_parser("chain", help="lex chains, validation, transforms")
@@ -380,7 +393,7 @@ def build_parser():
 
     sp = sub.add_parser("ops", help="operator matrices and their laws")
     sp.add_argument("action", choices=("matrix", "yang-baxter", "verify-props", "golden"))
-    common(sp, lam=False, chain=False)
+    common(sp, lam=False, chain=False, fmt=False)
     sp.add_argument("--seq", help="semicolon-separated signed root coefficient vectors, application order")
     sp.add_argument("--k", type=int, default=None)
     sp.set_defaults(fn=cmd_ops)
@@ -406,6 +419,10 @@ def build_parser():
     return p
 
 
+# built at the first main call, not at import, and reused by later calls
+_parser = functools.cache(build_parser)
+
+
 def _merge_negative_values(argv):
     """Turn '--lambda -2,1' into '--lambda=-2,1' so argparse accepts it."""
     flags = {"--lambda", "--mu", "--xi"}
@@ -423,7 +440,7 @@ def _merge_negative_values(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
     try:

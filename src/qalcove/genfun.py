@@ -14,8 +14,9 @@ chi enters only through (iota(chi), |chi|), so the sum runs over those groups
 composition for the hatted composition, in place when it lies above the
 floor; the character expansions in `charident` use it too.  All of these
 work on int-keyed term tables (see GenFun), from the sweep's end states to
-the JSON writer `rows_json`; `Laurent` and the key objects are built only
-where a caller reads `.terms`.
+the JSON writer `table_json`, which renders each distinct vector, word and
+q-polynomial once; `Laurent` and the key objects are built only where a
+caller reads `.terms`.
 """
 
 from __future__ import annotations
@@ -502,38 +503,46 @@ def _json_list(elems: list, pad: int) -> str:
     return "[" + sep + ("," + sep).join(elems) + "\n" + " " * pad + "]"
 
 
-def _row_template(names: tuple, shape: tuple) -> str:
-    """The %d template of one item; shape is the lengths of its row's entries
-    (the vectors, then the number of q pairs)."""
-    pairs = _json_list([_json_list(["%d"] * 2, 3)] * shape[-1], 2)
-    fields = ['"q": ' + pairs]
-    fields += [f'"{name}": ' + _json_list(["%d"] * n, 2) for name, n in zip(names, shape)]
-    return "{\n  " + ",\n  ".join(fields) + "\n }"
+# one (exponent, count) pair of an item's "q" list, after its separator
+_PAIR = "\n   [\n    %d,\n    %d\n   ]"
 
 
-def rows_json(rows: list, names: tuple) -> str:
-    """json.dumps(items, indent=1), byte for byte, written from sorted rows.
+def table_json(table: dict, words: tuple, names: tuple) -> str:
+    """json.dumps(f.to_json(), indent=1), byte for byte, written from f.table.
 
-    A row (v_1, ..., v_k, q_pairs) of int tuples stands for the item
-    {"q": [[e, c], ...], names[0]: v_1, ..., names[k-1]: v_k}, as `rows()`
-    of a GenFun or a FormalChar returns it.  Rows of one shape share one %d
-    template; the templates of all rows are joined into one document, which
-    one flat tuple of the rows' ints fills with a single C-level format,
-    instead of a pass of the pure-Python encoder, which json.dumps takes
-    whenever it indents.
+    table is the int-keyed term table of a GenFun or a FormalChar, {(v_1,
+    w, ...): {exponent: count}} with w an index into words (the 1-based
+    reduced words), and names names the item's vectors after "q", as
+    ROW_NAMES does.  The keys are sorted once by (v_1, word, ...); each
+    distinct vector, word and q-polynomial is rendered once, as a fragment
+    cached with its field label, and every item is a run of shared fragment
+    references, joined at the end.  This avoids json.dumps, which takes its
+    pure-Python encoder whenever it indents, and builds no Laurent, Weight
+    or Coroot.
     """
-    templates: dict = {}
-    items = []
-    values: list = []
-    put = values.extend
-    for row in rows:
-        shape = tuple(map(len, row))
-        template = templates.get(shape)
-        if template is None:
-            template = templates[shape] = _row_template(names, shape)
-        items.append(template)
-        for pair in row[-1]:
-            put(pair)
-        for vec in row[:-1]:
-            put(vec)
-    return _json_list(items, 0) % tuple(values)
+    if not table:
+        return "[]"
+    # per key position: its cache of rendered fragments and their label; the
+    # last one also closes the item
+    labels = [f',\n  "{name}": ' for name in names]
+    closing = [""] * (len(names) - 1) + ["\n }"]
+    caches: list = [{} for _ in names]
+    polys: dict = {}
+    parts: list = []
+    put = parts.append
+    for key in sorted(table, key=lambda k: (k[0], words[k[1]], k[2:])):
+        pairs = tuple(table[key].items())
+        frag = polys.get(pairs)
+        if frag is None:
+            rendered = ",".join([_PAIR % pair for pair in sorted(pairs)])
+            frag = polys[pairs] = ',\n {\n  "q": [' + rendered + "\n  ]"
+        put(frag)
+        for i, v in enumerate(key):
+            cache = caches[i]
+            frag = cache.get(v)
+            if frag is None:
+                vec = words[v] if i == 1 else v
+                frag = cache[v] = labels[i] + _json_list(list(map(str, vec)), 2) + closing[i]
+            put(frag)
+    parts[0] = parts[0][2:]  # no separator before the first item
+    return "[\n" + "".join(parts) + "\n]"

@@ -201,6 +201,53 @@ def test_chev_vanish_mixed_sign_is_usage_error(capsys):
     assert "usage error: lex chains need a dominant or antidominant weight" in captured.err
 
 
+def test_chev_vanish_dominant_or_zero_is_usage_error(capsys):
+    # the vanishing sums are defined for antidominant nonzero lambda only
+    for lam in ("1,1", "0,0"):
+        code = main(["chev", "vanish", "--type", "C2", "--lambda", lam])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "usage error: chev vanish needs an antidominant nonzero --lambda" in captured.err
+
+
+def test_format_only_where_read(capsys):
+    # qbg and ops print text only and take no --format
+    for argv in (
+        ("qbg", "export", "--type", "A1", "--format", "json"),
+        ("ops", "yang-baxter", "--type", "A2", "--format", "json"),
+        ("ops", "golden", "--type", "C2", "--format", "tsv"),
+    ):
+        assert run(capsys, *argv) == (2, "")
+    # chain validate and chev vanish|factor take --format tsv but not json
+    validate = ("chain", "validate", "--type", "A2", "--lambda", "1,1")
+    vanish = ("chev", "vanish", "--type", "A2", "--lambda", "-1,0")
+    factor = ("chev", "factor", "--type", "A2", "--mu", "1,1", "--lambda", "-1,1", "--floor", "-5")
+    for argv in (validate, vanish, factor):
+        code, out = run(capsys, *argv, "--format", "tsv")
+        assert code == 0 and out
+        code = main([*argv, "--format", "json"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert "has no JSON output" in captured.err
+
+
+def test_repeated_main_calls_in_one_process(capsys):
+    # main builds its parser once; later calls must print the same bytes and
+    # return the same codes as the first ones
+    calls = (
+        ("gf", "eval", "--type", "C2", "--lambda", "1,1", "--w", "s1", "--xi", "1,-1", "--format", "json"),
+        ("gf", "ghat", "--type", "A2", "--lambda", "1,1", "--xi", "1,0", "--floor", "-6", "--format", "json"),
+        ("chev", "rhs", "--type", "C2", "--mu", "1,1", "--lambda", "2,1", "--floor", "-8"),
+        ("gf", "eval", "--type", "A2", "--lambda", "1,0", "--seed", "99"),
+        ("gf", "eval", "--type", "C2", "--lambda", "1,1", "--w", "s1", "--xi", "1,-1"),
+    )
+    first = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _ in first] == [0, 0, 0, 2, 0]
+    assert all(out for code, out in first if code == 0)
+    for _ in range(2):
+        assert [run(capsys, *argv) for argv in calls] == first
+
+
 def test_corrupt_chain_fails_validation(tmp_path, capsys):
     # a well-formed file whose roots are not a chain is a failed check, not misuse
     rs = qa.build_root_system("A2")
