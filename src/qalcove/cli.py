@@ -43,6 +43,14 @@ def _parsed(make, *args):
         raise CliError(exc) from exc
 
 
+def _required(args, name, flag):
+    """args.<name>, a usage error naming flag when the option was not given."""
+    value = getattr(args, name)
+    if value is None:
+        raise CliError(f"{args.command} {args.action} needs {flag}")
+    return value
+
+
 def _rs(args):
     return _parsed(build_root_system, args.type, getattr(args, "rank", None))
 
@@ -143,7 +151,8 @@ def cmd_qbg(args):
 def cmd_chain(args):
     rs = _rs(args)
     if args.action == "lex":
-        _emit(args, alcove.lex_chain(rs, _lex_weight(rs, args.lam)).to_json())
+        lam = _lex_weight(rs, _required(args, "lam", "--lambda"))
+        _emit(args, alcove.lex_chain(rs, lam).to_json())
         return 0
     if args.action == "validate":
         _text_only(args)
@@ -229,11 +238,15 @@ def cmd_yb(args):
 
 
 def cmd_ops(args):
+    # --seq belongs to matrix and --k to verify-props; any other action
+    # would ignore them
+    for name, action in (("seq", "matrix"), ("k", "verify-props")):
+        if args.action != action and getattr(args, name) is not None:
+            raise CliError(f"--{name} is an option of ops {action}, not of ops {args.action}")
     rs = _rs(args)
     if args.action == "matrix":
-        seq = tuple(
-            _parsed(rs.root, _parse_ints(part)) for part in args.seq.split(";")
-        )
+        parts = _required(args, "seq", "--seq").split(";")
+        seq = tuple(_parsed(rs.root, _parse_ints(part)) for part in parts)
         mat = qbops.operator_matrix(rs, seq)
         print(mat.to_tsv())
         return 0
@@ -276,15 +289,14 @@ def cmd_gf(args):
     if args.action == "eval":
         _emit_terms(args, genfun(_chain(rs, args), x))
         return 0
+    if args.action in ("compare", "compose"):
+        c1 = alcove.LambdaChain.load(_required(args, "chain1", "--chain1"), rs)
+        c2 = alcove.LambdaChain.load(_required(args, "chain2", "--chain2"), rs)
     if args.action == "compare":
-        c1 = alcove.LambdaChain.load(args.chain1, rs)
-        c2 = alcove.LambdaChain.load(args.chain2, rs)
         same = genfun_equal(genfun(c1, x), genfun(c2, x), args.floor)
         print("equal" if same else "different")
         return 0 if same else 1
     if args.action == "compose":
-        c1 = alcove.LambdaChain.load(args.chain1, rs)
-        c2 = alcove.LambdaChain.load(args.chain2, rs)
         _emit_terms(args, compose(c1, c2, x))
         return 0
     # ghat
@@ -299,13 +311,13 @@ def cmd_chev(args):
     floor = args.floor if args.floor is not None else -8
     if args.action == "rhs":
         mu = _weight(rs, args.mu)
-        lam = _weight(rs, args.lam)
+        lam = _weight(rs, _required(args, "lam", "--lambda"))
         chain = _chain(rs, args)
         _emit_terms(args, rhs_chevalley(rs, mu, lam, chain, x, floor))
         return 0
     _text_only(args)
     if args.action == "vanish":
-        lam = _lex_weight(rs, args.lam)
+        lam = _lex_weight(rs, _required(args, "lam", "--lambda"))
         if not lam.is_antidominant or lam.is_zero():
             raise CliError("chev vanish needs an antidominant nonzero --lambda")
         chain = alcove.lex_chain(rs, lam)
@@ -323,7 +335,7 @@ def cmd_chev(args):
         return 0 if all_ok else 1
     # factor
     mu = _weight(rs, args.mu)
-    lam = _weight(rs, args.lam)
+    lam = _weight(rs, _required(args, "lam", "--lambda"))
     ok = verify_factorization(rs, mu, lam, x, floor)
     print("factorization holds" if ok else "FACTORIZATION FAILS")
     return 0 if ok else 1
@@ -425,7 +437,7 @@ _parser = functools.cache(build_parser)
 
 def _merge_negative_values(argv):
     """Turn '--lambda -2,1' into '--lambda=-2,1' so argparse accepts it."""
-    flags = {"--lambda", "--mu", "--xi"}
+    flags = {"--lambda", "--mu", "--xi", "--seq"}
     out = []
     i = 0
     while i < len(argv):

@@ -2,9 +2,11 @@
 
 Q_gamma sends v to v*s_gamma (Bruhat edge), to Q^{gamma^vee} v*s_gamma
 (quantum edge), or to 0; Q_{-gamma} = -Q_gamma and R_gamma = 1 + Q_gamma.
-Products of R-operators are represented as |W| x |W| matrices over the exact
-polynomial ring Z[Q_1..Q_n], in the ShortLex basis order of W, so golden
-matrices compare positionally and bit-exactly.
+A product of R-operators is a |W| x |W| matrix over the exact polynomial
+ring Z[Q_1..Q_n], in the ShortLex basis order of W, computed as a sparse
+table {(v, w): {exponent: coefficient}} of its nonzero cells.  The
+multiplicity laws and the golden files are checked on these tables; golden
+files compare byte for byte with their canonical TSV (`cell_str` per cell).
 """
 
 from __future__ import annotations
@@ -76,75 +78,26 @@ class QPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def sorted_terms(self):
-        """(exponent, coefficient) pairs, exponent-lex descending."""
-        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                f"Q{i + 1}" + (f"^{p}" if p > 1 else "")
-                for i, p in enumerate(e)
-                if p
-            )
-            mag = abs(c)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+" if c > 0 else "-") + body)
-        return "".join(parts)
+        return cell_str(self.terms)
 
     def __repr__(self):
         return f"QPoly({self})"
 
 
-def parse_qpoly(rank: int, text: str) -> QPoly:
-    """Parse the canonical polynomial string form back into a QPoly."""
-    s = text.strip().replace(" ", "")
-    if s in ("0", ""):
-        return QPoly.zero(rank)
-    out = QPoly.zero(rank)
-    i = 0
-    while i < len(s):
-        sign = 1
-        if s[i] == "+":
-            i += 1
-        elif s[i] == "-":
-            sign = -1
-            i += 1
-        j = i
-        while j < len(s) and s[j] not in "+-":
-            j += 1
-        out = out + _parse_term(rank, s[i:j], sign)
-        i = j
-    return out
-
-
-def _parse_term(rank: int, term: str, sign: int) -> QPoly:
-    coeff = 1
-    exps = [0] * rank
-    for factor in term.split("*"):
-        if factor.isdigit():
-            coeff *= int(factor)
-            continue
-        if not factor.startswith("Q"):
-            raise ValueError(f"bad factor {factor!r}")
-        if "^" in factor:
-            var, p = factor.split("^")
-            power = int(p)
-        else:
-            var, power = factor, 1
-        exps[int(var[1:]) - 1] += power
-    return QPoly.monomial(rank, exps, sign * coeff)
+def cell_str(terms: dict) -> str:
+    """The canonical text of {exponent: coefficient}: terms exponent-lex
+    descending, as in "3*Q1*Q2^2-Q1+1"; "0" for no term."""
+    if not terms:
+        return "0"
+    out = []
+    for e, c in sorted(terms.items(), reverse=True):
+        mono = "*".join([f"Q{i}^{p}" if p > 1 else f"Q{i}" for i, p in enumerate(e, 1) if p])
+        mag = -c if c < 0 else c
+        body = (mono if mag == 1 else f"{mag}*{mono}") if mono else str(mag)
+        out.append(("-" if c < 0 else "+") + body)
+    text = "".join(out)
+    return text[1:] if text[0] == "+" else text
 
 
 class GroupAlgebraElt:
@@ -223,6 +176,35 @@ def apply_R_sequence(
     return _to_elt(rs, _sweep(rs, seq, (v.index,)))
 
 
+def _table(rs: RootSystem, seq: Sequence[Root]) -> dict:
+    """The matrix of R_{gamma_r} ... R_{gamma_1} as a sparse table.
+
+    {(v, w): {exponent: coefficient}} holds the nonzero cells only, by
+    vertex indices, in (row, column) order: the coefficient of
+    Q^exponent v in the image of w, from one sweep over all columns.
+    """
+    table = {}
+    for v, final in enumerate(_sweep(rs, seq, range(len(rs.weyl_elements)))):
+        if not final:
+            continue
+        row: dict = {}
+        for key, c in final.items():
+            cell = row.get(key[0])
+            if cell is None:
+                cell = row[key[0]] = {}
+            cell[key[1:]] = c
+        for w in sorted(row):
+            table[v, w] = row[w]
+    return table
+
+
+def _tsv(rs: RootSystem, table: dict) -> str:
+    """The table as TSV: one line per row, cells in cell_str form."""
+    n = range(len(rs.weyl_elements))
+    get = table.get
+    return "\n".join("\t".join(cell_str(get((v, w), {})) for w in n) for v in n)
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Matrix (c_{v,w}) of an operator T, T w = sum_v c_{v,w} v, basis ShortLex."""
@@ -245,31 +227,14 @@ class OperatorMatrix:
         )
 
     def to_tsv(self) -> str:
-        return "\n".join(
-            "\t".join(str(p) for p in row) for row in self.entries
-        )
-
-    @staticmethod
-    def from_tsv(rs: RootSystem, text: str) -> "OperatorMatrix":
-        rows = []
-        for line in text.strip().splitlines():
-            rows.append(
-                tuple(parse_qpoly(rs.rank, cell) for cell in line.split("\t"))
-            )
-        n = len(rs.weyl_elements)
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ValueError("golden matrix has the wrong shape")
-        return OperatorMatrix(rs, tuple(rows))
+        return "\n".join("\t".join(map(str, row)) for row in self.entries)
 
 
 def operator_matrix(rs: RootSystem, seq: Sequence[Root]) -> OperatorMatrix:
     """Matrix of R_{gamma_r} ... R_{gamma_1}, seq in application order."""
-    n = len(rs.weyl_elements)
-    cells = [[{} for _ in range(n)] for _ in range(n)]
-    for v, final in enumerate(_sweep(rs, seq, range(n))):
-        for key, c in (final or {}).items():
-            cells[v][key[0]][key[1:]] = c
-    entries = tuple(tuple(QPoly(rs.rank, c) for c in row) for row in cells)
+    n = range(len(rs.weyl_elements))
+    get = _table(rs, seq).get
+    entries = tuple(tuple(QPoly(rs.rank, get((v, w))) for w in n) for v in n)
     return OperatorMatrix(rs, entries)
 
 
@@ -372,52 +337,64 @@ def verify_matrix_props(rs: RootSystem, k: int, reverse: bool = False) -> Matrix
         raise ValueError(f"k must be within 0..{q}")
     g2 = rs.type_label == "G2"
     allowed = {1, 2, 3} if g2 else {1, 2}
-    s = operator_matrix(rs, _sk_sequence(chain, k))
-    tp = operator_matrix(rs, _tk_sequence(chain, k, plus=True))
-    tm = operator_matrix(rs, _tk_sequence(chain, k, plus=False))
-    sp = operator_matrix(rs, _sprime_sequence(chain, k))
+    s, tp, tm, sp = (
+        _table(rs, seq)
+        for seq in (
+            _sk_sequence(chain, k),
+            _tk_sequence(chain, k, plus=True),
+            _tk_sequence(chain, k, plus=False),
+            _sprime_sequence(chain, k),
+        )
+    )
+    # only a cell nonzero in S_k or a signed operator can break a law (S'_k
+    # is read at S_k's exponents); positions are (v, w) vertex indices,
+    # spelled as words at the end for the few that are recorded
     violations = []
     m3 = []
     n3 = []
+    none: dict = {}
+    for where in sorted(s.keys() | tp.keys() | tm.keys()):
+        entry = s.get(where, none)
+        signed_p = tp.get(where, none)
+        signed_m = tm.get(where, none)
+        swept = sp.get(where, none)
+        for exp, m in entry.items():
+            if m not in allowed:
+                violations.append((where, "multiplicity", exp, m))
+                continue
+            np_, nm = signed_p.get(exp, 0), signed_m.get(exp, 0)
+            ns = swept.get(exp, 0)
+            if m == 2:
+                if np_ != 0 or nm != 0:
+                    violations.append((where, "signed-not-zero", exp, (np_, nm)))
+                if (ns not in (0, 2)) if g2 else (ns != 0):
+                    violations.append((where, "sweep", exp, ns))
+            elif m == 1:
+                if np_ not in (1, -1) or nm not in (1, -1):
+                    violations.append((where, "signed-unit", exp, (np_, nm)))
+                if (ns not in (1, 3)) if g2 else (ns != 1):
+                    violations.append((where, "sweep", exp, ns))
+                if ns == 3:
+                    n3.append(where)
+            else:  # m == 3, G2 only
+                m3.append(where)
+                if np_ not in (1, -1) or nm not in (1, -1):
+                    violations.append((where, "signed-unit", exp, (np_, nm)))
+                if ns != 1:
+                    violations.append((where, "sweep", exp, ns))
+        for signed in (signed_p, signed_m):
+            for exp, c in signed.items():
+                if exp not in entry:
+                    violations.append((where, "signed-outside", exp, c))
     basis = rs.weyl_elements
-    for v in basis:
-        for w in basis:
-            entry = s.entry(v, w)
-            signed_p = tp.entry(v, w)
-            signed_m = tm.entry(v, w)
-            swept = sp.entry(v, w)
-            where = (v.word_str, w.word_str)
-            for exp, m in entry.terms.items():
-                if m not in allowed:
-                    violations.append((where, "multiplicity", exp, m))
-                    continue
-                np_, nm = signed_p.terms.get(exp, 0), signed_m.terms.get(exp, 0)
-                ns = swept.terms.get(exp, 0)
-                if m == 2:
-                    if np_ != 0 or nm != 0:
-                        violations.append((where, "signed-not-zero", exp, (np_, nm)))
-                    if (ns not in (0, 2)) if g2 else (ns != 0):
-                        violations.append((where, "sweep", exp, ns))
-                elif m == 1:
-                    if np_ not in (1, -1) or nm not in (1, -1):
-                        violations.append((where, "signed-unit", exp, (np_, nm)))
-                    if (ns not in (1, 3)) if g2 else (ns != 1):
-                        violations.append((where, "sweep", exp, ns))
-                    if ns == 3:
-                        n3.append(where)
-                else:  # m == 3, G2 only
-                    m3.append(where)
-                    if np_ not in (1, -1) or nm not in (1, -1):
-                        violations.append((where, "signed-unit", exp, (np_, nm)))
-                    if ns != 1:
-                        violations.append((where, "sweep", exp, ns))
-            for exp, c in signed_p.terms.items():
-                if exp not in entry.terms and c != 0:
-                    violations.append((where, "signed-outside", exp, c))
-            for exp, c in signed_m.terms.items():
-                if exp not in entry.terms and c != 0:
-                    violations.append((where, "signed-outside", exp, c))
-    return MatrixPropReport(rs.type_label, k, reverse, violations, m3, n3)
+
+    def words(cell):
+        return basis[cell[0]].word_str, basis[cell[1]].word_str
+
+    violations = [(words(where), *rest) for where, *rest in violations]
+    return MatrixPropReport(
+        rs.type_label, k, reverse, violations, list(map(words, m3)), list(map(words, n3))
+    )
 
 
 # -- golden data ---------------------------------------------------------------
@@ -433,18 +410,22 @@ def load_golden_manifest() -> list[dict]:
 
 
 def check_golden(rs: RootSystem) -> list[tuple[str, bool]]:
-    """Recompute each golden operator matrix for this type; verify checksums."""
+    """(name, ok) for each golden operator matrix of this type.
+
+    A file is ok when its SHA-256 is the manifest's and its bytes are the
+    TSV of the matrix recomputed from its sequence.  Every shipped file is
+    in canonical form, so no cell is parsed.
+    """
+    root = _golden_root()
     results = []
     for item in load_golden_manifest():
         if item["type"] != rs.type_label:
             continue
-        blob = _golden_root().joinpath(item["file"]).read_bytes()
-        digest = hashlib.sha256(blob).hexdigest()
-        if digest != item["sha256"]:
+        blob = root.joinpath(item["file"]).read_bytes()
+        if hashlib.sha256(blob).hexdigest() != item["sha256"]:
             results.append((item["name"], False))
             continue
-        golden = OperatorMatrix.from_tsv(rs, blob.decode("utf-8"))
         seq = tuple(rs.root(c) for c in item["sequence"])
-        computed = operator_matrix(rs, seq)
-        results.append((item["name"], computed == golden))
+        text = _tsv(rs, _table(rs, seq)) + "\n"
+        results.append((item["name"], blob == text.encode("utf-8")))
     return results

@@ -144,6 +144,53 @@ def test_usage_errors(capsys):
         assert run(capsys, *argv) == (2, "")
 
 
+def test_ops_options_only_where_read(capsys):
+    # matrix needs --seq; --seq belongs to matrix and --k to verify-props
+    # only, so no other action accepts and ignores them
+    cases = (
+        (("ops", "matrix", "--type", "C2"), "ops matrix needs --seq"),
+        (("ops", "matrix", "--type", "C2", "--seq", "1,0", "--k", "1"), "--k"),
+        (("ops", "yang-baxter", "--type", "A2", "--seq", "1,0"), "--seq"),
+        (("ops", "yang-baxter", "--type", "A2", "--k", "1"), "--k"),
+        (("ops", "verify-props", "--type", "C2", "--seq", "1,0"), "--seq"),
+        (("ops", "golden", "--type", "G2", "--seq", "1,0"), "--seq"),
+        (("ops", "golden", "--type", "G2", "--k", "2"), "--k"),
+    )
+    for argv, named in cases:
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert captured.err.startswith("usage error: ") and named in captured.err
+
+
+def _missing_option(capsys, argv, flag):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"usage error: {argv[0]} {argv[1]} needs {flag}\n"
+
+
+def test_chain_lex_without_lambda_is_usage_error(capsys):
+    _missing_option(capsys, ("chain", "lex", "--type", "A2"), "--lambda")
+
+
+def test_gf_compare_without_chains_is_usage_error(capsys):
+    _missing_option(capsys, ("gf", "compare", "--type", "A2", "--lambda", "1,0"), "--chain1")
+
+
+def test_gf_compose_without_chains_is_usage_error(tmp_path, capsys):
+    _missing_option(capsys, ("gf", "compose", "--type", "A2"), "--chain1")
+    rs = qa.build_root_system("A2")
+    path = tmp_path / "c1.json"
+    path.write_text(json.dumps(qa.lex_chain(rs, rs.weight([1, 0])).to_json()))
+    _missing_option(capsys, ("gf", "compose", "--type", "A2", "--chain1", str(path)), "--chain2")
+
+
+def test_chev_without_lambda_is_usage_error(capsys):
+    for action in ("rhs", "vanish", "factor"):
+        _missing_option(capsys, ("chev", action, "--type", "A2", "--mu", "1,0"), "--lambda")
+
+
 def test_ops_golden_names_covered_types(capsys):
     # a type without golden data is a usage error, not a vacuous 0/0 pass
     for label in ("A2", "A3"):
@@ -340,6 +387,18 @@ def test_ops_matrix_seq(capsys):
     assert code == 0
     rows = [line.split("\t") for line in out.strip().splitlines()]
     assert rows == [["1", "Q1"], ["1", "1"]]
+
+
+def test_ops_matrix_prints_golden_bytes(capsys):
+    # a sequence that starts with a negative root needs no --seq=; the
+    # printed matrix is the golden file, byte for byte
+    from qalcove import qbops
+
+    for item in qbops.load_golden_manifest()[::5]:
+        seq = ";".join(",".join(map(str, c)) for c in item["sequence"])
+        code, out = run(capsys, "ops", "matrix", "--type", item["type"], "--seq", seq)
+        assert code == 0
+        assert out.encode("utf-8") == qbops._golden_root().joinpath(item["file"]).read_bytes()
 
 
 def test_chev_rhs_and_factor(capsys):

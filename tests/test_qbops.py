@@ -1,18 +1,152 @@
+import hashlib
+import json
 import random
+import shutil
 
 import pytest
 
 import qalcove as qa
 from qalcove import qbops
 from qalcove.qbops import (
+    MatrixPropReport,
+    OperatorMatrix,
     QPoly,
+    cell_str,
     operator_matrix,
-    parse_qpoly,
     rank2_chain,
     same_operator,
     verify_matrix_props,
     yang_baxter_pairs,
 )
+
+
+# -- oracles -------------------------------------------------------------------
+#
+# The package checks golden files by bytes and the multiplicity laws on sparse
+# {(v, w): {exponent: coefficient}} tables.  The parser and the per-cell QPoly
+# version of the laws stay here, as the oracles those checks are held to.
+
+
+def parse_qpoly(rank: int, text: str) -> QPoly:
+    """Parse the canonical polynomial string form back into a QPoly."""
+    s = text.strip().replace(" ", "")
+    if s in ("0", ""):
+        return QPoly.zero(rank)
+    out = QPoly.zero(rank)
+    i = 0
+    while i < len(s):
+        sign = 1
+        if s[i] == "+":
+            i += 1
+        elif s[i] == "-":
+            sign = -1
+            i += 1
+        j = i
+        while j < len(s) and s[j] not in "+-":
+            j += 1
+        out = out + _parse_term(rank, s[i:j], sign)
+        i = j
+    return out
+
+
+def _parse_term(rank: int, term: str, sign: int) -> QPoly:
+    coeff = 1
+    exps = [0] * rank
+    for factor in term.split("*"):
+        if factor.isdigit():
+            coeff *= int(factor)
+            continue
+        if not factor.startswith("Q"):
+            raise ValueError(f"bad factor {factor!r}")
+        if "^" in factor:
+            var, p = factor.split("^")
+            power = int(p)
+        else:
+            var, power = factor, 1
+        exps[int(var[1:]) - 1] += power
+    return QPoly.monomial(rank, exps, sign * coeff)
+
+
+def matrix_from_tsv(rs, text: str) -> OperatorMatrix:
+    rows = []
+    for line in text.strip().splitlines():
+        rows.append(tuple(parse_qpoly(rs.rank, cell) for cell in line.split("\t")))
+    n = len(rs.weyl_elements)
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise ValueError("golden matrix has the wrong shape")
+    return OperatorMatrix(rs, tuple(rows))
+
+
+def oracle_golden(rs) -> list:
+    """check_golden by checksum, parse and QPoly comparison of every cell."""
+    results = []
+    for item in qbops.load_golden_manifest():
+        if item["type"] != rs.type_label:
+            continue
+        blob = qbops._golden_root().joinpath(item["file"]).read_bytes()
+        if hashlib.sha256(blob).hexdigest() != item["sha256"]:
+            results.append((item["name"], False))
+            continue
+        golden = matrix_from_tsv(rs, blob.decode("utf-8"))
+        seq = tuple(rs.root(c) for c in item["sequence"])
+        results.append((item["name"], operator_matrix(rs, seq) == golden))
+    return results
+
+
+def oracle_matrix_props(rs, k: int, reverse: bool = False) -> MatrixPropReport:
+    """verify_matrix_props on dense QPoly matrices, cell by cell."""
+    chain = rank2_chain(rs, reverse)
+    g2 = rs.type_label == "G2"
+    allowed = {1, 2, 3} if g2 else {1, 2}
+    s = operator_matrix(rs, qbops._sk_sequence(chain, k))
+    tp = operator_matrix(rs, qbops._tk_sequence(chain, k, plus=True))
+    tm = operator_matrix(rs, qbops._tk_sequence(chain, k, plus=False))
+    sp = operator_matrix(rs, qbops._sprime_sequence(chain, k))
+    violations = []
+    m3 = []
+    n3 = []
+    basis = rs.weyl_elements
+    for v in basis:
+        for w in basis:
+            entry = s.entry(v, w)
+            signed_p = tp.entry(v, w)
+            signed_m = tm.entry(v, w)
+            swept = sp.entry(v, w)
+            where = (v.word_str, w.word_str)
+            for exp, m in entry.terms.items():
+                if m not in allowed:
+                    violations.append((where, "multiplicity", exp, m))
+                    continue
+                np_, nm = signed_p.terms.get(exp, 0), signed_m.terms.get(exp, 0)
+                ns = swept.terms.get(exp, 0)
+                if m == 2:
+                    if np_ != 0 or nm != 0:
+                        violations.append((where, "signed-not-zero", exp, (np_, nm)))
+                    if (ns not in (0, 2)) if g2 else (ns != 0):
+                        violations.append((where, "sweep", exp, ns))
+                elif m == 1:
+                    if np_ not in (1, -1) or nm not in (1, -1):
+                        violations.append((where, "signed-unit", exp, (np_, nm)))
+                    if (ns not in (1, 3)) if g2 else (ns != 1):
+                        violations.append((where, "sweep", exp, ns))
+                    if ns == 3:
+                        n3.append(where)
+                else:  # m == 3, G2 only
+                    m3.append(where)
+                    if np_ not in (1, -1) or nm not in (1, -1):
+                        violations.append((where, "signed-unit", exp, (np_, nm)))
+                    if ns != 1:
+                        violations.append((where, "sweep", exp, ns))
+            for exp, c in signed_p.terms.items():
+                if exp not in entry.terms and c != 0:
+                    violations.append((where, "signed-outside", exp, c))
+            for exp, c in signed_m.terms.items():
+                if exp not in entry.terms and c != 0:
+                    violations.append((where, "signed-outside", exp, c))
+    return MatrixPropReport(rs.type_label, k, reverse, violations, m3, n3)
+
+
+PROP_TYPES = ("A1xA1", "A2", "C2", "G2")
 
 
 def test_qpoly_arithmetic_and_canonical_form():
@@ -31,6 +165,21 @@ def test_qpoly_arithmetic_and_canonical_form():
 def test_parse_round_trip():
     for text in ("0", "1", "-1", "Q1*Q2-Q1", "-Q1*Q2+Q1", "2*Q1*Q2+Q2", "Q1^2*Q2^3-Q1^2*Q2^2"):
         assert str(parse_qpoly(2, text)) == text
+
+
+def test_cell_str_round_trip():
+    # the one renderer draws a term table as the text QPoly prints and the
+    # oracle parser reads back
+    rng = random.Random(11)
+    for _ in range(300):
+        rank = rng.randint(1, 3)
+        terms = {
+            tuple(rng.randint(0, 3) for _ in range(rank)): rng.choice((-3, -2, -1, 1, 2, 5))
+            for _ in range(rng.randint(0, 4))
+        }
+        text = cell_str(terms)
+        assert str(QPoly(rank, terms)) == text
+        assert parse_qpoly(rank, text).terms == terms
 
 
 def test_apply_q_examples():
@@ -220,18 +369,146 @@ def test_matrix_props_instances():
     assert rep.n3_positions == [("s2s1s2", "s2s1s2s1")]
 
 
+@pytest.mark.parametrize("label", PROP_TYPES)
+def test_matrix_props_match_oracle(label):
+    rs = qa.build_root_system(label)
+    for reverse in (False, True):
+        for k in range(len(rs.positive_roots) + 1):
+            assert verify_matrix_props(rs, k, reverse) == oracle_matrix_props(rs, k, reverse)
+
+
+def _inject(table, rng, n, rank):
+    """table with one coefficient set to another value, still sparse and in
+    (row, column) order."""
+    out = {cell: dict(terms) for cell, terms in table.items()}
+    cell = rng.choice(list(out)) if out and rng.random() < 0.8 else (rng.randrange(n), rng.randrange(n))
+    terms = out.setdefault(cell, {})
+    if terms and rng.random() < 0.8:
+        exp = rng.choice(list(terms))
+    else:
+        exp = tuple(rng.randrange(3) for _ in range(rank))
+    c = rng.choice([x for x in (-2, -1, 0, 1, 2, 3, 4) if x != terms.get(exp, 0)])
+    if c:
+        terms[exp] = c
+    else:
+        terms.pop(exp, None)
+    if not terms:
+        del out[cell]
+    return dict(sorted(out.items()))
+
+
+def test_matrix_props_match_oracle_on_wrong_tables(monkeypatch):
+    # one to three coefficients of the four tables set wrong: the sparse
+    # check and the per-cell oracle see the same tables and must report the
+    # same violations in the same order, and every violation kind must occur
+    real = qbops._table
+    kinds = set()
+    for label in PROP_TYPES:
+        rs = qa.build_root_system(label)
+        n = len(rs.weyl_elements)
+        rng = random.Random(label)
+        for _ in range(60):
+            k = rng.randint(0, len(rs.positive_roots))
+            reverse = rng.random() < 0.5
+            chain = rank2_chain(rs, reverse)
+            seqs = (
+                qbops._sk_sequence(chain, k),
+                qbops._tk_sequence(chain, k, plus=True),
+                qbops._tk_sequence(chain, k, plus=False),
+                qbops._sprime_sequence(chain, k),
+            )
+            wrong = [rng.choice(seqs) for _ in range(rng.randint(1, 3))]
+            tables: dict = {}
+
+            def table(rs_, seq):
+                if seq not in tables:
+                    tables[seq] = real(rs_, seq)
+                    for _ in range(wrong.count(seq)):
+                        tables[seq] = _inject(tables[seq], rng, n, rs.rank)
+                return tables[seq]
+
+            monkeypatch.setattr(qbops, "_table", table)
+            got = verify_matrix_props(rs, k, reverse)
+            assert got == oracle_matrix_props(rs, k, reverse), (label, k, reverse)
+            kinds.update(kind for _, kind, _, _ in got.violations)
+    assert kinds == {"multiplicity", "signed-not-zero", "signed-unit", "sweep", "signed-outside"}
+
+
+def test_checks_build_no_qpoly(monkeypatch):
+    # the multiplicity laws and the golden check read the sparse tables only
+    def no_qpoly(*args, **kwargs):
+        raise AssertionError("a QPoly was built")
+
+    monkeypatch.setattr(qbops, "QPoly", no_qpoly)
+    g2 = qa.build_root_system("G2")
+    assert verify_matrix_props(g2, 4).m3_positions == [("s1s2", "s1s2s1")]
+    assert all(ok for _, ok in qa.check_golden(g2))
+
+
 def test_golden_files():
     for label in ("C2", "G2"):
         rs = qa.build_root_system(label)
         results = qa.check_golden(rs)
         assert results and all(ok for _, ok in results)
+        assert results == oracle_golden(rs)
+
+
+def test_golden_files_are_canonical():
+    # every shipped file is its own parse rendered again, so comparing bytes
+    # gives the verdict that parsing and comparing polynomials gives
+    root = qbops._golden_root()
+    items = qbops.load_golden_manifest()
+    assert len(items) == 16
+    for item in items:
+        rs = qa.build_root_system(item["type"])
+        blob = root.joinpath(item["file"]).read_bytes()
+        assert (matrix_from_tsv(rs, blob.decode("utf-8")).to_tsv() + "\n").encode("utf-8") == blob
+
+
+@pytest.fixture
+def golden_copy(tmp_path, monkeypatch):
+    """The golden directory copied to tmp_path, which check_golden then reads."""
+    for item in qbops._golden_root().iterdir():
+        shutil.copyfile(item, tmp_path / item.name)
+    monkeypatch.setattr(qbops, "_golden_root", lambda: tmp_path)
+    return tmp_path
+
+
+def _change_cell(path):
+    """Add Q1 to the first cell of a rank-2 file's second row, in canonical form."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    cells = lines[1].split("\t")
+    cells[0] = str(parse_qpoly(2, cells[0]) + QPoly.monomial(2, (1, 0)))
+    lines[1] = "\t".join(cells)
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+def test_golden_changed_cell_fails(golden_copy):
+    g2 = qa.build_root_system("G2")
+    manifest = json.loads((golden_copy / "manifest.json").read_text(encoding="utf-8"))
+    item = next(i for i in manifest if i["name"] == "g2_r03")
+    _change_cell(golden_copy / item["file"])
+    item["sha256"] = hashlib.sha256((golden_copy / item["file"]).read_bytes()).hexdigest()
+    (golden_copy / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    results = qa.check_golden(g2)
+    assert [name for name, ok in results if not ok] == ["g2_r03"]
+    assert results == oracle_golden(g2)
+
+
+def test_golden_checksum_mismatch_fails(golden_copy):
+    c2 = qa.build_root_system("C2")
+    path = golden_copy / "c2_r2.tsv"
+    blob = path.read_bytes()
+    assert all(ok for _, ok in qa.check_golden(c2))  # the copy itself passes
+    path.write_bytes(blob + b"\n")  # the matrix parses as before, the checksum differs
+    results = qa.check_golden(c2)
+    assert [name for name, ok in results if not ok] == ["c2_r2"]
+    assert results == oracle_golden(c2)
 
 
 def test_tsv_round_trip():
     c2 = qa.build_root_system("C2")
     seq = (c2.root([1, 0]), c2.root([0, 1]))
     mat = operator_matrix(c2, seq)
-    from qalcove.qbops import OperatorMatrix
-
-    again = OperatorMatrix.from_tsv(c2, mat.to_tsv())
+    again = matrix_from_tsv(c2, mat.to_tsv())
     assert again == mat
