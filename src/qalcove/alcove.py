@@ -413,10 +413,10 @@ def _vertex_steps(chain: LambdaChain, v: int) -> tuple[list, list, tuple]:
 
     positions lists, increasing, the 0-based j at which QBG has the edge v ->
     v s_|beta_j|, and steps[i] = (j, target index, increment) for j =
-    positions[i].  The increment is that of the sweep (see sweep_seeded) on
-    the flat key (c, down, height, n): -l_j v(beta_j) to c, on a quantum
-    edge |beta_j|^vee to down and sign(beta_j) l~_j to height, and 1 to n
-    when beta_j is negative.
+    positions[i].  The increment is the sweep's (see sweep_seeded), here on
+    the flat tuple (c, down, height, n) of one subset: -l_j v(beta_j) to c,
+    on a quantum edge |beta_j|^vee to down and sign(beta_j) l~_j to height,
+    and 1 to n when beta_j is negative.
     """
     got = chain._step_cache.get(v)
     if got is None:
@@ -499,23 +499,17 @@ def enumerate_admissible(
 def _sweep_tables(rs: RootSystem):
     """Integer tables of the sweep, built once per root system.
 
-    Returns (column, quantum, root_wt, coroot, shift), indexed by p in
+    Returns (column, quantum, root_wt, coroot, shifts), indexed by p in
     rs.positive_roots and then by v in rs.weyl_elements: column and quantum
     are the graph, qbg._columns(rs); root_wt[k] is rs.all_roots[k] in the
     fundamental-weight basis and coroot[p] the coroot of rs.positive_roots[p];
-    shift[p][v] is the operators' key increment (0, coroot[p]) on a quantum
-    edge and None on a Bruhat one.
+    shifts is the operators' cache of packed key increments by field width
+    (qbops._shifts).
     """
     if rs._sweep_tables is None:
         column, quantum = qbg._columns(rs)
         coroot = rs._coroot_vec[: len(rs.positive_roots)]
-        rs._sweep_tables = (
-            column,
-            quantum,
-            rs._root_wt,
-            coroot,
-            tuple(tuple((0,) + c if q else None for q in qs) for c, qs in zip(coroot, quantum)),
-        )
+        rs._sweep_tables = (column, quantum, rs._root_wt, coroot, {})
     return rs._sweep_tables
 
 
@@ -526,15 +520,33 @@ def _root_step(rs: RootSystem, beta: Root) -> tuple[int, int, int]:
     return k, k % npos, 1 if k < npos else -1
 
 
+def pack(values: Iterable[int], width: int, first: int = 0) -> int:
+    """sum_i values[i] 2^((first + i) width): the values as fields of one int key.
+
+    A key whose fields all lie in [0, 2^width) is their base-2^width
+    expansion, so adding the packing of any increments adds them field by
+    field as long as every field stays in that range; the fields read back
+    with unpack.  Callers keep signed fields in range by storing value + off.
+    """
+    return sum(x << (i * width) for i, x in enumerate(values, first))
+
+
+def unpack(bits: int, width: int, count: int, off: int = 0) -> tuple[int, ...]:
+    """The low count fields of bits, each minus off."""
+    mask = (1 << width) - 1
+    return tuple([((bits >> s) & mask) - off for s in range(0, count * width, width)])
+
+
 def sweep_step(
-    states: list, column: Sequence[int], incs: Sequence, sign: int, keep: bool
+    states: list, column: Sequence[int], incs: Sequence[int], sign: int, keep: bool
 ) -> list:
     """The state list after one QBG step along a positive root.
 
-    states[v] is None or {key: count} for v in rs.weyl_elements; G keys a
-    state by (c, down, height), the operators by (start, down).  Every state
-    at v moves to column[v] (-1: QBG has no edge there), its key shifted by
-    incs[v] (None: unchanged) and its count multiplied by sign; keep=True
+    states[v] is None or {key: count} for v in rs.weyl_elements, each key
+    one int of packed fields (see pack): G's state is (c, down, height), an
+    operator's (start, down) and the shell-check's (start, length).  Every
+    state at v moves to column[v] (-1: QBG has no edge there), incs[v] added
+    to its key (0: unchanged), and its count multiplied by sign; keep=True
     also leaves it at v, as R = 1 + Q does, keep=False does not, as Q does.
     States that meet merge, zero counts dropped.  v -> v s_p is injective,
     so each target hears from one v.
@@ -545,9 +557,7 @@ def sweep_step(
         if not src or t < 0:
             continue
         inc = incs[v]
-        moved = src.items()
-        if inc is not None:
-            moved = zip([tuple(map(add, key, inc)) for key in src], src.values())
+        moved = zip([key + inc for key in src], src.values()) if inc else src.items()
         dst = dict(new[t] or ())
         get = dst.get
         for key, cnt in moved:
@@ -561,46 +571,98 @@ def sweep_step(
 
 
 def sweep_seeded(chain: LambdaChain, seeds: dict) -> dict:
-    """The sweep along chain from seeds {v index: {(c, down, height): count}}.
+    """G_Gamma applied to a term table, in one sweep along chain.
 
-    c, down and height are flat int tuples (rank, rank, 1).  Returns {(ed
-    index, wt, down, height): count} over the end states, with wt and down
-    int tuples (fundamental-weight and simple-coroot coordinates), zero
-    counts dropped, and wt = ed(lambda) - c.  At beta_j an edge v -> v
-    s_|beta_j| of the quantum Bruhat graph adds -l_j v(beta_j) to c, a
-    quantum edge also adds |beta_j|^vee to down and sign(beta_j) l~_j to
-    height, and a negative beta_j negates the count; the state also stays at
-    v, since a subset may skip j.  Subsets that reach the same state merge,
-    so the work follows the number of states, not of subsets.
+    seeds and the result are term tables {(mu, w, xi): {exponent: count}}
+    (see genfun.GenFun), zero counts dropped.  A term q^e e^mu w t_xi seeds
+    the state (c, down, height) = (-mu, xi, <lambda, xi> - e) at w.  At
+    beta_j an edge v -> v s_|beta_j| of the quantum Bruhat graph adds -l_j
+    v(beta_j) to c, a quantum edge also adds |beta_j|^vee to down and
+    sign(beta_j) l~_j to height, and a negative beta_j negates the count;
+    the state also stays at v, since a subset may skip j.  Subsets that
+    reach the same state merge, so the work follows the number of states,
+    not of subsets.  An end state at ed is the term q^-height
+    e^(ed(lambda) - c) ed t_down.
+
+    A state is one int: field 0 holds height, fields 1..n down and fields
+    n+1..2n c, each as value + off in a field of width bits, where off
+    exceeds the largest seed entry plus, per step, the largest increment of
+    any field, so no field leaves its range.  The end states are decoded
+    once per distinct (c, down) prefix, c -> wt cached per vertex and down
+    per value.
     """
     rs = chain.rs
-    column, quantum, root_wt, coroot, _ = _sweep_tables(rs)
     n = rs.rank
+    column, quantum, root_wt, coroot, _ = _sweep_tables(rs)
+    lam = chain.lam.coeffs
+    seed_terms = [
+        (mu, v, xi, sum(map(mul, lam, xi)), poly) for (mu, v, xi), poly in seeds.items()
+    ]
+    # |field| <= bound all along: the largest seed entry, plus per step the
+    # largest increment of any field
+    entries = [
+        x for mu, _, xi, lx, poly in seed_terms for x in (*mu, *xi, lx - max(poly), lx - min(poly))
+    ]
+    wt_max = max(abs(x) for vec in root_wt for x in vec)
+    cor_max = max(map(max, coroot))
+    tildes = chain.tilde_levels
+    bound = max(map(abs, entries), default=0) + sum(
+        max(abs(l) * wt_max, cor_max, abs(t)) for l, t in zip(chain.levels, tildes)
+    )
+    width = bound.bit_length() + 1
+    off = 1 << (width - 1)
+    zero = pack([off] * (2 * n + 1), width)
+
+    states: list = [None] * len(rs.weyl_elements)
+    for mu, v, xi, lx, poly in seed_terms:
+        head = zero + pack(xi, width, 1) - pack(mu, width, n + 1) + lx
+        seed = states[v]
+        if seed is None:
+            seed = states[v] = {}
+        for e, k in poly.items():
+            seed[head - e] = k
+
     perms = [v.root_perm for v in rs.weyl_elements]
-    states: list = [None] * len(perms)
-    for v, seed in seeds.items():
-        states[v] = seed
-    still = (0,) * (n + 1)  # (down, height) increment of a Bruhat edge
-    for beta, l, tilde in zip(chain.roots, chain.levels, chain.tilde_levels):
+    c_inc = [pack(x, width, n + 1) for x in root_wt]  # c increment per unit level
+    d_inc = [pack(c, width, 1) for c in coroot]  # down increment of a quantum edge
+    for beta, l, tilde in zip(chain.roots, chain.levels, tildes):
         k, p, sign = _root_step(rs, beta)
         col, qcol = column[p], quantum[p]
-        lift = coroot[p] + (sign * tilde,)
+        lift = d_inc[p] + sign * tilde
         incs = [
-            tuple(-l * x for x in root_wt[perms[v][k]]) + (lift if qcol[v] else still)
-            if src and col[v] >= 0
-            else None
+            (lift if qcol[v] else 0) - l * c_inc[perms[v][k]] if src and col[v] >= 0 else 0
             for v, src in enumerate(states)
         ]
         states = sweep_step(states, col, incs, sign, keep=True)
 
-    out = {}
+    mask = (1 << width) - 1
+    cshift = n * width
+    dmask = (1 << cshift) - 1
+    fields = range(0, cshift, width)
+    downs: dict = {}
+    table: dict = {}
     for v, final in enumerate(states):
         if not final:
             continue
-        top = rs.act(rs.weyl_elements[v], chain.lam).coeffs
-        for key, cnt in final.items():
-            out[v, tuple(map(sub, top, key[:n])), key[n : 2 * n], key[2 * n]] = cnt
-    return out
+        # wt = ed(lambda) - c, and each c field holds c + off
+        top = [(x + off, s) for x, s in zip(rs.act(rs.weyl_elements[v], chain.lam).coeffs, fields)]
+        wts: dict = {}
+        rows: dict = {}
+        for key, count in final.items():
+            prefix = key >> width
+            row = rows.get(prefix)
+            if row is None:
+                cbits = prefix >> cshift
+                wt = wts.get(cbits)
+                if wt is None:
+                    wt = wts[cbits] = tuple([t - ((cbits >> s) & mask) for t, s in top])
+                dbits = prefix & dmask
+                down = downs.get(dbits)
+                if down is None:
+                    down = downs[dbits] = unpack(dbits, width, n, off)
+                row = rows[prefix] = table[wt, v, down] = {}
+            row[off - (key & mask)] = count
+    return table
 
 
 def sweep_admissible(chain: LambdaChain, w: WeylElement) -> dict:
@@ -610,7 +672,12 @@ def sweep_admissible(chain: LambdaChain, w: WeylElement) -> dict:
     with these statistics}, wt and down as int tuples, zero sums dropped:
     the sweep seeded with (w, 0, 0, 0).
     """
-    return sweep_seeded(chain, {w.index: {(0,) * (2 * chain.rs.rank + 1): 1}})
+    zero = (0,) * chain.rs.rank
+    return {
+        (ed, wt, down, -e): count
+        for (wt, ed, down), poly in sweep_seeded(chain, {(zero, w.index, zero): {0: 1}}).items()
+        for e, count in poly.items()
+    }
 
 
 def admissible_support(

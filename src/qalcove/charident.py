@@ -18,7 +18,7 @@ from .alcove import (
     concat_chains,
     lambda_pm,
     lex_chain,
-    sweep_admissible,
+    sweep_seeded,
 )
 from .genfun import (
     AffineWeylElt,
@@ -198,10 +198,13 @@ def verify_vanishing(
     taken, _ = admissible_support(chain, w)
     if any(chain.roots[j - 1].is_positive for j in taken):
         raise RuntimeError("antidominant chain produced a positive entry")
-    # every subset takes negative entries only, so (-1)^{|A|} = (-1)^n
+    # every subset takes negative entries only, so (-1)^{|A|} = (-1)^n; the
+    # sweep's term table holds them as {(wt, ed, down): {-height: count}}
+    zero = (0,) * rs.rank
     acc: dict = {}
-    for (_ed, wt, _down, height), count in sweep_admissible(chain, w).items():
-        acc[wt, height] = acc.get((wt, height), 0) + count
+    for (wt, _ed, _down), poly in sweep_seeded(chain, {(zero, w.index, zero): {0: 1}}).items():
+        for e, count in poly.items():
+            acc[wt, e] = acc.get((wt, e), 0) + count
     return not any(acc.values())
 
 

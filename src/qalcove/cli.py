@@ -51,6 +51,35 @@ def _required(args, name, flag):
     return value
 
 
+# options that an action never reads, by (command, action), as argparse dests
+_UNREAD = {
+    ("chain", "lex"): ("chain", "t", "q", "delete"),
+    ("chain", "validate"): ("t", "q", "delete"),
+    ("adm", "enumerate"): ("indices",),
+    ("yb", "segments"): ("w", "t", "q"),
+    ("yb", "apply"): ("w",),
+    ("ops", "matrix"): ("k",),
+    ("ops", "yang-baxter"): ("seq", "k"),
+    ("ops", "verify-props"): ("seq",),
+    ("ops", "golden"): ("seq", "k"),
+    ("gf", "eval"): ("floor", "chain1", "chain2"),
+    ("gf", "compare"): ("lam", "chain"),
+    ("gf", "compose"): ("lam", "chain", "floor"),
+    ("gf", "ghat"): ("chain1", "chain2"),
+    ("chev", "vanish"): ("chain", "w", "xi", "floor", "mu"),
+    ("chev", "factor"): ("chain",),
+}
+
+
+def _unread(args, *names):
+    """Usage error naming the first given option that the action never
+    reads (_UNREAD, or names), so that none is silently ignored."""
+    for name in _UNREAD.get((args.command, args.action), ()) + names:
+        if getattr(args, name) is not None:
+            flag = "--lambda" if name == "lam" else f"--{name}"
+            raise CliError(f"{args.command} {args.action} does not take {flag}")
+
+
 def _rs(args):
     return _parsed(build_root_system, args.type, getattr(args, "rank", None))
 
@@ -64,6 +93,11 @@ def _lex_weight(rs, text):
     if not (lam.is_dominant or lam.is_antidominant):
         raise CliError("lex chains need a dominant or antidominant weight")
     return lam
+
+
+def _w(rs, args):
+    """The Weyl element of --w, the identity when it is not given."""
+    return _parsed(rs.element_from_word, "e" if args.w is None else args.w)
 
 
 def _coroot(rs, text):
@@ -149,6 +183,7 @@ def cmd_qbg(args):
 
 
 def cmd_chain(args):
+    _unread(args)
     rs = _rs(args)
     if args.action == "lex":
         lam = _lex_weight(rs, _required(args, "lam", "--lambda"))
@@ -165,6 +200,7 @@ def cmd_chain(args):
     # transform
     chain = _chain(rs, args)
     if args.delete is not None:
+        _unread(args, "t", "q")
         # deleting a (beta, -beta) pair leaves a valid chain valid, so a
         # ChainError here can only be a bad position
         out = _parsed(ybmoves.delete_pair, chain, args.delete)
@@ -190,11 +226,13 @@ def _check_segment(chain, args):
 
 
 def cmd_adm(args):
+    _unread(args)
     rs = _rs(args)
     chain = _chain(rs, args)
-    w = _parsed(rs.element_from_word, args.w)
+    w = _w(rs, args)
     if args.action == "stats":
-        indices = _parsed(alcove.index_subset, chain, _parse_ints(args.indices))
+        text = "" if args.indices is None else args.indices
+        indices = _parsed(alcove.index_subset, chain, _parse_ints(text))
         subsets = [alcove.admissible_from_indices(chain, w, indices)]
     else:
         subsets = alcove.enumerate_admissible(chain, w)
@@ -214,6 +252,7 @@ def cmd_adm(args):
 
 
 def cmd_yb(args):
+    _unread(args)
     rs = _rs(args)
     chain = _chain(rs, args)
     if args.action == "segments":
@@ -231,18 +270,14 @@ def cmd_yb(args):
         return 0
     # sijection
     ctx = ybmoves.make_context(chain, args.t, args.q)
-    sij = ybmoves.build_sijection(ctx, _parsed(rs.element_from_word, args.w))
+    sij = ybmoves.build_sijection(ctx, _w(rs, args))
     # indented JSON under either format
     _write(args, json.dumps(sij.report_json(), indent=1))
     return 0
 
 
 def cmd_ops(args):
-    # --seq belongs to matrix and --k to verify-props; any other action
-    # would ignore them
-    for name, action in (("seq", "matrix"), ("k", "verify-props")):
-        if args.action != action and getattr(args, name) is not None:
-            raise CliError(f"--{name} is an option of ops {action}, not of ops {args.action}")
+    _unread(args)
     rs = _rs(args)
     if args.action == "matrix":
         parts = _required(args, "seq", "--seq").split(";")
@@ -284,14 +319,18 @@ def cmd_ops(args):
 
 
 def cmd_gf(args):
+    if args.action in ("compare", "compose"):
+        # a missing chain file is named before an option given in its place,
+        # as in cmd_chev
+        paths = _required(args, "chain1", "--chain1"), _required(args, "chain2", "--chain2")
+    _unread(args)
     rs = _rs(args)
-    x = AffineWeylElt(_parsed(rs.element_from_word, args.w), _coroot(rs, args.xi))
+    x = AffineWeylElt(_w(rs, args), _coroot(rs, args.xi))
     if args.action == "eval":
         _emit_terms(args, genfun(_chain(rs, args), x))
         return 0
     if args.action in ("compare", "compose"):
-        c1 = alcove.LambdaChain.load(_required(args, "chain1", "--chain1"), rs)
-        c2 = alcove.LambdaChain.load(_required(args, "chain2", "--chain2"), rs)
+        c1, c2 = (alcove.LambdaChain.load(path, rs) for path in paths)
     if args.action == "compare":
         same = genfun_equal(genfun(c1, x), genfun(c2, x), args.floor)
         print("equal" if same else "different")
@@ -306,18 +345,21 @@ def cmd_gf(args):
 
 
 def cmd_chev(args):
+    # a missing --lambda is named before an option given in its place
+    lam_text = _required(args, "lam", "--lambda")
+    _unread(args)
     rs = _rs(args)
-    x = AffineWeylElt(_parsed(rs.element_from_word, args.w), _coroot(rs, args.xi))
+    x = AffineWeylElt(_w(rs, args), _coroot(rs, args.xi))
     floor = args.floor if args.floor is not None else -8
     if args.action == "rhs":
-        mu = _weight(rs, args.mu)
-        lam = _weight(rs, _required(args, "lam", "--lambda"))
+        mu = _weight(rs, _required(args, "mu", "--mu"))
+        lam = _weight(rs, lam_text)
         chain = _chain(rs, args)
         _emit_terms(args, rhs_chevalley(rs, mu, lam, chain, x, floor))
         return 0
     _text_only(args)
     if args.action == "vanish":
-        lam = _lex_weight(rs, _required(args, "lam", "--lambda"))
+        lam = _lex_weight(rs, lam_text)
         if not lam.is_antidominant or lam.is_zero():
             raise CliError("chev vanish needs an antidominant nonzero --lambda")
         chain = alcove.lex_chain(rs, lam)
@@ -334,8 +376,8 @@ def cmd_chev(args):
         print("\n".join(rows))
         return 0 if all_ok else 1
     # factor
-    mu = _weight(rs, args.mu)
-    lam = _weight(rs, _required(args, "lam", "--lambda"))
+    mu = _weight(rs, _required(args, "mu", "--mu"))
+    lam = _weight(rs, lam_text)
     ok = verify_factorization(rs, mu, lam, x, floor)
     print("factorization holds" if ok else "FACTORIZATION FAILS")
     return 0 if ok else 1
@@ -371,7 +413,7 @@ def build_parser():
         if chain:
             sp.add_argument("--chain", help="chain JSON path (or @path)")
         if w:
-            sp.add_argument("--w", default="e", help="Weyl word, e.g. s1s2")
+            sp.add_argument("--w", default=None, help="Weyl word, e.g. s1s2 (default e)")
         if xi:
             sp.add_argument("--xi", default=None, help="coroot translation part")
         if floor:
@@ -393,7 +435,7 @@ def build_parser():
     sp = sub.add_parser("adm", help="admissible subsets and statistics")
     sp.add_argument("action", choices=("enumerate", "stats"))
     common(sp, w=True)
-    sp.add_argument("--indices", default="", help="1-based index set for stats")
+    sp.add_argument("--indices", default=None, help="1-based index set for stats")
     sp.set_defaults(fn=cmd_adm)
 
     sp = sub.add_parser("yb", help="Yang-Baxter segments, moves and sijections")
@@ -420,7 +462,7 @@ def build_parser():
     sp = sub.add_parser("chev", help="character expansion checks")
     sp.add_argument("action", choices=("rhs", "vanish", "factor"))
     common(sp, w=True, xi=True, floor=True)
-    sp.add_argument("--mu", default="", help="dominant weight, comma-separated")
+    sp.add_argument("--mu", default=None, help="dominant weight, comma-separated")
     sp.set_defaults(fn=cmd_chev)
 
     sp = sub.add_parser("suite", help="run the verification suite")

@@ -4,9 +4,11 @@ G_Gamma(w t_xi) sums (-1)^n q^{-height - <lambda, xi>} e^{wt} ed t_{xi + down}
 over the w-admissible subsets of Gamma; it extends linearly to finite formal
 sums.  Both are one sweep along the chain (`alcove.sweep_seeded`), seeded
 with one state per term of the sum, which merges subsets with equal
-statistics as it runs instead of listing them; G(x) is the sweep seeded
-with x alone, and the composition G_{Gamma1}(G_{Gamma2}(x)), which is G of
-the concatenated chain, the sweep along Gamma1 seeded with G_{Gamma2}(x).
+statistics as it runs instead of listing them; each state (c, down, height)
+is one packed int, and the end states go straight into the term table, one
+decode per distinct (c, down).  G(x) is the sweep seeded with x alone, and
+the composition G_{Gamma1}(G_{Gamma2}(x)), which is G of the concatenated
+chain, the sweep along Gamma1 seeded with G_{Gamma2}(x).
 The hatted variant further sums over tuples of bounded partitions and is
 computed exactly above a caller-supplied q-exponent floor; a partition tuple
 chi enters only through (iota(chi), |chi|), so the sum runs over those groups
@@ -24,7 +26,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
-from operator import add, mul
+from operator import add
 from typing import Optional
 
 from .alcove import LambdaChain, is_cancellation_free, sweep_seeded
@@ -262,20 +264,9 @@ def genfun_extend(chain: LambdaChain, f: GenFun) -> GenFun:
 
     A term q^e e^mu w t_xi seeds the state at w with c = -mu, down = xi and
     height = <lambda, xi> - e, so an end state reads back as the exponent
-    -height and the weight ed(lambda) - c = mu + wt.
+    -height and the weight ed(lambda) - c = mu + wt (`alcove.sweep_seeded`).
     """
-    lam = chain.lam.coeffs
-    seeds: dict = {}
-    for (mu, w, xi), poly in f.table.items():
-        head = tuple(-m for m in mu) + xi
-        lx = sum(map(mul, lam, xi))
-        seed = seeds.setdefault(w, {})
-        for e, k in poly.items():
-            seed[head + (lx - e,)] = k
-    table: dict = {}
-    for (ed, wt, down, height), count in sweep_seeded(chain, seeds).items():
-        table.setdefault((wt, ed, down), {})[-height] = count
-    return GenFun.of_table(f.rs, table)
+    return GenFun.of_table(f.rs, sweep_seeded(chain, f.table))
 
 
 def compose(chain1: LambdaChain, chain2: LambdaChain, x: AffineWeylElt) -> GenFun:

@@ -176,25 +176,28 @@ def shellability_pairs(rs: RootSystem, order: Sequence[Root]):
 
     minimal says whether the label-increasing path v -> w for the reflection
     order has length l(v => w).  One sweep along the order (alcove.sweep_step
-    on the QBG columns) from every start v at once, with states
-    {(v, length): count}, counts the label-increasing paths by start, end and
+    on the QBG columns) from every start v at once, with states {v << width
+    | length: count}, counts the label-increasing paths by start, end and
     length; l(v => w) comes from the distance table, built once per root
     system.  Raises label_increasing_path's RuntimeError at the first pair
     without exactly one such path.
     """
     column = alcove._sweep_tables(rs)[0]
     n = len(rs.weyl_elements)
-    inc = [(0, 1)] * n  # every edge keeps the start and adds one to the length
-    states: list = [{(v, 0): 1} for v in range(n)]
+    width = len(order).bit_length()  # length <= len(order)
+    inc = [1] * n  # every edge keeps the start and adds one to the length
+    states: list = [{v << width: 1} for v in range(n)]
     for alpha in order:
         col = column[alcove._root_step(rs, alpha)[1]]
         states = alcove.sweep_step(states, col, inc, 1, keep=True)
+    mask = (1 << width) - 1
     count = [[0] * n for _ in range(n)]
     length = [[0] * n for _ in range(n)]
     for w, ends in enumerate(states):
-        for (v, l), c in ends.items():
+        for key, c in ends.items():
+            v = key >> width
             count[v][w] += c
-            length[v][w] = l
+            length[v][w] = key & mask
     distances = _distances(rs)
     for v in rs.weyl_elements:
         dist = distances[v.index]

@@ -120,36 +120,62 @@ class GroupAlgebraElt:
 # -- the operator sweep --------------------------------------------------------
 #
 # A state list holds, by vertex index v of rs.weyl_elements, None or
-# {(start, down_1..down_n): count}: the coefficient of Q^down at v in the image
-# of the basis vector rs.weyl_elements[start].  Each operator is one
-# `alcove.sweep_step`, so every column advances in one pass.
+# {key: count}: the coefficient of Q^down at v in the image of the basis
+# vector rs.weyl_elements[start], keyed by start << (n width) plus down packed
+# in n fields of width bits (`alcove.pack`).  down >= 0, so no field needs
+# an offset, and width bounds the degree the sequence can reach (_width).
+# Each operator is one `alcove.sweep_step`, so every column advances in one
+# pass.
 
 
-def _step(rs: RootSystem, states: list, gamma: Root, keep: bool) -> list:
+def _width(rs: RootSystem, seq: Sequence[Root], top: int = 0) -> int:
+    """Field width for down after seq from exponents <= top: each step adds
+    at most one coroot."""
+    coroot = alcove._sweep_tables(rs)[3]
+    bound = top + sum(max(coroot[alcove._root_step(rs, gamma)[1]]) for gamma in seq)
+    return max(bound.bit_length(), 1)
+
+
+def _shifts(rs: RootSystem, width: int) -> tuple:
+    """shift[p][v]: the packed coroot of rs.positive_roots[p] on a quantum
+    edge at v, 0 on a Bruhat one; cached per width on the sweep tables."""
+    _, quantum, _, coroot, cache = alcove._sweep_tables(rs)
+    got = cache.get(width)
+    if got is None:
+        got = cache[width] = tuple(
+            tuple(d if q else 0 for q in qs)
+            for d, qs in zip((alcove.pack(c, width) for c in coroot), quantum)
+        )
+    return got
+
+
+def _step(rs: RootSystem, states: list, gamma: Root, keep: bool, width: int) -> list:
     """The states after R_gamma (keep=True) or Q_gamma (keep=False)."""
-    column, _, _, _, shift = alcove._sweep_tables(rs)
+    column = alcove._sweep_tables(rs)[0]
     _, p, sign = alcove._root_step(rs, gamma)
-    return alcove.sweep_step(states, column[p], shift[p], sign, keep)
+    return alcove.sweep_step(states, column[p], _shifts(rs, width)[p], sign, keep)
 
 
-def _sweep(rs: RootSystem, seq: Sequence[Root], starts: Sequence[int]) -> list:
+def _sweep(rs: RootSystem, seq: Sequence[Root], starts: Sequence[int], width: int) -> list:
     """End states of R_{gamma_r} ... R_{gamma_1} on each start vertex index."""
-    zero = (0,) * rs.rank
     states: list = [None] * len(rs.weyl_elements)
     for s in starts:
-        states[s] = {(s,) + zero: 1}
+        states[s] = {s << (rs.rank * width): 1}
     for gamma in seq:
-        states = _step(rs, states, gamma, keep=True)
+        states = _step(rs, states, gamma, True, width)
     return states
 
 
-def _to_elt(rs: RootSystem, states: list) -> GroupAlgebraElt:
-    """The states as a group-algebra element; they must share one start."""
+def _to_elt(rs: RootSystem, states: list, width: int, low: int = 0) -> GroupAlgebraElt:
+    """The states as a group-algebra element; they must share one start, and
+    each down field holds exponent - low."""
+    n = rs.rank
+    dmask = (1 << (n * width)) - 1
     terms = {}
     for v, final in enumerate(states):
         if final:
-            poly = QPoly(rs.rank, {key[1:]: c for key, c in final.items()})
-            terms[rs.weyl_elements[v]] = poly
+            exps = {alcove.unpack(key & dmask, width, n, -low): c for key, c in final.items()}
+            terms[rs.weyl_elements[v]] = QPoly(n, exps)
     return GroupAlgebraElt(rs, terms)
 
 
@@ -159,10 +185,14 @@ def apply_Q(rs: RootSystem, gamma: Root, elt) -> GroupAlgebraElt:
         terms = {elt: QPoly.const(rs.rank, 1)}
     else:
         terms = elt.terms
+    # a caller's polynomial may hold negative exponents; fields hold e - low
+    exps = [x for p in terms.values() for e in p.terms for x in e]
+    low = min(exps + [0])
+    width = _width(rs, (gamma,), max(exps + [0]) - low)
     states: list = [None] * len(rs.weyl_elements)
     for w, p in terms.items():
-        states[w.index] = {(0,) + e: c for e, c in p.terms.items()}
-    return _to_elt(rs, _step(rs, states, gamma, keep=False))
+        states[w.index] = {alcove.pack([x - low for x in e], width): c for e, c in p.terms.items()}
+    return _to_elt(rs, _step(rs, states, gamma, False, width), width, low)
 
 
 def apply_R_sequence(
@@ -173,7 +203,8 @@ def apply_R_sequence(
     The sequence is given in application order, matching the path order of
     compatible-path sums.
     """
-    return _to_elt(rs, _sweep(rs, seq, (v.index,)))
+    width = _width(rs, seq)
+    return _to_elt(rs, _sweep(rs, seq, (v.index,), width), width)
 
 
 def _table(rs: RootSystem, seq: Sequence[Root]) -> dict:
@@ -182,17 +213,28 @@ def _table(rs: RootSystem, seq: Sequence[Root]) -> dict:
     {(v, w): {exponent: coefficient}} holds the nonzero cells only, by
     vertex indices, in (row, column) order: the coefficient of
     Q^exponent v in the image of w, from one sweep over all columns.
+    Exponents are decoded once per distinct packed value.
     """
+    n = rs.rank
+    width = _width(rs, seq)
+    shift = n * width
+    dmask = (1 << shift) - 1
+    exps: dict = {}
     table = {}
-    for v, final in enumerate(_sweep(rs, seq, range(len(rs.weyl_elements)))):
+    for v, final in enumerate(_sweep(rs, seq, range(len(rs.weyl_elements)), width)):
         if not final:
             continue
         row: dict = {}
         for key, c in final.items():
-            cell = row.get(key[0])
+            start = key >> shift
+            cell = row.get(start)
             if cell is None:
-                cell = row[key[0]] = {}
-            cell[key[1:]] = c
+                cell = row[start] = {}
+            bits = key & dmask
+            exp = exps.get(bits)
+            if exp is None:
+                exp = exps[bits] = alcove.unpack(bits, width, n)
+            cell[exp] = c
         for w in sorted(row):
             table[v, w] = row[w]
     return table
@@ -241,7 +283,8 @@ def operator_matrix(rs: RootSystem, seq: Sequence[Root]) -> OperatorMatrix:
 def same_operator(rs: RootSystem, seq1: Sequence[Root], seq2: Sequence[Root]) -> bool:
     """True iff the two R-operator products are equal, compared as end states."""
     starts = range(len(rs.weyl_elements))
-    return _sweep(rs, seq1, starts) == _sweep(rs, seq2, starts)
+    width = max(_width(rs, seq1), _width(rs, seq2))
+    return _sweep(rs, seq1, starts, width) == _sweep(rs, seq2, starts, width)
 
 
 def yang_baxter_pairs(rs: RootSystem):

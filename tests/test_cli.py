@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -142,6 +143,53 @@ def test_usage_errors(capsys):
         ("ops", "verify-props", "--type", "G2", "--k", "-1"),
     ):
         assert run(capsys, *argv) == (2, "")
+    # an option that the action never reads is named, not ignored
+    for argv, flag in (
+        (("gf", "eval", "--type", "A1", "--lambda", "1", "--chain1", "nofile.json"), "--chain1"),
+        (("adm", "enumerate", "--type", "A2", "--lambda", "1,0", "--indices", "1"), "--indices"),
+        (("chain", "lex", "--type", "A2", "--lambda", "1,0", "--t", "3"), "--t"),
+        (("yb", "segments", "--type", "A2", "--lambda", "1,1", "--t", "0", "--w", "s1"), "--w"),
+    ):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert captured.err == f"usage error: {argv[0]} {argv[1]} does not take {flag}\n"
+
+
+# a value for each option, by argparse dest
+OPTION_VALUES = {
+    "lam": ("--lambda", "1,0"), "chain": ("--chain", "c.json"), "t": ("--t", "1"),
+    "q": ("--q", "1"), "delete": ("--delete", "1"), "indices": ("--indices", "1"),
+    "w": ("--w", "s1"), "seq": ("--seq", "1,0"), "k": ("--k", "1"),
+    "floor": ("--floor", "1"), "chain1": ("--chain1", "a.json"),
+    "chain2": ("--chain2", "b.json"), "xi": ("--xi", "1,0"), "mu": ("--mu", "1,0"),
+}
+
+
+def test_every_unread_option_is_usage_error(capsys):
+    # each option in the table, given to its action with everything the
+    # action requires, is a usage error that names it, before any file is read
+    from qalcove.cli import _UNREAD
+
+    for (command, action), names in _UNREAD.items():
+        required = ()
+        if action in ("compare", "compose"):
+            required = ("--chain1", "a.json", "--chain2", "b.json")
+        elif command == "chev":
+            required = ("--lambda", "-1,0")
+        for name in names:
+            flag, value = OPTION_VALUES[name]
+            argv = [command, action, "--type", "A2", flag, value, *required]
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, ""), argv
+            assert captured.err == f"usage error: {command} {action} does not take {flag}\n", argv
+
+
+def test_chev_without_mu_is_usage_error(capsys):
+    # --mu has no default, so a missing one is named, not read as an empty weight
+    for action in ("rhs", "factor"):
+        _missing_option(capsys, ("chev", action, "--type", "A2", "--lambda", "1,0"), "--mu")
 
 
 def test_ops_options_only_where_read(capsys):
@@ -500,3 +548,13 @@ def test_outdir_names_file_per_command(tmp_path, capsys, monkeypatch):
     assert sorted(os.listdir(tmp_path)) == ["chain-lex.json", "gf-eval.txt"]
     assert (tmp_path / "chain-lex.json").read_text(encoding="utf-8") == lex
     assert (tmp_path / "gf-eval.txt").read_text(encoding="utf-8") == gf
+
+
+def test_g2_lambda_33_json_is_pinned(capsys):
+    # G for G2 at lambda = (3, 3), w = e: 12,101 terms from 55,318 sweep end
+    # states, 2.7 MB; the digest was recorded from the tuple-keyed sweep
+    code = main(["gf", "eval", "--type", "G2", "--lambda", "3,3", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    digest = "ccd35cd012628a0b976c53ba8fc81cb990cf77d9915be764387f826bff54d282"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
