@@ -16,7 +16,7 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import add, mul, sub
+from operator import add, attrgetter, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from . import qbg
@@ -359,24 +359,61 @@ def chain_with_segment(
     raise ChainError("could not host the segment in a genuine chain")
 
 
-@dataclass(frozen=True)
 class AdmissibleSubset:
-    """A w-admissible index subset of a chain, with cached statistics.
+    """A w-admissible index subset of a chain; its statistics are decoded on access.
 
-    vertices holds, for each index in turn, the index in rs.weyl_elements of
-    the QBG vertex the path reaches by that step; path rebuilds the
-    DirectedPath from the indices on demand.
+    It holds what the enumerator's depth-first search computes for it: the
+    1-based indices, increasing; vertices, for each index in turn the index
+    in rs.weyl_elements of the QBG vertex the path reaches by that step;
+    key, the flat tuple (c, down, height, n) of _vertex_steps; and top =
+    ed(lambda), ed the last vertex (w if there is no step).  wt = top - c,
+    ed, down, height, n and sign are read off these when asked for, and
+    path rebuilds the DirectedPath.  The public names are read-only, and
+    two subsets are equal when their chain, w and indices are, which fix
+    every other field.
     """
 
-    chain: LambdaChain
-    w: WeylElement
-    indices: tuple[int, ...]  # 1-based, increasing
-    vertices: tuple[int, ...]  # vertex index after each step
-    wt: Weight
-    ed: WeylElement
-    down: Coroot
-    height: int
-    n: int
+    __slots__ = ("_chain", "_w", "_indices", "_vertices", "_key", "_top")
+
+    def __init__(self, chain, w, indices, vertices, key, top):
+        self._chain = chain
+        self._w = w
+        self._indices = indices
+        self._vertices = vertices
+        self._key = key
+        self._top = top
+
+    chain = property(attrgetter("_chain"))
+    w = property(attrgetter("_w"))
+    indices = property(attrgetter("_indices"))
+    vertices = property(attrgetter("_vertices"))
+    key = property(attrgetter("_key"), doc="(c, down, height, n) as one flat int tuple")
+
+    @property
+    def ed(self) -> WeylElement:
+        v = self._vertices
+        return self._chain.rs.weyl_elements[v[-1]] if v else self._w
+
+    @property
+    def wt(self) -> Weight:
+        return Weight(tuple(map(sub, self._top, self._key)))
+
+    @property
+    def down(self) -> Coroot:
+        n = self._chain.rs.rank
+        return Coroot(self._key[n : 2 * n])
+
+    @property
+    def height(self) -> int:
+        return self._key[-2]
+
+    @property
+    def n(self) -> int:
+        return self._key[-1]
+
+    @property
+    def sign(self) -> int:
+        return -1 if self._key[-1] % 2 else 1
 
     @property
     def path(self) -> qbg.DirectedPath:
@@ -400,12 +437,20 @@ class AdmissibleSubset:
             if s.edge.kind == qbg.QUANTUM
         )
 
-    @property
-    def sign(self) -> int:
-        return -1 if self.n % 2 else 1
+    def __eq__(self, other):
+        if not isinstance(other, AdmissibleSubset):
+            return NotImplemented
+        return (
+            self._indices == other._indices
+            and self._w == other._w
+            and self._chain == other._chain
+        )
+
+    def __hash__(self):
+        return hash((self._chain, self._w, self._indices))
 
     def __repr__(self):
-        return f"A{list(self.indices)}"
+        return f"A{list(self._indices)}"
 
 
 def _vertex_steps(chain: LambdaChain, v: int) -> tuple[list, list, tuple]:
@@ -416,54 +461,33 @@ def _vertex_steps(chain: LambdaChain, v: int) -> tuple[list, list, tuple]:
     positions[i].  The increment is the sweep's (see sweep_seeded), here on
     the flat tuple (c, down, height, n) of one subset: -l_j v(beta_j) to c,
     on a quantum edge |beta_j|^vee to down and sign(beta_j) l~_j to height,
-    and 1 to n when beta_j is negative.
+    and 1 to n when beta_j is negative.  The parts that do not depend on v
+    are built once per chain, under the key -1, which no vertex has.
     """
-    got = chain._step_cache.get(v)
+    cache = chain._step_cache
+    got = cache.get(v)
     if got is None:
         rs = chain.rs
         column, quantum, root_wt, coroot, _ = _sweep_tables(rs)
+        rows = cache.get(-1)
+        if rows is None:
+            rows = cache[-1] = []
+            still = (0,) * (rs.rank + 1)
+            for beta, l, tilde in zip(chain.roots, chain.levels, chain.tilde_levels):
+                k, p, sign = _root_step(rs, beta)
+                neg = (int(sign < 0),)
+                rows.append((k, p, l, still + neg, coroot[p] + (sign * tilde,) + neg))
         element = rs.weyl_elements[v]
         perm = element.root_perm
-        lam = chain.lam.coeffs
-        still = (0,) * (rs.rank + 1)
         positions, steps = [], []
-        for j, (beta, l) in enumerate(zip(chain.roots, chain.levels)):
-            k, p, sign = _root_step(rs, beta)
+        for j, (k, p, l, bruhat, lift) in enumerate(rows):
             t = column[p][v]
-            if t < 0:
-                continue
-            if quantum[p][v]:
-                tilde = sum(map(mul, lam, rs._coroot_vec[k])) - l
-                lift = coroot[p] + (sign * tilde,)
-            else:
-                lift = still
-            inc = tuple(-l * x for x in root_wt[perm[k]]) + lift + (int(sign < 0),)
-            positions.append(j)
-            steps.append((j, t, inc))
-        got = chain._step_cache[v] = (positions, steps, rs.act(element, chain.lam).coeffs)
+            if t >= 0:
+                c = tuple([-l * x for x in root_wt[perm[k]]])
+                positions.append(j)
+                steps.append((j, t, c + (lift if quantum[p][v] else bruhat)))
+        got = cache[v] = (positions, steps, rs.act(element, chain.lam).coeffs)
     return got
-
-
-def _subset(chain, w, indices, vertices, key, top) -> AdmissibleSubset:
-    """The subset from its steps' end vertices and flat key (c, down, height, n).
-
-    Its path ends at ed = vertices[-1] (w if there is no step), and top is
-    ed(lambda), so wt = top - c.
-    """
-    rs = chain.rs
-    n = rs.rank
-    v = vertices[-1] if vertices else w.index
-    return AdmissibleSubset(
-        chain,
-        w,
-        indices,
-        vertices,
-        Weight(tuple(map(sub, top, key[:n]))),
-        rs.weyl_elements[v],
-        Coroot(key[n : 2 * n]),
-        key[2 * n],
-        key[2 * n + 1],
-    )
 
 
 def enumerate_admissible(
@@ -481,10 +505,11 @@ def enumerate_admissible(
     if cached is not None:
         return cached
     out = []
+    built = chain._step_cache
 
     def visit(pos, v, key, indices, vertices):
-        positions, steps, top = _vertex_steps(chain, v)
-        out.append(_subset(chain, w, indices, vertices, key, top))
+        positions, steps, top = built.get(v) or _vertex_steps(chain, v)
+        out.append(AdmissibleSubset(chain, w, indices, vertices, key, top))
         for j, t, inc in steps[bisect_left(positions, pos) :]:
             visit(j + 1, t, tuple(map(add, key, inc)), indices + (j + 1,), vertices + (t,))
 
@@ -735,8 +760,7 @@ def admissible_from_indices(
         _, v, inc = steps[i]
         key = tuple(map(add, key, inc))
         vertices.append(v)
-    top = _vertex_steps(chain, v)[2]
-    return _subset(chain, w, indices, tuple(vertices), key, top)
+    return AdmissibleSubset(chain, w, indices, tuple(vertices), key, _vertex_steps(chain, v)[2])
 
 
 # -- concatenation ----------------------------------------------------------

@@ -195,12 +195,18 @@ def verify_vanishing(
         raise ValueError("lambda must be antidominant and nonzero")
     if chain is None:
         chain = lex_chain(rs, lam)
-    taken, _ = admissible_support(chain, w)
+    return vanishes(chain, w, admissible_support(chain, w)[0])
+
+
+def vanishes(chain: LambdaChain, w: WeylElement, taken) -> bool:
+    """verify_vanishing's sum for chain and w, given the positions `taken`
+    that admissible_support(chain, w) reports, so that a caller who needs
+    the support too sweeps it once."""
     if any(chain.roots[j - 1].is_positive for j in taken):
         raise RuntimeError("antidominant chain produced a positive entry")
     # every subset takes negative entries only, so (-1)^{|A|} = (-1)^n; the
     # sweep's term table holds them as {(wt, ed, down): {-height: count}}
-    zero = (0,) * rs.rank
+    zero = (0,) * chain.rs.rank
     acc: dict = {}
     for (wt, _ed, _down), poly in sweep_seeded(chain, {(zero, w.index, zero): {0: 1}}).items():
         for e, count in poly.items():

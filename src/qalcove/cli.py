@@ -16,7 +16,7 @@ import time
 import traceback
 
 from . import alcove, qbg, qbops, suite, ybmoves
-from .charident import rhs_chevalley, verify_factorization, verify_vanishing
+from .charident import rhs_chevalley, vanishes, verify_factorization
 from .genfun import AffineWeylElt, compose, genfun, genfun_equal, ghat, table_json
 from .rootsys import Coroot, RootSystemError, build_root_system
 
@@ -227,11 +227,13 @@ def _check_segment(chain, args):
 
 def cmd_adm(args):
     _unread(args)
+    if args.action == "stats":
+        # --indices "" is the empty subset; a missing --indices is named
+        text = _required(args, "indices", "--indices")
     rs = _rs(args)
     chain = _chain(rs, args)
     w = _w(rs, args)
     if args.action == "stats":
-        text = "" if args.indices is None else args.indices
         indices = _parsed(alcove.index_subset, chain, _parse_ints(text))
         subsets = [alcove.admissible_from_indices(chain, w, indices)]
     else:
@@ -268,10 +270,11 @@ def cmd_yb(args):
     if args.action == "apply":
         _emit(args, ybmoves.yb_transform(chain, args.t, args.q).to_json())
         return 0
-    # sijection
+    # sijection: indented JSON with or without --format json
+    if args.format == "tsv":
+        raise CliError("yb sijection has no TSV output")
     ctx = ybmoves.make_context(chain, args.t, args.q)
     sij = ybmoves.build_sijection(ctx, _w(rs, args))
-    # indented JSON under either format
     _write(args, json.dumps(sij.report_json(), indent=1))
     return 0
 
@@ -367,9 +370,10 @@ def cmd_chev(args):
         all_ok = True
         for w in rs.weyl_elements:
             t0 = time.perf_counter()
-            ok = verify_vanishing(rs, lam, w, chain)
+            taken, heights = alcove.admissible_support(chain, w)
+            ok = vanishes(chain, w, taken)
             all_ok &= ok
-            maxexp = max(abs(h) for h in alcove.admissible_support(chain, w)[1])
+            maxexp = max(abs(h) for h in heights)
             rows.append(
                 f"w={w.word_str}\t{'zero' if ok else 'NONZERO'}\t{maxexp}\t{time.perf_counter() - t0:.4f}"
             )
@@ -407,7 +411,9 @@ def build_parser():
         sp.add_argument("--type", required=True, help="root-system label, e.g. A2, C2, G2")
         sp.add_argument("--rank", type=int, default=None)
         if fmt:
-            sp.add_argument("--format", choices=("json", "tsv"), default="tsv")
+            # None when not given, so that an action with one format can
+            # reject the other (_text_only, yb sijection)
+            sp.add_argument("--format", choices=("json", "tsv"), default=None)
         if lam:
             sp.add_argument("--lambda", dest="lam", help="weight, comma-separated")
         if chain:

@@ -10,21 +10,28 @@ The class 1..5 of an admissible subset, and its partner, depend only on the
 side, the vertex its prefix path ends at, and its segment part: the path
 from that vertex along the segment with those indices is unique.  Each
 YbContext keeps a class table on that key, filled on first use from the
-segment paths of the vertex (grouped by end and weight), with the four
-explicit G2 families handled by hard-coded label sequences; the partner of a
-subset is its index set with the segment part swapped for the table's.
+segment paths of the vertex, walked over the integer QBG tables and grouped
+by end vertex and down, with the four explicit G2 families handled by
+hard-coded label sequences; the partner of a subset is its index set with
+the segment part swapped for the table's.
+
+Subsets are the enumerator's read-only records, whose statistics are
+decoded on access.  The checks of build_sijection never decode them: both
+chains have the same lambda, so two subsets agree in ed, wt, down and
+height exactly when they agree in end vertex and in their key (c, down,
+height, n) without n, and in sign when n has the same parity.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import add
 from typing import Optional, Sequence
 
-from . import alcove, qbg
+from . import alcove
 from .alcove import AdmissibleSubset, LambdaChain, admissible_from_indices
-from .qbg import DirectedPath, PathStep
-from .rootsys import Coroot, Root, RootSystem, RootSystemError, WeylElement
+from .rootsys import Root, RootSystem, RootSystemError, WeylElement
 
 
 class SijectionError(RuntimeError):
@@ -56,22 +63,37 @@ class YbContext:
     def pi_prime(self) -> tuple[Root, ...]:
         return self.chain2.roots[self.t : self.t + self.q]
 
-    def paths(self, v: WeylElement, primed: bool) -> tuple[list, dict]:
-        """The segment paths from v on one side, built once.
+    def paths(self, v: int, primed: bool) -> tuple[list, dict]:
+        """The segment paths from the vertex of index v on one side, built once.
 
-        Returns ([(path, index set, (end, wt))], {(end, wt): [index sets]}),
-        index sets within the segment (1..q).
+        Walks the segment over the integer QBG tables (alcove._sweep_tables)
+        in lex order of index sets, the empty path first.  Returns ([(index
+        set, (end, down))], {(end, down): [index sets]}): index sets within
+        the segment (1..q), end the index in rs.weyl_elements of the vertex
+        the path reaches, and down the sum of the coroots of its quantum
+        steps as an int tuple.  No DirectedPath is built.
         """
         key = (v, primed)
         got = self._path_cache.get(key)
         if got is None:
+            rs = self.rs
+            column, quantum, _, coroot, _ = alcove._sweep_tables(rs)
             seq = self.pi_prime if primed else self.pi
-            paths = [
-                (p, p.index_set, (p.end, p.wt(self.rs)))
-                for p in qbg.pi_compatible_paths(self.rs, v, seq)
-            ]
+            labels = [alcove._root_step(rs, gamma)[1] for gamma in seq]
+            paths = []
+
+            def walk(pos, u, down, js):
+                paths.append((js, (u, down)))
+                for j in range(pos, len(labels)):
+                    p = labels[j]
+                    t = column[p][u]
+                    if t >= 0:
+                        step = tuple(map(add, down, coroot[p])) if quantum[p][u] else down
+                        walk(j + 1, t, step, js + (j + 1,))
+
+            walk(0, v, (0,) * rs.rank, ())
             groups: dict = {}
-            for _, js, group in paths:
+            for js, group in paths:
                 groups.setdefault(group, []).append(js)
             got = self._path_cache[key] = (paths, groups)
         return got
@@ -175,48 +197,45 @@ def _pattern_kind(pi: Sequence[Root]) -> Optional[str]:
     return None
 
 
-def _exceptional_family(rs, v, p, pi):
-    """Return (triple, single, pi_side_has_triple) when (v, p, pi) is exceptional."""
+def _exceptional_family(rs, v, pi):
+    """The G2 family of the segment paths from the vertex of index v along pi.
+
+    Returns None when there is none, else ((end, down), triple, single,
+    pi_side_has_triple): the paths in the family are those whose (end
+    index, down), as YbContext.paths groups them, equal (end, down).
+    """
     if rs.type_label != "G2" or len(pi) != 6:
         return None
+    kind = _pattern_kind(pi)
+    word = rs.weyl_elements[v].word_str
     for side in ("A", "B"):
-        if v.word_str != _EXC_VERTEX[side]:
+        if kind is None or word != _EXC_VERTEX[side]:
             continue
-        kind = _pattern_kind(pi)
-        if kind is None or p.end.word_str != _EXC_END[side]:
-            return None
-        if p.wt(rs) != Coroot((1, 1)):
-            return None
+        group = (rs.element_from_word(_EXC_END[side]).index, (1, 1))
         triple = _TRIPLE_A if side == "A" else _TRIPLE_B
         single = _SINGLE_A if side == "A" else _SINGLE_B
         # the triple sits on the pi side in the first and fourth family,
         # on the reversed side in the second and third
-        return triple, single, (kind == "E13") == (side == "A")
+        return group, triple, single, (kind == "E13") == (side == "A")
     return None
 
 
-def _path_labels(p: DirectedPath) -> tuple[tuple[int, ...], ...]:
-    return tuple(s.edge.label.coeffs for s in p.steps)
-
-
-def _path_from_labels(
-    rs: RootSystem, v: WeylElement, seq: Sequence[Root], labels
-) -> DirectedPath:
+def _path_from_labels(rs: RootSystem, v: int, seq: Sequence[Root], labels) -> tuple[int, ...]:
+    """The index set (within seq, 1..len(seq)) of the explicit family path
+    from the vertex of index v whose edges carry the given positive-root
+    labels, each |gamma_j| for one gamma_j of seq, in increasing j."""
+    column = alcove._sweep_tables(rs)[0]
     by_label = {abs(g).coeffs: j for j, g in enumerate(seq, start=1)}
-    steps = []
-    current = v
-    last = 0
+    js = ()
     for lab in labels:
         j = by_label[lab]
-        if j <= last:
+        if js and j <= js[-1]:
             raise SijectionError("family labels out of order for this segment")
-        edge = qbg.qbg_edge(rs, current, rs.root(lab))
-        if edge is None:
+        v = column[alcove._root_step(rs, seq[j - 1])[1]][v]
+        if v < 0:
             raise SijectionError("explicit family path is not a QBG path")
-        steps.append(PathStep(j, seq[j - 1], edge))
-        current = edge.target
-        last = j
-    return DirectedPath(v, tuple(steps))
+        js += (j,)
+    return js
 
 
 def classify_phi(a: AdmissibleSubset, ctx: YbContext, primed: bool = False) -> int:
@@ -236,13 +255,13 @@ def _class_entry(ctx: YbContext, a: AdmissibleSubset, primed: bool):
     v = a.vertices[m - 1] if m else a.w.index
     table = ctx._class_cache.get((primed, v))
     if table is None:
-        table = ctx._class_cache[primed, v] = _classify(ctx, primed, ctx.rs.weyl_elements[v])
+        table = ctx._class_cache[primed, v] = _classify(ctx, primed, v)
     phi, partner, p_primed = table[indices[m:m2]]
     return phi, indices[:m] + partner + indices[m2:], p_primed
 
 
-def _classify(ctx: YbContext, primed: bool, v: WeylElement) -> dict:
-    """The class table of the segment paths from v on one side.
+def _classify(ctx: YbContext, primed: bool, v: int) -> dict:
+    """The class table of the segment paths from the vertex of index v on one side.
 
     Returns {segment indices: (phi, partner segment indices, partner
     primed)}, indices absolute in each side's chain.  `primed` selects the
@@ -251,13 +270,14 @@ def _classify(ctx: YbContext, primed: bool, v: WeylElement) -> dict:
     rs = ctx.rs
     pi = ctx.pi_prime if primed else ctx.pi
     pi_other = ctx.pi if primed else ctx.pi_prime
+    t = ctx.t
     paths, groups = ctx.paths(v, primed)
+    family = _exceptional_family(rs, v, pi)
     table = {}
-    for p, mine, group in paths:
-        exc = _exceptional_family(rs, v, p, pi)
-        if exc is not None:
-            phi, path, across = _exceptional_class(rs, v, p, pi, pi_other, exc)
-            partner, side = path.index_set, primed != across
+    for mine, group in paths:
+        if family is not None and group == family[0]:
+            phi, partner, across = _exceptional_class(rs, v, mine, pi, pi_other, family[1:])
+            side = primed != across
         else:
             same = [js for js in groups[group] if js != mine]
             others = () if same else ctx.paths(v, not primed)[1].get(group, ())
@@ -266,15 +286,18 @@ def _classify(ctx: YbContext, primed: bool, v: WeylElement) -> dict:
             elif len(others) == 1:
                 phi, partner, side = 2, others[0], not primed
             else:
-                raise SijectionError(f"rank-2 shellability defect at v={v}, segment {mine}")
-        table[tuple(ctx.t + j for j in mine)] = (phi, tuple(ctx.t + j for j in partner), side)
+                raise SijectionError(
+                    f"rank-2 shellability defect at v={rs.weyl_elements[v]}, segment {mine}"
+                )
+        table[tuple([t + j for j in mine])] = (phi, tuple([t + j for j in partner]), side)
     return table
 
 
-def _exceptional_class(rs, v, p, pi, pi_other, exc) -> tuple[int, DirectedPath, bool]:
-    """(phi, partner path, partner on the other side) of a path in a G2 family."""
+def _exceptional_class(rs, v, mine, pi, pi_other, exc) -> tuple[int, tuple, bool]:
+    """(phi, partner index set, partner on the other side) of the path with
+    segment index set mine in a G2 family; its labels are the |pi_j|."""
     triple, single, own_has_triple = exc
-    labels = _path_labels(p)
+    labels = tuple(abs(pi[j - 1]).coeffs for j in mine)
     if own_has_triple:
         if labels == triple[1]:
             return 4, _path_from_labels(rs, v, pi_other, single), True
@@ -351,84 +374,97 @@ class Sijection:
         }
 
 
-def _check_preserved(a, b, sign_flip: bool, what: str):
-    if a.wt != b.wt or a.height != b.height or a.down != b.down or a.ed != b.ed:
-        raise SijectionError(f"{what} does not preserve statistics: {a} vs {b}")
-    if sign_flip == (a.sign == b.sign):
-        raise SijectionError(f"{what} has the wrong sign behaviour: {a} vs {b}")
+def _records(ctx: YbContext, side, primed: bool) -> dict:
+    """{indices: (subset, class entry, stats, parity of n)} of one side, in lex order.
 
-
-def _assemble(a: AdmissibleSubset, entry, listed) -> AdmissibleSubset:
-    """The partner of a under its class entry (phi, partner indices, primed).
-
-    listed = ({indices: subset} of side 1, the same of side 2); the partner
-    is looked up on its own side, never rebuilt.
+    stats is (end vertex index, key without n): on two chains of one lambda
+    these agree exactly when ed, wt, down and height do.
     """
-    _, indices, primed = entry
-    b = listed[primed].get(indices)
-    if b is None:
-        raise SijectionError(f"partner {list(indices)} of {a} is not an admissible subset")
-    return b
+    out = {}
+    for a in side:
+        vertices, key = a.vertices, a.key
+        end = vertices[-1] if vertices else a.w.index
+        out[a.indices] = (a, _class_entry(ctx, a, primed), (end, key[:-1]), key[-1] & 1)
+    return out
 
 
-def _pair_up(side, classes, listed, what):
+def _check_preserved(r, s, sign_flip: bool, what: str):
+    """r and s, two records, agree in statistics, and in sign unless sign_flip."""
+    if r[2] != s[2]:
+        raise SijectionError(f"{what} does not preserve statistics: {r[0]} vs {s[0]}")
+    if sign_flip == (r[3] == s[3]):
+        raise SijectionError(f"{what} has the wrong sign behaviour: {r[0]} vs {s[0]}")
+
+
+def _assemble(r, records) -> tuple:
+    """The record of the partner of record r under its class entry.
+
+    records = (records of side 1, records of side 2); the partner is looked
+    up on its own side, never rebuilt.
+    """
+    _, indices, primed = r[1]
+    s = records[primed].get(indices)
+    if s is None:
+        raise SijectionError(f"partner {list(indices)} of {r[0]} is not an admissible subset")
+    return s
+
+
+def _pair_up(side: dict, records, what):
     """Build involution pairs on {phi in (1,3)} and check they really pair up.
 
-    side is in lex order of index sets, so each pair starts at the least
-    index set still unpaired.
+    side holds one side's records in lex order of index sets, so each pair
+    starts at the least index set still unpaired.
     """
-    pending = {a.indices for a in side if classes[a.indices][0] in (1, 3)}
+    pending = {i for i, r in side.items() if r[1][0] in (1, 3)}
     pairs = []
-    for a in side:
-        if a.indices not in pending:
+    for i, r in side.items():
+        if i not in pending:
             continue
-        b = _assemble(a, classes[a.indices], listed)
-        if b.indices == a.indices or b.indices not in pending:
+        s = _assemble(r, records)
+        j = s[0].indices
+        if j == i or j not in pending:
             raise SijectionError(f"{what} pairing escaped its domain")
-        _check_preserved(a, b, sign_flip=True, what=what)
-        back = _assemble(b, classes[b.indices], listed)
-        if classes[b.indices][0] not in (1, 3) or back.indices != a.indices:
-            raise SijectionError(f"{what} is not an involution at {a}")
-        pairs.append((a, b))
-        pending.remove(a.indices)
-        pending.remove(b.indices)
+        _check_preserved(r, s, sign_flip=True, what=what)
+        if s[1][0] not in (1, 3) or _assemble(s, records)[0].indices != i:
+            raise SijectionError(f"{what} is not an involution at {r[0]}")
+        pairs.append((r[0], s[0]))
+        pending.remove(i)
+        pending.remove(j)
     return tuple(pairs)
 
 
 def build_sijection(ctx: YbContext, w: WeylElement) -> Sijection:
-    """Construct and fully verify the sijection for one (YB) move and one w."""
-    side1 = alcove.enumerate_admissible(ctx.chain1, w)
-    side2 = alcove.enumerate_admissible(ctx.chain2, w)
-    listed = ({a.indices: a for a in side1}, {b.indices: b for b in side2})
-    classes1 = {a.indices: _class_entry(ctx, a, False) for a in side1}
-    classes2 = {b.indices: _class_entry(ctx, b, True) for b in side2}
+    """Construct and fully verify the sijection for one (YB) move and one w.
+
+    Every check compares the subsets' records (see _records), never their
+    decoded statistics.
+    """
+    records = (
+        _records(ctx, alcove.enumerate_admissible(ctx.chain1, w), False),
+        _records(ctx, alcove.enumerate_admissible(ctx.chain2, w), True),
+    )
+    side1, side2 = records
 
     core = []
-    for a in side1:
-        entry = classes1[a.indices]
-        if entry[0] in (2, 4, 5):
-            b = _assemble(a, entry, listed)
-            _check_preserved(a, b, sign_flip=False, what="Y")
-            core.append((a, b))
+    for r in side1.values():
+        if r[1][0] in (2, 4, 5):
+            s = _assemble(r, records)
+            _check_preserved(r, s, sign_flip=False, what="Y")
+            core.append((r[0], s[0]))
     image = {b.indices for _, b in core}
     if len(image) != len(core):
         raise SijectionError("Y is not injective")
-    expected_image = {
-        b.indices for b in side2 if classes2[b.indices][0] in (2, 4, 5)
-    }
+    expected_image = {i for i, s in side2.items() if s[1][0] in (2, 4, 5)}
     if image != expected_image:
         raise SijectionError("image of Y does not match A_0(w, Gamma2)")
 
-    invol1 = _pair_up(side1, classes1, listed, what="I1")
-    invol2 = _pair_up(side2, classes2, listed, what="I2")
+    invol1 = _pair_up(side1, records, what="I1")
+    invol2 = _pair_up(side2, records, what="I2")
 
-    signed = {}
-    for a in side1:
-        key = (a.wt, a.height, a.down, a.ed)
-        signed[key] = signed.get(key, 0) + a.sign
-    for b in side2:
-        key = (b.wt, b.height, b.down, b.ed)
-        signed[key] = signed.get(key, 0) - b.sign
+    signed: dict = {}
+    for side, sign in ((side1, 1), (side2, -1)):
+        for _, _, stats, odd in side.values():
+            signed[stats] = signed.get(stats, 0) + (-sign if odd else sign)
     if any(v != 0 for v in signed.values()):
         raise SijectionError("signed statistics multisets disagree")
 
@@ -438,6 +474,6 @@ def build_sijection(ctx: YbContext, w: WeylElement) -> Sijection:
         tuple(core),
         invol1,
         invol2,
-        {k: v[0] for k, v in classes1.items()},
-        {k: v[0] for k, v in classes2.items()},
+        {i: r[1][0] for i, r in side1.items()},
+        {i: s[1][0] for i, s in side2.items()},
     )

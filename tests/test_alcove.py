@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -320,6 +321,45 @@ def test_report_tsv():
     text = report_tsv(qa.enumerate_admissible(g1, rs.element_from_word("s2")))
     assert text.splitlines()[0] == "indices\twt\ted\tdown\theight\tn"
     assert len(text.splitlines()) == 13
+
+
+# pinned at the tuple-statistics implementation: SHA-256 of report_tsv over
+# A(w, lex(lambda+) lex(lambda-))
+REPORT_TSV = {
+    ("G2", (1, -2), "s2s1"): "01eb3c7a25fc7cd6d4b0d8b65b07da9d1dee2fcbfd109638dcd712a098f895c2",
+    ("C3", (1, -1, 0), "s3s2"): "e6ebe4bc76ace020528e122d09c55344b86af85b19d8c0bad6e16321763c2fd3",
+}
+
+
+def test_admissible_subset_record():
+    for (label, coeffs, word), digest in REPORT_TSV.items():
+        rs = qa.build_root_system(label)
+        plus, minus = qa.lambda_pm(rs.weight(coeffs))
+        lex = (qa.lex_chain(rs, plus), qa.lex_chain(rs, minus))
+        chain, twin = qa.concat_chains(*lex), qa.concat_chains(*lex)
+        w = rs.element_from_word(word)
+        subsets = qa.enumerate_admissible(chain, w)
+        text = report_tsv(subsets)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, label
+    a = subsets[-1]
+    # read-only: no public name can be assigned, and no new one added
+    assert a.key[-2:] == (a.height, a.n)
+    for name in ("chain", "w", "indices", "vertices", "key", "wt", "ed", "down", "height", "n", "sign", "path"):
+        value = getattr(a, name)
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    # equal, with equal hashes, exactly when (chain, w, indices) are
+    assert twin is not chain and twin == chain
+    b = qa.admissible_from_indices(twin, w, a.indices)
+    assert b == a and hash(b) == hash(a) and len({a, b}) == 1
+    assert repr(a) == f"A{list(a.indices)}"
+    assert a != qa.admissible_from_indices(chain, w, a.indices[:-1])
+    other_w = [x for x in rs.weyl_elements if x != w]
+    assert all(a != s for x in other_w for s in qa.enumerate_admissible(chain, x) if s.indices == a.indices)
+    reversed_chain = qa.concat_chains(*reversed(lex))
+    assert a not in qa.enumerate_admissible(reversed_chain, w)
 
 
 def test_chain_with_segment_hosts():

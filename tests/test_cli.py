@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import qalcove as qa
-from qalcove import qbg
+from qalcove import alcove, charident, qbg
 from qalcove.cli import main
 from qalcove.genfun import Laurent
 
@@ -277,6 +277,39 @@ def test_shell_check_bfs_once_per_element(capsys, monkeypatch):
     code, out = run(capsys, "qbg", "shell-check", "--type", "A3")
     assert (code, out) == (0, "orders=16 pairs=576 violations=0\n")
     assert sorted(calls) == list(range(24))
+
+
+def test_adm_stats_without_indices_is_usage_error(capsys):
+    # a missing --indices is named; an explicit empty one is the empty subset
+    base = ("adm", "stats", "--type", "A2", "--lambda", "1,1")
+    _missing_option(capsys, base, "--indices")
+    code, out = run(capsys, *base, "--indices", "")
+    assert (code, out.splitlines()[1]) == (0, "{}\t1,1\te\t0,0\t0\t0")
+
+
+def test_yb_sijection_tsv_is_usage_error(capsys):
+    # the report is JSON only, so an explicit --format tsv is refused
+    argv = ["yb", "sijection", "--type", "A2", "--lambda", "2,1", "--t", "0", "--q", "3", "--format", "tsv"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "usage error: yb sijection has no TSV output\n"
+
+
+def test_chev_vanish_sweeps_support_once_per_element(capsys, monkeypatch):
+    # the vanishing check and the max_abs_qexp column share one support sweep
+    calls = []
+    support = alcove.admissible_support
+
+    def counted(chain, w):
+        calls.append(w.index)
+        return support(chain, w)
+
+    monkeypatch.setattr(alcove, "admissible_support", counted)
+    monkeypatch.setattr(charident, "admissible_support", counted)
+    code, out = run(capsys, "chev", "vanish", "--type", "G2", "--lambda", "-2,-1")
+    assert code == 0 and len(out.splitlines()) == 13
+    assert sorted(calls) == list(range(12))
 
 
 def test_adm_stats_rejects_non_subsets(capsys):

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
@@ -9,7 +10,7 @@ import qalcove as qa
 from qalcove import suite, ybmoves
 from qalcove.alcove import chain_with_segment
 from qalcove.cli import main
-from qalcove.qbg import PathStep
+from qalcove.qbg import PathStep, qbg_edge
 
 
 def a2_gamma1():
@@ -171,18 +172,18 @@ def test_g2_exceptional_y_and_i1_paths():
     # the middle path of the triple maps under Y to the single opposite path
     trip = ybmoves._TRIPLE_A
     single = ybmoves._SINGLE_A
-    mids = ybmoves._path_from_labels(rs, w, ctx.pi, trip[1])
+    mids = path_from_labels(rs, w, ctx.pi, trip[1])
     a = qa.admissible_from_indices(ctx.chain1, w, [t + j for j in mids.index_set])
     assert qa.classify_phi(a, ctx) == 4
     b = qa.yb_Y(a, ctx)
-    partner = ybmoves._path_from_labels(rs, w, ctx.pi_prime, single)
+    partner = path_from_labels(rs, w, ctx.pi_prime, single)
     assert tuple(j - t for j in b.indices) == partner.index_set
     # the outer two are swapped by I1
-    outer0 = ybmoves._path_from_labels(rs, w, ctx.pi, trip[0])
+    outer0 = path_from_labels(rs, w, ctx.pi, trip[0])
     a0 = qa.admissible_from_indices(ctx.chain1, w, [t + j for j in outer0.index_set])
     assert qa.classify_phi(a0, ctx) == 3
     a2_ = qa.yb_I1(a0, ctx)
-    outer2 = ybmoves._path_from_labels(rs, w, ctx.pi, trip[2])
+    outer2 = path_from_labels(rs, w, ctx.pi, trip[2])
     assert tuple(j - t for j in a2_.indices) == outer2.index_set
     assert qa.yb_I1(a2_, ctx).indices == a0.indices
 
@@ -194,9 +195,9 @@ def test_exceptional_sign_structure():
     w = rs.element_from_word("s1s2s1")
     signs = []
     for labels in ybmoves._TRIPLE_A:
-        p = ybmoves._path_from_labels(rs, w, ctx.pi, labels)
+        p = path_from_labels(rs, w, ctx.pi, labels)
         signs.append((-1) ** p.nega)
-    q = ybmoves._path_from_labels(rs, w, ctx.pi_prime, ybmoves._SINGLE_A)
+    q = path_from_labels(rs, w, ctx.pi_prime, ybmoves._SINGLE_A)
     qsign = (-1) ** q.nega
     assert abs(sum(signs)) == 1
     majority = 1 if sum(signs) > 0 else -1
@@ -233,6 +234,77 @@ def test_missing_partner_raises(monkeypatch):
         qa.build_sijection(ctx, w)
 
 
+def path_from_labels(rs, v, seq, labels):
+    """The explicit family path from v whose edges carry the given
+    positive-root labels, each |gamma_j| for one gamma_j of seq in
+    increasing j, built edge by edge with qbg_edge."""
+    by_label = {abs(g).coeffs: j for j, g in enumerate(seq, start=1)}
+    steps = []
+    for lab in labels:
+        j = by_label[lab]
+        assert not steps or j > steps[-1].index
+        edge = qbg_edge(rs, steps[-1].edge.target if steps else v, rs.root(lab))
+        assert edge is not None
+        steps.append(PathStep(j, seq[j - 1], edge))
+    return qa.DirectedPath(v, tuple(steps))
+
+
+def exceptional_family(rs, v, p, pi):
+    """(triple, single, pi side has the triple) when the segment path p from
+    v along pi lies in an explicit G2 family, else None; read off the
+    DirectedPath p, independently of ybmoves' integer class table."""
+    if rs.type_label != "G2" or len(pi) != 6:
+        return None
+    for side in ("A", "B"):
+        if v.word_str != ybmoves._EXC_VERTEX[side]:
+            continue
+        kind = ybmoves._pattern_kind(pi)
+        if kind is None or p.end.word_str != ybmoves._EXC_END[side] or p.wt(rs) != qa.Coroot((1, 1)):
+            return None
+        triple = ybmoves._TRIPLE_A if side == "A" else ybmoves._TRIPLE_B
+        single = ybmoves._SINGLE_A if side == "A" else ybmoves._SINGLE_B
+        return triple, single, (kind == "E13") == (side == "A")
+    return None
+
+
+@pytest.mark.parametrize(
+    "part, message",
+    [
+        ("end", "does not preserve statistics"),
+        ("c", "does not preserve statistics"),
+        ("height", "does not preserve statistics"),
+        ("n", "wrong sign behaviour"),
+    ],
+)
+def test_checks_compare_records(monkeypatch, part, message):
+    # a subset of side 2 in the image of Y whose end vertex, key or parity
+    # of n is off fails the check of its preimage
+    rs, g1 = a2_gamma1()
+    ctx = qa.make_context(g1, 0, 3)
+    w = rs.element_from_word("s2")
+    enumerate_admissible = qa.alcove.enumerate_admissible
+
+    def corrupted(chain, w_):
+        out = list(enumerate_admissible(chain, w_))
+        if chain is ctx.chain2:
+            i, b = next(
+                (i, b) for i, b in enumerate(out)
+                if b.vertices and ybmoves._class_entry(ctx, b, True)[0] == 2
+            )
+            vertices, key = b.vertices, b.key
+            if part == "end":
+                vertices = vertices[:-1] + ((vertices[-1] + 1) % len(rs.weyl_elements),)
+            else:
+                k = {"c": 0, "height": -2, "n": -1}[part]
+                key = tuple(x + (j == k % len(key)) for j, x in enumerate(key))
+            out[i] = qa.AdmissibleSubset(chain, w_, b.indices, vertices, key, b._top)
+        return tuple(out)
+
+    monkeypatch.setattr(qa.alcove, "enumerate_admissible", corrupted)
+    with pytest.raises(ybmoves.SijectionError, match=message):
+        qa.build_sijection(ctx, w)
+
+
 def per_subset_entry(ctx, a, primed):
     """(phi, partner index set, partner primed) of `a`, classified on its own.
 
@@ -248,7 +320,7 @@ def per_subset_entry(ctx, a, primed):
             steps.append(PathStep(s.index - ctx.t, s.root, s.edge))
     p = qa.DirectedPath(v, tuple(steps))
     pi, pi_other = (ctx.pi_prime, ctx.pi) if primed else (ctx.pi, ctx.pi_prime)
-    exc = ybmoves._exceptional_family(rs, v, p, pi)
+    exc = exceptional_family(rs, v, p, pi)
     if exc is not None:
         triple, single, own_has_triple = exc
         labels = tuple(s.edge.label.coeffs for s in p.steps)
@@ -261,7 +333,7 @@ def per_subset_entry(ctx, a, primed):
             assert labels in (triple[0], triple[2])
             other = triple[2] if labels == triple[0] else triple[0]
             phi, seq, labels2, side = 3, pi, other, primed
-        partner = ybmoves._path_from_labels(rs, v, seq, labels2)
+        partner = path_from_labels(rs, v, seq, labels2)
     else:
         key = (p.end, p.wt(rs))
         same = [
@@ -305,6 +377,88 @@ def test_class_table_against_per_subset_classification(monkeypatch):
     contexts = {id(ctx): ctx for ctx, _ in built}.values()
     keys = sum(len(table) for ctx in contexts for table in ctx._class_cache.values())
     assert keys < checked
+
+
+D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+F4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]]
+
+
+def mixed_chains(cartan, label, coeffs):
+    """lex(lambda+) lex(lambda-) and lex(lambda-) lex(lambda+), from the Cartan matrix."""
+    rs = qa.root_system_from_cartan(cartan, label)
+    lex = [qa.lex_chain(rs, part) for part in qa.lambda_pm(rs.weight(coeffs))]
+    return rs, qa.concat_chains(*lex), qa.concat_chains(*reversed(lex))
+
+
+def checked_sijection(ctx, w):
+    """build_sijection(ctx, w), its class table checked subset by subset
+    against per_subset_entry on both sides."""
+    sij = qa.build_sijection(ctx, w)
+    for primed, chain, classes in ((False, ctx.chain1, sij.classes1), (True, ctx.chain2, sij.classes2)):
+        subsets = qa.enumerate_admissible(chain, w)
+        assert len(classes) == len(subsets)
+        for a in subsets:
+            expect = per_subset_entry(ctx, a, primed)
+            assert ybmoves._class_entry(ctx, a, primed) == expect, (ctx.t, w, a)
+            assert classes[a.indices] == expect[0]
+    return sij
+
+
+# pinned at the tuple-statistics implementation: SHA-256 of
+# json.dumps(report_json(), indent=1) of the D4 lex(lambda+) lex(lambda-)
+# sijections, by segment start t and w
+D4_REPORTS = {
+    (1, "e"): "352b922315f909bb43d72c734088b4f7aaa172c0f736eb272fa7993173ab7465",
+    (1, "s1s3s2s4s2s1s3s2"): "6acb01f2f12f7a8ad82cdaba867eb041c72d8f77edd6821c52c283bb49131249",
+    (3, "e"): "42549af489ef9272fd337ec09d46d3f9b8e1ff7908b0a7ea2754e42fcec803ec",
+    (3, "s1s3s2s4s2s1s3s2"): "f029ee775e6ccef1656684fa770387a420a6663bb415e962f1f32195dcaf3ee5",
+    (6, "e"): "21364ced591e4a6cfabb9b5b5c25af48217beb9eae02dffdb5f00af42ab0c195",
+    (6, "s1s3s2s4s2s1s3s2"): "8e197b21018e48d90c116f8d45a32e1589be3ef8fe12a7c6c3a057f42085c518",
+    (12, "e"): "3ecf48bbe65688e21a3144e2fe5f682d1726ada7209f62caf3c8716a9633702a",
+    (12, "s1s3s2s4s2s1s3s2"): "fa102a5d342d590464656e547a686631ca5af2561f1e5a5808391d0f4d13819e",
+}
+
+
+def test_d4_sijections_every_segment():
+    # every YB segment of both mixed chains of lambda = (0, 1, 0, -1), at w = e
+    # and at one seeded w; the lex(lambda-) lex(lambda+) order has involutions
+    rs, chain, reverse = mixed_chains(D4, "D4", (0, 1, 0, -1))
+    w = random.Random(20261019).choice(rs.weyl_elements)
+    assert w.word_str == "s1s3s2s4s2s1s3s2"
+    paired = 0
+    for host in (chain, reverse):
+        segments = qa.find_yb_segments(host)
+        assert len(segments) == (4 if host is chain else 6)
+        for t, q, _, _ in segments:
+            ctx = qa.make_context(host, t, q)
+            for x in (rs.identity, w):
+                sij = checked_sijection(ctx, x)
+                paired += len(sij.invol1) + len(sij.invol2)
+                if host is chain:
+                    report = json.dumps(sij.report_json(), indent=1)
+                    digest = hashlib.sha256(report.encode()).hexdigest()
+                    assert digest == D4_REPORTS[t, x.word_str], (t, x)
+    assert paired > 0
+
+
+def test_f4_sijection_one_segment():
+    # the first length-3 YB segment of lex(lambda+) lex(lambda-), lambda = (0, 0, 1, -1)
+    rs, chain, _ = mixed_chains(F4, "F4", (0, 0, 1, -1))
+    t, q, _, _ = next(s for s in qa.find_yb_segments(chain) if s[1] == 3)
+    sij = checked_sijection(qa.make_context(chain, t, q), rs.identity)
+    assert len(sij.core_pairs) == len(qa.enumerate_admissible(chain, rs.identity)) == 2434
+
+
+def test_sijection_builds_no_directed_path(monkeypatch):
+    # the class tables walk the integer QBG tables, the G2 families included
+    def refuse(*args):
+        raise AssertionError("a DirectedPath was built")
+
+    monkeypatch.setattr(qa.DirectedPath, "__init__", refuse)
+    for kind in ("E13", "E24"):
+        rs, ctx, _ = g2_exceptional_context(kind)
+        for word in ("s1s2s1", "s2s1s2s1"):
+            qa.build_sijection(ctx, rs.element_from_word(word))
 
 
 # Pinned SHA-256 of the stdout of `yb segments` and `yb sijection --format
