@@ -78,13 +78,13 @@ from .qbops import (
     rank2_chain,
     verify_matrix_props,
 )
+# the function genfun is not re-exported: qalcove.genfun is the module
 from .genfun import (
     AffineWeylElt,
     GenFun,
     Laurent,
     ParTuple,
     compose,
-    genfun,
     genfun_equal,
     genfun_extend,
     ghat,

@@ -190,7 +190,7 @@ def lex_chain(rs: RootSystem, lam: Weight) -> LambdaChain:
     result is validated by the walk; one that fails is replaced by
     segment_chain(rs, lam), as for every C2, G2 and B3 weight tried and most
     C3 weights.  Lex order keys by coroot coefficients, not root ones; that
-    fix (ROADMAP item 3) changes pinned outputs.
+    fix changes pinned outputs.
     """
     if lam.is_zero():
         return compute_levels(rs, (), lam)
@@ -426,6 +426,16 @@ class AdmissibleSubset:
             steps.append(qbg.PathStep(j, beta, edge))
             v = edge.target
         return qbg.DirectedPath(self.w, tuple(steps))
+
+    def stats_json(self) -> dict:
+        """The statistics as JSON: {"wt", "ed", "down", "height", "n"}."""
+        return {
+            "wt": list(self.wt.coeffs),
+            "ed": self.ed.word_str,
+            "down": list(self.down.coeffs),
+            "height": self.height,
+            "n": self.n,
+        }
 
     def coheight(self) -> int:
         """Sum of levels over quantum steps; defined for dominant lam, w = e."""

@@ -24,7 +24,7 @@ from .genfun import (
     AffineWeylElt,
     GenFun,
     Laurent,
-    TermView,
+    TermTable,
     add_poly,
     compose,
     genfun,
@@ -34,44 +34,20 @@ from .genfun import (
 from .rootsys import RootSystem, Weight, WeylElement
 
 
-class FormalChar:
+class FormalChar(TermTable):
     """A finite sum of (Laurent in q) * e^{weight} * gch[w], normalized.
 
     Translation parts have already been folded into the q-coefficient using
-    mu_param.  It is held as one table {(mu, w): {exponent: count}}, mu an
-    int tuple in the fundamental-weight basis and w the index in
-    rs.weyl_elements, as GenFun holds its terms; `terms` shows it as
-    {(Weight, WeylElement): Laurent}.
+    mu_param, so the table is keyed (mu, w) only.
     """
 
-    __slots__ = ("rs", "mu_param", "table")
-    # names of the row vectors in the JSON items, after "q"
+    __slots__ = ("mu_param",)
     ROW_NAMES = ("mu", "gch_w")
+    SYMBOL = "gch[{}]"
 
     def __init__(self, rs: RootSystem, mu_param: Weight, terms: Mapping | None = None):
-        self.rs = rs
         self.mu_param = mu_param
-        self.table: dict = {}
-        for (mu, w), c in (terms or {}).items():
-            add_poly(self.table, (mu.coeffs, w.index), c.terms)
-
-    @classmethod
-    def of_table(cls, rs: RootSystem, mu_param: Weight, table: dict) -> "FormalChar":
-        """The FormalChar holding table, which must follow GenFun's invariant."""
-        f = cls.__new__(cls)
-        f.rs = rs
-        f.mu_param = mu_param
-        f.table = table
-        return f
-
-    @property
-    def terms(self) -> TermView:
-        elements = self.rs.weyl_elements
-        return TermView(
-            self.table,
-            lambda k: (Weight(k[0]), elements[k[1]]),
-            lambda key: (key[0].coeffs, key[1].index),
-        )
+        super().__init__(rs, terms)
 
     def add_symbol(self, mu: Weight, x: AffineWeylElt, coeff: Laurent):
         """Add coeff * e^mu * gch[x], normalizing gch[w t_xi] to q^{-<mu_param,xi>} gch[w]."""
@@ -79,42 +55,8 @@ class FormalChar:
         poly = {e + shift: c for e, c in coeff.terms.items()}
         add_poly(self.table, (mu.coeffs, x.w.index), poly)
 
-    def is_zero(self) -> bool:
-        return not self.table
-
     def __eq__(self, other):
-        return (
-            isinstance(other, FormalChar)
-            and self.rs is other.rs
-            and self.mu_param == other.mu_param
-            and self.table == other.table
-        )
-
-    def rows(self) -> list:
-        """The terms as sorted rows (mu, gch_w, q_pairs) of int tuples.
-
-        gch_w is the 1-based reduced word and q_pairs the (exponent,
-        coefficient) pairs by increasing exponent; rows are sorted by the
-        unique (mu, gch_w).
-        """
-        words = self.rs._json_words
-        return sorted(
-            [(mu, words[w], tuple(sorted(p.items()))) for (mu, w), p in self.table.items()]
-        )
-
-    def to_json(self) -> list:
-        return [
-            {"q": [list(p) for p in q], "mu": list(mu), "gch_w": list(w)}
-            for mu, w, q in self.rows()
-        ]
-
-    def __repr__(self):
-        elements = self.rs.weyl_elements
-        body = ", ".join(
-            f"({Laurent(self.table[mu, w])})*e^{mu}*gch[{elements[w].word_str}]"
-            for mu, w in sorted(self.table)
-        )
-        return f"FormalChar[{body}]"
+        return super().__eq__(other) and self.mu_param == other.mu_param
 
 
 def rhs_chevalley(
@@ -165,7 +107,7 @@ def _expand(
         for iota, size, m in par_groups(rs, lam, bound)
     ]
     acc = par_convolve(heads, groups, q_floor)
-    return FormalChar.of_table(rs, mu, {(wt, ed): p for (wt, ed, _), p in acc.items()})
+    return FormalChar.of_table(rs, {(wt, ed): p for (wt, ed, _), p in acc.items()}, mu)
 
 
 def specialize_trivial(f: FormalChar) -> dict:

@@ -81,7 +81,7 @@ def _unread(args, *names):
 
 
 def _rs(args):
-    return _parsed(build_root_system, args.type, getattr(args, "rank", None))
+    return _parsed(build_root_system, args.type)
 
 
 def _weight(rs, text):
@@ -238,17 +238,7 @@ def cmd_adm(args):
         subsets = [alcove.admissible_from_indices(chain, w, indices)]
     else:
         subsets = alcove.enumerate_admissible(chain, w)
-    payload = [
-        {
-            "indices": list(a.indices),
-            "wt": list(a.wt.coeffs),
-            "ed": a.ed.word_str,
-            "down": list(a.down.coeffs),
-            "height": a.height,
-            "n": a.n,
-        }
-        for a in subsets
-    ]
+    payload = [{"indices": list(a.indices), **a.stats_json()} for a in subsets]
     _emit(args, payload, alcove.report_tsv(subsets))
     return 0
 
@@ -270,12 +260,12 @@ def cmd_yb(args):
     if args.action == "apply":
         _emit(args, ybmoves.yb_transform(chain, args.t, args.q).to_json())
         return 0
-    # sijection: indented JSON with or without --format json
+    # sijection: indented JSON, to a .json file, with or without --format json
     if args.format == "tsv":
         raise CliError("yb sijection has no TSV output")
+    args.format = "json"
     ctx = ybmoves.make_context(chain, args.t, args.q)
-    sij = ybmoves.build_sijection(ctx, _w(rs, args))
-    _write(args, json.dumps(sij.report_json(), indent=1))
+    _emit(args, ybmoves.build_sijection(ctx, _w(rs, args)).report_json())
     return 0
 
 
@@ -409,7 +399,6 @@ def build_parser():
 
     def common(sp, lam=True, chain=True, w=False, xi=False, floor=False, fmt=True):
         sp.add_argument("--type", required=True, help="root-system label, e.g. A2, C2, G2")
-        sp.add_argument("--rank", type=int, default=None)
         if fmt:
             # None when not given, so that an action with one format can
             # reject the other (_text_only, yb sijection)

@@ -15,7 +15,7 @@ chi enters only through (iota(chi), |chi|), so the sum runs over those groups
 (`par_groups`), and `par_convolve` adds each shifted term of G, or of the
 composition for the hatted composition, in place when it lies above the
 floor; the character expansions in `charident` use it too.  All of these
-work on int-keyed term tables (see GenFun), from the sweep's end states to
+work on int-keyed term tables (see TermTable), from the sweep's end states to
 the JSON writer `table_json`, which renders each distinct vector, word and
 q-polynomial once; `Laurent` and the key objects are built only where a
 caller reads `.terms`.
@@ -23,6 +23,7 @@ caller reads `.terms`.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -157,30 +158,31 @@ def add_poly(table: dict, key, poly: dict):
         del table[key]
 
 
-class GenFun:
-    """A finite formal sum of (Laurent in q) * e^mu * (w t_xi).
+class TermTable:
+    """A finite signed q-series, held as one table {(mu, w, ...): {exponent: count}}.
 
-    It is held as one table {(mu, w, xi): {exponent: count}}: mu and xi are
-    int tuples in the fundamental-weight and simple-coroot bases, w is the
-    index in rs.weyl_elements, every count is nonzero and no entry is empty.
-    `terms` shows the table as {(Weight, WeylElement, Coroot): Laurent}.
+    mu, and the vectors after w (GenFun's translation xi), are int tuples in
+    the fundamental-weight and simple-coroot bases, w is the index in
+    rs.weyl_elements, every count is nonzero and no entry is empty.  `terms`
+    shows the table as {(Weight, WeylElement, Coroot...): Laurent}.
+    Subclasses name the key's vectors (ROW_NAMES, for the JSON items after
+    "q") and the symbol a term's w and later vectors stand for (SYMBOL).
     """
 
     __slots__ = ("rs", "table")
-    # names of the row vectors in the JSON items, after "q"
-    ROW_NAMES = ("mu", "w", "xi")
+    ROW_NAMES: tuple = ()
+    SYMBOL = ""
 
     def __init__(self, rs: RootSystem, terms: Mapping | None = None):
         self.rs = rs
         self.table: dict = {}
-        for (mu, w, xi), c in (terms or {}).items():
-            add_poly(self.table, (mu.coeffs, w.index, xi.coeffs), c.terms)
+        for key, c in (terms or {}).items():
+            add_poly(self.table, _encode(key), c.terms)
 
     @classmethod
-    def of_table(cls, rs: RootSystem, table: dict) -> "GenFun":
-        """The GenFun holding table, which must follow the class invariant."""
-        f = cls.__new__(cls)
-        f.rs = rs
+    def of_table(cls, rs: RootSystem, table: dict, *params):
+        """cls(rs, *params) holding table, which must follow the class invariant."""
+        f = cls(rs, *params)
         f.table = table
         return f
 
@@ -188,10 +190,69 @@ class GenFun:
     def terms(self) -> TermView:
         elements = self.rs.weyl_elements
         return TermView(
-            self.table,
-            lambda k: (Weight(k[0]), elements[k[1]], Coroot(k[2])),
-            lambda key: (key[0].coeffs, key[1].index, key[2].coeffs),
+            self.table, lambda k: (Weight(k[0]), elements[k[1]], *map(Coroot, k[2:])), _encode
         )
+
+    def is_zero(self) -> bool:
+        return not self.table
+
+    def truncated(self, floor: int):
+        """The terms with exponent >= floor."""
+        table = {}
+        for key, poly in self.table.items():
+            kept = {e: c for e, c in poly.items() if e >= floor}
+            if kept:
+                table[key] = kept
+        f = copy.copy(self)
+        f.table = table
+        return f
+
+    def max_exponent(self) -> Optional[int]:
+        return max((max(p) for p in self.table.values()), default=None)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.rs is other.rs and self.table == other.table
+
+    def rows(self) -> list:
+        """The terms as sorted rows (mu, w, ..., q_pairs) of int tuples.
+
+        w is the 1-based reduced word and q_pairs the (exponent, coefficient)
+        pairs by increasing exponent; rows are sorted by their key, which is
+        unique, so the sort never compares q_pairs.
+        """
+        words = self.rs._json_words
+        return sorted(
+            [(mu, words[w], *rest, tuple(sorted(p.items()))) for (mu, w, *rest), p in self.table.items()]
+        )
+
+    def to_json(self) -> list:
+        names = self.ROW_NAMES
+        return [
+            {"q": [list(p) for p in row[-1]], **dict(zip(names, map(list, row)))}
+            for row in self.rows()
+        ]
+
+    def __repr__(self):
+        elements = self.rs.weyl_elements
+        body = ", ".join(
+            f"({Laurent(self.table[key])})*e^{key[0]}*"
+            + self.SYMBOL.format(elements[key[1]].word_str, *key[2:])
+            for key in sorted(self.table)
+        )
+        return f"{type(self).__name__}[{body}]"
+
+
+def _encode(key) -> tuple:
+    """The table key of a (Weight, WeylElement, Coroot...) key."""
+    return (key[0].coeffs, key[1].index, *(v.coeffs for v in key[2:]))
+
+
+class GenFun(TermTable):
+    """A finite formal sum of (Laurent in q) * e^mu * (w t_xi), keyed (mu, w, xi)."""
+
+    __slots__ = ()
+    ROW_NAMES = ("mu", "w", "xi")
+    SYMBOL = "{}*t{}"
 
     def add_term(self, mu: Weight, x: AffineWeylElt, coeff: Laurent):
         add_poly(self.table, (mu.coeffs, x.w.index, x.xi.coeffs), coeff.terms)
@@ -209,47 +270,6 @@ class GenFun:
             for e1, c1 in poly.items():
                 add_poly(out.table, key, {e1 + e2: c1 * c2 for e2, c2 in coeff.terms.items()})
         return out
-
-    def truncated(self, floor: int) -> "GenFun":
-        """The terms with exponent >= floor."""
-        table = {}
-        for key, poly in self.table.items():
-            kept = {e: c for e, c in poly.items() if e >= floor}
-            if kept:
-                table[key] = kept
-        return GenFun.of_table(self.rs, table)
-
-    def max_exponent(self) -> Optional[int]:
-        return max((max(p) for p in self.table.values()), default=None)
-
-    def __eq__(self, other):
-        return isinstance(other, GenFun) and self.rs is other.rs and self.table == other.table
-
-    def rows(self) -> list:
-        """The terms as sorted rows (mu, w, xi, q_pairs) of int tuples.
-
-        w is the 1-based reduced word and q_pairs the (exponent, coefficient)
-        pairs by increasing exponent; rows are sorted by (mu, w, xi), which
-        are unique, so the sort never compares q_pairs.
-        """
-        words = self.rs._json_words
-        return sorted(
-            [(mu, words[w], xi, tuple(sorted(p.items()))) for (mu, w, xi), p in self.table.items()]
-        )
-
-    def to_json(self) -> list:
-        return [
-            {"q": [list(p) for p in q], "mu": list(mu), "w": list(w), "xi": list(xi)}
-            for mu, w, xi, q in self.rows()
-        ]
-
-    def __repr__(self):
-        elements = self.rs.weyl_elements
-        body = ", ".join(
-            f"({Laurent(self.table[mu, w, xi])})*e^{mu}*{elements[w].word_str}*t{xi}"
-            for mu, w, xi in sorted(self.table)
-        )
-        return f"GenFun[{body}]"
 
 
 def genfun(chain: LambdaChain, x: AffineWeylElt) -> GenFun:

@@ -4,9 +4,10 @@ Q_gamma sends v to v*s_gamma (Bruhat edge), to Q^{gamma^vee} v*s_gamma
 (quantum edge), or to 0; Q_{-gamma} = -Q_gamma and R_gamma = 1 + Q_gamma.
 A product of R-operators is a |W| x |W| matrix over the exact polynomial
 ring Z[Q_1..Q_n], in the ShortLex basis order of W, computed as a sparse
-table {(v, w): {exponent: coefficient}} of its nonzero cells.  The
-multiplicity laws and the golden files are checked on these tables; golden
-files compare byte for byte with their canonical TSV (`cell_str` per cell).
+table {(v, w): {exponent: coefficient}} of its nonzero cells, which
+OperatorMatrix holds.  The multiplicity laws and the golden files are
+checked on these tables; golden files compare byte for byte with their
+canonical TSV (`_tsv`, `cell_str` per cell).
 """
 
 from __future__ import annotations
@@ -249,35 +250,35 @@ def _tsv(rs: RootSystem, table: dict) -> str:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Matrix (c_{v,w}) of an operator T, T w = sum_v c_{v,w} v, basis ShortLex."""
+    """Matrix (c_{v,w}) of an operator T, T w = sum_v c_{v,w} v, basis ShortLex.
+
+    It holds the sparse table {(v, w): {exponent: coefficient}} of _table;
+    entry and entries build QPoly values on read.
+    """
 
     rs: RootSystem
-    entries: tuple[tuple[QPoly, ...], ...]
+    table: dict
 
     @property
     def basis(self) -> tuple[WeylElement, ...]:
         return self.rs.weyl_elements
 
     def entry(self, v: WeylElement, w: WeylElement) -> QPoly:
-        return self.entries[v.index][w.index]
+        return QPoly(self.rs.rank, self.table.get((v.index, w.index)))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, OperatorMatrix)
-            and self.rs is other.rs
-            and self.entries == other.entries
-        )
+    @property
+    def entries(self) -> tuple[tuple[QPoly, ...], ...]:
+        n = range(len(self.rs.weyl_elements))
+        get = self.table.get
+        return tuple(tuple(QPoly(self.rs.rank, get((v, w))) for w in n) for v in n)
 
     def to_tsv(self) -> str:
-        return "\n".join("\t".join(map(str, row)) for row in self.entries)
+        return _tsv(self.rs, self.table)
 
 
 def operator_matrix(rs: RootSystem, seq: Sequence[Root]) -> OperatorMatrix:
     """Matrix of R_{gamma_r} ... R_{gamma_1}, seq in application order."""
-    n = range(len(rs.weyl_elements))
-    get = _table(rs, seq).get
-    entries = tuple(tuple(QPoly(rs.rank, get((v, w))) for w in n) for v in n)
-    return OperatorMatrix(rs, entries)
+    return OperatorMatrix(rs, _table(rs, seq))
 
 
 def same_operator(rs: RootSystem, seq1: Sequence[Root], seq2: Sequence[Root]) -> bool:

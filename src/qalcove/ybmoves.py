@@ -346,29 +346,20 @@ class Sijection:
     classes2: dict
 
     def report_json(self) -> dict:
-        def stats(a):
-            return {
-                "wt": list(a.wt.coeffs),
-                "ed": a.ed.word_str,
-                "down": list(a.down.coeffs),
-                "height": a.height,
-                "n": a.n,
-            }
-
         return {
             "w": self.w.word_str,
             "t": self.ctx.t,
             "q": self.ctx.q,
             "Y": [
-                {"from": list(a.indices), "to": list(b.indices), "stats": stats(a)}
+                {"from": list(a.indices), "to": list(b.indices), "stats": a.stats_json()}
                 for a, b in self.core_pairs
             ],
             "I1": [
-                {"pair": [list(a.indices), list(b.indices)], "stats": stats(a)}
+                {"pair": [list(a.indices), list(b.indices)], "stats": a.stats_json()}
                 for a, b in self.invol1
             ],
             "I2": [
-                {"pair": [list(a.indices), list(b.indices)], "stats": stats(a)}
+                {"pair": [list(a.indices), list(b.indices)], "stats": a.stats_json()}
                 for a, b in self.invol2
             ],
         }

@@ -113,6 +113,9 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _ = run(capsys, "suite", "all", "--workers", "2")
     assert code == 2
+    # --type fixes the rank, so there is no --rank option
+    code, _ = run(capsys, "gf", "eval", "--type", "A2", "--rank", "2", "--lambda", "1,1")
+    assert code == 2
     # a non-integer weight, index or translation is a usage error, not a failed check
     for argv in (
         ("chain", "lex", "--type", "A2", "--lambda", "a,1"),
@@ -578,9 +581,13 @@ def test_outdir_names_file_per_command(tmp_path, capsys, monkeypatch):
     assert code == 0
     code, gf = run(capsys, "gf", "eval", "--type", "A1", "--lambda", "1")
     assert code == 0
-    assert sorted(os.listdir(tmp_path)) == ["chain-lex.json", "gf-eval.txt"]
+    # the sijection report is JSON with or without --format json
+    code, sij = run(capsys, "yb", "sijection", "--type", "A2", "--lambda", "2,1", "--t", "0", "--q", "3")
+    assert code == 0
+    assert sorted(os.listdir(tmp_path)) == ["chain-lex.json", "gf-eval.txt", "yb-sijection.json"]
     assert (tmp_path / "chain-lex.json").read_text(encoding="utf-8") == lex
     assert (tmp_path / "gf-eval.txt").read_text(encoding="utf-8") == gf
+    assert (tmp_path / "yb-sijection.json").read_text(encoding="utf-8") == sij
 
 
 def test_g2_lambda_33_json_is_pinned(capsys):

@@ -26,3 +26,38 @@ def test_one_point_model_and_one_lock():
     assert [name for name, imports in modules.items() if "fractions" in imports] == []
     locking = [name for name, imports in modules.items() if "threading" in imports]
     assert set(locking) <= {"rootsys"}
+
+
+def test_genfun_is_the_module():
+    # the package does not re-export the function genfun over its module
+    import sys
+
+    import qalcove
+    from qalcove.genfun import genfun, table_json
+
+    assert qalcove.genfun is sys.modules["qalcove.genfun"]
+    assert qalcove.genfun.table_json is table_json and qalcove.genfun.genfun is genfun
+
+
+def test_benchmark_names_resolve():
+    # perfbench's tracer patches the SPAN_POINTS functions by name, its
+    # set-up calls qbg.out_edges, and its checks read .terms and to_json of
+    # G, Ghat and the character expansion
+    import importlib
+    import importlib.util
+
+    from qalcove import qbg
+    from qalcove.charident import FormalChar
+    from qalcove.genfun import GenFun
+
+    path = SRC.parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for short, points in tracing.SPAN_POINTS.items():
+        module = importlib.import_module(f"qalcove.{short}")
+        for name in points:
+            assert callable(getattr(module, name, None)), f"qalcove.{short}.{name}"
+    assert callable(qbg.out_edges)
+    for cls in (GenFun, FormalChar):
+        assert callable(cls.to_json) and isinstance(cls.terms, property)

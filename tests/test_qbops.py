@@ -74,7 +74,8 @@ def matrix_from_tsv(rs, text: str) -> OperatorMatrix:
     n = len(rs.weyl_elements)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError("golden matrix has the wrong shape")
-    return OperatorMatrix(rs, tuple(rows))
+    table = {(v, w): p.terms for v, row in enumerate(rows) for w, p in enumerate(row) if p.terms}
+    return OperatorMatrix(rs, table)
 
 
 def oracle_golden(rs) -> list:
