@@ -27,13 +27,16 @@ class ChainError(ValueError):
     """The root sequence is not a lambda-chain (or fails validation)."""
 
 
+class ChainTypeError(ChainError):
+    """A chain's JSON names another root-system type than the one it is read in."""
+
+
 @dataclass(frozen=True)
 class LambdaChain:
     rs: RootSystem
     lam: Weight
     roots: tuple[Root, ...]
     levels: tuple[int, ...]
-    _adm_cache: dict = field(default_factory=dict, compare=False, repr=False)
     _step_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -69,10 +72,12 @@ class LambdaChain:
 
     @staticmethod
     def from_json(data: dict, rs: Optional[RootSystem] = None) -> "LambdaChain":
-        from .rootsys import build_root_system
+        from .rootsys import _ALIASES, build_root_system
 
         if rs is None:
             rs = build_root_system(data["type"])
+        elif _ALIASES.get(data["type"], data["type"]) != rs.type_label:
+            raise ChainTypeError(f"chain file has type {data['type']}, not {rs.type_label}")
         lam = rs.weight(data["lambda"])
         roots = tuple(rs.root(c) for c in data["roots"])
         chain = compute_levels(rs, roots, lam)
@@ -252,44 +257,23 @@ def straight_crossings(
 def segment_chain(rs: RootSystem, lam: Weight) -> LambdaChain:
     """A reduced lambda-chain from a generic straight segment rho/h -> rho/h - lam.
 
-    Orders the separating hyperplanes by crossing time along the segment,
-    tie-broken by a generic perturbation of the base point.  Works for every
-    weight, dominant or not.  The rational key ((<rho/h, alpha^vee> - k)/c,
-    slope/c), c = <lam, alpha^vee>, is compared as the integer key
-    ((height - k h) L/c, slope L/c), L the lcm of the |c|.
+    The segment starts at rho/h + p/(h e), for the perturbation p = (m^i + i)
+    and e = 2 L max |<p, alpha^vee>| + 1, L the lcm of the nonzero
+    |<lam, alpha^vee>|.  Then p moves no crossing time past another, and
+    crossings at the same time of the unperturbed segment are ordered by
+    <p, alpha^vee>/<lam, alpha^vee>.  A tie left over, or a sequence that
+    fails validation, moves on to the next m.
     """
-    if lam.is_zero():
-        return compute_levels(rs, (), lam)
     h = rs.coxeter_number
-    cs = [rs.pair(lam, rs.coroot(alpha)) for alpha in rs.positive_roots]
-    lcm = math.lcm(*(c for c in cs if c))
+    coroots = rs._coroot_vec[: len(rs.positive_roots)]
+    lcm = math.lcm(*(c for cor in coroots if (c := sum(map(mul, lam.coeffs, cor)))))
     for m in range(1, 60):
-        d = tuple(m**i + i for i in range(rs.rank))
-        crossings = []
-        collision = False
-        seen = set()
-        for alpha, c in zip(rs.positive_roots, cs):
-            if c == 0:
-                continue
-            cor = rs.coroot(alpha)
-            s = lcm // c
-            slope = sum(x * y for x, y in zip(d, cor.coeffs))
-            ks = range(0, -c, -1) if c > 0 else range(1, -c + 1)
-            for k in ks:
-                key = ((cor.height - k * h) * s, slope * s)
-                if key in seen:
-                    collision = True
-                    break
-                seen.add(key)
-                crossings.append((key, alpha if c > 0 else -alpha))
-            if collision:
-                break
-        if collision:
-            continue
-        crossings.sort(key=lambda t: t[0])
-        roots = tuple(beta for _, beta in crossings)
+        p = tuple(m**i + i for i in range(rs.rank))
+        e = 2 * lcm * max(abs(sum(map(mul, p, cor))) for cor in coroots) + 1
+        start = tuple(e + x for x in p)
+        end = tuple(x - h * e * l for x, l in zip(start, lam.coeffs))
         try:
-            return compute_levels(rs, roots, lam)
+            return compute_levels(rs, straight_crossings(rs, start, end, h * e), lam)
         except ChainError:
             continue
     raise ChainError(f"no generic segment chain found for {lam}")
@@ -417,15 +401,7 @@ class AdmissibleSubset:
 
     @property
     def path(self) -> qbg.DirectedPath:
-        rs = self.chain.rs
-        steps = []
-        v = self.w
-        for j in self.indices:
-            beta = self.chain.roots[j - 1]
-            edge = qbg.qbg_edge(rs, v, abs(beta))
-            steps.append(qbg.PathStep(j, beta, edge))
-            v = edge.target
-        return qbg.DirectedPath(self.w, tuple(steps))
+        return qbg.directed_path(self._chain.rs, self._w, self._chain.roots, self._indices)
 
     def stats_json(self) -> dict:
         """The statistics as JSON: {"wt", "ed", "down", "height", "n"}."""
@@ -508,12 +484,8 @@ def enumerate_admissible(
     A depth-first search over the QBG steps of _vertex_steps: each subset
     extends its parent's (vertex, key) by one step, and its children are
     the steps at later positions, so a subset is listed before its
-    extensions and siblings in increasing order of their new index.  Cached
-    per w on the chain.
+    extensions and siblings in increasing order of their new index.
     """
-    cached = chain._adm_cache.get(w)
-    if cached is not None:
-        return cached
     out = []
     built = chain._step_cache
 
@@ -524,8 +496,7 @@ def enumerate_admissible(
             visit(j + 1, t, tuple(map(add, key, inc)), indices + (j + 1,), vertices + (t,))
 
     visit(0, w.index, (0,) * (2 * chain.rs.rank + 2), (), ())
-    out = chain._adm_cache[w] = tuple(out)
-    return out
+    return tuple(out)
 
 
 # -- the sweep kernel ---------------------------------------------------------

@@ -29,7 +29,6 @@ from .genfun import (
     compose,
     genfun,
     par_convolve,
-    par_groups,
 )
 from .rootsys import RootSystem, Weight, WeylElement
 
@@ -99,14 +98,7 @@ def _expand(
         s = sum(map(mul, mu_c, xi))
         for e, k in poly.items():
             head[e - s] = head.get(e - s, 0) + k
-    bound = max((max(p) for p in heads.values()), default=q_floor - 1) - q_floor
-    if bound < 0:
-        return FormalChar(rs, mu)
-    groups = [
-        ((), size + rs.pair(shift, iota), m)
-        for iota, size, m in par_groups(rs, lam, bound)
-    ]
-    acc = par_convolve(heads, groups, q_floor)
+    acc = par_convolve(heads, rs, lam, q_floor, shift)
     return FormalChar.of_table(rs, {(wt, ed): p for (wt, ed, _), p in acc.items()}, mu)
 
 

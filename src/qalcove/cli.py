@@ -113,8 +113,7 @@ def _chain(rs, args):
     """Chain from --chain (path or @path), else the lex chain of --lam."""
     spec = getattr(args, "chain", None)
     if spec:
-        path = spec[1:] if spec.startswith("@") else spec
-        return alcove.LambdaChain.load(path, rs)
+        return _load(rs, spec[1:] if spec.startswith("@") else spec)
     if getattr(args, "lam", None) is None:
         raise CliError("need --lambda or --chain")
     lam = _weight(rs, args.lam)
@@ -124,6 +123,15 @@ def _chain(rs, args):
     return alcove.concat_chains(
         alcove.lex_chain(rs, plus), alcove.lex_chain(rs, minus)
     )
+
+
+def _load(rs, path):
+    """The chain file at path, read in rs; a file of another type is a usage
+    error, while one that fails validation stays a failed check."""
+    try:
+        return alcove.LambdaChain.load(path, rs)
+    except alcove.ChainTypeError as exc:
+        raise CliError(exc) from exc
 
 
 def _emit(args, payload, text=None):
@@ -323,7 +331,7 @@ def cmd_gf(args):
         _emit_terms(args, genfun(_chain(rs, args), x))
         return 0
     if args.action in ("compare", "compose"):
-        c1, c2 = (alcove.LambdaChain.load(path, rs) for path in paths)
+        c1, c2 = (_load(rs, path) for path in paths)
     if args.action == "compare":
         same = genfun_equal(genfun(c1, x), genfun(c2, x), args.floor)
         print("equal" if same else "different")

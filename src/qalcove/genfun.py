@@ -388,16 +388,26 @@ def par_groups(rs: RootSystem, lam: Weight, bound: int) -> list:
     return [(iota, size, m) for (iota, size), m in mult.items()]
 
 
-def par_convolve(heads: dict, groups: list, q_floor: int) -> dict:
-    """Shift every head by every partition group, keeping exponents >= q_floor.
+def par_convolve(
+    heads: dict, rs: RootSystem, lam: Weight, q_floor: int, shift: Optional[Weight] = None
+) -> dict:
+    """The sum over the partition tuples chi of lam of the shifted heads, above q_floor.
 
-    heads maps keys (..., xi), whose last entry is a translation as an int
-    tuple, to {exponent: count}, and groups lists (iota, drop, multiplicity)
-    with iota an int tuple of the same length; the result maps (..., xi +
-    iota) -> {exponent - drop: sum of count * multiplicity}, accumulated in
-    place, zero counts and empty entries dropped.
+    heads maps keys (..., xi), xi a translation as an int tuple (or ()), to
+    {exponent: count}; the result maps (..., xi + iota(chi)) -> {exponent -
+    |chi| - <shift, iota(chi)>: sum of counts}, zero counts dropped.  shift
+    pairs to >= 0 with every iota, so |chi| <= max-exponent(heads) - q_floor
+    bounds the tuples; equal (iota, |chi|) are summed as one group
+    (par_groups), and each shifted head is added in place only above q_floor.
     """
-    groups = sorted(groups, key=lambda g: g[1])
+    bound = max((max(p) for p in heads.values()), default=q_floor - 1) - q_floor
+    groups = sorted(
+        (
+            (iota.coeffs, size if shift is None else size + rs.pair(shift, iota), m)
+            for iota, size, m in par_groups(rs, lam, bound)
+        ),
+        key=lambda g: g[1],
+    )
     # xi -> [xi + iota per group], one sum per distinct translation: G's
     # translations x.xi + down(A) take few values (3-7 for 26-247 terms in
     # the benchmark's ghat jobs)
@@ -426,20 +436,9 @@ def par_convolve(heads: dict, groups: list, q_floor: int) -> dict:
 
 
 def ghat(chain: LambdaChain, x: AffineWeylElt, q_floor: int) -> GenFun:
-    """Ghat_Gamma(x), exact in every q-exponent >= q_floor.
-
-    Ghat = sum_chi q^{-|chi|} G(x t_{iota(chi)}), with the partition-tuple sum
-    truncated by the provable bound |chi| <= max-exponent(G) - q_floor, so no
-    kept term is missed.  Tuples with equal (iota, |chi|) are summed as one
-    group, and each shifted G-term is added in place only above q_floor.
-    """
-    rs = chain.rs
-    g = genfun(chain, x)
-    top = g.max_exponent()
-    if top is None:
-        return GenFun(rs)
-    groups = [(iota.coeffs, size, m) for iota, size, m in par_groups(rs, chain.lam, top - q_floor)]
-    return GenFun.of_table(rs, par_convolve(g.table, groups, q_floor))
+    """Ghat_Gamma(x) = sum_chi q^{-|chi|} G(x t_{iota(chi)}), exact in every
+    q-exponent >= q_floor (see par_convolve)."""
+    return GenFun.of_table(chain.rs, par_convolve(genfun(chain, x).table, chain.rs, chain.lam, q_floor))
 
 
 def ghat_compose(
@@ -456,19 +455,10 @@ def ghat_compose(
     if not is_cancellation_free([mu1, mu2]):
         raise ValueError("ghat composition needs a cancellation-free split")
     # the partition sums see the pairs (B, A) only through the terms of
-    # G_{Gamma1}(G_{Gamma2}(x)): (wt, ed, translation) -> {exponent: count}
-    heads = compose(chain1, chain2, x).table
-    bound = max((max(p) for p in heads.values()), default=q_floor - 1) - q_floor
-    if bound < 0:
-        return GenFun(rs)
-    # e(omega) only lowers exponents on nodes where mu1 >= 0
-    groups2 = [
-        (iota.coeffs, size + rs.pair(mu1, iota), m)
-        for iota, size, m in par_groups(rs, mu2, bound)
-    ]
-    groups1 = [(iota.coeffs, size, m) for iota, size, m in par_groups(rs, mu1, bound)]
-    omega = par_convolve(heads, groups2, q_floor)
-    return GenFun.of_table(rs, par_convolve(omega, groups1, q_floor))
+    # G_{Gamma1}(G_{Gamma2}(x)); e(omega) only lowers exponents, on nodes
+    # where mu1 >= 0
+    omega = par_convolve(compose(chain1, chain2, x).table, rs, mu2, q_floor, mu1)
+    return GenFun.of_table(rs, par_convolve(omega, rs, mu1, q_floor))
 
 
 def weight_orbit_sum(chain: LambdaChain) -> dict:

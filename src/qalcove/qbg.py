@@ -133,6 +133,44 @@ def is_reflection_order(rs: RootSystem, order: Sequence[Root]) -> bool:
     return True
 
 
+def index_paths(rs: RootSystem, v: int, pi: Sequence[Root]) -> list:
+    """[(index set, end, down)] of the paths from the vertex of index v along
+    |gamma_{j_1}|, ..., |gamma_{j_p}| with j_1 < ... < j_p, gamma_j in pi.
+
+    A depth-first walk over the integer QBG tables, in lex order of index
+    sets, the empty path first: index sets are 1-based in pi, end is the
+    index of the vertex reached and down the sum of the coroots of the
+    quantum steps as an int tuple.  No DirectedPath is built.
+    """
+    column, quantum, _, coroot, _ = alcove._sweep_tables(rs)
+    labels = [alcove._root_step(rs, gamma)[1] for gamma in pi]
+    out: list = []
+
+    def walk(pos: int, u: int, down: tuple, js: tuple):
+        out.append((js, u, down))
+        for j in range(pos, len(labels)):
+            p = labels[j]
+            t = column[p][u]
+            if t >= 0:
+                step = tuple(map(add, down, coroot[p])) if quantum[p][u] else down
+                walk(j + 1, t, step, js + (j + 1,))
+
+    walk(0, v, (0,) * rs.rank, ())
+    return out
+
+
+def directed_path(
+    rs: RootSystem, v: WeylElement, pi: Sequence[Root], indices: Sequence[int]
+) -> DirectedPath:
+    """The path from v along |gamma_j| for the 1-based j in indices, increasing,
+    each a QBG edge from the vertex the path has reached."""
+    steps = []
+    for j in indices:
+        edge = _edge(rs, steps[-1].edge.target if steps else v, alcove._root_step(rs, pi[j - 1])[1])
+        steps.append(PathStep(j, pi[j - 1], edge))
+    return DirectedPath(v, tuple(steps))
+
+
 def pi_compatible_paths(
     rs: RootSystem, v: WeylElement, pi: Sequence[Root]
 ) -> list[DirectedPath]:
@@ -140,28 +178,17 @@ def pi_compatible_paths(
 
     The empty path is included; output is in lexicographic order of index sets.
     """
-    labels = [alcove._root_step(rs, gamma)[1] for gamma in pi]
-    out: list[DirectedPath] = []
-
-    def rec(pos: int, current: WeylElement, steps: tuple[PathStep, ...]):
-        out.append(DirectedPath(v, steps))
-        for j in range(pos, len(pi)):
-            edge = _edge(rs, current, labels[j])
-            if edge is not None:
-                rec(j + 1, edge.target, steps + (PathStep(j + 1, pi[j], edge),))
-
-    rec(0, v, ())
-    return out
+    return [directed_path(rs, v, pi, js) for js, _, _ in index_paths(rs, v.index, pi)]
 
 
 def label_increasing_path(
     rs: RootSystem, v: WeylElement, w: WeylElement, order: Sequence[Root]
 ) -> DirectedPath:
     """The unique label-increasing directed path v -> w for a reflection order."""
-    matches = [p for p in pi_compatible_paths(rs, v, order) if p.end == w]
+    matches = [js for js, end, _ in index_paths(rs, v.index, order) if end == w.index]
     if len(matches) != 1:
         raise _shell_defect(len(matches), v, w, order)
-    return matches[0]
+    return directed_path(rs, v, order, matches[0])
 
 
 def _shell_defect(count, v, w, order) -> RuntimeError:

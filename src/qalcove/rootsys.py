@@ -11,7 +11,6 @@ identity.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import threading
 from dataclasses import dataclass, field
@@ -197,7 +196,6 @@ class RootSystem:
         self._build_roots()
         self._build_weyl_group()
         self.rho = Weight((1,) * self.rank)
-        self._theta = self._find_highest_root()
         # h is the Coxeter number: 1 + max coroot height.  This keeps the
         # base point rho/h strictly inside the fundamental alcove (never on
         # any hyperplane <.,alpha^vee> = k) in every type.
@@ -350,29 +348,18 @@ class RootSystem:
             tuple(b - p * a for b, a in zip(beta.coeffs, alpha.coeffs))
         )
 
-    def _find_highest_root(self):
-        if self.type_label == "A1xA1":
-            return None
-        best = None
-        for cand in self.positive_roots:
-            if all(
-                all(x >= 0 for x in (c - b for c, b in zip(cand.coeffs, b2.coeffs)))
-                for b2 in self.positive_roots
-            ):
-                best = cand
-        if best is None:
-            return None
-        return best
-
     # -- basic queries ------------------------------------------------------
 
     @property
     def highest_root(self) -> Root:
-        if self._theta is None:
-            raise RootSystemError(
-                f"{self.type_label} is reducible and has no highest root"
-            )
-        return self._theta
+        """The last positive root, if it lies above every positive root."""
+        theta = self.positive_roots[-1]
+        for beta in self.positive_roots:
+            if any(t < b for t, b in zip(theta.coeffs, beta.coeffs)):
+                raise RootSystemError(
+                    f"{self.type_label} is reducible and has no highest root"
+                )
+        return theta
 
     def simple_root(self, i: int) -> Root:
         return Root(tuple(1 if j == i else 0 for j in range(self.rank)))
@@ -469,50 +456,31 @@ class RootSystem:
     def rank2_subsystem(self, alpha: Root, beta: Root) -> Rank2Segment:
         """Ordered YB segment (alpha, s_alpha(beta), ..., s_beta(alpha), beta).
 
-        Requires <alpha, beta^vee> <= 0 and alpha != -beta.  The segment lists
-        the roots a*alpha + b*beta (a, b >= 0) of the rank-2 subsystem
-        generated by alpha and beta, swept from alpha to beta: the orbit of
-        {alpha, beta} under <s_alpha, s_beta>, taken on all_roots indices
-        through the two reflections' root permutations, with (a, b) read off
-        by Cramer's rule on one nonsingular 2x2 minor.
+        Requires <alpha, beta^vee> <= 0 and alpha != -beta, so that alpha and
+        beta are the simple roots of the dihedral reflection subgroup they
+        generate.  The segment is its reflection order (Dyer 1993): gamma_1 =
+        alpha, gamma_2 = s_alpha(beta) and gamma_{j+1} =
+        -s_{gamma_j}(gamma_{j-1}), until gamma_j = beta after at most 6 roots.
         """
         if alpha == -beta or alpha == beta:
             raise RootSystemError("alpha and beta must be non-proportional")
         if self.root_pair(alpha, self.coroot(beta)) > 0:
             raise RootSystemError("<alpha, beta^vee> must be <= 0")
-        perms = (self.reflection(alpha).root_perm, self.reflection(beta).root_perm)
-        members = {self._root_index[alpha], self._root_index[beta]}
-        frontier = list(members)
-        while frontier:
-            frontier = [
-                img for k in frontier for perm in perms if (img := perm[k]) not in members
-            ]
-            members.update(frontier)
-        u, v = alpha.coeffs, beta.coeffs
-        i, j = next(
-            (i, j)
-            for i, j in itertools.combinations(range(self.rank), 2)
-            if u[i] * v[j] != u[j] * v[i]
-        )
-        det = u[i] * v[j] - u[j] * v[i]
-        segment = []
-        for k in members:
-            g = self.all_roots[k].coeffs
-            # members are integer combinations of alpha and beta
-            a = (g[i] * v[j] - g[j] * v[i]) // det
-            b = (u[i] * g[j] - u[j] * g[i]) // det
-            if a >= 0 and b >= 0:
-                segment.append((a, b, self.all_roots[k]))
-        # sweep order b/(a+b), compared by cross-multiplying
-        segment.sort(key=functools.cmp_to_key(lambda x, y: x[1] * y[0] - y[1] * x[0]))
-        roots = tuple(g for _, _, g in segment)
-        if roots[0] != alpha or roots[-1] != beta:
-            raise RootSystemError("segment construction failed")
+        index = self._root_index
+
+        def reflect(gamma: Root, delta: Root) -> Root:
+            return self.all_roots[self.reflection(gamma).root_perm[index[delta]]]
+
+        roots = [alpha, reflect(alpha, beta)]
+        while roots[-1] != beta:
+            if len(roots) == 6:
+                raise RootSystemError("segment construction failed")
+            roots.append(-reflect(roots[-1], roots[-2]))
         q = len(roots)
         label = {2: "A1xA1", 3: "A2", 4: "C2", 6: "G2"}.get(q)
         if label is None:
             raise RootSystemError(f"unexpected rank-2 segment length {q}")
-        return Rank2Segment(label, roots)
+        return Rank2Segment(label, tuple(roots))
 
     # -- serialization helpers ----------------------------------------------
 
@@ -538,18 +506,15 @@ _cache: dict[str, RootSystem] = {}
 _cache_lock = threading.Lock()
 
 
-def build_root_system(type_label: str, rank: int | None = None) -> RootSystem:
+def build_root_system(type_label: str) -> RootSystem:
     """Return the (cached) root system for a supported type label.
 
-    `rank`, if given, must agree with the label.  Custom Cartan matrices can
-    be supplied through :func:`root_system_from_cartan`.
+    Custom Cartan matrices can be supplied through
+    :func:`root_system_from_cartan`.
     """
     label = _ALIASES.get(type_label, type_label)
     if label not in _CARTAN:
         raise RootSystemError(f"unsupported type label {type_label!r}")
-    expected = len(_CARTAN[label])
-    if rank is not None and rank != expected:
-        raise RootSystemError(f"type {type_label} has rank {expected}, not {rank}")
     with _cache_lock:
         if label not in _cache:
             _cache[label] = RootSystem(label, _CARTAN[label])

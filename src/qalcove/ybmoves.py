@@ -26,10 +26,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import add
 from typing import Optional, Sequence
 
-from . import alcove
+from . import alcove, qbg
 from .alcove import AdmissibleSubset, LambdaChain, admissible_from_indices
 from .rootsys import Root, RootSystem, RootSystemError, WeylElement
 
@@ -66,32 +65,15 @@ class YbContext:
     def paths(self, v: int, primed: bool) -> tuple[list, dict]:
         """The segment paths from the vertex of index v on one side, built once.
 
-        Walks the segment over the integer QBG tables (alcove._sweep_tables)
-        in lex order of index sets, the empty path first.  Returns ([(index
-        set, (end, down))], {(end, down): [index sets]}): index sets within
-        the segment (1..q), end the index in rs.weyl_elements of the vertex
-        the path reaches, and down the sum of the coroots of its quantum
-        steps as an int tuple.  No DirectedPath is built.
+        Returns ([(index set, (end, down))], {(end, down): [index sets]}),
+        from qbg.index_paths along the side's segment: index sets within
+        the segment (1..q), in lex order, the empty path first.
         """
         key = (v, primed)
         got = self._path_cache.get(key)
         if got is None:
-            rs = self.rs
-            column, quantum, _, coroot, _ = alcove._sweep_tables(rs)
             seq = self.pi_prime if primed else self.pi
-            labels = [alcove._root_step(rs, gamma)[1] for gamma in seq]
-            paths = []
-
-            def walk(pos, u, down, js):
-                paths.append((js, (u, down)))
-                for j in range(pos, len(labels)):
-                    p = labels[j]
-                    t = column[p][u]
-                    if t >= 0:
-                        step = tuple(map(add, down, coroot[p])) if quantum[p][u] else down
-                        walk(j + 1, t, step, js + (j + 1,))
-
-            walk(0, v, (0,) * rs.rank, ())
+            paths = [(js, (end, down)) for js, end, down in qbg.index_paths(self.rs, v, seq)]
             groups: dict = {}
             for js, group in paths:
                 groups.setdefault(group, []).append(js)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -157,6 +158,53 @@ def test_segment_chain_reduced_everywhere():
         for coeffs in ([1, 0], [2, 1], [-1, 2], [1, -1], [-2, -1]):
             chain = qa.segment_chain(rs, rs.weight(coeffs))
             assert qa.is_reduced(chain)
+
+
+def segment_chain_oracle(rs, lam):
+    """segment_chain by its own key sort: the crossings of rho/h -> rho/h - lam
+    keyed by (time, slope), both scaled by L h or L, for perturbations p =
+    (m^i + i) until the keys are distinct and the sequence validates."""
+    h = rs.coxeter_number
+    cs = [rs.pair(lam, rs.coroot(alpha)) for alpha in rs.positive_roots]
+    lcm = math.lcm(*(c for c in cs if c))
+    for m in range(1, 60):
+        p = tuple(m**i + i for i in range(rs.rank))
+        crossings = []
+        for alpha, c in zip(rs.positive_roots, cs):
+            cor = rs.coroot(alpha)
+            s = lcm // c if c else 0
+            slope = sum(x * y for x, y in zip(p, cor.coeffs))
+            ks = range(0, -c, -1) if c > 0 else range(1, -c + 1)
+            for k in ks:
+                crossings.append((((cor.height - k * h) * s, slope * s), alpha if c > 0 else -alpha))
+        if len({key for key, _ in crossings}) < len(crossings):
+            continue
+        crossings.sort(key=lambda t: t[0])
+        try:
+            return qa.compute_levels(rs, tuple(b for _, b in crossings), lam)
+        except ChainError:
+            continue
+    raise ChainError(f"no generic segment chain found for {lam}")
+
+
+D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+F4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]]
+
+
+def test_segment_chain_against_key_sort():
+    # 740 weights: rank 1-2 over {-3..3}^n, rank 3 over {-2..2}^3, D4 and F4
+    # over {-1..1}^4
+    boxes = [(qa.build_root_system(label), 3) for label in ("A1", "A1xA1", "A2", "C2", "G2")]
+    boxes += [(qa.build_root_system(label), 2) for label in ("A3", "B3", "C3")]
+    boxes += [(qa.root_system_from_cartan(D4, "D4"), 1), (qa.root_system_from_cartan(F4, "F4"), 1)]
+    count = 0
+    for rs, r in boxes:
+        for coeffs in itertools.product(range(-r, r + 1), repeat=rs.rank):
+            lam = rs.weight(coeffs)
+            got, want = qa.segment_chain(rs, lam), segment_chain_oracle(rs, lam)
+            assert (got.roots, got.levels) == (want.roots, want.levels), (rs.type_label, coeffs)
+            count += 1
+    assert count == 740
 
 
 def test_reduced_flags():
@@ -525,7 +573,6 @@ def test_enumerate_admissible_cache_is_immutable():
     w = rs.element_from_word("s2")
     subsets = qa.enumerate_admissible(g1, w)
     assert isinstance(subsets, tuple)
-    assert qa.enumerate_admissible(g1, w) is subsets
 
 
 def enumerated_states(chain, w):

@@ -96,7 +96,7 @@ def test_chev_vanish(capsys):
     assert len(lines) == 7 and all("zero" in l for l in lines[1:])
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     code, _ = run(capsys, "adm", "enumerate", "--type", "A2", "--w", "s2")
     assert code == 2
     code, _ = run(capsys, "chain", "lex", "--type", "ZZ9", "--lambda", "1")
@@ -146,6 +146,19 @@ def test_usage_errors(capsys):
         ("ops", "verify-props", "--type", "G2", "--k", "-1"),
     ):
         assert run(capsys, *argv) == (2, "")
+    # a chain file is read only under its own type, and names both types
+    a2 = qa.build_root_system("A2")
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps(qa.segment_chain(a2, a2.weight([1, -1])).to_json()))
+    for argv in (
+        ("gf", "eval", "--type", "A1xA1", "--chain", str(path)),
+        ("chain", "validate", "--type", "A1xA1", "--chain", str(path)),
+        ("gf", "compare", "--type", "C2", "--chain1", str(path), "--chain2", str(path)),
+    ):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert captured.err.startswith("usage error: chain file has type A2, not ")
     # an option that the action never reads is named, not ignored
     for argv, flag in (
         (("gf", "eval", "--type", "A1", "--lambda", "1", "--chain1", "nofile.json"), "--chain1"),

@@ -736,6 +736,9 @@ def convolution_case(label, mu1, mu2, mu, word, xi, depth):
 # (2),(1,1) across two nodes
 @example(case=convolution_case("A1", [3], [1], [1], "s1", [1], 6))
 @example(case=convolution_case("A2", [1, 1], [1, 1], [0, 1], "s2", [1, -1], 3))
+# the floor one above G's top exponent: no tuple reaches it, in all three hats
+@example(case=convolution_case("A1", [3], [1], [1], "s1", [1], -1))
+@example(case=convolution_case("C2", [1, -1], [1, 0], [1, 1], "s1s2", [0, 1], -1))
 def test_grouped_convolution_against_per_tuple(case):
     rs, mu1, mu2, mu, x, depth = case
     lam = mu1 + mu2

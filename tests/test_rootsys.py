@@ -6,9 +6,11 @@ from qalcove.rootsys import Root, RootSystemError
 
 
 def test_standard_data():
-    a2 = qa.build_root_system("A2", 2)
+    a2 = qa.build_root_system("A2")
+    assert a2.rank == 2
     assert len(a2.positive_roots) == 3 and len(a2.weyl_elements) == 6
-    c2 = qa.build_root_system("C2", 2)
+    c2 = qa.build_root_system("C2")
+    assert c2.rank == 2
     assert [r.coeffs for r in c2.positive_roots] == [(0, 1), (1, 0), (1, 1), (2, 1)]
     assert len(c2.weyl_elements) == 8
     g2 = qa.build_root_system("G2")
@@ -19,7 +21,7 @@ def test_unsupported_type():
     with pytest.raises(RootSystemError):
         qa.build_root_system("E8")
     with pytest.raises(RootSystemError):
-        qa.build_root_system("A2", 3)
+        qa.build_root_system("A4")
 
 
 def test_b2_alias():
@@ -162,6 +164,8 @@ def test_highest_root():
             assert all(t - b >= 0 for t, b in zip(theta.coeffs, beta.coeffs))
     with pytest.raises(RootSystemError):
         qa.build_root_system("A1xA1").highest_root
+    with pytest.raises(RootSystemError):
+        qa.root_system_from_cartan(((2, 0), (0, 2)), "custom").highest_root
 
 
 def test_word_round_trip():
