@@ -242,8 +242,8 @@ def cmd_adm(args):
     chain = _chain(rs, args)
     w = _w(rs, args)
     if args.action == "stats":
-        indices = _parsed(alcove.index_subset, chain, _parse_ints(text))
-        subsets = [alcove.admissible_from_indices(chain, w, indices)]
+        # an index set that is out of range or not admissible is bad input
+        subsets = [_parsed(alcove.admissible_from_indices, chain, w, _parse_ints(text))]
     else:
         subsets = alcove.enumerate_admissible(chain, w)
     payload = [{"indices": list(a.indices), **a.stats_json()} for a in subsets]

@@ -12,12 +12,15 @@ chain, the sweep along Gamma1 seeded with G_{Gamma2}(x).
 The hatted variant further sums over tuples of bounded partitions and is
 computed exactly above a caller-supplied q-exponent floor; a partition tuple
 chi enters only through (iota(chi), |chi|), so the sum runs over those groups
-(`par_groups`), and `par_convolve` adds each shifted term of G, or of the
-composition for the hatted composition, in place when it lies above the
-floor; the character expansions in `charident` use it too.  All of these
-work on int-keyed term tables (see TermTable), from the sweep's end states to
-the JSON writer `table_json`, which renders each distinct vector, word and
-q-polynomial once; `Laurent` and the key objects are built only where a
+(`par_groups`, counted node by node without listing the tuples).
+`par_convolve` adds each shifted term of G, or of the composition for the
+hatted composition, when it lies above the floor; the terms under one prefix
+(mu, w) shift together, so each distinct set of them is convolved once and
+copied to every prefix that carries it.  The character expansions in
+`charident` use it too.  All of these work on int-keyed term tables (see
+TermTable), from the sweep's end states to the JSON writer `table_json`,
+which renders each distinct vector, word and q-polynomial once and each
+(mu, w) prefix once; `Laurent` and the key objects are built only where a
 caller reads `.terms`.
 """
 
@@ -375,17 +378,37 @@ def par_concat(psi: ParTuple, omega: ParTuple, mu: Weight, nu: Weight) -> ParTup
 # -- hatted generating functions ----------------------------------------------
 
 
-def par_groups(rs: RootSystem, lam: Weight, bound: int) -> list:
-    """par_enumerate(rs, lam, bound) grouped by (iota, size).
+def _node_groups(max_len: int, bound: int) -> dict:
+    """{(first part, size): count} over the partitions with at most max_len
+    parts and size <= bound."""
+    counts: dict = {}
+    for p in _partitions(bound, max_len):
+        key = (p[0] if p else 0, sum(p))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
-    Returns [(iota, size, multiplicity)] in order of increasing size; the
+
+def par_groups(rs: RootSystem, lam: Weight, bound: int) -> list:
+    """par_enumerate(rs, lam, bound) grouped by (iota, size), without listing it.
+
+    Counts the partitions of each Dynkin node by (first part, size), then
+    combines the nodes, dropping every partial sum above bound.  Returns
+    [(iota, size, multiplicity)] in order of increasing size; the
     multiplicities sum to the number of tuples.
     """
-    mult: dict = {}
-    for chi in par_enumerate(rs, lam, bound):
-        key = (chi.iota(), chi.size)
-        mult[key] = mult.get(key, 0) + 1
-    return [(iota, size, m) for (iota, size), m in mult.items()]
+    if bound < 0:
+        return []
+    combos = {((), 0): 1}
+    for m in lam.coeffs:
+        node = _node_groups(max(m, 0), bound)
+        nxt: dict = {}
+        for (iota, size), k in combos.items():
+            for (first, s), c in node.items():
+                if size + s <= bound:
+                    key = (iota + (first,), size + s)
+                    nxt[key] = nxt.get(key, 0) + k * c
+        combos = nxt
+    return [(Coroot(iota), size, m) for (iota, size), m in sorted(combos.items(), key=lambda g: g[0][1])]
 
 
 def par_convolve(
@@ -398,7 +421,12 @@ def par_convolve(
     |chi| - <shift, iota(chi)>: sum of counts}, zero counts dropped.  shift
     pairs to >= 0 with every iota, so |chi| <= max-exponent(heads) - q_floor
     bounds the tuples; equal (iota, |chi|) are summed as one group
-    (par_groups), and each shifted head is added in place only above q_floor.
+    (par_groups), and each shifted head is added only above q_floor.
+    The output under a prefix key[:-1] depends only on the prefix's head set
+    {xi: poly}, and few of them are distinct (44 for Ghat's 140 (mu, w)
+    prefixes in C2 at lambda = (2, 2), depth 10), so each distinct head set
+    is convolved once and its block copied under every prefix that has it;
+    every output key gets its own dict, which add_poly may change in place.
     """
     bound = max((max(p) for p in heads.values()), default=q_floor - 1) - q_floor
     groups = sorted(
@@ -412,27 +440,46 @@ def par_convolve(
     # translations x.xi + down(A) take few values (3-7 for 26-247 terms in
     # the benchmark's ghat jobs)
     shifted: dict = {}
-    acc: dict = {}
+
+    def convolve(block: dict) -> tuple:
+        """The key tails (xi + iota,) and polys of one head set {xi: poly}."""
+        out: dict = {}
+        for xi, poly in block.items():
+            targets = shifted.get(xi)
+            if targets is None:
+                targets = shifted[xi] = [tuple(map(add, xi, iota)) for iota, _drop, _m in groups]
+            top = max(poly)
+            for xi_iota, (_iota, drop, m) in zip(targets, groups):
+                if top - drop < q_floor:
+                    break
+                acc = out.setdefault(xi_iota, {})
+                for e, c in poly.items():
+                    if e - drop >= q_floor:
+                        acc[e - drop] = acc.get(e - drop, 0) + c * m
+        tails, polys = [], []
+        for xi_iota, poly in out.items():
+            if 0 in poly.values():
+                poly = {e: c for e, c in poly.items() if c}
+            if poly:
+                tails.append((xi_iota,))
+                polys.append(poly)
+        return tails, polys
+
+    blocks: dict = {}
     for key, poly in heads.items():
-        rest, xi = key[:-1], key[-1]
-        targets = shifted.get(xi)
-        if targets is None:
-            targets = shifted[xi] = [tuple(map(add, xi, iota)) for iota, _drop, _m in groups]
-        top = max(poly)
-        for xi_iota, (_iota, drop, m) in zip(targets, groups):
-            if top - drop < q_floor:
-                break
-            out = acc.setdefault(rest + (xi_iota,), {})
-            for e, c in poly.items():
-                if e - drop >= q_floor:
-                    out[e - drop] = out.get(e - drop, 0) + c * m
-    for key in [k for k, p in acc.items() if 0 in p.values()]:
-        poly = {e: c for e, c in acc[key].items() if c}
-        if poly:
-            acc[key] = poly
-        else:
-            del acc[key]
-    return acc
+        blocks.setdefault(key[:-1], {})[key[-1]] = poly
+    # head set -> its tails and polys; a head set met again in another
+    # insertion order is only convolved again
+    convolved: dict = {}
+    table: dict = {}
+    for prefix, block in blocks.items():
+        sig = tuple([(xi, tuple(poly.items())) for xi, poly in block.items()])
+        out = convolved.get(sig)
+        if out is None:
+            out = convolved[sig] = convolve(block)
+        tails, polys = out
+        table.update(zip(map(prefix.__add__, tails), map(dict.copy, polys)))
+    return table
 
 
 def ghat(chain: LambdaChain, x: AffineWeylElt, q_floor: int) -> GenFun:
@@ -514,36 +561,59 @@ def table_json(table: dict, words: tuple, names: tuple) -> str:
     table is the int-keyed term table of a GenFun or a FormalChar, {(v_1,
     w, ...): {exponent: count}} with w an index into words (the 1-based
     reduced words), and names names the item's vectors after "q", as
-    ROW_NAMES does.  The keys are sorted once by (v_1, word, ...); each
-    distinct vector, word and q-polynomial is rendered once, as a fragment
-    cached with its field label, and every item is a run of shared fragment
-    references, joined at the end.  This avoids json.dumps, which takes its
-    pure-Python encoder whenever it indents, and builds no Laurent, Weight
-    or Coroot.
+    ROW_NAMES does.  The keys are grouped by their prefix (v_1, w), the
+    prefixes sorted once by (v_1, word) and the keys within a prefix by
+    their tuples.  Each distinct vector, word, key tail after w and
+    q-polynomial is rendered once, as a fragment cached with its field
+    labels; each prefix's (v_1, w) fragment is joined once, and every item
+    is three shared fragment references, joined at the end.  This avoids
+    json.dumps, which takes its pure-Python encoder whenever it indents, and
+    builds no Laurent, Weight or Coroot.
     """
     if not table:
         return "[]"
-    # per key position: its cache of rendered fragments and their label; the
-    # last one also closes the item
+    # the fragment of the vector (or word index) v at key position i, with
+    # its field label; the last position also closes the item
     labels = [f',\n  "{name}": ' for name in names]
     closing = [""] * (len(names) - 1) + ["\n }"]
-    caches: list = [{} for _ in names]
+
+    def fragment(i, v):
+        vec = words[v] if i == 1 else v
+        return labels[i] + _json_list(list(map(str, vec)), 2) + closing[i]
+
+    # caches: v_1, w and key tail -> fragment; (exponent, count) pairs -> "q" fragment
+    mus: dict = {}
+    ws: dict = {}
+    tails: dict = {}
     polys: dict = {}
     parts: list = []
     put = parts.append
-    for key in sorted(table, key=lambda k: (k[0], words[k[1]], k[2:])):
-        pairs = tuple(table[key].items())
-        frag = polys.get(pairs)
+    prefixes: dict = {}
+    for key in table:
+        prefixes.setdefault(key[:2], []).append(key)
+    for prefix in sorted(prefixes, key=lambda p: (p[0], words[p[1]])):
+        mu, w = prefix
+        frag = mus.get(mu)
         if frag is None:
-            rendered = ",".join([_PAIR % pair for pair in sorted(pairs)])
-            frag = polys[pairs] = ',\n {\n  "q": [' + rendered + "\n  ]"
-        put(frag)
-        for i, v in enumerate(key):
-            cache = caches[i]
-            frag = cache.get(v)
+            frag = mus[mu] = fragment(0, mu)
+        head = ws.get(w)
+        if head is None:
+            head = ws[w] = fragment(1, w)
+        head = frag + head
+        keys = prefixes[prefix]
+        keys.sort()
+        for key in keys:
+            pairs = tuple(table[key].items())
+            frag = polys.get(pairs)
             if frag is None:
-                vec = words[v] if i == 1 else v
-                frag = cache[v] = labels[i] + _json_list(list(map(str, vec)), 2) + closing[i]
+                rendered = ",".join([_PAIR % pair for pair in sorted(pairs)])
+                frag = polys[pairs] = ',\n {\n  "q": [' + rendered + "\n  ]"
+            put(frag)
+            put(head)
+            tail = key[2:]
+            frag = tails.get(tail)
+            if frag is None:
+                frag = tails[tail] = "".join([fragment(i, v) for i, v in enumerate(tail, 2)])
             put(frag)
     parts[0] = parts[0][2:]  # no separator before the first item
     return "[\n" + "".join(parts) + "\n]"

@@ -120,6 +120,8 @@ def test_usage_errors(capsys, tmp_path):
     for argv in (
         ("chain", "lex", "--type", "A2", "--lambda", "a,1"),
         ("adm", "stats", "--type", "A2", "--lambda", "1,1", "--indices", "x"),
+        # an index set that is no admissible subset
+        ("adm", "stats", "--type", "C2", "--lambda", "2,1", "--indices", "1,3"),
         ("gf", "eval", "--type", "A2", "--lambda", "1,1", "--xi", "1,q"),
     ):
         code, out = run(capsys, *argv)
@@ -333,9 +335,9 @@ def test_adm_stats_rejects_non_subsets(capsys):
     for bad in ("-1", "0", "5", "1,1", "2,3,2"):
         code, out = run(capsys, *base, bad)
         assert (code, out) == (2, "")
-    # a genuine index set that is not admissible stays a failed check
-    code, _ = run(capsys, *base, "1,2", "--w", "s1s2s1")
-    assert code == 1
+    # an index set of the chain that is not admissible is bad input too
+    code, out = run(capsys, *base, "1,2", "--w", "s1s2s1")
+    assert (code, out) == (2, "")
 
 
 def test_chev_vanish_mixed_sign_is_usage_error(capsys):
@@ -610,4 +612,27 @@ def test_g2_lambda_33_json_is_pinned(capsys):
     out = capsys.readouterr().out
     assert code == 0
     digest = "ccd35cd012628a0b976c53ba8fc81cb990cf77d9915be764387f826bff54d282"
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        # 15,610 items; Ghat's C2 heads fall on 140 (mu, w) prefixes
+        (
+            "gf ghat --type C2 --lambda 2,2 --floor -14 --format json",
+            "6cdb00f03421dc032a6d3d37727d6782143ede0ceb687f2d2a7bb27fe518a365",
+        ),
+        # 13,611 items from 100 heads on 92 prefixes that share 10 head sets
+        (
+            "gf ghat --type G2 --lambda 1,1 --floor -16 --format json",
+            "97649f721962d1eb2d2c6497846c8a3210b5275cd77be3113afee4955da76f48",
+        ),
+    ],
+)
+def test_large_ghat_json_is_pinned(capsys, argv, digest):
+    # the digests were recorded from the per-head convolution
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

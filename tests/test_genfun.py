@@ -19,6 +19,7 @@ from qalcove.genfun import (
     GenFun,
     Laurent,
     ParTuple,
+    add_poly,
     compose,
     genfun,
     genfun_equal,
@@ -28,11 +29,12 @@ from qalcove.genfun import (
     is_weyl_invariant,
     par_concat,
     par_enumerate,
+    par_convolve,
     par_groups,
     table_json,
     weight_orbit_sum,
 )
-from qalcove.rootsys import Coroot, WeylElement
+from qalcove.rootsys import Coroot, Weight, WeylElement
 
 
 def x_at(rs, word="e", xi=None):
@@ -619,22 +621,35 @@ def test_factorization_nested_side_against_enumerator(label, data):
 # -- differential test: per-tuple sums as oracle for the grouped convolution --
 
 
+# mixed-sign weights per type, small enough that par_enumerate lists every
+# tuple up to size 14
+PAR_GROUP_LAMBDAS = {
+    "A1": ([-1], [0], [1], [3]),
+    "A2": ([2, 1], [-1, 0], [2, -1], [0, 0]),
+    "C2": ([2, 2], [1, -1], [-2, 3]),
+    "G2": ([1, 1], [0, -1], [3, 0]),
+    "A3": ([1, -1, 1], [0, 2, 0]),
+    "B3": ([1, 1, 1], [-1, 0, 2]),
+    "C3": ([1, 0, 1], [2, -1, -1]),
+}
+
+
 def test_par_groups_count_tuples():
-    for label, coeffs, bound in (
-        ("A1", [2], 5), ("A2", [2, 1], 6), ("C2", [2, 2], 10), ("G2", [1, 1], 16),
-        ("A2", [-1, 0], 4), ("C2", [1, 1], -1),
-    ):
+    for label, lambdas in PAR_GROUP_LAMBDAS.items():
         rs = qa.build_root_system(label)
-        lam = rs.weight(coeffs)
-        tuples = par_enumerate(rs, lam, bound)
-        groups = par_groups(rs, lam, bound)
-        assert sum(m for _iota, _size, m in groups) == len(tuples)
-        expect = {}
-        for chi in tuples:
-            expect[chi.iota(), chi.size] = expect.get((chi.iota(), chi.size), 0) + 1
-        assert {(iota, size): m for iota, size, m in groups} == expect
-        sizes = [size for _iota, size, _m in groups]
-        assert sizes == sorted(sizes)
+        for coeffs in lambdas:
+            lam = rs.weight(coeffs)
+            for bound in range(-1, 15):
+                tuples = par_enumerate(rs, lam, bound)
+                groups = par_groups(rs, lam, bound)
+                assert sum(m for _iota, _size, m in groups) == len(tuples)
+                expect = {}
+                for chi in tuples:
+                    expect[chi.iota(), chi.size] = expect.get((chi.iota(), chi.size), 0) + 1
+                assert {(iota, size): m for iota, size, m in groups} == expect
+                assert len(groups) == len(expect)
+                sizes = [size for _iota, size, _m in groups]
+                assert sizes == sorted(sizes)
     c2 = qa.build_root_system("C2")
     assert len(par_groups(c2, c2.weight([2, 2]), 10)) == 216  # of 336 tuples
 
@@ -752,6 +767,78 @@ def test_grouped_convolution_against_per_tuple(case):
     assert f.terms == reference_rhs(rs, mu, lam, chain, x, floor)
 
 
+def reference_convolve(heads, rs, lam, q_floor, shift=None):
+    """par_convolve summed one head and one partition tuple at a time."""
+    out = {}
+    top = max(max(p) for p in heads.values())
+    for chi in par_enumerate(rs, lam, top - q_floor):
+        iota = chi.iota()
+        drop = chi.size + (0 if shift is None else rs.pair(shift, iota))
+        for (*rest, xi), poly in heads.items():
+            key = (*rest, tuple(a + b for a, b in zip(xi, iota.coeffs)))
+            for e, c in poly.items():
+                if e - drop >= q_floor:
+                    add_poly(out, key, {e - drop: c})
+    return out
+
+
+def test_convolution_blocks_against_per_tuple():
+    a1 = qa.build_root_system("A1")
+    lam = a1.weight([2])
+    # prefixes (1,) s1, (0,) e and (2,) s1 carry one head set, the second in
+    # the opposite order; its chi = (1) shift of q^1 at xi = -1 cancels the
+    # chi = () term q^0 at xi = 0, so above floor 0 the key xi = 0 is empty
+    heads = {
+        ((1,), 1, (0,)): {0: 1, -2: 3},
+        ((1,), 1, (-1,)): {1: -1},
+        ((0,), 0, (-1,)): {1: -1},
+        ((0,), 0, (0,)): {-2: 3, 0: 1},
+        ((0,), 1, (0,)): {0: 1},
+        ((2,), 0, (3,)): {-1: 2, 1: -5},
+        ((2,), 1, (0,)): {0: 1, -2: 3},
+        ((2,), 1, (-1,)): {1: -1},
+    }
+    for floor in (0, -1, -3, -6):
+        out = par_convolve(heads, a1, lam, floor)
+        assert out == reference_convolve(heads, a1, lam, floor)
+        assert len({id(p) for p in out.values()}) == len(out)  # no shared dicts
+        blocks = [
+            {k[2]: p for k, p in out.items() if k[:2] == prefix}
+            for prefix in (((1,), 1), ((0,), 0), ((2,), 1))
+        ]
+        assert blocks[0] == blocks[1] == blocks[2]
+    assert ((1,), 1, (0,)) not in par_convolve(heads, a1, lam, 0)
+    assert par_convolve(heads, a1, lam, -1)[(1,), 1, (0,)] == {-1: -1}
+    # the character expansion's form: empty translations and a shift
+    c2 = qa.build_root_system("C2")
+    heads = {
+        ((1, 0), 2, ()): {0: 1, -1: -2},
+        ((0, 1), 3, ()): {-1: -2, 0: 1},
+        ((0, 0), 0, ()): {2: 1, 1: -1},
+    }
+    for floor in (-1, -4):
+        out = par_convolve(heads, c2, c2.weight([1, 1]), floor, c2.weight([1, 0]))
+        assert out == reference_convolve(heads, c2, c2.weight([1, 1]), floor, c2.weight([1, 0]))
+        assert len({id(p) for p in out.values()}) == len(out)
+
+
+def test_ghat_terms_are_independent():
+    # G2 at lambda = (1, 1) puts 100 heads on 92 prefixes with 10 head sets;
+    # adding to one key of Ghat must leave every other key as it was
+    rs = qa.build_root_system("G2")
+    chain = qa.lex_chain(rs, rs.weight([1, 1]))
+    x = x_at(rs)
+    f = ghat(chain, x, genfun(chain, x).max_exponent() - 3)
+    before = {k: dict(p) for k, p in f.table.items()}
+    assert len({k[:2] for k in before}) < len(before)
+    elements = rs.weyl_elements
+    for i, (mu, w, xi) in enumerate(before):
+        marker = 1000 + i
+        f.add_term(Weight(mu), AffineWeylElt(elements[w], Coroot(xi)), Laurent.q_power(marker))
+        before[mu, w, xi][marker] = 1
+    assert f.table == before
+
+
 # -- differential test: json.dumps as oracle for the row writer ---------------
 
 
@@ -800,6 +887,30 @@ def test_table_json_edge_cases():
     assert json.loads(write_json(single)) == [
         {"q": [[-1, -1]], "mu": [-3], "w": [1], "xi": [11]}
     ]
+
+
+def test_table_json_prefix_groups():
+    # several xi under one (mu, w), and w indices whose words sort in the
+    # other order, for both table types
+    c2 = qa.build_root_system("C2")
+    words = c2._json_words
+    pairs = [(i, j) for i in range(len(words)) for j in range(i) if words[i] < words[j]]
+    assert pairs
+    late, early = pairs[0]  # index late > early, word late < word early
+    f = GenFun(c2)
+    for mu in ([0, 0], [-1, 2], [-10, 0]):
+        for w in (early, late):
+            for xi in ([3, -1], [-10, 2], [-2, 5], [10, 0], [-2, -5]):
+                f.add_term(c2.weight(mu), AffineWeylElt(c2.weyl_elements[w], Coroot(tuple(xi))),
+                           Laurent({xi[0]: 1, -4: -mu[0] - 2}))
+    char = FormalChar(c2, c2.weight([1, 1]))
+    for mu in ([0, 0], [-1, 2], [2, -1]):
+        for w in (late, 0, early):
+            char.add_symbol(c2.weight(mu), AffineWeylElt(c2.weyl_elements[w], Coroot((0, 0))),
+                            Laurent({w: 1, -3: mu[1] - 5}))
+    assert len({k[:2] for k in f.table}) == 6 and len(f.table) == 30
+    assert_table_json(f)
+    assert_table_json(char)
 
 
 # a weight per type whose chains have at most a few hundred subsets
