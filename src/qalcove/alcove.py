@@ -15,11 +15,11 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from operator import add, attrgetter, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from . import qbg
+from .records import FrozenRecord
 from .rootsys import Coroot, Root, RootSystem, Weight, WeylElement
 
 
@@ -31,13 +31,23 @@ class ChainTypeError(ChainError):
     """A chain's JSON names another root-system type than the one it is read in."""
 
 
-@dataclass(frozen=True)
-class LambdaChain:
-    rs: RootSystem
-    lam: Weight
-    roots: tuple[Root, ...]
-    levels: tuple[int, ...]
-    _step_cache: dict = field(default_factory=dict, compare=False, repr=False)
+class LambdaChain(FrozenRecord):
+    _fields = ("rs", "lam", "roots", "levels")
+    __slots__ = _fields + ("_step_cache",)
+
+    def __init__(
+        self,
+        rs: RootSystem,
+        lam: Weight,
+        roots: tuple[Root, ...],
+        levels: tuple[int, ...],
+        _step_cache: Optional[dict] = None,
+    ):
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "_step_cache", {} if _step_cache is None else _step_cache)
 
     @property
     def tilde_levels(self) -> tuple[int, ...]:

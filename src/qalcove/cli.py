@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-import traceback
 
 from . import alcove, qbg, qbops, suite, ybmoves
 from .charident import rhs_chevalley, vanishes, verify_factorization
@@ -522,6 +521,8 @@ def main(argv=None) -> int:
         return 141 if code is None else code
     except Exception as exc:
         if os.environ.get("QALCOVE_DEBUG"):
+            import traceback  # only the debug branch prints a traceback
+
             print(traceback.format_exc(), end="", file=sys.stderr)
         print(f"verification error: {exc}", file=sys.stderr)
         return 1

@@ -29,11 +29,11 @@ from __future__ import annotations
 import copy
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass
 from operator import add
 from typing import Optional
 
 from .alcove import LambdaChain, is_cancellation_free, sweep_seeded
+from .records import FrozenRecord
 from .rootsys import Coroot, RootSystem, Weight, WeylElement
 
 
@@ -106,12 +106,14 @@ class Laurent:
         return f"Laurent({self})"
 
 
-@dataclass(frozen=True)
-class AffineWeylElt:
+class AffineWeylElt(FrozenRecord):
     """x = w t_xi with w finite and xi in the coroot lattice."""
 
-    w: WeylElement
-    xi: Coroot
+    __slots__ = _fields = ("w", "xi")
+
+    def __init__(self, w: WeylElement, xi: Coroot):
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "xi", xi)
 
     def __repr__(self):
         return f"{self.w.word_str}*t{self.xi.coeffs}"
@@ -307,11 +309,13 @@ def genfun_equal(f: GenFun, g: GenFun, q_floor: Optional[int] = None) -> bool:
 # -- partition tuples ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParTuple:
+class ParTuple(FrozenRecord):
     """One partition per Dynkin node, lengths bounded by max(m_i, 0)."""
 
-    parts: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("parts",)
+
+    def __init__(self, parts: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "parts", parts)
 
     @property
     def size(self) -> int:

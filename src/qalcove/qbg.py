@@ -11,40 +11,46 @@ the integer tables of _columns; edges and paths are views built from them.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from operator import add
 from typing import Optional, Sequence
 
 # alcove imports this module at its top; its sweep tables and kernel are
 # used only inside functions, so the partial module is enough here
 from . import alcove
+from .records import FrozenRecord
 from .rootsys import Coroot, Root, RootSystem, RootSystemError, WeylElement
 
 BRUHAT = "B"
 QUANTUM = "Q"
 
 
-@dataclass(frozen=True)
-class QbgEdge:
-    source: WeylElement
-    target: WeylElement
-    label: Root  # positive
-    kind: str  # BRUHAT or QUANTUM
+class QbgEdge(FrozenRecord):
+    __slots__ = _fields = ("source", "target", "label", "kind")
+
+    def __init__(self, source: WeylElement, target: WeylElement, label: Root, kind: str):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "label", label)  # positive
+        object.__setattr__(self, "kind", kind)  # BRUHAT or QUANTUM
 
 
-@dataclass(frozen=True)
-class PathStep:
-    index: int  # 1-based position in the defining sequence
-    root: Root  # signed entry of the sequence
-    edge: QbgEdge
+class PathStep(FrozenRecord):
+    __slots__ = _fields = ("index", "root", "edge")
+
+    def __init__(self, index: int, root: Root, edge: QbgEdge):
+        object.__setattr__(self, "index", index)  # 1-based position in the defining sequence
+        object.__setattr__(self, "root", root)  # signed entry of the sequence
+        object.__setattr__(self, "edge", edge)
 
 
-@dataclass(frozen=True)
-class DirectedPath:
+class DirectedPath(FrozenRecord):
     """A directed path in QBG(W) traced along a sequence of signed roots."""
 
-    start: WeylElement
-    steps: tuple[PathStep, ...]
+    __slots__ = _fields = ("start", "steps")
+
+    def __init__(self, start: WeylElement, steps: tuple[PathStep, ...]):
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "steps", steps)
 
     @property
     def end(self) -> WeylElement:

@@ -12,13 +12,11 @@ canonical TSV (`_tsv`, `cell_str` per cell).
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
-from importlib import resources
 from typing import Sequence
 
 from . import alcove
+from .records import FrozenRecord, Record
 from .rootsys import Root, RootSystem, WeylElement
 
 
@@ -248,16 +246,18 @@ def _tsv(rs: RootSystem, table: dict) -> str:
     return "\n".join("\t".join(cell_str(get((v, w), {})) for w in n) for v in n)
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
+class OperatorMatrix(FrozenRecord):
     """Matrix (c_{v,w}) of an operator T, T w = sum_v c_{v,w} v, basis ShortLex.
 
     It holds the sparse table {(v, w): {exponent: coefficient}} of _table;
     entry and entries build QPoly values on read.
     """
 
-    rs: RootSystem
-    table: dict
+    __slots__ = _fields = ("rs", "table")
+
+    def __init__(self, rs: RootSystem, table: dict):
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "table", table)
 
     @property
     def basis(self) -> tuple[WeylElement, ...]:
@@ -349,14 +349,24 @@ def _sprime_sequence(chain: Sequence[Root], k: int) -> tuple[Root, ...]:
     return tuple(chain[k:]) + tuple(chain[:k])
 
 
-@dataclass
-class MatrixPropReport:
-    type_label: str
-    k: int
-    reverse: bool
-    violations: list
-    m3_positions: list  # (v word, w word) where S_k itself has coefficient 3
-    n3_positions: list  # (v word, w word) where the opposite sweep has 3
+class MatrixPropReport(Record):
+    __slots__ = _fields = ("type_label", "k", "reverse", "violations", "m3_positions", "n3_positions")
+
+    def __init__(
+        self,
+        type_label: str,
+        k: int,
+        reverse: bool,
+        violations: list,
+        m3_positions: list,
+        n3_positions: list,
+    ):
+        self.type_label = type_label
+        self.k = k
+        self.reverse = reverse
+        self.violations = violations
+        self.m3_positions = m3_positions  # (v word, w word) where S_k itself has coefficient 3
+        self.n3_positions = n3_positions  # (v word, w word) where the opposite sweep has 3
 
     @property
     def coeff3_positions(self) -> list:
@@ -445,6 +455,10 @@ def verify_matrix_props(rs: RootSystem, k: int, reverse: bool = False) -> Matrix
 
 
 def _golden_root():
+    # imported here, not at module level: importlib.resources pulls in
+    # pathlib, zipfile and tempfile, which only the golden checks need
+    from importlib import resources
+
     return resources.files("qalcove").joinpath("data/golden")
 
 
@@ -460,6 +474,8 @@ def check_golden(rs: RootSystem) -> list[tuple[str, bool]]:
     TSV of the matrix recomputed from its sequence.  Every shipped file is
     in canonical form, so no cell is parsed.
     """
+    import hashlib
+
     root = _golden_root()
     results = []
     for item in load_golden_manifest():

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass, field
 from typing import Iterable, Union
+
+from .records import FrozenRecord
 
 # a_{ij} = <alpha_j, alpha_i^vee>; row i gives the pairings with alpha_i^vee.
 _CARTAN = {
@@ -38,22 +39,45 @@ class RootSystemError(ValueError):
     """Unsupported type label, rank mismatch, or invalid Cartan datum."""
 
 
-@dataclass(frozen=True)
-class Root:
+class _Coeffs(FrozenRecord):
+    """An integer vector of one kind; equal only to a vector of the same kind.
+
+    It hashes as (coeffs,), the hash of its one field, and repr reads
+    Kind(c1, ..., cn).
+    """
+
+    __slots__ = _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs,))
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self.coeffs}"
+
+
+class Root(_Coeffs):
     """A root, as an integer vector in the simple-root basis.
 
     sign (+1 or -1) is fixed when the coefficients are validated; negation
     skips the validation, since the negative of a root is one.
     """
 
-    coeffs: tuple[int, ...]
-    sign: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("sign",)
 
-    def __post_init__(self):
-        pos = any(c > 0 for c in self.coeffs)
-        neg = any(c < 0 for c in self.coeffs)
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+        pos = any(c > 0 for c in coeffs)
+        neg = any(c < 0 for c in coeffs)
         if (pos and neg) or not (pos or neg):
-            raise RootSystemError(f"not a root coefficient vector: {self.coeffs}")
+            raise RootSystemError(f"not a root coefficient vector: {coeffs}")
         object.__setattr__(self, "sign", 1 if pos else -1)
 
     @property
@@ -69,15 +93,11 @@ class Root:
     def __abs__(self) -> "Root":
         return self if self.sign == 1 else -self
 
-    def __repr__(self):
-        return f"Root{self.coeffs}"
 
-
-@dataclass(frozen=True)
-class Coroot:
+class Coroot(_Coeffs):
     """A coroot lattice element, in the simple-coroot basis."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
     def __add__(self, other: "Coroot") -> "Coroot":
         return Coroot(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -96,15 +116,11 @@ class Coroot:
         """<rho, .>, the sum of simple-coroot coefficients."""
         return sum(self.coeffs)
 
-    def __repr__(self):
-        return f"Coroot{self.coeffs}"
 
-
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Coeffs):
     """A weight, as an integer vector in the fundamental-weight basis."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -125,9 +141,6 @@ class Weight:
     @property
     def is_antidominant(self) -> bool:
         return all(c <= 0 for c in self.coeffs)
-
-    def __repr__(self):
-        return f"Weight{self.coeffs}"
 
 
 class WeylElement:
@@ -163,16 +176,18 @@ class WeylElement:
 Actable = Union[Weight, Root]
 
 
-@dataclass(frozen=True)
-class Rank2Segment:
+class Rank2Segment(FrozenRecord):
     """The ordered Yang-Baxter segment spanned by two roots.
 
     segment = (alpha, s_alpha(beta), ..., s_beta(alpha), beta); its length q
     is 2, 3, 4 or 6 according to the rank-2 type.
     """
 
-    type_label: str
-    segment: tuple[Root, ...]
+    __slots__ = _fields = ("type_label", "segment")
+
+    def __init__(self, type_label: str, segment: tuple[Root, ...]):
+        object.__setattr__(self, "type_label", type_label)
+        object.__setattr__(self, "segment", segment)
 
     @property
     def q(self) -> int:

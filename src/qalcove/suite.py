@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 
 from . import alcove, qbg, qbops, ybmoves
 from .alcove import (
@@ -33,18 +32,21 @@ from .genfun import (
     is_weyl_invariant,
     weight_orbit_sum,
 )
+from .records import Record
 from .rootsys import Coroot, build_root_system
 
 DEFAULT_SEED = 20260809
 
 
-@dataclass
-class CheckResult:
-    criterion: int
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
+class CheckResult(Record):
+    __slots__ = _fields = ("criterion", "name", "passed", "detail", "seconds")
+
+    def __init__(self, criterion: int, name: str, passed: bool, detail: str, seconds: float):
+        self.criterion = criterion
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+        self.seconds = seconds
 
     def line(self, with_time: bool = True) -> str:
         status = "PASS" if self.passed else "FAIL"

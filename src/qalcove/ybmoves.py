@@ -25,11 +25,11 @@ height, n) without n, and in sign when n has the same parity.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import alcove, qbg
 from .alcove import AdmissibleSubset, LambdaChain, admissible_from_indices
+from .records import FrozenRecord
 from .rootsys import Root, RootSystem, RootSystemError, WeylElement
 
 
@@ -37,18 +37,31 @@ class SijectionError(RuntimeError):
     """Internal consistency failure while building a sijection."""
 
 
-@dataclass(frozen=True)
-class YbContext:
+class YbContext(FrozenRecord):
     """A chain together with one Yang-Baxter segment and its reversal."""
 
-    chain1: LambdaChain
-    chain2: LambdaChain
-    t: int  # prefix length; segment occupies 1-based positions t+1 .. t+q
-    q: int
-    alpha: Root
-    beta: Root
-    _path_cache: dict = field(default_factory=dict, compare=False, repr=False)
-    _class_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _fields = ("chain1", "chain2", "t", "q", "alpha", "beta")
+    __slots__ = _fields + ("_path_cache", "_class_cache")
+
+    def __init__(
+        self,
+        chain1: LambdaChain,
+        chain2: LambdaChain,
+        t: int,
+        q: int,
+        alpha: Root,
+        beta: Root,
+        _path_cache: Optional[dict] = None,
+        _class_cache: Optional[dict] = None,
+    ):
+        object.__setattr__(self, "chain1", chain1)
+        object.__setattr__(self, "chain2", chain2)
+        object.__setattr__(self, "t", t)  # prefix length; segment occupies 1-based positions t+1 .. t+q
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "_path_cache", {} if _path_cache is None else _path_cache)
+        object.__setattr__(self, "_class_cache", {} if _class_cache is None else _class_cache)
 
     @property
     def rs(self) -> RootSystem:
@@ -315,17 +328,28 @@ def yb_I2(b: AdmissibleSubset, ctx: YbContext) -> AdmissibleSubset:
     return _move(ctx, b, (1, 3), True, "I2")
 
 
-@dataclass(frozen=True)
-class Sijection:
+class Sijection(FrozenRecord):
     """The verified triple (I1, I2, Y) between two admissible sets."""
 
-    ctx: YbContext
-    w: WeylElement
-    core_pairs: tuple[tuple[AdmissibleSubset, AdmissibleSubset], ...]
-    invol1: tuple[tuple[AdmissibleSubset, AdmissibleSubset], ...]  # unordered pairs
-    invol2: tuple[tuple[AdmissibleSubset, AdmissibleSubset], ...]
-    classes1: dict
-    classes2: dict
+    __slots__ = _fields = ("ctx", "w", "core_pairs", "invol1", "invol2", "classes1", "classes2")
+
+    def __init__(
+        self,
+        ctx: YbContext,
+        w: WeylElement,
+        core_pairs: tuple[tuple[AdmissibleSubset, AdmissibleSubset], ...],
+        invol1: tuple[tuple[AdmissibleSubset, AdmissibleSubset], ...],
+        invol2: tuple[tuple[AdmissibleSubset, AdmissibleSubset], ...],
+        classes1: dict,
+        classes2: dict,
+    ):
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "core_pairs", core_pairs)
+        object.__setattr__(self, "invol1", invol1)  # unordered pairs
+        object.__setattr__(self, "invol2", invol2)
+        object.__setattr__(self, "classes1", classes1)
+        object.__setattr__(self, "classes2", classes2)
 
     def report_json(self) -> dict:
         return {

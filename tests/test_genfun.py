@@ -402,6 +402,49 @@ def test_weight_orbit_sum_needs_positive_roots():
             weight_orbit_sum(chain)
 
 
+def q1_character(chain):
+    """sum over A(e, chain) of e^{wt(A)}: G at x = e t_0, coefficients summed per mu."""
+    return {mu.coeffs: sum(c.terms.values()) for mu, c in weight_orbit_sum(chain).items()}
+
+
+def char_product(f, g):
+    out = {}
+    for mu, a in f.items():
+        for nu, b in g.items():
+            key = tuple(x + y for x, y in zip(mu, nu))
+            out[key] = out.get(key, 0) + a * b
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize(
+    "label, coeffs",
+    [
+        ("A1xA1", (2, 1)), ("A2", (2, 1)), ("C2", (1, 1)), ("C2", (2, 1)), ("G2", (1, 1)),
+        ("G2", (2, 0)), ("A3", (1, 0, 1)), ("B3", (1, 0, 1)), ("C3", (0, 1, 1)),
+    ],
+)
+def test_q1_character_factors_over_fundamental_chains(label, coeffs):
+    # at q = 1 (the t = 0 Macdonald specialization) the weights of A(e, lex
+    # lambda) sum to the product over i of the same sum for omega_i, taken
+    # lambda_i times: the level-zero fundamental modules' tensor product
+    rs = qa.build_root_system(label)
+    want = {(0,) * rs.rank: 1}
+    for i, m in enumerate(coeffs):
+        omega = [int(j == i) for j in range(rs.rank)]
+        for _ in range(m):
+            want = char_product(want, q1_character(qa.lex_chain(rs, rs.weight(omega))))
+    got = q1_character(qa.lex_chain(rs, rs.weight(list(coeffs))))
+    assert got == want
+    if (label, coeffs) == ("C2", (1, 1)):
+        # the enumerator as the slow oracle: every subset of a dominant
+        # chain counts +1
+        slow = {}
+        for a in qa.enumerate_admissible(qa.lex_chain(rs, rs.weight([1, 1])), rs.identity):
+            assert a.sign == 1
+            slow[a.wt.coeffs] = slow.get(a.wt.coeffs, 0) + 1
+        assert slow == got
+
+
 def test_genfun_json_deterministic():
     rs = qa.build_root_system("A1")
     chain = qa.lex_chain(rs, rs.weight([1]))

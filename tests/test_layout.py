@@ -61,3 +61,36 @@ def test_benchmark_names_resolve():
     assert callable(qbg.out_edges)
     for cls in (GenFun, FormalChar):
         assert callable(cls.to_json) and isinstance(cls.terms, property)
+
+
+def test_no_module_imports_dataclasses():
+    # the records are plain slotted classes (qalcove.records): running the
+    # dataclass decorators and importing dataclasses with inspect took most
+    # of a command's start-up
+    modules = {path.stem: imported_modules(path) for path in sorted(SRC.glob("*.py"))}
+    assert [name for name, imports in modules.items() if "dataclasses" in imports] == []
+
+
+def test_cli_cold_start_imports():
+    # a fresh interpreter without site imports the CLI and none of the
+    # modules only a golden check or a debug traceback needs; the golden
+    # check then loads them and passes
+    import json
+    import subprocess
+    import sys
+
+    script = "\n".join((
+        "import json, sys",
+        f"sys.path.insert(0, {str(SRC.parent)!r})",
+        "import qalcove.cli",
+        "late = ('dataclasses', 'inspect', 'hashlib', 'importlib.resources', 'traceback')",
+        "loaded = [name for name in late if name in sys.modules]",
+        "from qalcove import build_root_system, qbops",
+        "print(json.dumps([loaded, qbops.check_golden(build_root_system('C2'))]))",
+    ))
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True, timeout=60, check=True
+    )
+    loaded, golden = json.loads(out.stdout)
+    assert loaded == []
+    assert golden and all(ok for _, ok in golden), golden
