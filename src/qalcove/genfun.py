@@ -16,12 +16,14 @@ chi enters only through (iota(chi), |chi|), so the sum runs over those groups
 `par_convolve` adds each shifted term of G, or of the composition for the
 hatted composition, when it lies above the floor; the terms under one prefix
 (mu, w) shift together, so each distinct set of them is convolved once and
-copied to every prefix that carries it.  The character expansions in
-`charident` use it too.  All of these work on int-keyed term tables (see
-TermTable), from the sweep's end states to the JSON writer `table_json`,
-which renders each distinct vector, word and q-polynomial once and each
-(mu, w) prefix once; `Laurent` and the key objects are built only where a
-caller reads `.terms`.
+its block of q-polynomial dicts shared by every prefix that carries it.  The
+character expansions in `charident` use it too.  All of these work on
+int-keyed term tables (see TermTable), whose dicts are never changed in
+place (`add_poly` is copy-on-write), from the sweep's end states to the JSON
+writer `table_json`, which renders each distinct vector, word and
+q-polynomial once, each (mu, w) prefix once, and a block shared by several
+prefixes once; `Laurent` and the key objects are built only where a caller
+reads `.terms`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import copy
 import itertools
 from collections.abc import Mapping
-from operator import add
+from operator import add, is_, itemgetter
 from typing import Optional
 
 from .alcove import LambdaChain, is_cancellation_free, sweep_seeded
@@ -149,18 +151,22 @@ class TermView(Mapping):
 
 def add_poly(table: dict, key, poly: dict):
     """table[key] += poly for a {exponent: count} poly, dropping zero counts
-    and an entry left empty."""
-    acc = table.get(key)
-    if acc is None:
-        acc = table[key] = {}
+    and an entry left empty.
+
+    Copy-on-write: table[key] is replaced by a new dict, and neither the old
+    one nor poly is changed, so the table may share its dicts (TermTable).
+    """
+    acc = dict(table.get(key, ()))
     for e, c in poly.items():
         c += acc.get(e, 0)
         if c:
             acc[e] = c
         else:
             acc.pop(e, None)
-    if not acc:
-        del table[key]
+    if acc:
+        table[key] = acc
+    else:
+        table.pop(key, None)
 
 
 class TermTable:
@@ -168,8 +174,10 @@ class TermTable:
 
     mu, and the vectors after w (GenFun's translation xi), are int tuples in
     the fundamental-weight and simple-coroot bases, w is the index in
-    rs.weyl_elements, every count is nonzero and no entry is empty.  `terms`
-    shows the table as {(Weight, WeylElement, Coroot...): Laurent}.
+    rs.weyl_elements, every count is nonzero and no entry is empty.  A poly
+    dict may be shared between keys and between tables; nothing changes one
+    in place (`add_poly` replaces it).  `terms` shows the table as
+    {(Weight, WeylElement, Coroot...): Laurent}.
     Subclasses name the key's vectors (ROW_NAMES, for the JSON items after
     "q") and the symbol a term's w and later vectors stand for (SYMBOL).
     """
@@ -263,17 +271,22 @@ class GenFun(TermTable):
         add_poly(self.table, (mu.coeffs, x.w.index, x.xi.coeffs), coeff.terms)
 
     def __add__(self, other: "GenFun") -> "GenFun":
-        out = GenFun.of_table(self.rs, {k: dict(p) for k, p in self.table.items()})
+        out = GenFun.of_table(self.rs, dict(self.table))
         for key, poly in other.table.items():
             add_poly(out.table, key, poly)
         return out
 
     def scaled(self, coeff: Laurent, mu_shift: Weight, xi_shift: Coroot) -> "GenFun":
+        # the shift is injective, so each output key gets one product
         out = GenFun(self.rs)
+        factor = coeff.terms.items()
         for (mu, w, xi), poly in self.table.items():
             key = (tuple(map(add, mu, mu_shift.coeffs)), w, tuple(map(add, xi, xi_shift.coeffs)))
+            prod: dict = {}
             for e1, c1 in poly.items():
-                add_poly(out.table, key, {e1 + e2: c1 * c2 for e2, c2 in coeff.terms.items()})
+                for e2, c2 in factor:
+                    prod[e1 + e2] = prod.get(e1 + e2, 0) + c1 * c2
+            add_poly(out.table, key, prod)
         return out
 
 
@@ -429,8 +442,9 @@ def par_convolve(
     The output under a prefix key[:-1] depends only on the prefix's head set
     {xi: poly}, and few of them are distinct (44 for Ghat's 140 (mu, w)
     prefixes in C2 at lambda = (2, 2), depth 10), so each distinct head set
-    is convolved once and its block copied under every prefix that has it;
-    every output key gets its own dict, which add_poly may change in place.
+    is convolved once and its block shared by every prefix that has it: the
+    keys of a repeated block hold the same dicts (TermTable allows it), and
+    `table_json` renders such a block once.
     """
     bound = max((max(p) for p in heads.values()), default=q_floor - 1) - q_floor
     groups = sorted(
@@ -472,17 +486,16 @@ def par_convolve(
     blocks: dict = {}
     for key, poly in heads.items():
         blocks.setdefault(key[:-1], {})[key[-1]] = poly
-    # head set -> its tails and polys; a head set met again in another
-    # insertion order is only convolved again
+    # head set -> its tails and polys, whatever order its heads came in
     convolved: dict = {}
     table: dict = {}
     for prefix, block in blocks.items():
-        sig = tuple([(xi, tuple(poly.items())) for xi, poly in block.items()])
+        sig = tuple([(xi, tuple(poly.items())) for xi, poly in sorted(block.items())])
         out = convolved.get(sig)
         if out is None:
             out = convolved[sig] = convolve(block)
         tails, polys = out
-        table.update(zip(map(prefix.__add__, tails), map(dict.copy, polys)))
+        table.update(zip(map(prefix.__add__, tails), polys))
     return table
 
 
@@ -557,6 +570,9 @@ def _json_list(elems: list, pad: int) -> str:
 
 # one (exponent, count) pair of an item's "q" list, after its separator
 _PAIR = "\n   [\n    %d,\n    %d\n   ]"
+# a key's (v_1, w) prefix and its tail after it
+_PREFIX = itemgetter(0, 1)
+_TAIL = itemgetter(slice(2, None))
 
 
 def table_json(table: dict, words: tuple, names: tuple) -> str:
@@ -570,9 +586,13 @@ def table_json(table: dict, words: tuple, names: tuple) -> str:
     their tuples.  Each distinct vector, word, key tail after w and
     q-polynomial is rendered once, as a fragment cached with its field
     labels; each prefix's (v_1, w) fragment is joined once, and every item
-    is three shared fragment references, joined at the end.  This avoids
-    json.dumps, which takes its pure-Python encoder whenever it indents, and
-    builds no Laurent, Weight or Coroot.
+    is three shared fragment references, joined at the end.  When keys
+    share poly dicts (Ghat's repeated blocks, see par_convolve), a prefix
+    whose keys carry the same tails and the same dicts, in the same order,
+    as the last prefix written with the same first dict reuses that block's
+    fragments with its own (v_1, w) fragment, unsorted and unrendered.
+    This avoids json.dumps, which takes its pure-Python encoder whenever it
+    indents, and builds no Laurent, Weight or Coroot.
     """
     if not table:
         return "[]"
@@ -589,12 +609,26 @@ def table_json(table: dict, words: tuple, names: tuple) -> str:
     mus: dict = {}
     ws: dict = {}
     tails: dict = {}
-    polys: dict = {}
+    qs: dict = {}
     parts: list = []
     put = parts.append
     prefixes: dict = {}
-    for key in table:
-        prefixes.setdefault(key[:2], []).append(key)
+    if len(set(map(id, table.values()))) == len(table):
+        blocks = None
+        for key in table:
+            prefixes.setdefault(key[:2], []).append(key)
+    else:
+        # id of a prefix's first poly -> (its key tails and polys, in
+        # insertion order, and where its block starts in parts); par_convolve
+        # writes each prefix's keys in one run, grouped here without a
+        # Python step per key
+        blocks = {}
+        for prefix, run in itertools.groupby(table, _PREFIX):
+            keys = prefixes.get(prefix)
+            if keys is None:
+                prefixes[prefix] = list(run)
+            else:
+                keys.extend(run)
     for prefix in sorted(prefixes, key=lambda p: (p[0], words[p[1]])):
         mu, w = prefix
         frag = mus.get(mu)
@@ -605,13 +639,24 @@ def table_json(table: dict, words: tuple, names: tuple) -> str:
             head = ws[w] = fragment(1, w)
         head = frag + head
         keys = prefixes[prefix]
+        if blocks is not None:
+            polys = list(map(table.__getitem__, keys))
+            key_tails = list(map(_TAIL, keys))
+            seen = blocks.get(id(polys[0]))
+            if seen is not None and seen[0] == key_tails and all(map(is_, seen[1], polys)):
+                start = seen[2]
+                chunk = parts[start : start + 3 * len(keys)]
+                chunk[1::3] = [head] * len(keys)
+                parts += chunk
+                continue
+            blocks[id(polys[0])] = (key_tails, polys, len(parts))
         keys.sort()
         for key in keys:
             pairs = tuple(table[key].items())
-            frag = polys.get(pairs)
+            frag = qs.get(pairs)
             if frag is None:
                 rendered = ",".join([_PAIR % pair for pair in sorted(pairs)])
-                frag = polys[pairs] = ',\n {\n  "q": [' + rendered + "\n  ]"
+                frag = qs[pairs] = ',\n {\n  "q": [' + rendered + "\n  ]"
             put(frag)
             put(head)
             tail = key[2:]

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 
@@ -828,9 +829,11 @@ def reference_convolve(heads, rs, lam, q_floor, shift=None):
 def test_convolution_blocks_against_per_tuple():
     a1 = qa.build_root_system("A1")
     lam = a1.weight([2])
-    # prefixes (1,) s1, (0,) e and (2,) s1 carry one head set, the second in
-    # the opposite order; its chi = (1) shift of q^1 at xi = -1 cancels the
-    # chi = () term q^0 at xi = 0, so above floor 0 the key xi = 0 is empty
+    # prefixes (1,) s1, (0,) e, (2,) s1 and (3,) s1 carry one head set, the
+    # second and the last with their heads in the opposite order, the second
+    # also with a poly's exponents in another order; its chi = (1) shift of
+    # q^1 at xi = -1 cancels the chi = () term q^0 at xi = 0, so above floor
+    # 0 the key xi = 0 is empty
     heads = {
         ((1,), 1, (0,)): {0: 1, -2: 3},
         ((1,), 1, (-1,)): {1: -1},
@@ -840,16 +843,21 @@ def test_convolution_blocks_against_per_tuple():
         ((2,), 0, (3,)): {-1: 2, 1: -5},
         ((2,), 1, (0,)): {0: 1, -2: 3},
         ((2,), 1, (-1,)): {1: -1},
+        ((3,), 1, (-1,)): {1: -1},
+        ((3,), 1, (0,)): {0: 1, -2: 3},
     }
     for floor in (0, -1, -3, -6):
         out = par_convolve(heads, a1, lam, floor)
         assert out == reference_convolve(heads, a1, lam, floor)
-        assert len({id(p) for p in out.values()}) == len(out)  # no shared dicts
         blocks = [
             {k[2]: p for k, p in out.items() if k[:2] == prefix}
-            for prefix in (((1,), 1), ((0,), 0), ((2,), 1))
+            for prefix in (((1,), 1), ((0,), 0), ((2,), 1), ((3,), 1))
         ]
-        assert blocks[0] == blocks[1] == blocks[2]
+        assert blocks[0] == blocks[1] == blocks[2] == blocks[3]
+        # a repeated block holds the same dicts, whatever the order of its
+        # heads (copy-on-write add_poly keeps them apart, see
+        # test_ghat_terms_are_independent)
+        assert all(b[xi] is p for b in blocks[2:] for xi, p in blocks[0].items())
     assert ((1,), 1, (0,)) not in par_convolve(heads, a1, lam, 0)
     assert par_convolve(heads, a1, lam, -1)[(1,), 1, (0,)] == {-1: -1}
     # the character expansion's form: empty translations and a shift
@@ -862,24 +870,70 @@ def test_convolution_blocks_against_per_tuple():
     for floor in (-1, -4):
         out = par_convolve(heads, c2, c2.weight([1, 1]), floor, c2.weight([1, 0]))
         assert out == reference_convolve(heads, c2, c2.weight([1, 1]), floor, c2.weight([1, 0]))
-        assert len({id(p) for p in out.values()}) == len(out)
+
+
+def snapshot(f):
+    return {k: dict(p) for k, p in f.table.items()}
+
+
+def shares_dicts(f):
+    return len({id(p) for p in f.table.values()}) < len(f.table)
+
+
+def assert_terms_independent(f, add):
+    """Adding to one key of f, through add(f, key, marker), leaves every
+    other key as it was."""
+    before = snapshot(f)
+    for i, key in enumerate(list(before)):
+        marker = 1000 + i
+        add(f, key, marker)
+        before[key][marker] = 1
+        assert f.table == before
+
+
+def add_marker(f, key, marker):
+    mu, w, xi = key
+    f.add_term(Weight(mu), AffineWeylElt(f.rs.weyl_elements[w], Coroot(xi)), Laurent.q_power(marker))
 
 
 def test_ghat_terms_are_independent():
-    # G2 at lambda = (1, 1) puts 100 heads on 92 prefixes with 10 head sets;
-    # adding to one key of Ghat must leave every other key as it was
+    # G2 at lambda = (1, 1) puts 100 heads on 92 prefixes with 10 head sets
     rs = qa.build_root_system("G2")
     chain = qa.lex_chain(rs, rs.weight([1, 1]))
     x = x_at(rs)
     f = ghat(chain, x, genfun(chain, x).max_exponent() - 3)
-    before = {k: dict(p) for k, p in f.table.items()}
-    assert len({k[:2] for k in before}) < len(before)
-    elements = rs.weyl_elements
-    for i, (mu, w, xi) in enumerate(before):
-        marker = 1000 + i
-        f.add_term(Weight(mu), AffineWeylElt(elements[w], Coroot(xi)), Laurent.q_power(marker))
-        before[mu, w, xi][marker] = 1
-    assert f.table == before
+    assert shares_dicts(f)
+    # the sum shares dicts with its operands; adding to it, or to the scaled
+    # copy, leaves both operands as they were
+    g = ghat(chain, x_at(rs, "s1"), genfun(chain, x).max_exponent() - 3)
+    f_before, g_before = snapshot(f), snapshot(g)
+    total = f + g
+    assert total.terms == {k: f.terms.get(k, Laurent()) + g.terms.get(k, Laurent()) for k in total.terms}
+    shifted = f.scaled(Laurent({0: 1, -1: -2}), rs.weight([1, 0]), Coroot((0, 1)))
+    assert len(shifted.table) == len(f.table)
+    assert_terms_independent(total, add_marker)
+    assert_terms_independent(shifted, add_marker)
+    assert snapshot(f) == f_before and snapshot(g) == g_before
+    assert_terms_independent(f, add_marker)
+    assert snapshot(g) == g_before
+    # the hatted composition, A2 lambda = (2, 0) + (0, -2)
+    a2 = qa.build_root_system("A2")
+    c1, c2 = qa.lex_chain(a2, a2.weight([2, 0])), qa.lex_chain(a2, a2.weight([0, -2]))
+    h = ghat_compose(c1, c2, x_at(a2), -8)
+    assert shares_dicts(h)
+    assert_terms_independent(h, add_marker)
+    # a character expansion, through add_symbol (at xi = 0, so unnormalized)
+    c2 = qa.build_root_system("C2")
+    char = rhs_chevalley(c2, c2.weight([1, 1]), c2.weight([2, 1]),
+                         qa.lex_chain(c2, c2.weight([2, 1])), x_at(c2), -8)
+
+    def add_symbol(f, key, marker):
+        mu, w = key
+        x = AffineWeylElt(c2.weyl_elements[w], Coroot((0, 0)))
+        f.add_symbol(Weight(mu), x, Laurent.q_power(marker))
+
+    assert shares_dicts(char)
+    assert_terms_independent(char, add_symbol)
 
 
 # -- differential test: json.dumps as oracle for the row writer ---------------
@@ -954,6 +1008,55 @@ def test_table_json_prefix_groups():
     assert len({k[:2] for k in f.table}) == 6 and len(f.table) == 30
     assert_table_json(f)
     assert_table_json(char)
+
+
+def test_table_json_shared_blocks():
+    # pairs of prefixes whose keys share poly dicts: the second of each pair,
+    # in sort order, holds the first's block, or one that differs from it in
+    # one tail, in the order of its keys, in its key count, or in a later
+    # poly only (another dict, equal or not); and a one-key block
+    c2 = qa.build_root_system("C2")
+    r, s = {-1: -4}, {-3: 2, 5: -1}
+    table = {}
+    changes = ("same", "tail", "order", "count", "poly", "copy", "one key")
+    for i, change in enumerate(changes):
+        p = {i: 1, -2: 3}
+        block = [((0, 0), p), ((1, -1), r), ((-2, 3), s)]
+        if change == "one key":
+            block = block[:1]
+        other = list(block)
+        if change == "tail":
+            other[1] = ((1, -2), r)
+        elif change == "order":
+            other[1], other[2] = other[2], other[1]
+        elif change == "count":
+            del other[2]
+        elif change == "poly":
+            other[2] = ((-2, 3), {-3: 2})
+        elif change == "copy":
+            other[2] = ((-2, 3), dict(s))
+        for mu, keys in (((i, 0), block), ((i, 1), other)):
+            table.update(((mu, i % 3, xi), poly) for xi, poly in keys)
+    f = GenFun.of_table(c2, table)
+    assert shares_dicts(f)
+    assert_table_json(f)
+    assert_table_json(GenFun.of_table(c2, {k: dict(p) for k, p in table.items()}))
+
+
+def test_table_json_shared_and_copied_tables():
+    # G2 Ghat at lambda = (1, 1) (92 prefixes, 10 blocks) and a character
+    # expansion share dicts between keys; a copy with a dict per key, which
+    # copy.deepcopy would not make, takes the unshared path to the same bytes
+    g2 = qa.build_root_system("G2")
+    f = ghat(qa.lex_chain(g2, g2.weight([1, 1])), x_at(g2), -16)
+    c2 = qa.build_root_system("C2")
+    char = rhs_chevalley(c2, c2.weight([1, 1]), c2.weight([2, 1]),
+                         qa.lex_chain(c2, c2.weight([2, 1])), x_at(c2), -8)
+    for h in (f, char):
+        copied = copy.copy(h)
+        copied.table = {k: dict(p) for k, p in h.table.items()}
+        assert shares_dicts(h) and not shares_dicts(copied)
+        assert write_json(h) == write_json(copied) == json.dumps(h.to_json(), indent=1)
 
 
 # a weight per type whose chains have at most a few hundred subsets
