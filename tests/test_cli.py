@@ -636,3 +636,31 @@ def test_large_ghat_json_is_pinned(capsys, argv, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        # 12,101 items, 1.2 MB
+        (
+            "gf eval --type G2 --lambda 3,3",
+            "b818d3bf1a07ed13fdbc703a27b8c34ac5e1bd0a15d62afa62cc7b808d8c5ab5",
+        ),
+        # 13,611 items on 92 prefixes that share 10 blocks
+        (
+            "gf ghat --type G2 --lambda 1,1 --floor -16",
+            "6ee6968d34ec90dfa2fa938f96262045a8f81600bef03d55d872df733eab1980",
+        ),
+        (
+            "chev rhs --type C2 --mu 1,1 --lambda 2,1 --floor -8",
+            "22c7cb7d2cf40ba1123adf2b6426eaddfed538d6e2f5def94678c79335ca092f",
+        ),
+    ],
+)
+def test_default_format_json_is_pinned(capsys, argv, digest):
+    # the compact JSON printed without --format; the digests were recorded
+    # from the flat {(mu, w, *tail): poly} term table
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
