@@ -589,8 +589,8 @@ def sweep_step(
 def sweep_seeded(chain: LambdaChain, seeds: dict) -> dict:
     """G_Gamma applied to a term table, in one sweep along chain.
 
-    seeds and the result are term tables {(mu, w, xi): {exponent: count}}
-    (see genfun.GenFun), zero counts dropped.  A term q^e e^mu w t_xi seeds
+    seeds and the result are term tables of blocks {(mu, w): {(xi,):
+    {exponent: count}}} (see genfun.GenFun), zero counts dropped.  A term q^e e^mu w t_xi seeds
     the state (c, down, height) = (-mu, xi, <lambda, xi> - e) at w.  At
     beta_j an edge v -> v s_|beta_j| of the quantum Bruhat graph adds -l_j
     v(beta_j) to c, a quantum edge also adds |beta_j|^vee to down and
@@ -603,16 +603,18 @@ def sweep_seeded(chain: LambdaChain, seeds: dict) -> dict:
     A state is one int: field 0 holds height, fields 1..n down and fields
     n+1..2n c, each as value + off in a field of width bits, where off
     exceeds the largest seed entry plus, per step, the largest increment of
-    any field, so no field leaves its range.  The end states are decoded
-    once per distinct (c, down) prefix, c -> wt cached per vertex and down
-    per value.
+    any field, so no field leaves its range.  The end states go into one
+    block per (vertex, c), each decoded once per distinct (c, down) prefix,
+    with down cached per value.
     """
     rs = chain.rs
     n = rs.rank
     column, quantum, root_wt, coroot, _ = _sweep_tables(rs)
     lam = chain.lam.coeffs
     seed_terms = [
-        (mu, v, xi, sum(map(mul, lam, xi)), poly) for (mu, v, xi), poly in seeds.items()
+        (mu, v, xi, sum(map(mul, lam, xi)), poly)
+        for (mu, v), block in seeds.items()
+        for (xi,), poly in block.items()
     ]
     # |field| <= bound all along: the largest seed entry, plus per step the
     # largest increment of any field
@@ -662,21 +664,22 @@ def sweep_seeded(chain: LambdaChain, seeds: dict) -> dict:
             continue
         # wt = ed(lambda) - c, and each c field holds c + off
         top = [(x + off, s) for x, s in zip(rs.act(rs.weyl_elements[v], chain.lam).coeffs, fields)]
-        wts: dict = {}
+        blocks: dict = {}
         rows: dict = {}
         for key, count in final.items():
             prefix = key >> width
             row = rows.get(prefix)
             if row is None:
                 cbits = prefix >> cshift
-                wt = wts.get(cbits)
-                if wt is None:
-                    wt = wts[cbits] = tuple([t - ((cbits >> s) & mask) for t, s in top])
+                block = blocks.get(cbits)
+                if block is None:
+                    wt = tuple([t - ((cbits >> s) & mask) for t, s in top])
+                    block = blocks[cbits] = table[wt, v] = {}
                 dbits = prefix & dmask
-                down = downs.get(dbits)
-                if down is None:
-                    down = downs[dbits] = unpack(dbits, width, n, off)
-                row = rows[prefix] = table[wt, v, down] = {}
+                tail = downs.get(dbits)
+                if tail is None:
+                    tail = downs[dbits] = (unpack(dbits, width, n, off),)
+                row = rows[prefix] = block[tail] = {}
             row[off - (key & mask)] = count
     return table
 
@@ -691,7 +694,8 @@ def sweep_admissible(chain: LambdaChain, w: WeylElement) -> dict:
     zero = (0,) * chain.rs.rank
     return {
         (ed, wt, down, -e): count
-        for (wt, ed, down), poly in sweep_seeded(chain, {(zero, w.index, zero): {0: 1}}).items()
+        for (wt, ed), block in sweep_seeded(chain, {(zero, w.index): {(zero,): {0: 1}}}).items()
+        for (down,), poly in block.items()
         for e, count in poly.items()
     }
 

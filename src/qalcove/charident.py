@@ -25,7 +25,7 @@ from .genfun import (
     GenFun,
     Laurent,
     TermTable,
-    add_poly,
+    add_block,
     compose,
     genfun,
     par_convolve,
@@ -37,7 +37,7 @@ class FormalChar(TermTable):
     """A finite sum of (Laurent in q) * e^{weight} * gch[w], normalized.
 
     Translation parts have already been folded into the q-coefficient using
-    mu_param, so the table is keyed (mu, w) only.
+    mu_param, so each block {(): poly} has the empty tail only.
     """
 
     __slots__ = ("mu_param",)
@@ -52,7 +52,7 @@ class FormalChar(TermTable):
         """Add coeff * e^mu * gch[x], normalizing gch[w t_xi] to q^{-<mu_param,xi>} gch[w]."""
         shift = -self.rs.pair(self.mu_param, x.xi)
         poly = {e + shift: c for e, c in coeff.terms.items()}
-        add_poly(self.table, (mu.coeffs, x.w.index), poly)
+        add_block(self.table, (mu.coeffs, x.w.index), {(): poly})
 
     def __eq__(self, other):
         return super().__eq__(other) and self.mu_param == other.mu_param
@@ -91,15 +91,16 @@ def _expand(
     with the empty translation ().
     """
     mu_c = mu.coeffs
-    # (wt, ed, ()) -> {exponent - <mu, xi>: count}
+    # (wt, ed) -> {(): {exponent - <mu, xi>: count}}
     heads: dict = {}
-    for (wt, ed, xi), poly in g.table.items():
-        head = heads.setdefault((wt, ed, ()), {})
-        s = sum(map(mul, mu_c, xi))
-        for e, k in poly.items():
-            head[e - s] = head.get(e - s, 0) + k
-    acc = par_convolve(heads, rs, lam, q_floor, shift)
-    return FormalChar.of_table(rs, {(wt, ed): p for (wt, ed, _), p in acc.items()}, mu)
+    for prefix, block in g.table.items():
+        head: dict = {}
+        for (xi,), poly in block.items():
+            s = sum(map(mul, mu_c, xi))
+            for e, k in poly.items():
+                head[e - s] = head.get(e - s, 0) + k
+        heads[prefix] = {(): head}
+    return FormalChar.of_table(rs, par_convolve(heads, rs, lam, q_floor, shift), mu)
 
 
 def specialize_trivial(f: FormalChar) -> dict:
@@ -107,9 +108,9 @@ def specialize_trivial(f: FormalChar) -> dict:
     if not f.mu_param.is_zero():
         raise ValueError("specialization requires mu = 0")
     acc: dict = {}
-    for (mu, _w), poly in f.table.items():
+    for (mu, _w), block in f.table.items():
         out = acc.setdefault(mu, {})
-        for e, c in poly.items():
+        for e, c in block[()].items():
             out[e] = out.get(e, 0) + c
     return {Weight(k): Laurent(p) for k, p in acc.items() if any(p.values())}
 
@@ -139,12 +140,13 @@ def vanishes(chain: LambdaChain, w: WeylElement, taken) -> bool:
     if any(chain.roots[j - 1].is_positive for j in taken):
         raise RuntimeError("antidominant chain produced a positive entry")
     # every subset takes negative entries only, so (-1)^{|A|} = (-1)^n; the
-    # sweep's term table holds them as {(wt, ed, down): {-height: count}}
+    # sweep's term table holds them as {(wt, ed): {(down,): {-height: count}}}
     zero = (0,) * chain.rs.rank
     acc: dict = {}
-    for (wt, _ed, _down), poly in sweep_seeded(chain, {(zero, w.index, zero): {0: 1}}).items():
-        for e, count in poly.items():
-            acc[wt, e] = acc.get((wt, e), 0) + count
+    for (wt, _ed), block in sweep_seeded(chain, {(zero, w.index): {(zero,): {0: 1}}}).items():
+        for poly in block.values():
+            for e, count in poly.items():
+                acc[wt, e] = acc.get((wt, e), 0) + count
     return not any(acc.values())
 
 

@@ -6,24 +6,25 @@ sums.  Both are one sweep along the chain (`alcove.sweep_seeded`), seeded
 with one state per term of the sum, which merges subsets with equal
 statistics as it runs instead of listing them; each state (c, down, height)
 is one packed int, and the end states go straight into the term table, one
-decode per distinct (c, down).  G(x) is the sweep seeded with x alone, and
-the composition G_{Gamma1}(G_{Gamma2}(x)), which is G of the concatenated
-chain, the sweep along Gamma1 seeded with G_{Gamma2}(x).
+block per (vertex, c) and one decode per distinct (c, down).  G(x) is the
+sweep seeded with x alone, and the composition G_{Gamma1}(G_{Gamma2}(x)),
+which is G of the concatenated chain, the sweep along Gamma1 seeded with
+G_{Gamma2}(x).
 The hatted variant further sums over tuples of bounded partitions and is
 computed exactly above a caller-supplied q-exponent floor; a partition tuple
 chi enters only through (iota(chi), |chi|), so the sum runs over those groups
 (`par_groups`, counted node by node without listing the tuples).
 `par_convolve` adds each shifted term of G, or of the composition for the
 hatted composition, when it lies above the floor; the terms under one prefix
-(mu, w) shift together, so each distinct set of them is convolved once and
-its block of q-polynomial dicts shared by every prefix that carries it.  The
-character expansions in `charident` use it too.  All of these work on
-int-keyed term tables (see TermTable), whose dicts are never changed in
-place (`add_poly` is copy-on-write), from the sweep's end states to the JSON
-writer `table_json`, which renders each distinct vector, word and
-q-polynomial once, each (mu, w) prefix once, and a block shared by several
-prefixes once; `Laurent` and the key objects are built only where a caller
-reads `.terms`.
+(mu, w) shift together, so each distinct block of them is convolved once and
+the one output block shared by every prefix that carries it.  The character
+expansions in `charident` use it too.  All of these work on term tables of
+blocks {(mu, w): {tail: {exponent: count}}} (see TermTable), whose blocks
+and polys are never changed in place (`add_block` is copy-on-write at both
+levels), from the sweep's end states to the JSON writer `table_json`, which
+renders each distinct vector, word and q-polynomial once and each block
+object once, memoized by id(block); `Laurent` and the key objects are built
+only where a caller reads `.terms`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import copy
 import itertools
 from collections.abc import Mapping
-from operator import add, is_, itemgetter
+from operator import add
 from typing import Optional
 
 from .alcove import LambdaChain, is_cancellation_free, sweep_seeded
@@ -122,11 +123,12 @@ class AffineWeylElt(FrozenRecord):
 
 
 class TermView(Mapping):
-    """A read-only view of an int-keyed term table as {key: Laurent}.
+    """A read-only view of a term table of blocks as {key: Laurent}.
 
-    decode turns a table key into the key callers see (Weight, WeylElement,
-    Coroot, ...) and encode turns it back; every lookup builds a fresh
-    Laurent.  The package itself works on the table.
+    decode turns a table (prefix, tail) into the key callers see (Weight,
+    WeylElement, Coroot, ...) and encode turns a key back into (prefix,
+    tail); every lookup builds a fresh Laurent.  The package itself works on
+    the table.
     """
 
     __slots__ = ("_table", "_decode", "_encode")
@@ -137,47 +139,60 @@ class TermView(Mapping):
         self._encode = encode
 
     def __len__(self):
-        return len(self._table)
+        return sum(map(len, self._table.values()))
 
     def __iter__(self):
-        return map(self._decode, self._table)
+        decode = self._decode
+        for prefix, block in self._table.items():
+            for tail in block:
+                yield decode(prefix, tail)
 
     def __getitem__(self, key):
-        poly = self._table.get(self._encode(key))
+        prefix, tail = self._encode(key)
+        poly = self._table.get(prefix, {}).get(tail)
         if poly is None:
             raise KeyError(key)
         return Laurent(poly)
 
 
-def add_poly(table: dict, key, poly: dict):
-    """table[key] += poly for a {exponent: count} poly, dropping zero counts
-    and an entry left empty.
+def add_block(table: dict, prefix, block: dict):
+    """table[prefix] += block for a block {tail: {exponent: count}}, dropping
+    zero counts, a poly left empty and a block left empty.
 
-    Copy-on-write: table[key] is replaced by a new dict, and neither the old
-    one nor poly is changed, so the table may share its dicts (TermTable).
+    Copy-on-write at both levels: table[prefix] is replaced by one new block,
+    each poly that block touches by a new dict, and neither the old block,
+    its polys nor block is changed, so tables may share blocks and polys
+    (TermTable).
     """
-    acc = dict(table.get(key, ()))
-    for e, c in poly.items():
-        c += acc.get(e, 0)
-        if c:
-            acc[e] = c
+    acc = dict(table.get(prefix, ()))
+    for tail, poly in block.items():
+        merged = dict(acc.get(tail, ()))
+        for e, c in poly.items():
+            c += merged.get(e, 0)
+            if c:
+                merged[e] = c
+            else:
+                merged.pop(e, None)
+        if merged:
+            acc[tail] = merged
         else:
-            acc.pop(e, None)
+            acc.pop(tail, None)
     if acc:
-        table[key] = acc
+        table[prefix] = acc
     else:
-        table.pop(key, None)
+        table.pop(prefix, None)
 
 
 class TermTable:
-    """A finite signed q-series, held as one table {(mu, w, ...): {exponent: count}}.
+    """A finite signed q-series, held as blocks {(mu, w): {tail: {exponent: count}}}.
 
-    mu, and the vectors after w (GenFun's translation xi), are int tuples in
-    the fundamental-weight and simple-coroot bases, w is the index in
-    rs.weyl_elements, every count is nonzero and no entry is empty.  A poly
-    dict may be shared between keys and between tables; nothing changes one
-    in place (`add_poly` replaces it).  `terms` shows the table as
-    {(Weight, WeylElement, Coroot...): Laurent}.
+    mu, and the vectors of the tail (GenFun's (xi,), FormalChar's ()), are
+    int tuples in the fundamental-weight and simple-coroot bases, w is the
+    index in rs.weyl_elements, every count is nonzero and no block and no
+    poly is empty.  A block may be shared between prefixes and between
+    tables, and a poly between blocks; nothing changes either in place
+    (`add_block` replaces them).  `terms` shows the table as {(Weight,
+    WeylElement, Coroot...): Laurent}.
     Subclasses name the key's vectors (ROW_NAMES, for the JSON items after
     "q") and the symbol a term's w and later vectors stand for (SYMBOL).
     """
@@ -189,8 +204,12 @@ class TermTable:
     def __init__(self, rs: RootSystem, terms: Mapping | None = None):
         self.rs = rs
         self.table: dict = {}
+        blocks: dict = {}
         for key, c in (terms or {}).items():
-            add_poly(self.table, _encode(key), c.terms)
+            prefix, tail = _encode(key)
+            blocks.setdefault(prefix, {})[tail] = c.terms
+        for prefix, block in blocks.items():
+            add_block(self.table, prefix, block)
 
     @classmethod
     def of_table(cls, rs: RootSystem, table: dict, *params):
@@ -203,7 +222,7 @@ class TermTable:
     def terms(self) -> TermView:
         elements = self.rs.weyl_elements
         return TermView(
-            self.table, lambda k: (Weight(k[0]), elements[k[1]], *map(Coroot, k[2:])), _encode
+            self.table, lambda k, tail: (Weight(k[0]), elements[k[1]], *map(Coroot, tail)), _encode
         )
 
     def is_zero(self) -> bool:
@@ -212,16 +231,20 @@ class TermTable:
     def truncated(self, floor: int):
         """The terms with exponent >= floor."""
         table = {}
-        for key, poly in self.table.items():
-            kept = {e: c for e, c in poly.items() if e >= floor}
+        for prefix, block in self.table.items():
+            kept = {}
+            for tail, poly in block.items():
+                poly = {e: c for e, c in poly.items() if e >= floor}
+                if poly:
+                    kept[tail] = poly
             if kept:
-                table[key] = kept
+                table[prefix] = kept
         f = copy.copy(self)
         f.table = table
         return f
 
     def max_exponent(self) -> Optional[int]:
-        return max((max(p) for p in self.table.values()), default=None)
+        return max((max(p) for block in self.table.values() for p in block.values()), default=None)
 
     def __eq__(self, other):
         return type(other) is type(self) and self.rs is other.rs and self.table == other.table
@@ -235,7 +258,11 @@ class TermTable:
         """
         words = self.rs._json_words
         return sorted(
-            [(mu, words[w], *rest, tuple(sorted(p.items()))) for (mu, w, *rest), p in self.table.items()]
+            [
+                (mu, words[w], *tail, tuple(sorted(p.items())))
+                for (mu, w), block in self.table.items()
+                for tail, p in block.items()
+            ]
         )
 
     def to_json(self) -> list:
@@ -248,52 +275,58 @@ class TermTable:
     def __repr__(self):
         elements = self.rs.weyl_elements
         body = ", ".join(
-            f"({Laurent(self.table[key])})*e^{key[0]}*"
-            + self.SYMBOL.format(elements[key[1]].word_str, *key[2:])
-            for key in sorted(self.table)
+            f"({Laurent(block[tail])})*e^{mu}*" + self.SYMBOL.format(elements[w].word_str, *tail)
+            for (mu, w), block in sorted(self.table.items())
+            for tail in sorted(block)
         )
         return f"{type(self).__name__}[{body}]"
 
 
 def _encode(key) -> tuple:
-    """The table key of a (Weight, WeylElement, Coroot...) key."""
-    return (key[0].coeffs, key[1].index, *(v.coeffs for v in key[2:]))
+    """The table (prefix, tail) of a (Weight, WeylElement, Coroot...) key."""
+    return (key[0].coeffs, key[1].index), tuple([v.coeffs for v in key[2:]])
 
 
 class GenFun(TermTable):
-    """A finite formal sum of (Laurent in q) * e^mu * (w t_xi), keyed (mu, w, xi)."""
+    """A finite formal sum of (Laurent in q) * e^mu * (w t_xi), in blocks
+    {(mu, w): {(xi,): poly}}."""
 
     __slots__ = ()
     ROW_NAMES = ("mu", "w", "xi")
     SYMBOL = "{}*t{}"
 
     def add_term(self, mu: Weight, x: AffineWeylElt, coeff: Laurent):
-        add_poly(self.table, (mu.coeffs, x.w.index, x.xi.coeffs), coeff.terms)
+        add_block(self.table, (mu.coeffs, x.w.index), {(x.xi.coeffs,): coeff.terms})
 
     def __add__(self, other: "GenFun") -> "GenFun":
-        out = GenFun.of_table(self.rs, dict(self.table))
-        for key, poly in other.table.items():
-            add_poly(out.table, key, poly)
-        return out
+        # blocks of other under a prefix self lacks are shared, not copied
+        table = dict(self.table)
+        for prefix, block in other.table.items():
+            if prefix in table:
+                add_block(table, prefix, block)
+            else:
+                table[prefix] = block
+        return GenFun.of_table(self.rs, table)
 
     def scaled(self, coeff: Laurent, mu_shift: Weight, xi_shift: Coroot) -> "GenFun":
-        # the shift is injective, so each output key gets one product
+        # the shift is injective, so each output block gets one product per poly
         out = GenFun(self.rs)
         factor = coeff.terms.items()
-        for (mu, w, xi), poly in self.table.items():
-            key = (tuple(map(add, mu, mu_shift.coeffs)), w, tuple(map(add, xi, xi_shift.coeffs)))
-            prod: dict = {}
-            for e1, c1 in poly.items():
-                for e2, c2 in factor:
-                    prod[e1 + e2] = prod.get(e1 + e2, 0) + c1 * c2
-            add_poly(out.table, key, prod)
+        for (mu, w), block in self.table.items():
+            prods: dict = {}
+            for (xi,), poly in block.items():
+                prod = prods[tuple(map(add, xi, xi_shift.coeffs)),] = {}
+                for e1, c1 in poly.items():
+                    for e2, c2 in factor:
+                        prod[e1 + e2] = prod.get(e1 + e2, 0) + c1 * c2
+            add_block(out.table, (tuple(map(add, mu, mu_shift.coeffs)), w), prods)
         return out
 
 
 def genfun(chain: LambdaChain, x: AffineWeylElt) -> GenFun:
     """The generating function G_Gamma(x) of one chain at x = w t_xi."""
     rs = chain.rs
-    unit = {((0,) * rs.rank, x.w.index, x.xi.coeffs): {0: 1}}
+    unit = {((0,) * rs.rank, x.w.index): {(x.xi.coeffs,): {0: 1}}}
     return genfun_extend(chain, GenFun.of_table(rs, unit))
 
 
@@ -433,20 +466,21 @@ def par_convolve(
 ) -> dict:
     """The sum over the partition tuples chi of lam of the shifted heads, above q_floor.
 
-    heads maps keys (..., xi), xi a translation as an int tuple (or ()), to
-    {exponent: count}; the result maps (..., xi + iota(chi)) -> {exponent -
-    |chi| - <shift, iota(chi)>: sum of counts}, zero counts dropped.  shift
-    pairs to >= 0 with every iota, so |chi| <= max-exponent(heads) - q_floor
-    bounds the tuples; equal (iota, |chi|) are summed as one group
-    (par_groups), and each shifted head is added only above q_floor.
-    The output under a prefix key[:-1] depends only on the prefix's head set
-    {xi: poly}, and few of them are distinct (44 for Ghat's 140 (mu, w)
-    prefixes in C2 at lambda = (2, 2), depth 10), so each distinct head set
-    is convolved once and its block shared by every prefix that has it: the
-    keys of a repeated block hold the same dicts (TermTable allows it), and
-    `table_json` renders such a block once.
+    heads is a table of blocks {prefix: {tail: {exponent: count}}} whose
+    tail is (xi,), xi a translation as an int tuple, or (); the result is
+    the table of blocks {prefix: {(xi + iota(chi),) or (): {exponent - |chi|
+    - <shift, iota(chi)>: sum of counts}}}, zero counts, empty polys and
+    empty blocks dropped.  shift pairs to >= 0 with every iota, so |chi| <=
+    max-exponent(heads) - q_floor bounds the tuples; equal (iota, |chi|) are
+    summed as one group (par_groups), and each shifted head is added only
+    above q_floor.
+    A prefix's output block depends only on its head block, and few of them
+    are distinct (44 for Ghat's 140 (mu, w) prefixes in C2 at lambda = (2,
+    2), depth 10), so each distinct head block is convolved once and every
+    prefix that has it holds the same output block (TermTable allows it),
+    which `table_json` renders once.
     """
-    bound = max((max(p) for p in heads.values()), default=q_floor - 1) - q_floor
+    bound = max((max(p) for block in heads.values() for p in block.values()), default=q_floor - 1) - q_floor
     groups = sorted(
         (
             (iota.coeffs, size if shift is None else size + rs.pair(shift, iota), m)
@@ -454,48 +488,45 @@ def par_convolve(
         ),
         key=lambda g: g[1],
     )
-    # xi -> [xi + iota per group], one sum per distinct translation: G's
+    # tail -> [its shift by iota per group], one sum per distinct tail: G's
     # translations x.xi + down(A) take few values (3-7 for 26-247 terms in
     # the benchmark's ghat jobs)
     shifted: dict = {}
 
-    def convolve(block: dict) -> tuple:
-        """The key tails (xi + iota,) and polys of one head set {xi: poly}."""
+    def convolve(block: dict) -> dict:
+        """The output block of one head block."""
         out: dict = {}
-        for xi, poly in block.items():
-            targets = shifted.get(xi)
+        for tail, poly in block.items():
+            targets = shifted.get(tail)
             if targets is None:
-                targets = shifted[xi] = [tuple(map(add, xi, iota)) for iota, _drop, _m in groups]
+                targets = shifted[tail] = [
+                    tuple([tuple(map(add, xi, iota)) for xi in tail]) for iota, _drop, _m in groups
+                ]
             top = max(poly)
-            for xi_iota, (_iota, drop, m) in zip(targets, groups):
+            for target, (_iota, drop, m) in zip(targets, groups):
                 if top - drop < q_floor:
                     break
-                acc = out.setdefault(xi_iota, {})
+                acc = out.setdefault(target, {})
                 for e, c in poly.items():
                     if e - drop >= q_floor:
                         acc[e - drop] = acc.get(e - drop, 0) + c * m
-        tails, polys = [], []
-        for xi_iota, poly in out.items():
+        for target, poly in list(out.items()):
             if 0 in poly.values():
-                poly = {e: c for e, c in poly.items() if c}
-            if poly:
-                tails.append((xi_iota,))
-                polys.append(poly)
-        return tails, polys
+                poly = out[target] = {e: c for e, c in poly.items() if c}
+                if not poly:
+                    del out[target]
+        return out
 
-    blocks: dict = {}
-    for key, poly in heads.items():
-        blocks.setdefault(key[:-1], {})[key[-1]] = poly
-    # head set -> its tails and polys, whatever order its heads came in
+    # head block contents -> output block, whatever order its heads came in
     convolved: dict = {}
     table: dict = {}
-    for prefix, block in blocks.items():
-        sig = tuple([(xi, tuple(poly.items())) for xi, poly in sorted(block.items())])
+    for prefix, block in heads.items():
+        sig = tuple([(tail, tuple(poly.items())) for tail, poly in sorted(block.items())])
         out = convolved.get(sig)
         if out is None:
             out = convolved[sig] = convolve(block)
-        tails, polys = out
-        table.update(zip(map(prefix.__add__, tails), polys))
+        if out:
+            table[prefix] = out
     return table
 
 
@@ -536,10 +567,11 @@ def weight_orbit_sum(chain: LambdaChain) -> dict:
         raise ValueError("weight_orbit_sum needs a chain of positive roots")
     acc: dict = {}
     g = genfun(chain, AffineWeylElt(rs.identity, Coroot((0,) * rs.rank)))
-    for (wt, _ed, _xi), poly in g.table.items():
+    for (wt, _ed), block in g.table.items():
         out = acc.setdefault(wt, {})
-        for e, k in poly.items():
-            out[-e] = out.get(-e, 0) + k
+        for poly in block.values():
+            for e, k in poly.items():
+                out[-e] = out.get(-e, 0) + k
     return {Weight(k): Laurent(p) for k, p in acc.items()}
 
 
@@ -570,27 +602,22 @@ def _json_list(elems: list, pad: int) -> str:
 
 # one (exponent, count) pair of an item's "q" list, after its separator
 _PAIR = "\n   [\n    %d,\n    %d\n   ]"
-# a key's (v_1, w) prefix and its tail after it
-_PREFIX = itemgetter(0, 1)
-_TAIL = itemgetter(slice(2, None))
 
 
 def table_json(table: dict, words: tuple, names: tuple) -> str:
     """json.dumps(f.to_json(), indent=1), byte for byte, written from f.table.
 
-    table is the int-keyed term table of a GenFun or a FormalChar, {(v_1,
-    w, ...): {exponent: count}} with w an index into words (the 1-based
+    table is the term table of blocks of a GenFun or a FormalChar, {(v_1,
+    w): {tail: {exponent: count}}} with w an index into words (the 1-based
     reduced words), and names names the item's vectors after "q", as
-    ROW_NAMES does.  The keys are grouped by their prefix (v_1, w), the
-    prefixes sorted once by (v_1, word) and the keys within a prefix by
-    their tuples.  Each distinct vector, word, key tail after w and
-    q-polynomial is rendered once, as a fragment cached with its field
-    labels; each prefix's (v_1, w) fragment is joined once, and every item
-    is three shared fragment references, joined at the end.  When keys
-    share poly dicts (Ghat's repeated blocks, see par_convolve), a prefix
-    whose keys carry the same tails and the same dicts, in the same order,
-    as the last prefix written with the same first dict reuses that block's
-    fragments with its own (v_1, w) fragment, unsorted and unrendered.
+    ROW_NAMES does.  The prefixes are sorted once by (v_1, word) and the
+    tails within a block by their tuples.  Each distinct vector, word, tail
+    and q-polynomial is rendered once, as a fragment cached with its field
+    labels, each prefix's (v_1, w) fragment is joined once, and every item
+    is three shared fragment references, joined at the end.  A block object
+    is rendered once, memoized by id(block): a prefix holding a block
+    already written (Ghat's repeated blocks, see par_convolve) copies that
+    block's fragment references with its own (v_1, w) fragment.
     This avoids json.dumps, which takes its pure-Python encoder whenever it
     indents, and builds no Laurent, Weight or Coroot.
     """
@@ -605,32 +632,16 @@ def table_json(table: dict, words: tuple, names: tuple) -> str:
         vec = words[v] if i == 1 else v
         return labels[i] + _json_list(list(map(str, vec)), 2) + closing[i]
 
-    # caches: v_1, w and key tail -> fragment; (exponent, count) pairs -> "q" fragment
+    # caches: v_1, w and tail -> fragment; (exponent, count) pairs -> "q"
+    # fragment; id(block) -> where its items start in parts, and their count
     mus: dict = {}
     ws: dict = {}
     tails: dict = {}
     qs: dict = {}
+    written: dict = {}
     parts: list = []
     put = parts.append
-    prefixes: dict = {}
-    if len(set(map(id, table.values()))) == len(table):
-        blocks = None
-        for key in table:
-            prefixes.setdefault(key[:2], []).append(key)
-    else:
-        # id of a prefix's first poly -> (its key tails and polys, in
-        # insertion order, and where its block starts in parts); par_convolve
-        # writes each prefix's keys in one run, grouped here without a
-        # Python step per key
-        blocks = {}
-        for prefix, run in itertools.groupby(table, _PREFIX):
-            keys = prefixes.get(prefix)
-            if keys is None:
-                prefixes[prefix] = list(run)
-            else:
-                keys.extend(run)
-    for prefix in sorted(prefixes, key=lambda p: (p[0], words[p[1]])):
-        mu, w = prefix
+    for mu, w in sorted(table, key=lambda p: (p[0], words[p[1]])):
         frag = mus.get(mu)
         if frag is None:
             frag = mus[mu] = fragment(0, mu)
@@ -638,28 +649,23 @@ def table_json(table: dict, words: tuple, names: tuple) -> str:
         if head is None:
             head = ws[w] = fragment(1, w)
         head = frag + head
-        keys = prefixes[prefix]
-        if blocks is not None:
-            polys = list(map(table.__getitem__, keys))
-            key_tails = list(map(_TAIL, keys))
-            seen = blocks.get(id(polys[0]))
-            if seen is not None and seen[0] == key_tails and all(map(is_, seen[1], polys)):
-                start = seen[2]
-                chunk = parts[start : start + 3 * len(keys)]
-                chunk[1::3] = [head] * len(keys)
-                parts += chunk
-                continue
-            blocks[id(polys[0])] = (key_tails, polys, len(parts))
-        keys.sort()
-        for key in keys:
-            pairs = tuple(table[key].items())
+        block = table[mu, w]
+        seen = written.get(id(block))
+        if seen is not None:
+            start, count = seen
+            chunk = parts[start : start + 3 * count]
+            chunk[1::3] = [head] * count
+            parts += chunk
+            continue
+        written[id(block)] = (len(parts), len(block))
+        for tail in sorted(block):
+            pairs = tuple(block[tail].items())
             frag = qs.get(pairs)
             if frag is None:
                 rendered = ",".join([_PAIR % pair for pair in sorted(pairs)])
                 frag = qs[pairs] = ',\n {\n  "q": [' + rendered + "\n  ]"
             put(frag)
             put(head)
-            tail = key[2:]
             frag = tails.get(tail)
             if frag is None:
                 frag = tails[tail] = "".join([fragment(i, v) for i, v in enumerate(tail, 2)])

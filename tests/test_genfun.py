@@ -20,7 +20,7 @@ from qalcove.genfun import (
     GenFun,
     Laurent,
     ParTuple,
-    add_poly,
+    add_block,
     compose,
     genfun,
     genfun_equal,
@@ -36,6 +36,7 @@ from qalcove.genfun import (
     weight_orbit_sum,
 )
 from qalcove.rootsys import Coroot, Weight, WeylElement
+from table_shapes import blocks, flat
 
 
 def x_at(rs, word="e", xi=None):
@@ -814,15 +815,16 @@ def test_grouped_convolution_against_per_tuple(case):
 def reference_convolve(heads, rs, lam, q_floor, shift=None):
     """par_convolve summed one head and one partition tuple at a time."""
     out = {}
-    top = max(max(p) for p in heads.values())
+    top = max(max(p) for p in flat(heads).values())
     for chi in par_enumerate(rs, lam, top - q_floor):
         iota = chi.iota()
         drop = chi.size + (0 if shift is None else rs.pair(shift, iota))
-        for (*rest, xi), poly in heads.items():
-            key = (*rest, tuple(a + b for a, b in zip(xi, iota.coeffs)))
-            for e, c in poly.items():
-                if e - drop >= q_floor:
-                    add_poly(out, key, {e - drop: c})
+        for prefix, block in heads.items():
+            for tail, poly in block.items():
+                shifted = tuple(tuple(a + b for a, b in zip(xi, iota.coeffs)) for xi in tail)
+                for e, c in poly.items():
+                    if e - drop >= q_floor:
+                        add_block(out, prefix, {shifted: {e - drop: c}})
     return out
 
 
@@ -834,7 +836,7 @@ def test_convolution_blocks_against_per_tuple():
     # also with a poly's exponents in another order; its chi = (1) shift of
     # q^1 at xi = -1 cancels the chi = () term q^0 at xi = 0, so above floor
     # 0 the key xi = 0 is empty
-    heads = {
+    heads = blocks({
         ((1,), 1, (0,)): {0: 1, -2: 3},
         ((1,), 1, (-1,)): {1: -1},
         ((0,), 0, (-1,)): {1: -1},
@@ -845,39 +847,36 @@ def test_convolution_blocks_against_per_tuple():
         ((2,), 1, (-1,)): {1: -1},
         ((3,), 1, (-1,)): {1: -1},
         ((3,), 1, (0,)): {0: 1, -2: 3},
-    }
+    })
     for floor in (0, -1, -3, -6):
         out = par_convolve(heads, a1, lam, floor)
         assert out == reference_convolve(heads, a1, lam, floor)
-        blocks = [
-            {k[2]: p for k, p in out.items() if k[:2] == prefix}
-            for prefix in (((1,), 1), ((0,), 0), ((2,), 1), ((3,), 1))
-        ]
-        assert blocks[0] == blocks[1] == blocks[2] == blocks[3]
-        # a repeated block holds the same dicts, whatever the order of its
-        # heads (copy-on-write add_poly keeps them apart, see
-        # test_ghat_terms_are_independent)
-        assert all(b[xi] is p for b in blocks[2:] for xi, p in blocks[0].items())
-    assert ((1,), 1, (0,)) not in par_convolve(heads, a1, lam, 0)
-    assert par_convolve(heads, a1, lam, -1)[(1,), 1, (0,)] == {-1: -1}
-    # the character expansion's form: empty translations and a shift
+        repeated = [out[prefix] for prefix in (((1,), 1), ((0,), 0), ((2,), 1), ((3,), 1))]
+        assert repeated[0] == repeated[1] == repeated[2] == repeated[3]
+        # a repeated head block, whatever the order of its heads, gives the
+        # same output block (copy-on-write add_block keeps the prefixes
+        # apart, see test_ghat_terms_are_independent)
+        assert repeated[2] is repeated[0] and repeated[3] is repeated[0]
+    assert ((1,), 1, (0,)) not in flat(par_convolve(heads, a1, lam, 0))
+    assert flat(par_convolve(heads, a1, lam, -1))[(1,), 1, (0,)] == {-1: -1}
+    # the character expansion's form: empty tails and a shift
     c2 = qa.build_root_system("C2")
-    heads = {
-        ((1, 0), 2, ()): {0: 1, -1: -2},
-        ((0, 1), 3, ()): {-1: -2, 0: 1},
-        ((0, 0), 0, ()): {2: 1, 1: -1},
-    }
+    heads = blocks({
+        ((1, 0), 2): {0: 1, -1: -2},
+        ((0, 1), 3): {-1: -2, 0: 1},
+        ((0, 0), 0): {2: 1, 1: -1},
+    })
     for floor in (-1, -4):
         out = par_convolve(heads, c2, c2.weight([1, 1]), floor, c2.weight([1, 0]))
         assert out == reference_convolve(heads, c2, c2.weight([1, 1]), floor, c2.weight([1, 0]))
 
 
 def snapshot(f):
-    return {k: dict(p) for k, p in f.table.items()}
+    return {k: dict(p) for k, p in flat(f.table).items()}
 
 
-def shares_dicts(f):
-    return len({id(p) for p in f.table.values()}) < len(f.table)
+def shares_blocks(f):
+    return len({id(b) for b in f.table.values()}) < len(f.table)
 
 
 def assert_terms_independent(f, add):
@@ -888,7 +887,7 @@ def assert_terms_independent(f, add):
         marker = 1000 + i
         add(f, key, marker)
         before[key][marker] = 1
-        assert f.table == before
+        assert flat(f.table) == before
 
 
 def add_marker(f, key, marker):
@@ -902,7 +901,7 @@ def test_ghat_terms_are_independent():
     chain = qa.lex_chain(rs, rs.weight([1, 1]))
     x = x_at(rs)
     f = ghat(chain, x, genfun(chain, x).max_exponent() - 3)
-    assert shares_dicts(f)
+    assert shares_blocks(f)
     # the sum shares dicts with its operands; adding to it, or to the scaled
     # copy, leaves both operands as they were
     g = ghat(chain, x_at(rs, "s1"), genfun(chain, x).max_exponent() - 3)
@@ -910,7 +909,7 @@ def test_ghat_terms_are_independent():
     total = f + g
     assert total.terms == {k: f.terms.get(k, Laurent()) + g.terms.get(k, Laurent()) for k in total.terms}
     shifted = f.scaled(Laurent({0: 1, -1: -2}), rs.weight([1, 0]), Coroot((0, 1)))
-    assert len(shifted.table) == len(f.table)
+    assert len(flat(shifted.table)) == len(flat(f.table))
     assert_terms_independent(total, add_marker)
     assert_terms_independent(shifted, add_marker)
     assert snapshot(f) == f_before and snapshot(g) == g_before
@@ -920,7 +919,7 @@ def test_ghat_terms_are_independent():
     a2 = qa.build_root_system("A2")
     c1, c2 = qa.lex_chain(a2, a2.weight([2, 0])), qa.lex_chain(a2, a2.weight([0, -2]))
     h = ghat_compose(c1, c2, x_at(a2), -8)
-    assert shares_dicts(h)
+    assert shares_blocks(h)
     assert_terms_independent(h, add_marker)
     # a character expansion, through add_symbol (at xi = 0, so unnormalized)
     c2 = qa.build_root_system("C2")
@@ -932,7 +931,7 @@ def test_ghat_terms_are_independent():
         x = AffineWeylElt(c2.weyl_elements[w], Coroot((0, 0)))
         f.add_symbol(Weight(mu), x, Laurent.q_power(marker))
 
-    assert shares_dicts(char)
+    assert shares_blocks(char)
     assert_terms_independent(char, add_symbol)
 
 
@@ -1005,48 +1004,54 @@ def test_table_json_prefix_groups():
         for w in (late, 0, early):
             char.add_symbol(c2.weight(mu), AffineWeylElt(c2.weyl_elements[w], Coroot((0, 0))),
                             Laurent({w: 1, -3: mu[1] - 5}))
-    assert len({k[:2] for k in f.table}) == 6 and len(f.table) == 30
+    assert len(f.table) == 6 and len(flat(f.table)) == 30
     assert_table_json(f)
     assert_table_json(char)
 
 
 def test_table_json_shared_blocks():
-    # pairs of prefixes whose keys share poly dicts: the second of each pair,
-    # in sort order, holds the first's block, or one that differs from it in
-    # one tail, in the order of its keys, in its key count, or in a later
-    # poly only (another dict, equal or not); and a one-key block
+    # prefixes that hold one block object, under the same w and under
+    # another whose word may sort before or after, next to prefixes holding
+    # an equal copy of it, or a block that differs from it in one tail, in
+    # the insertion order of its tails, in its tail count or in one poly
+    # only (another dict, equal or not); and a one-tail block
     c2 = qa.build_root_system("C2")
     r, s = {-1: -4}, {-3: 2, 5: -1}
     table = {}
-    changes = ("same", "tail", "order", "count", "poly", "copy", "one key")
+    changes = ("same", "copy", "tail", "order", "count", "poly", "poly copy", "one tail")
     for i, change in enumerate(changes):
-        p = {i: 1, -2: 3}
-        block = [((0, 0), p), ((1, -1), r), ((-2, 3), s)]
-        if change == "one key":
-            block = block[:1]
-        other = list(block)
-        if change == "tail":
-            other[1] = ((1, -2), r)
+        block = {((0, 0),): {i: 1, -2: 3}, ((1, -1),): r, ((-2, 3),): s}
+        if change == "one tail":
+            block = {((0, 0),): block[(0, 0),]}
+        other = dict(block)
+        if change == "copy":
+            other = {tail: dict(p) for tail, p in block.items()}
+        elif change == "tail":
+            other[(1, -2),] = other.pop(((1, -1),))
         elif change == "order":
-            other[1], other[2] = other[2], other[1]
+            other = dict(reversed(block.items()))
         elif change == "count":
-            del other[2]
+            del other[(-2, 3),]
         elif change == "poly":
-            other[2] = ((-2, 3), {-3: 2})
-        elif change == "copy":
-            other[2] = ((-2, 3), dict(s))
-        for mu, keys in (((i, 0), block), ((i, 1), other)):
-            table.update(((mu, i % 3, xi), poly) for xi, poly in keys)
+            other[(-2, 3),] = {-3: 2}
+        elif change == "poly copy":
+            other[(-2, 3),] = dict(s)
+        elif change == "same":
+            other = block
+        table[(i, 0), i % 3] = block
+        table[(i, 1), i % 3] = other
+        table[(i, 2), (i + 1) % 3] = block
     f = GenFun.of_table(c2, table)
-    assert shares_dicts(f)
+    assert shares_blocks(f)
     assert_table_json(f)
-    assert_table_json(GenFun.of_table(c2, {k: dict(p) for k, p in table.items()}))
+    assert_table_json(GenFun.of_table(c2, blocks({k: dict(p) for k, p in flat(table).items()})))
 
 
 def test_table_json_shared_and_copied_tables():
     # G2 Ghat at lambda = (1, 1) (92 prefixes, 10 blocks) and a character
-    # expansion share dicts between keys; a copy with a dict per key, which
-    # copy.deepcopy would not make, takes the unshared path to the same bytes
+    # expansion share blocks between prefixes; a copy with fresh block and
+    # poly dicts, which copy.deepcopy would not make, is written to the same
+    # bytes, each of its blocks rendered on its own
     g2 = qa.build_root_system("G2")
     f = ghat(qa.lex_chain(g2, g2.weight([1, 1])), x_at(g2), -16)
     c2 = qa.build_root_system("C2")
@@ -1054,9 +1059,50 @@ def test_table_json_shared_and_copied_tables():
                          qa.lex_chain(c2, c2.weight([2, 1])), x_at(c2), -8)
     for h in (f, char):
         copied = copy.copy(h)
-        copied.table = {k: dict(p) for k, p in h.table.items()}
-        assert shares_dicts(h) and not shares_dicts(copied)
+        copied.table = blocks({k: dict(p) for k, p in flat(h.table).items()})
+        assert shares_blocks(h) and not shares_blocks(copied)
         assert write_json(h) == write_json(copied) == json.dumps(h.to_json(), indent=1)
+
+
+def assert_table_shape(f):
+    """f's blocks are nonempty and hold nonempty polys, and what callers
+    read of f agrees with its flattened table."""
+    assert all(f.table.values()) and all(p for b in f.table.values() for p in b.values())
+    table = flat(f.table)
+    assert len(f.terms) == len(table)
+    elements = f.rs.weyl_elements
+    keys = [(Weight(mu), elements[w], *map(Coroot, tail)) for mu, w, *tail in table]
+    assert list(f.terms) == keys
+    assert all(f.terms[k].terms == p for k, p in zip(keys, table.values()))
+    assert f.max_exponent() == max((max(p) for p in table.values()), default=None)
+    words = f.rs._json_words
+    assert f.to_json() == [
+        {"q": [list(pair) for pair in sorted(table[key].items())],
+         **dict(zip(f.ROW_NAMES, ([*mu], [*words[w]], *map(list, tail))))}
+        for key in sorted(table, key=lambda k: (k[0], words[k[1]], *k[2:]))
+        for mu, w, *tail in [key]
+    ]
+
+
+def test_term_table_shape():
+    # G, Ghat with shared blocks, the hatted composition, a character
+    # expansion, and the empty table of each kind
+    g2 = qa.build_root_system("G2")
+    chain = qa.lex_chain(g2, g2.weight([1, 1]))
+    g = genfun(chain, x_at(g2, "s2", [1, -1]))
+    f = ghat(chain, x_at(g2), -16)
+    assert shares_blocks(f)
+    a2 = qa.build_root_system("A2")
+    h = ghat_compose(qa.lex_chain(a2, a2.weight([2, 0])), qa.lex_chain(a2, a2.weight([0, -2])),
+                     x_at(a2), -8)
+    c2 = qa.build_root_system("C2")
+    char = rhs_chevalley(c2, c2.weight([1, 1]), c2.weight([2, 1]),
+                         qa.lex_chain(c2, c2.weight([2, 1])), x_at(c2), -8)
+    assert shares_blocks(char) and all(list(b) == [()] for b in char.table.values())
+    for t in (g, f, h, char, f + g, f.truncated(-10), GenFun(g2), FormalChar(c2, c2.weight([0, 0]))):
+        assert_table_shape(t)
+    assert len(f.terms) == 13611 and len(f.table) == 92
+    assert len({id(b) for b in f.table.values()}) == 10
 
 
 # a weight per type whose chains have at most a few hundred subsets
