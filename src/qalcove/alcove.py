@@ -494,18 +494,21 @@ def enumerate_admissible(
     A depth-first search over the QBG steps of _vertex_steps: each subset
     extends its parent's (vertex, key) by one step, and its children are
     the steps at later positions, so a subset is listed before its
-    extensions and siblings in increasing order of their new index.
+    extensions and siblings in increasing order of their new index.  The
+    search keeps an explicit stack, its children pushed in reverse, so it
+    leaves no self-referencing closure behind for the cyclic collector.
     """
     out = []
     built = chain._step_cache
-
-    def visit(pos, v, key, indices, vertices):
+    stack = [(0, w.index, (0,) * (2 * chain.rs.rank + 2), (), ())]
+    while stack:
+        pos, v, key, indices, vertices = stack.pop()
         positions, steps, top = built.get(v) or _vertex_steps(chain, v)
         out.append(AdmissibleSubset(chain, w, indices, vertices, key, top))
-        for j, t, inc in steps[bisect_left(positions, pos) :]:
-            visit(j + 1, t, tuple(map(add, key, inc)), indices + (j + 1,), vertices + (t,))
-
-    visit(0, w.index, (0,) * (2 * chain.rs.rank + 2), (), ())
+        stack += [
+            (j + 1, t, tuple(map(add, key, inc)), indices + (j + 1,), vertices + (t,))
+            for j, t, inc in reversed(steps[bisect_left(positions, pos) :])
+        ]
     return tuple(out)
 
 

@@ -375,16 +375,19 @@ class ParTuple(FrozenRecord):
 
 
 def _partitions(total_max: int, max_len: int):
-    """All partitions with at most max_len parts and size <= total_max."""
-    out = [()]
-    def rec(prefix, largest, remaining, slots):
-        for part in range(1, min(largest, remaining) + 1):
-            cur = prefix + (part,)
-            out.append(cur)
-            if slots > 1:
-                rec(cur, part, remaining - part, slots - 1)
-    if max_len > 0:
-        rec((), total_max, total_max, max_len)
+    """All partitions with at most max_len parts and size <= total_max, each
+    before its extensions and those by increasing new part (an explicit
+    stack, so no self-referencing closure is left for the cyclic collector)."""
+    out = []
+    stack = [((), total_max, total_max, max_len)]
+    while stack:
+        prefix, largest, remaining, slots = stack.pop()
+        out.append(prefix)
+        if slots > 0:
+            stack += [
+                (prefix + (part,), part, remaining - part, slots - 1)
+                for part in range(min(largest, remaining), 0, -1)
+            ]
     return out
 
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import math
@@ -573,6 +574,28 @@ def test_enumerate_admissible_cache_is_immutable():
     w = rs.element_from_word("s2")
     subsets = qa.enumerate_admissible(g1, w)
     assert isinstance(subsets, tuple)
+
+
+def test_enumerate_admissible_leaves_no_cyclic_garbage():
+    # after a warm-up fills the chain's step cache, the enumeration frees
+    # everything it made by reference counting alone, and so does the
+    # partition counting behind Ghat
+    rs = qa.build_root_system("A2")
+    chain = qa.lex_chain(rs, rs.weight([2, 1]))
+    lam = rs.weight([2, 2])
+    for w in rs.weyl_elements:
+        qa.enumerate_admissible(chain, w)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for w in rs.weyl_elements:
+            assert qa.enumerate_admissible(chain, w)
+        assert qa.genfun.par_groups(rs, lam, 6) and qa.par_enumerate(rs, lam, 4)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def enumerated_states(chain, w):
