@@ -494,9 +494,8 @@ def enumerate_admissible(
     A depth-first search over the QBG steps of _vertex_steps: each subset
     extends its parent's (vertex, key) by one step, and its children are
     the steps at later positions, so a subset is listed before its
-    extensions and siblings in increasing order of their new index.  The
-    search keeps an explicit stack, its children pushed in reverse, so it
-    leaves no self-referencing closure behind for the cyclic collector.
+    extensions and siblings in increasing order of their new index (an
+    explicit stack, children pushed in reverse: no closure cycle is left).
     """
     out = []
     built = chain._step_cache
@@ -593,11 +592,12 @@ def sweep_seeded(chain: LambdaChain, seeds: dict) -> dict:
     """G_Gamma applied to a term table, in one sweep along chain.
 
     seeds and the result are term tables of blocks {(mu, w): {(xi,):
-    {exponent: count}}} (see genfun.GenFun), zero counts dropped.  A term q^e e^mu w t_xi seeds
-    the state (c, down, height) = (-mu, xi, <lambda, xi> - e) at w.  At
-    beta_j an edge v -> v s_|beta_j| of the quantum Bruhat graph adds -l_j
-    v(beta_j) to c, a quantum edge also adds |beta_j|^vee to down and
-    sign(beta_j) l~_j to height, and a negative beta_j negates the count;
+    {exponent: count}}} (see genfun.GenFun), zero counts dropped.  A term
+    q^e e^mu w t_xi seeds the state (c, down, height) = (-mu, xi, <lambda,
+    xi> - e) at w.  At beta_j an edge v -> v s_|beta_j| of the quantum
+    Bruhat graph adds -l_j v(beta_j) to c, a quantum edge also adds
+    |beta_j|^vee to down and sign(beta_j) l~_j to height, and a negative
+    beta_j negates the count;
     the state also stays at v, since a subset may skip j.  Subsets that
     reach the same state merge, so the work follows the number of states,
     not of subsets.  An end state at ed is the term q^-height
@@ -616,8 +616,7 @@ def sweep_seeded(chain: LambdaChain, seeds: dict) -> dict:
     lam = chain.lam.coeffs
     seed_terms = [
         (mu, v, xi, sum(map(mul, lam, xi)), poly)
-        for (mu, v), block in seeds.items()
-        for (xi,), poly in block.items()
+        for (mu, v), block in seeds.items() for (xi,), poly in block.items()
     ]
     # |field| <= bound all along: the largest seed entry, plus per step the
     # largest increment of any field

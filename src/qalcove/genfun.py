@@ -5,11 +5,10 @@ over the w-admissible subsets of Gamma; it extends linearly to finite formal
 sums.  Both are one sweep along the chain (`alcove.sweep_seeded`), seeded
 with one state per term of the sum, which merges subsets with equal
 statistics as it runs instead of listing them; each state (c, down, height)
-is one packed int, and the end states go straight into the term table, one
-block per (vertex, c) and one decode per distinct (c, down).  G(x) is the
-sweep seeded with x alone, and the composition G_{Gamma1}(G_{Gamma2}(x)),
-which is G of the concatenated chain, the sweep along Gamma1 seeded with
-G_{Gamma2}(x).
+is one packed int, and the end states go straight into the term table, a
+block per (vertex, c), a decode per distinct (c, down).  G(x) is the sweep
+seeded with x alone, and G_{Gamma1}(G_{Gamma2}(x)), which is G of the
+concatenated chain, the sweep along Gamma1 seeded with G_{Gamma2}(x).
 The hatted variant further sums over tuples of bounded partitions and is
 computed exactly above a caller-supplied q-exponent floor; a partition tuple
 chi enters only through (iota(chi), |chi|), so the sum runs over those groups
@@ -126,9 +125,8 @@ class TermView(Mapping):
     """A read-only view of a term table of blocks as {key: Laurent}.
 
     decode turns a table (prefix, tail) into the key callers see (Weight,
-    WeylElement, Coroot, ...) and encode turns a key back into (prefix,
-    tail); every lookup builds a fresh Laurent.  The package itself works on
-    the table.
+    WeylElement, Coroot, ...) and encode turns it back; every lookup builds
+    a fresh Laurent.  The package itself works on the table.
     """
 
     __slots__ = ("_table", "_decode", "_encode")
@@ -142,10 +140,7 @@ class TermView(Mapping):
         return sum(map(len, self._table.values()))
 
     def __iter__(self):
-        decode = self._decode
-        for prefix, block in self._table.items():
-            for tail in block:
-                yield decode(prefix, tail)
+        return (self._decode(prefix, tail) for prefix, block in self._table.items() for tail in block)
 
     def __getitem__(self, key):
         prefix, tail = self._encode(key)
@@ -157,12 +152,11 @@ class TermView(Mapping):
 
 def add_block(table: dict, prefix, block: dict):
     """table[prefix] += block for a block {tail: {exponent: count}}, dropping
-    zero counts, a poly left empty and a block left empty.
+    zero counts, and a poly or a block left empty.
 
-    Copy-on-write at both levels: table[prefix] is replaced by one new block,
-    each poly that block touches by a new dict, and neither the old block,
-    its polys nor block is changed, so tables may share blocks and polys
-    (TermTable).
+    Copy-on-write at both levels: table[prefix] is replaced by one new block
+    and each poly that block touches by a new dict, and nothing else is
+    changed, so tables may share blocks and polys (TermTable).
     """
     acc = dict(table.get(prefix, ()))
     for tail, poly in block.items():
@@ -232,11 +226,8 @@ class TermTable:
         """The terms with exponent >= floor."""
         table = {}
         for prefix, block in self.table.items():
-            kept = {}
-            for tail, poly in block.items():
-                poly = {e: c for e, c in poly.items() if e >= floor}
-                if poly:
-                    kept[tail] = poly
+            kept = {tail: {e: c for e, c in p.items() if e >= floor} for tail, p in block.items()}
+            kept = {tail: p for tail, p in kept.items() if p}
             if kept:
                 table[prefix] = kept
         f = copy.copy(self)
@@ -257,13 +248,10 @@ class TermTable:
         unique, so the sort never compares q_pairs.
         """
         words = self.rs._json_words
-        return sorted(
-            [
-                (mu, words[w], *tail, tuple(sorted(p.items())))
-                for (mu, w), block in self.table.items()
-                for tail, p in block.items()
-            ]
-        )
+        return sorted([
+            (mu, words[w], *tail, tuple(sorted(p.items())))
+            for (mu, w), block in self.table.items() for tail, p in block.items()
+        ])
 
     def to_json(self) -> list:
         names = self.ROW_NAMES
@@ -288,8 +276,7 @@ def _encode(key) -> tuple:
 
 
 class GenFun(TermTable):
-    """A finite formal sum of (Laurent in q) * e^mu * (w t_xi), in blocks
-    {(mu, w): {(xi,): poly}}."""
+    """A finite formal sum of (Laurent in q) * e^mu * (w t_xi), the tails (xi,)."""
 
     __slots__ = ()
     ROW_NAMES = ("mu", "w", "xi")
@@ -299,14 +286,10 @@ class GenFun(TermTable):
         add_block(self.table, (mu.coeffs, x.w.index), {(x.xi.coeffs,): coeff.terms})
 
     def __add__(self, other: "GenFun") -> "GenFun":
-        # blocks of other under a prefix self lacks are shared, not copied
-        table = dict(self.table)
+        out = GenFun.of_table(self.rs, dict(self.table))
         for prefix, block in other.table.items():
-            if prefix in table:
-                add_block(table, prefix, block)
-            else:
-                table[prefix] = block
-        return GenFun.of_table(self.rs, table)
+            add_block(out.table, prefix, block)
+        return out
 
     def scaled(self, coeff: Laurent, mu_shift: Weight, xi_shift: Coroot) -> "GenFun":
         # the shift is injective, so each output block gets one product per poly
@@ -375,9 +358,8 @@ class ParTuple(FrozenRecord):
 
 
 def _partitions(total_max: int, max_len: int):
-    """All partitions with at most max_len parts and size <= total_max, each
-    before its extensions and those by increasing new part (an explicit
-    stack, so no self-referencing closure is left for the cyclic collector)."""
+    """All partitions with at most max_len parts and size <= total_max, in
+    depth-first order on an explicit stack (no closure cycle is left)."""
     out = []
     stack = [((), total_max, total_max, max_len)]
     while stack:
@@ -469,21 +451,21 @@ def par_convolve(
 ) -> dict:
     """The sum over the partition tuples chi of lam of the shifted heads, above q_floor.
 
-    heads is a table of blocks {prefix: {tail: {exponent: count}}} whose
-    tail is (xi,), xi a translation as an int tuple, or (); the result is
-    the table of blocks {prefix: {(xi + iota(chi),) or (): {exponent - |chi|
-    - <shift, iota(chi)>: sum of counts}}}, zero counts, empty polys and
-    empty blocks dropped.  shift pairs to >= 0 with every iota, so |chi| <=
-    max-exponent(heads) - q_floor bounds the tuples; equal (iota, |chi|) are
-    summed as one group (par_groups), and each shifted head is added only
-    above q_floor.
+    heads is a table of blocks {prefix: {tail: {exponent: count}}}, the tail
+    (xi,) with xi a translation as an int tuple, or (); the result has the
+    blocks {prefix: {(xi + iota(chi),) or (): {exponent - |chi| - <shift,
+    iota(chi)>: sum of counts}}}, nothing zero or empty kept.  shift pairs
+    to >= 0 with every iota, so |chi| <= max-exponent(heads) - q_floor
+    bounds the tuples; equal (iota, |chi|) are summed as one group
+    (par_groups), and each shifted head is added only above q_floor.
     A prefix's output block depends only on its head block, and few of them
     are distinct (44 for Ghat's 140 (mu, w) prefixes in C2 at lambda = (2,
     2), depth 10), so each distinct head block is convolved once and every
-    prefix that has it holds the same output block (TermTable allows it),
-    which `table_json` renders once.
+    prefix that has it holds that one output block, which `table_json`
+    renders once.
     """
-    bound = max((max(p) for block in heads.values() for p in block.values()), default=q_floor - 1) - q_floor
+    top = max((max(p) for block in heads.values() for p in block.values()), default=q_floor - 1)
+    bound = top - q_floor
     groups = sorted(
         (
             (iota.coeffs, size if shift is None else size + rs.pair(shift, iota), m)
