@@ -298,7 +298,7 @@ class GenFun(TermTable):
         for (mu, w), block in self.table.items():
             prods: dict = {}
             for (xi,), poly in block.items():
-                prod = prods[tuple(map(add, xi, xi_shift.coeffs)),] = {}
+                prod = prods[(tuple(map(add, xi, xi_shift.coeffs)),)] = {}
                 for e1, c1 in poly.items():
                     for e2, c2 in factor:
                         prod[e1 + e2] = prod.get(e1 + e2, 0) + c1 * c2
