@@ -500,14 +500,13 @@ def enumerate_admissible(
     out = []
     built = chain._step_cache
     stack = [(0, w.index, (0,) * (2 * chain.rs.rank + 2), (), ())]
+    push = stack.append
     while stack:
         pos, v, key, indices, vertices = stack.pop()
         positions, steps, top = built.get(v) or _vertex_steps(chain, v)
         out.append(AdmissibleSubset(chain, w, indices, vertices, key, top))
-        stack += [
-            (j + 1, t, tuple(map(add, key, inc)), indices + (j + 1,), vertices + (t,))
-            for j, t, inc in reversed(steps[bisect_left(positions, pos) :])
-        ]
+        for j, t, inc in reversed(steps[bisect_left(positions, pos) :]):
+            push((j + 1, t, tuple(map(add, key, inc)), indices + (j + 1,), vertices + (t,)))
     return tuple(out)
 
 
