@@ -464,8 +464,8 @@ def par_convolve(
     prefix that has it holds that one output block, which `table_json`
     renders once.
     """
-    top = max((max(p) for block in heads.values() for p in block.values()), default=q_floor - 1)
-    bound = top - q_floor
+    highest = max((max(p) for block in heads.values() for p in block.values()), default=q_floor - 1)
+    bound = highest - q_floor
     groups = sorted(
         (
             (iota.coeffs, size if shift is None else size + rs.pair(shift, iota), m)
