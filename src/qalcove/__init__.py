@@ -51,6 +51,7 @@ from .alcove import (
     split_admissible,
     straight_crossings,
     sweep_admissible,
+    weight_sums,
 )
 from .ybmoves import (
     Sijection,

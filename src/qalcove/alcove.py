@@ -51,11 +51,11 @@ class LambdaChain(FrozenRecord):
 
     @property
     def tilde_levels(self) -> tuple[int, ...]:
-        return tuple(self._tilde(k) for k in range(len(self.roots)))
-
-    def _tilde(self, k: int) -> int:
-        beta = self.roots[k]
-        return self.rs.pair(self.lam, self.rs.coroot(beta)) - self.levels[k]
+        """<lambda, beta_j^vee> - l_j for every j, over the integer tables."""
+        lam, index, coroot = self.lam.coeffs, self.rs._root_index, self.rs._coroot_vec
+        return tuple(
+            [sum(map(mul, lam, coroot[index[b]])) - l for b, l in zip(self.roots, self.levels)]
+        )
 
     def __len__(self):
         return len(self.roots)
@@ -560,11 +560,12 @@ def sweep_step(
     """The state list after one QBG step along a positive root.
 
     states[v] is None or {key: count} for v in rs.weyl_elements, each key
-    one int of packed fields (see pack): G's state is (c, down, height), an
-    operator's (start, down) and the shell-check's (start, length).  Every
-    state at v moves to column[v] (-1: QBG has no edge there), incs[v] added
-    to its key (0: unchanged), and its count multiplied by sign; keep=True
-    also leaves it at v, as R = 1 + Q does, keep=False does not, as Q does.
+    one int of packed fields (see pack): G's state is (c, down, height),
+    weight_sums' (-c, height), an operator's (start, down) and the
+    shell-check's (start, length).  Every state at v moves to column[v]
+    (-1: QBG has no edge there), incs[v] added to its key (0: unchanged),
+    and its count multiplied by sign; keep=True also leaves it at v, as R =
+    1 + Q does, keep=False does not, as Q does.
     States that meet merge, zero counts dropped.  v -> v s_p is injective,
     so each target hears from one v.
     """
@@ -587,6 +588,47 @@ def sweep_step(
     return new
 
 
+def _field_width(chain: LambdaChain, entries: Iterable[int]) -> int:
+    """Bits per packed field of a sweep along chain from the given entries.
+
+    Every field stays within +-bound all along, bound the largest entry
+    plus, per step, the largest increment of any field; one more bit makes
+    room for the offset off = 2^(width - 1) > bound that keeps it positive.
+    """
+    root_wt, coroot = _sweep_tables(chain.rs)[2:4]
+    wt_max = max(abs(x) for vec in root_wt for x in vec)
+    cor_max = max(map(max, coroot))
+    bound = max(map(abs, entries), default=0) + sum(
+        max(abs(l) * wt_max, cor_max, abs(t)) for l, t in zip(chain.levels, chain.tilde_levels)
+    )
+    return bound.bit_length() + 1
+
+
+def _sweep_chain(chain: LambdaChain, states: list, c_inc: Sequence[int], d_inc: Sequence[int]) -> list:
+    """The states after one sweep_step per entry of chain, from states.
+
+    Field 0 of every key is height.  At beta_j, with k its index in
+    rs.all_roots, an edge from v adds -l_j c_inc[v(k)] (the weight fields'
+    increment per unit level at the root v(beta_j)), a quantum edge also
+    d_inc[p] (p the index of |beta_j| in rs.positive_roots) and sign(beta_j)
+    l~_j to height, and a negative beta_j negates the count; a state also
+    stays at v, since a subset may skip j.
+    """
+    rs = chain.rs
+    column, quantum, _, _, _ = _sweep_tables(rs)
+    perms = [v.root_perm for v in rs.weyl_elements]
+    for beta, l, tilde in zip(chain.roots, chain.levels, chain.tilde_levels):
+        k, p, sign = _root_step(rs, beta)
+        col, qcol = column[p], quantum[p]
+        lift = d_inc[p] + sign * tilde
+        incs = [
+            (lift if qcol[v] else 0) - l * c_inc[perms[v][k]] if src and col[v] >= 0 else 0
+            for v, src in enumerate(states)
+        ]
+        states = sweep_step(states, col, incs, sign, keep=True)
+    return states
+
+
 def sweep_seeded(chain: LambdaChain, seeds: dict) -> dict:
     """G_Gamma applied to a term table, in one sweep along chain.
 
@@ -603,32 +645,22 @@ def sweep_seeded(chain: LambdaChain, seeds: dict) -> dict:
     e^(ed(lambda) - c) ed t_down.
 
     A state is one int: field 0 holds height, fields 1..n down and fields
-    n+1..2n c, each as value + off in a field of width bits, where off
-    exceeds the largest seed entry plus, per step, the largest increment of
-    any field, so no field leaves its range.  The end states go into one
-    block per (vertex, c), each decoded once per distinct (c, down) prefix,
-    with down cached per value.
+    n+1..2n c (the weight shift itself, so wt = ed(lambda) - c), each as
+    value + off in a field of width bits (_field_width), so no field leaves
+    its range.  The end states go into one block per (vertex, c), each
+    decoded once per distinct (c, down) prefix, with down cached per value.
     """
     rs = chain.rs
     n = rs.rank
-    column, quantum, root_wt, coroot, _ = _sweep_tables(rs)
+    root_wt, coroot = _sweep_tables(rs)[2:4]
     lam = chain.lam.coeffs
     seed_terms = [
         (mu, v, xi, sum(map(mul, lam, xi)), poly)
         for (mu, v), block in seeds.items() for (xi,), poly in block.items()
     ]
-    # |field| <= bound all along: the largest seed entry, plus per step the
-    # largest increment of any field
-    entries = [
+    width = _field_width(chain, [
         x for mu, _, xi, lx, poly in seed_terms for x in (*mu, *xi, lx - max(poly), lx - min(poly))
-    ]
-    wt_max = max(abs(x) for vec in root_wt for x in vec)
-    cor_max = max(map(max, coroot))
-    tildes = chain.tilde_levels
-    bound = max(map(abs, entries), default=0) + sum(
-        max(abs(l) * wt_max, cor_max, abs(t)) for l, t in zip(chain.levels, tildes)
-    )
-    width = bound.bit_length() + 1
+    ])
     off = 1 << (width - 1)
     zero = pack([off] * (2 * n + 1), width)
 
@@ -641,18 +673,9 @@ def sweep_seeded(chain: LambdaChain, seeds: dict) -> dict:
         for e, k in poly.items():
             seed[head - e] = k
 
-    perms = [v.root_perm for v in rs.weyl_elements]
     c_inc = [pack(x, width, n + 1) for x in root_wt]  # c increment per unit level
     d_inc = [pack(c, width, 1) for c in coroot]  # down increment of a quantum edge
-    for beta, l, tilde in zip(chain.roots, chain.levels, tildes):
-        k, p, sign = _root_step(rs, beta)
-        col, qcol = column[p], quantum[p]
-        lift = d_inc[p] + sign * tilde
-        incs = [
-            (lift if qcol[v] else 0) - l * c_inc[perms[v][k]] if src and col[v] >= 0 else 0
-            for v, src in enumerate(states)
-        ]
-        states = sweep_step(states, col, incs, sign, keep=True)
+    states = _sweep_chain(chain, states, c_inc, d_inc)
 
     mask = (1 << width) - 1
     cshift = n * width
@@ -698,6 +721,47 @@ def sweep_admissible(chain: LambdaChain, w: WeylElement) -> dict:
         for (wt, ed), block in sweep_seeded(chain, {(zero, w.index): {(zero,): {0: 1}}}).items()
         for (down,), poly in block.items()
         for e, count in poly.items()
+    }
+
+
+def weight_sums(chain: LambdaChain, w: WeylElement) -> dict:
+    """{(wt, height): sum of (-1)^n over the subsets of A(w, Gamma) with
+    this wt and height}, wt an int tuple, zero sums dropped.
+
+    The sums that read neither down nor ed but through wt: charident's
+    vanishing check and genfun.weight_orbit_sum.  So the sweep is
+    sweep_seeded's without down fields: a state is height in field 0 and
+    wt - ed(lambda) = -c in fields 1..n, the c fields negated, so that an
+    end state at ed has the packed weight key + pack(ed(lambda)), one int
+    add.  The end states of every ed are folded into one dict by that
+    packed key, over ed, and each distinct (wt, height) is decoded once; no
+    block is built.  |ed(lambda)_i| is a pairing <lambda, beta^vee>, which
+    bounds the fields with the steps' increments.
+    """
+    rs = chain.rs
+    n = rs.rank
+    root_wt, coroot = _sweep_tables(rs)[2:4]
+    lam = chain.lam.coeffs
+    width = _field_width(chain, [sum(map(mul, lam, cor)) for cor in coroot])
+    off = 1 << (width - 1)
+    states: list = [None] * len(rs.weyl_elements)
+    states[w.index] = {pack([off] * (n + 1), width): 1}
+    c_inc = [-pack(x, width, 1) for x in root_wt]  # -c increment per unit level
+    states = _sweep_chain(chain, states, c_inc, [0] * len(coroot))
+
+    acc: dict = {}
+    get = acc.get
+    for v, final in enumerate(states):
+        if final:
+            top = pack(rs.act(rs.weyl_elements[v], chain.lam).coeffs, width, 1)
+            for key, count in final.items():
+                key += top
+                acc[key] = get(key, 0) + count
+    mask = (1 << width) - 1
+    return {
+        (unpack(key >> width, width, n, off), (key & mask) - off): count
+        for key, count in acc.items()
+        if count
     }
 
 

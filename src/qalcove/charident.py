@@ -18,7 +18,7 @@ from .alcove import (
     concat_chains,
     lambda_pm,
     lex_chain,
-    sweep_seeded,
+    weight_sums,
 )
 from .genfun import (
     AffineWeylElt,
@@ -136,18 +136,17 @@ def verify_vanishing(
 def vanishes(chain: LambdaChain, w: WeylElement, taken) -> bool:
     """verify_vanishing's sum for chain and w, given the positions `taken`
     that admissible_support(chain, w) reports, so that a caller who needs
-    the support too sweeps it once."""
+    the support too sweeps it once.
+
+    Every subset takes negative entries only, so (-1)^{|A|} = (-1)^n, and
+    the sum vanishes when alcove.weight_sums(chain, w) does: a sweep
+    without down fields, its c fields negated, whose end states are folded
+    over ed into one {(wt, height): count} without being decoded into
+    blocks.
+    """
     if any(chain.roots[j - 1].is_positive for j in taken):
         raise RuntimeError("antidominant chain produced a positive entry")
-    # every subset takes negative entries only, so (-1)^{|A|} = (-1)^n; the
-    # sweep's term table holds them as {(wt, ed): {(down,): {-height: count}}}
-    zero = (0,) * chain.rs.rank
-    acc: dict = {}
-    for (wt, _ed), block in sweep_seeded(chain, {(zero, w.index): {(zero,): {0: 1}}}).items():
-        for poly in block.values():
-            for e, count in poly.items():
-                acc[wt, e] = acc.get((wt, e), 0) + count
-    return not any(acc.values())
+    return not weight_sums(chain, w)
 
 
 def verify_factorization(

@@ -23,7 +23,8 @@ and polys are never changed in place (`add_block` is copy-on-write at both
 levels), from the sweep's end states to the JSON writer `table_json`, which
 renders each distinct vector, word and q-polynomial once and each block
 object once, memoized by id(block); `Laurent` and the key objects are built
-only where a caller reads `.terms`.
+only where a caller reads `.terms`.  `weight_orbit_sum`, which reads only
+wt and height, folds `alcove.weight_sums` instead, the sweep without down.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from collections.abc import Mapping
 from operator import add
 from typing import Optional
 
-from .alcove import LambdaChain, is_cancellation_free, sweep_seeded
+from .alcove import LambdaChain, is_cancellation_free, sweep_seeded, weight_sums
 from .records import FrozenRecord
 from .rootsys import Coroot, RootSystem, Weight, WeylElement
 
@@ -544,19 +545,17 @@ def ghat_compose(
 def weight_orbit_sum(chain: LambdaChain) -> dict:
     """sum_{A in A(e, Gamma)} q^{height(A)} e^{wt(A)}, as {weight: Laurent}.
 
-    Read off G_Gamma(e): the chain must hold positive roots only, so that
-    every subset counts +1 and no sum is zero.
+    Re-keys alcove.weight_sums(chain, e), the sweep that skips down, its c
+    fields negated, and folds the end states over ed without decoding them
+    into blocks: G is not built.  The chain must hold positive roots only,
+    so that every subset counts +1 and no sum is zero.
     """
     rs = chain.rs
     if not all(beta.is_positive for beta in chain.roots):
         raise ValueError("weight_orbit_sum needs a chain of positive roots")
     acc: dict = {}
-    g = genfun(chain, AffineWeylElt(rs.identity, Coroot((0,) * rs.rank)))
-    for (wt, _ed), block in g.table.items():
-        out = acc.setdefault(wt, {})
-        for poly in block.values():
-            for e, k in poly.items():
-                out[-e] = out.get(-e, 0) + k
+    for (wt, height), count in weight_sums(chain, rs.identity).items():
+        acc.setdefault(wt, {})[height] = count
     return {Weight(k): Laurent(p) for k, p in acc.items()}
 
 
@@ -599,7 +598,8 @@ def table_json(table: dict, words: tuple, names: tuple) -> str:
     tails within a block by their tuples.  Each distinct vector, word, tail
     and q-polynomial is rendered once, as a fragment cached with its field
     labels, each prefix's (v_1, w) fragment is joined once, and every item
-    is three shared fragment references, joined at the end.  A block object
+    is three shared fragment references; one join writes them and the
+    brackets at the end.  A block object
     is rendered once, memoized by id(block): a prefix holding a block
     already written (Ghat's repeated blocks, see par_convolve) copies that
     block's fragment references with its own (v_1, w) fragment.
@@ -624,7 +624,7 @@ def table_json(table: dict, words: tuple, names: tuple) -> str:
     tails: dict = {}
     qs: dict = {}
     written: dict = {}
-    parts: list = []
+    parts: list = ["[\n"]
     put = parts.append
     for mu, w in sorted(table, key=lambda p: (p[0], words[p[1]])):
         frag = mus.get(mu)
@@ -655,5 +655,6 @@ def table_json(table: dict, words: tuple, names: tuple) -> str:
             if frag is None:
                 frag = tails[tail] = "".join([fragment(i, v) for i, v in enumerate(tail, 2)])
             put(frag)
-    parts[0] = parts[0][2:]  # no separator before the first item
-    return "[\n" + "".join(parts) + "\n]"
+    parts[1] = parts[1][2:]  # no separator before the first item
+    put("\n]")
+    return "".join(parts)

@@ -146,22 +146,24 @@ def index_paths(rs: RootSystem, v: int, pi: Sequence[Root]) -> list:
     A depth-first walk over the integer QBG tables, in lex order of index
     sets, the empty path first: index sets are 1-based in pi, end is the
     index of the vertex reached and down the sum of the coroots of the
-    quantum steps as an int tuple.  No DirectedPath is built.
+    quantum steps as an int tuple.  No DirectedPath is built, and the walk
+    runs on an explicit stack, children pushed in reverse so the order is
+    kept, so no closure cycle is left.
     """
     column, quantum, _, coroot, _ = alcove._sweep_tables(rs)
     labels = [alcove._root_step(rs, gamma)[1] for gamma in pi]
     out: list = []
-
-    def walk(pos: int, u: int, down: tuple, js: tuple):
+    stack = [(0, v, (0,) * rs.rank, ())]
+    push = stack.append
+    while stack:
+        pos, u, down, js = stack.pop()
         out.append((js, u, down))
-        for j in range(pos, len(labels)):
+        for j in range(len(labels) - 1, pos - 1, -1):
             p = labels[j]
             t = column[p][u]
             if t >= 0:
                 step = tuple(map(add, down, coroot[p])) if quantum[p][u] else down
-                walk(j + 1, t, step, js + (j + 1,))
-
-    walk(0, v, (0,) * rs.rank, ())
+                push((j + 1, t, step, js + (j + 1,)))
     return out
 
 
@@ -281,21 +283,23 @@ def reflection_orders(rs: RootSystem) -> list[tuple[Root, ...]]:
     The reflection orders are the inversion sequences alpha_{i1},
     s_{i1}(alpha_{i2}), ... of the reduced words of w0 (Dyer, Compositio
     1993; Papi, Proc. AMS 1994).  The words are walked up the weak order:
-    w s_i covers w whenever w(alpha_i) > 0, and that step records w(alpha_i).
+    w s_i covers w whenever w(alpha_i) > 0, and that step records w(alpha_i),
+    on an explicit stack, so no closure cycle is left; the words are sorted
+    at the end, so the order of the walk does not matter.
     """
     npos = len(rs.positive_roots)
     simple = [(rs._root_index[rs.simple_root(i)], rs.simple_reflection(i)) for i in range(rs.rank)]
     words = []
-
-    def up(w: WeylElement, seq: tuple[int, ...]):
+    stack = [(rs.identity, ())]
+    push = stack.append
+    while stack:
+        w, seq = stack.pop()
         if len(seq) == npos:
             words.append(seq)
         for a, s in simple:
             k = w.root_perm[a]
             if k < npos:
-                up(rs.mult(w, s), seq + (k,))
-
-    up(rs.identity, ())
+                push((rs.mult(w, s), seq + (k,)))
     return [tuple(rs.positive_roots[k] for k in seq) for seq in sorted(words)]
 
 

@@ -578,20 +578,27 @@ def test_enumerate_admissible_cache_is_immutable():
 
 def test_enumerate_admissible_leaves_no_cyclic_garbage():
     # after a warm-up fills the chain's step cache, the enumeration frees
-    # everything it made by reference counting alone, and so does the
-    # partition counting behind Ghat
+    # everything it made by reference counting alone, and so do the
+    # partition counting behind Ghat, the QBG path walk, the reflection
+    # orders and the sweep without down
     rs = qa.build_root_system("A2")
     chain = qa.lex_chain(rs, rs.weight([2, 1]))
     lam = rs.weight([2, 2])
-    for w in rs.weyl_elements:
-        qa.enumerate_admissible(chain, w)
+    b3 = qa.build_root_system("B3")
+
+    def run():
+        for w in rs.weyl_elements:
+            assert qa.enumerate_admissible(chain, w) and qa.weight_sums(chain, w)
+        assert qa.genfun.par_groups(rs, lam, 6) and qa.par_enumerate(rs, lam, 4)
+        assert len(qa.qbg.index_paths(rs, rs.identity.index, chain.roots)) > 1
+        assert len(qa.reflection_orders(b3)) == 42
+
+    run()
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        for w in rs.weyl_elements:
-            assert qa.enumerate_admissible(chain, w)
-        assert qa.genfun.par_groups(rs, lam, 6) and qa.par_enumerate(rs, lam, 4)
+        run()
         assert gc.collect() == 0
     finally:
         if enabled:

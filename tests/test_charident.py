@@ -5,9 +5,11 @@ from qalcove.charident import (
     FormalChar,
     rhs_chevalley,
     specialize_trivial,
+    vanishes,
     verify_factorization,
     verify_vanishing,
 )
+from qalcove.alcove import admissible_support, sweep_seeded
 from qalcove.genfun import AffineWeylElt, Laurent
 from qalcove.rootsys import Coroot
 
@@ -82,6 +84,21 @@ def test_vanishing_small_cases():
         verify_vanishing(a2, a2.weight([1, 0]), a2.identity)
     with pytest.raises(ValueError):
         verify_vanishing(a2, a2.weight([0, 0]), a2.identity)
+    # criterion 10's weights and G2 (-2,-1), every w: vanishes agrees with
+    # the sum refolded by (wt, exponent) from sweep_seeded's term table
+    cases = [("A1", [-1]), ("A1", [-2]), ("G2", [-2, -1])]
+    cases += [(label, lc) for label in ("A2", "C2") for lc in ([-1, 0], [0, -1], [-1, -1], [-2, 0])]
+    for label, lc in cases:
+        rs = qa.build_root_system(label)
+        chain = qa.lex_chain(rs, rs.weight(lc))
+        zero = (0,) * rs.rank
+        for w in rs.weyl_elements:
+            acc = {}
+            for (wt, _ed), block in sweep_seeded(chain, {(zero, w.index): {(zero,): {0: 1}}}).items():
+                for poly in block.values():
+                    for e, count in poly.items():
+                        acc[wt, e] = acc.get((wt, e), 0) + count
+            assert vanishes(chain, w, admissible_support(chain, w)[0]) is (not any(acc.values()))
 
 
 def test_vanishing_rejects_positive_entries():

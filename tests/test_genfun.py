@@ -543,6 +543,58 @@ def test_sweep_against_enumerator(case):
         assert got == reference_vanishing(chain, x.w)
 
 
+
+def reference_weight_sums(chain, w):
+    """sum of (-1)^n over the listed subsets of A(w, chain), by (wt, height)."""
+    acc = {}
+    for a in qa.enumerate_admissible(chain, w):
+        key = (a.wt.coeffs, a.height)
+        acc[key] = acc.get(key, 0) + a.sign
+    return {k: c for k, c in acc.items() if c}
+
+
+# a dominant, an antidominant and a mixed weight per type; the mixed chain is
+# lex(lambda+) lex(lambda-), and the dominant chain is also taken with a
+# pair (theta, -theta) inserted, so that signed counts cancel in nonzero sums
+WEIGHT_SUM_CASES = {
+    "A2": ((2, 1), (-1, -2), (2, -1)),
+    "C2": ((1, 2), (-2, -1), (-1, 2)),
+    "G2": ((1, 1), (-2, -1), (1, -1)),
+    "A3": ((1, 0, 1), (0, -1, -1), (1, -1, 0)),
+    "B3": ((1, 0, 1), (-1, 0, -1), (0, 1, -1)),
+}
+
+
+def with_highest_pair(chain):
+    """chain with (theta, -theta) inserted at the first position that takes it."""
+    for u in range(len(chain) + 1):
+        try:
+            return qa.insert_pair(chain, u, chain.rs.highest_root)
+        except qa.ChainError:
+            continue
+    raise AssertionError("no position takes the pair")
+
+
+@pytest.mark.parametrize("label", sorted(WEIGHT_SUM_CASES))
+def test_weight_sums_against_enumerator(label):
+    # every w with at most 2,000 subsets, as in test_sweep_against_enumerator;
+    # the nonzero sums must match, not only their vanishing
+    rs = qa.build_root_system(label)
+    dom, anti, mixed = (rs.weight(list(c)) for c in WEIGHT_SUM_CASES[label])
+    chains = [qa.lex_chain(rs, dom), qa.lex_chain(rs, anti)]
+    chains.append(qa.concat_chains(*(qa.lex_chain(rs, part) for part in qa.lambda_pm(mixed))))
+    chains.append(with_highest_pair(chains[0]))
+    nonzero = set()
+    for k, chain in enumerate(chains):
+        for w in rs.weyl_elements:
+            if count_admissible(chain, w) <= 2000:
+                got = qa.weight_sums(chain, w)
+                assert got == reference_weight_sums(chain, w)
+                if got:
+                    nonzero.add(k)
+    assert nonzero == {0, 3}
+
+
 # -- differential test: the enumerator as oracle for the seeded sweep ---------
 
 
@@ -1202,7 +1254,8 @@ def walk_statistics(chain, w, path):
             n += 1
         if s.edge.kind == qbg.QUANTUM:
             down = down + rs.coroot(s.edge.label)
-            height += s.root.sign * chain._tilde(s.index - 1)
+            tilde = rs.pair(chain.lam, rs.coroot(s.root)) - chain.levels[s.index - 1]
+            height += s.root.sign * tilde
     x = -chain.lam
     for s in reversed(path.steps):
         x = affine_reflect(rs, x, s.root, -chain.levels[s.index - 1])
