@@ -599,10 +599,10 @@ def table_json(table: dict, words: tuple, names: tuple) -> str:
     and q-polynomial is rendered once, as a fragment cached with its field
     labels, each prefix's (v_1, w) fragment is joined once, and every item
     is three shared fragment references; one join writes them and the
-    brackets at the end.  A block object
-    is rendered once, memoized by id(block): a prefix holding a block
-    already written (Ghat's repeated blocks, see par_convolve) copies that
-    block's fragment references with its own (v_1, w) fragment.
+    brackets at the end.  A block object is rendered once, memoized by
+    id(block): a prefix holding a block already written (Ghat's repeated
+    blocks, see par_convolve) copies that block's fragment references with
+    its own (v_1, w) fragment.
     This avoids json.dumps, which takes its pure-Python encoder whenever it
     indents, and builds no Laurent, Weight or Coroot.
     """

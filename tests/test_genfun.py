@@ -543,7 +543,6 @@ def test_sweep_against_enumerator(case):
         assert got == reference_vanishing(chain, x.w)
 
 
-
 def reference_weight_sums(chain, w):
     """sum of (-1)^n over the listed subsets of A(w, chain), by (wt, height)."""
     acc = {}
