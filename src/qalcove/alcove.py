@@ -464,7 +464,7 @@ def _vertex_steps(chain: LambdaChain, v: int) -> tuple[list, list, tuple]:
     got = cache.get(v)
     if got is None:
         rs = chain.rs
-        column, quantum, root_wt, coroot, _ = _sweep_tables(rs)
+        column, quantum, root_wt, coroot = _sweep_tables(rs)[:4]
         rows = cache.get(-1)
         if rows is None:
             rows = cache[-1] = []
@@ -516,17 +516,17 @@ def enumerate_admissible(
 def _sweep_tables(rs: RootSystem):
     """Integer tables of the sweep, built once per root system.
 
-    Returns (column, quantum, root_wt, coroot, shifts), indexed by p in
-    rs.positive_roots and then by v in rs.weyl_elements: column and quantum
-    are the graph, qbg._columns(rs); root_wt[k] is rs.all_roots[k] in the
-    fundamental-weight basis and coroot[p] the coroot of rs.positive_roots[p];
-    shifts is the operators' cache of packed key increments by field width
-    (qbops._shifts).
+    Returns (column, quantum, root_wt, coroot, shifts, right), indexed by p
+    in rs.positive_roots and then by v in rs.weyl_elements: column, quantum
+    and right are the graph and the right multiplications v -> v s_p,
+    qbg._columns(rs); root_wt[k] is rs.all_roots[k] in the fundamental-weight
+    basis and coroot[p] the coroot of rs.positive_roots[p]; shifts is the
+    operators' cache of packed key increments by field width (qbops._shifts).
     """
     if rs._sweep_tables is None:
-        column, quantum = qbg._columns(rs)
+        column, quantum, right = qbg._columns(rs)
         coroot = rs._coroot_vec[: len(rs.positive_roots)]
-        rs._sweep_tables = (column, quantum, rs._root_wt, coroot, {})
+        rs._sweep_tables = (column, quantum, rs._root_wt, coroot, {}, right)
     return rs._sweep_tables
 
 
@@ -588,8 +588,9 @@ def sweep_step(
     return new
 
 
-def _field_width(chain: LambdaChain, entries: Iterable[int]) -> int:
-    """Bits per packed field of a sweep along chain from the given entries.
+def _field_width(chain: LambdaChain, entries: Iterable[int], tilde: Sequence[int]) -> int:
+    """Bits per packed field of a sweep along chain from the given entries,
+    tilde the chain's tilde_levels.
 
     Every field stays within +-bound all along, bound the largest entry
     plus, per step, the largest increment of any field; one more bit makes
@@ -599,13 +600,16 @@ def _field_width(chain: LambdaChain, entries: Iterable[int]) -> int:
     wt_max = max(abs(x) for vec in root_wt for x in vec)
     cor_max = max(map(max, coroot))
     bound = max(map(abs, entries), default=0) + sum(
-        max(abs(l) * wt_max, cor_max, abs(t)) for l, t in zip(chain.levels, chain.tilde_levels)
+        max(abs(l) * wt_max, cor_max, abs(t)) for l, t in zip(chain.levels, tilde)
     )
     return bound.bit_length() + 1
 
 
-def _sweep_chain(chain: LambdaChain, states: list, c_inc: Sequence[int], d_inc: Sequence[int]) -> list:
-    """The states after one sweep_step per entry of chain, from states.
+def _sweep_chain(
+    chain: LambdaChain, states: list, c_inc: Sequence[int], d_inc: Sequence[int], tilde: Sequence[int]
+) -> list:
+    """The states after one sweep_step per entry of chain, from states;
+    tilde is the chain's tilde_levels, which the caller has for _field_width.
 
     Field 0 of every key is height.  At beta_j, with k its index in
     rs.all_roots, an edge from v adds -l_j c_inc[v(k)] (the weight fields'
@@ -615,12 +619,12 @@ def _sweep_chain(chain: LambdaChain, states: list, c_inc: Sequence[int], d_inc: 
     stays at v, since a subset may skip j.
     """
     rs = chain.rs
-    column, quantum, _, _, _ = _sweep_tables(rs)
+    column, quantum = _sweep_tables(rs)[:2]
     perms = [v.root_perm for v in rs.weyl_elements]
-    for beta, l, tilde in zip(chain.roots, chain.levels, chain.tilde_levels):
+    for beta, l, t in zip(chain.roots, chain.levels, tilde):
         k, p, sign = _root_step(rs, beta)
         col, qcol = column[p], quantum[p]
-        lift = d_inc[p] + sign * tilde
+        lift = d_inc[p] + sign * t
         incs = [
             (lift if qcol[v] else 0) - l * c_inc[perms[v][k]] if src and col[v] >= 0 else 0
             for v, src in enumerate(states)
@@ -658,9 +662,10 @@ def sweep_seeded(chain: LambdaChain, seeds: dict) -> dict:
         (mu, v, xi, sum(map(mul, lam, xi)), poly)
         for (mu, v), block in seeds.items() for (xi,), poly in block.items()
     ]
+    tilde = chain.tilde_levels
     width = _field_width(chain, [
         x for mu, _, xi, lx, poly in seed_terms for x in (*mu, *xi, lx - max(poly), lx - min(poly))
-    ])
+    ], tilde)
     off = 1 << (width - 1)
     zero = pack([off] * (2 * n + 1), width)
 
@@ -675,7 +680,7 @@ def sweep_seeded(chain: LambdaChain, seeds: dict) -> dict:
 
     c_inc = [pack(x, width, n + 1) for x in root_wt]  # c increment per unit level
     d_inc = [pack(c, width, 1) for c in coroot]  # down increment of a quantum edge
-    states = _sweep_chain(chain, states, c_inc, d_inc)
+    states = _sweep_chain(chain, states, c_inc, d_inc, tilde)
 
     mask = (1 << width) - 1
     cshift = n * width
@@ -742,12 +747,13 @@ def weight_sums(chain: LambdaChain, w: WeylElement) -> dict:
     n = rs.rank
     root_wt, coroot = _sweep_tables(rs)[2:4]
     lam = chain.lam.coeffs
-    width = _field_width(chain, [sum(map(mul, lam, cor)) for cor in coroot])
+    tilde = chain.tilde_levels
+    width = _field_width(chain, [sum(map(mul, lam, cor)) for cor in coroot], tilde)
     off = 1 << (width - 1)
     states: list = [None] * len(rs.weyl_elements)
     states[w.index] = {pack([off] * (n + 1), width): 1}
     c_inc = [-pack(x, width, 1) for x in root_wt]  # -c increment per unit level
-    states = _sweep_chain(chain, states, c_inc, [0] * len(coroot))
+    states = _sweep_chain(chain, states, c_inc, [0] * len(coroot), tilde)
 
     acc: dict = {}
     get = acc.get
@@ -774,7 +780,7 @@ def admissible_support(
     subsets whose signed counts cancel still count as present.
     """
     rs = chain.rs
-    column, quantum, _, _, _ = _sweep_tables(rs)
+    column, quantum = _sweep_tables(rs)[:2]
     reach = {(w.index, 0)}
     taken = set()
     for j, (beta, tilde) in enumerate(zip(chain.roots, chain.tilde_levels), 1):

@@ -124,13 +124,17 @@ def verify_vanishing(
     """Exact cancellation sum_A (-1)^{|A|} q^{-height(A)} e^{wt(A)} = 0.
 
     Defined for antidominant nonzero lam (so mu = 0 and mu + lam is not
-    dominant); the finite sum must vanish identically.
+    dominant); the finite sum must vanish identically.  The support sweep
+    that finds the positions subsets take runs only when the chain holds a
+    positive root; a lex chain of an antidominant lam holds none, so no
+    taken position can be positive.
     """
     if not lam.is_antidominant or lam.is_zero():
         raise ValueError("lambda must be antidominant and nonzero")
     if chain is None:
         chain = lex_chain(rs, lam)
-    return vanishes(chain, w, admissible_support(chain, w)[0])
+    positive = any(beta.is_positive for beta in chain.roots)
+    return vanishes(chain, w, admissible_support(chain, w)[0] if positive else ())
 
 
 def vanishes(chain: LambdaChain, w: WeylElement, taken) -> bool:

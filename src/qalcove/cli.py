@@ -298,9 +298,10 @@ def cmd_ops(args):
             raise CliError(f"--k must be within 0..{q}")
         ks = [args.k] if args.k is not None else list(range(q + 1))
         failures = 0
+        tables: dict = {}  # S_k of one chain is S'_{q-k} of the other
         for reverse in (False, True):
             for k in ks:
-                rep = qbops.verify_matrix_props(rs, k, reverse)
+                rep = qbops.verify_matrix_props(rs, k, reverse, tables)
                 status = "ok" if rep.passed else "VIOLATION"
                 extra = f" coeff3={rep.coeff3_positions}" if rep.coeff3_positions else ""
                 print(f"k={k} reverse={reverse}: {status}{extra}")

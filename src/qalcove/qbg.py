@@ -79,20 +79,22 @@ class DirectedPath(FrozenRecord):
         return (self.start,) + tuple(s.edge.target for s in self.steps)
 
 
-def _columns(rs: RootSystem) -> tuple[tuple, tuple]:
-    """(column, quantum) by positive root p, then by vertex index v.
+def _columns(rs: RootSystem) -> tuple[tuple, tuple, tuple]:
+    """(column, quantum, right) by positive root p, then by vertex index v.
 
-    column[p][v] is the index of v s_p if QBG has the edge v -> v s_p, else
-    -1, and quantum[p][v] flags a quantum edge.  Cached by
-    alcove._sweep_tables, through which every reader of the graph goes.
+    right[p][v] is the index of v s_p, column[p][v] the same if QBG has the
+    edge v -> v s_p, else -1, and quantum[p][v] flags a quantum edge.
+    Cached by alcove._sweep_tables, through which every reader of the graph
+    goes.
     """
-    column, quantum = [], []
+    column, quantum, right = [], [], []
     for alpha in rs.positive_roots:
         s, drop = rs.reflection(alpha), 2 * rs.coroot(alpha).height - 1
         ends = [(v.length, rs.mult(v, s)) for v in rs.weyl_elements]
         column.append(tuple(t.index if t.length in (l + 1, l - drop) else -1 for l, t in ends))
         quantum.append(tuple(t.length == l - drop for l, t in ends))
-    return tuple(column), tuple(quantum)
+        right.append(tuple(t.index for _, t in ends))
+    return tuple(column), tuple(quantum), tuple(right)
 
 
 def _edge(rs: RootSystem, v: WeylElement, p: int) -> Optional[QbgEdge]:
@@ -150,7 +152,7 @@ def index_paths(rs: RootSystem, v: int, pi: Sequence[Root]) -> list:
     runs on an explicit stack, children pushed in reverse so the order is
     kept, so no closure cycle is left.
     """
-    column, quantum, _, coroot, _ = alcove._sweep_tables(rs)
+    column, quantum, _, coroot = alcove._sweep_tables(rs)[:4]
     labels = [alcove._root_step(rs, gamma)[1] for gamma in pi]
     out: list = []
     stack = [(0, v, (0,) * rs.rank, ())]
@@ -262,7 +264,7 @@ def _bfs(rs: RootSystem, s: int) -> list:
     One breadth-first search over the sweep's QBG columns, labels in
     positive-root order; QBG is strongly connected.
     """
-    column, quantum, _, coroot, _ = alcove._sweep_tables(rs)
+    column, quantum, _, coroot = alcove._sweep_tables(rs)[:4]
     dist: list = [None] * len(rs.weyl_elements)
     dist[s] = (0, (0,) * rs.rank)
     queue = deque([s])

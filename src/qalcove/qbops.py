@@ -7,12 +7,18 @@ ring Z[Q_1..Q_n], in the ShortLex basis order of W, computed as a sparse
 table {(v, w): {exponent: coefficient}} of its nonzero cells, which
 OperatorMatrix holds.  The multiplicity laws and the golden files are
 checked on these tables; golden files compare byte for byte with their
-canonical TSV (`_tsv`, `cell_str` per cell).
+canonical TSV (`_tsv`, `cell_str` per cell), and a run of the laws over
+both chains keeps one table per distinct sequence.  The Yang-Baxter check
+of a pair compares its two products as end states from the columns of one
+coset of the dihedral subgroup W' per signature (`_coset_starts`): the
+products are block-diagonal over the cosets v W', and cosets with equal
+edge flags have equal blocks.
 """
 
 from __future__ import annotations
 
 import json
+from operator import mul
 from typing import Sequence
 
 from . import alcove
@@ -138,7 +144,7 @@ def _width(rs: RootSystem, seq: Sequence[Root], top: int = 0) -> int:
 def _shifts(rs: RootSystem, width: int) -> tuple:
     """shift[p][v]: the packed coroot of rs.positive_roots[p] on a quantum
     edge at v, 0 on a Bruhat one; cached per width on the sweep tables."""
-    _, quantum, _, coroot, cache = alcove._sweep_tables(rs)
+    _, quantum, _, coroot, cache, _ = alcove._sweep_tables(rs)
     got = cache.get(width)
     if got is None:
         got = cache[width] = tuple(
@@ -281,9 +287,13 @@ def operator_matrix(rs: RootSystem, seq: Sequence[Root]) -> OperatorMatrix:
     return OperatorMatrix(rs, _table(rs, seq))
 
 
-def same_operator(rs: RootSystem, seq1: Sequence[Root], seq2: Sequence[Root]) -> bool:
-    """True iff the two R-operator products are equal, compared as end states."""
-    starts = range(len(rs.weyl_elements))
+def same_operator(
+    rs: RootSystem, seq1: Sequence[Root], seq2: Sequence[Root], starts: Sequence[int] | None = None
+) -> bool:
+    """True iff the two R-operator products are equal, compared as end states
+    from the start columns `starts` (vertex indices), by default all of W."""
+    if starts is None:
+        starts = range(len(rs.weyl_elements))
     width = max(_width(rs, seq1), _width(rs, seq2))
     return _sweep(rs, seq1, starts, width) == _sweep(rs, seq2, starts, width)
 
@@ -291,19 +301,70 @@ def same_operator(rs: RootSystem, seq1: Sequence[Root], seq2: Sequence[Root]) ->
 def yang_baxter_pairs(rs: RootSystem):
     """Signed root pairs (alpha, beta) with alpha != +-beta and <alpha, beta^vee> <= 0.
 
-    These are the pairs whose rank-2 segment check_yang_baxter checks.
+    These are the pairs whose rank-2 segment check_yang_baxter checks; the
+    pairing is read off the integer tables by all_roots index.
     """
-    for alpha in rs.all_roots:
-        for beta in rs.all_roots:
-            if alpha in (beta, -beta) or rs.root_pair(alpha, rs.coroot(beta)) > 0:
+    roots, root_wt, coroot = rs.all_roots, rs._root_wt, rs._coroot_vec
+    npos = len(rs.positive_roots)
+    for a, alpha in enumerate(roots):
+        wt = root_wt[a]
+        for b, beta in enumerate(roots):
+            if a % npos == b % npos or sum(map(mul, wt, coroot[b])) > 0:
                 continue
             yield alpha, beta
 
 
-def check_yang_baxter(rs: RootSystem, alpha: Root, beta: Root) -> bool:
-    """R_alpha R_{s_alpha(beta)} ... R_beta = R_beta ... R_alpha as matrices."""
+def _coset_starts(rs: RootSystem, ps: Sequence[int]) -> list:
+    """The start columns that decide a product of R_gamma, |gamma| among the
+    positive roots of index ps, those of a rank-2 subsystem.
+
+    R_gamma moves v only to v s_gamma, so the product is block-diagonal over
+    the cosets v W' of W' = <s_p : p in ps>.  Each coset is walked
+    breadth-first from its shortest element u, right-multiplying by s_p in
+    the order of ps, so its i-th element is u x_i with x_i the same for
+    every coset; u is unique (Dyer, "On the Bruhat graph of a Coxeter
+    system", 1991) and the first of the coset in ShortLex order.  The
+    signature of a coset is the edge flag (0 none, 1 Bruhat, 2 quantum) of
+    each (element, p) in that order.  A step's coroot and sign depend on
+    gamma alone, so cosets with equal signatures have equal blocks.
+    Returns the elements of the first coset of each signature, increasing.
+    """
+    column, quantum, *_, right = alcove._sweep_tables(rs)
+    steps = [right[p] for p in ps]
+    flags = [(column[p], quantum[p]) for p in ps]
+    seen = [False] * len(rs.weyl_elements)
+    firsts: dict = {}
+    for u in range(len(seen)):
+        if seen[u]:
+            continue
+        seen[u] = True
+        coset = [u]
+        for x in coset:  # grows while walked: breadth-first
+            for step in steps:
+                t = step[x]
+                if not seen[t]:
+                    seen[t] = True
+                    coset.append(t)
+        signature = tuple([(col[x] >= 0) + qcol[x] for x in coset for col, qcol in flags])
+        firsts.setdefault(signature, coset)
+    return sorted(x for coset in firsts.values() for x in coset)
+
+
+def check_yang_baxter(rs: RootSystem, alpha: Root, beta: Root, cosets: dict | None = None) -> bool:
+    """R_alpha R_{s_alpha(beta)} ... R_beta = R_beta ... R_alpha as matrices.
+
+    Both products are compared from the starts of _coset_starts, one coset
+    per signature.  cosets, if given, keeps those starts by the segment's
+    positive roots across calls, so that pairs with one rank-2 subsystem
+    share them.
+    """
     seg = rs.rank2_subsystem(alpha, beta).segment
-    return same_operator(rs, seg, tuple(reversed(seg)))
+    ps = tuple(sorted(alcove._root_step(rs, gamma)[1] for gamma in seg))
+    memo = {} if cosets is None else cosets
+    starts = memo.get(ps)
+    if starts is None:
+        starts = memo[ps] = _coset_starts(rs, ps)
+    return same_operator(rs, seg, tuple(reversed(seg)), starts)
 
 
 def yang_baxter_checks(rs: RootSystem):
@@ -311,14 +372,16 @@ def yang_baxter_checks(rs: RootSystem):
 
     The segment of (beta, alpha) is that of (alpha, beta) reversed, so both
     orders compare the same two products: each unordered pair is checked
-    once, and the pairs come in yang_baxter_pairs order.
+    once, and the pairs come in yang_baxter_pairs order.  The checks share
+    one memo of coset starts, which lives for this call only.
     """
     done: dict = {}
+    cosets: dict = {}
     for alpha, beta in yang_baxter_pairs(rs):
         key = frozenset((alpha, beta))
         ok = done.get(key)
         if ok is None:
-            ok = done[key] = check_yang_baxter(rs, alpha, beta)
+            ok = done[key] = check_yang_baxter(rs, alpha, beta, cosets)
         yield alpha, beta, ok
 
 
@@ -377,13 +440,21 @@ class MatrixPropReport(Record):
         return not self.violations
 
 
-def verify_matrix_props(rs: RootSystem, k: int, reverse: bool = False) -> MatrixPropReport:
+def verify_matrix_props(
+    rs: RootSystem, k: int, reverse: bool = False, tables: dict | None = None
+) -> MatrixPropReport:
     """Check the multiplicity claims for S_k against T_k^+/- and S'_k.
 
     Multiplicities in S_k entries are 1 or 2 (1, 2 or 3 in G2); where the
     multiplicity is 2 both signed operators and the opposite sweep vanish;
     where it is 1 the signed coefficients are +-1.  Every coefficient-3
     location is reported.
+
+    tables, if given, keeps the sparse tables of rs by sequence across
+    calls.  The reverse chain is the forward one reversed, so S_k of one is
+    S'_{q-k} of the other (and S_0 = S_q = T_0^+ = T_q^-): a run over every
+    k and both chains builds one table per distinct sequence, at most
+    6(q+1) (34 in G2) instead of 8(q+1).
     """
     chain = rank2_chain(rs, reverse)
     q = len(chain)
@@ -391,15 +462,17 @@ def verify_matrix_props(rs: RootSystem, k: int, reverse: bool = False) -> Matrix
         raise ValueError(f"k must be within 0..{q}")
     g2 = rs.type_label == "G2"
     allowed = {1, 2, 3} if g2 else {1, 2}
-    s, tp, tm, sp = (
-        _table(rs, seq)
-        for seq in (
-            _sk_sequence(chain, k),
-            _tk_sequence(chain, k, plus=True),
-            _tk_sequence(chain, k, plus=False),
-            _sprime_sequence(chain, k),
-        )
+    seqs = (
+        _sk_sequence(chain, k),
+        _tk_sequence(chain, k, plus=True),
+        _tk_sequence(chain, k, plus=False),
+        _sprime_sequence(chain, k),
     )
+    memo = {} if tables is None else tables
+    for seq in seqs:
+        if seq not in memo:
+            memo[seq] = _table(rs, seq)
+    s, tp, tm, sp = (memo[seq] for seq in seqs)
     # only a cell nonzero in S_k or a signed operator can break a law (S'_k
     # is read at S_k's exponents); positions are (v, w) vertex indices,
     # spelled as words at the end for the few that are recorded

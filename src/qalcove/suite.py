@@ -247,9 +247,10 @@ def criterion_matrix_props(seed=DEFAULT_SEED):
         for label in ("A1xA1", "A2", "C2", "G2"):
             rs = build_root_system(label)
             q = len(rs.positive_roots)
+            tables: dict = {}  # S_k of one chain is S'_{q-k} of the other
             for reverse in (False, True):
                 for k in range(q + 1):
-                    rep = qbops.verify_matrix_props(rs, k, reverse)
+                    rep = qbops.verify_matrix_props(rs, k, reverse, tables)
                     if not rep.passed:
                         return False, f"{label} k={k} rev={reverse}: {rep.violations[:2]}"
                     m3 += [(label, k, reverse, p) for p in rep.m3_positions]

@@ -117,6 +117,37 @@ def test_vanishing_rejects_positive_entries():
             assert verify_vanishing(rs, lam, w, chain)
 
 
+def test_vanishing_skips_support_sweep_without_positive_roots(monkeypatch):
+    # an antidominant lex chain holds no positive root, so no taken position
+    # can be positive and verify_vanishing sweeps no support; the inserted
+    # (beta, -beta) chain holds one, and its support is swept for every w
+    from qalcove import charident
+
+    calls = []
+
+    def counted(chain, w):
+        calls.append(w.index)
+        return admissible_support(chain, w)
+
+    monkeypatch.setattr(charident, "admissible_support", counted)
+    for label, lam in (("A2", (-1, 0)), ("C2", (-1, -1)), ("G2", (-2, -1)), ("B3", (0, -1, 0))):
+        rs = qa.build_root_system(label)
+        chain = qa.lex_chain(rs, rs.weight(lam))
+        assert not any(beta.is_positive for beta in chain.roots)
+        assert all(verify_vanishing(rs, rs.weight(lam), w) for w in rs.weyl_elements)
+        assert all(verify_vanishing(rs, rs.weight(lam), w, chain) for w in rs.weyl_elements)
+    assert calls == []
+    rs = qa.build_root_system("A2")
+    lam = rs.weight([-1, 0])
+    chain = qa.insert_pair(qa.lex_chain(rs, lam), 1, rs.highest_root)
+    for w in rs.weyl_elements:
+        try:
+            verify_vanishing(rs, lam, w, chain)
+        except RuntimeError:
+            pass
+    assert calls == list(range(len(rs.weyl_elements)))
+
+
 def test_vanishing_oracle_two_terms():
     # A1, lambda = -varpi: the two admissible subsets cancel exactly
     rs = qa.build_root_system("A1")

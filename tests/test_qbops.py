@@ -313,9 +313,11 @@ def test_yang_baxter_checks_once_per_unordered_pair(monkeypatch):
     pairs = list(yang_baxter_pairs(rs))
     bad = frozenset(pairs[5])
     calls = []
+    memos = []
 
-    def check(rs_, alpha, beta):
+    def check(rs_, alpha, beta, cosets):
         calls.append(frozenset((alpha, beta)))
+        memos.append(cosets)
         return frozenset((alpha, beta)) != bad
 
     monkeypatch.setattr(qbops, "check_yang_baxter", check)
@@ -323,8 +325,193 @@ def test_yang_baxter_checks_once_per_unordered_pair(monkeypatch):
     assert [(a, b) for a, b, _ in got] == pairs
     assert [ok for a, b, ok in got] == [frozenset((a, b)) != bad for a, b in pairs]
     assert len(calls) == len(set(calls)) == len(pairs) // 2
+    # one memo of coset starts, shared by the checks of this call only
+    assert all(m is memos[0] for m in memos)
+    list(qbops.yang_baxter_checks(rs))
+    assert memos[-1] is not memos[0]
     monkeypatch.undo()
     assert all(ok for _, _, ok in qbops.yang_baxter_checks(rs))
+
+
+D4 = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
+F4 = ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2))
+
+
+def _segment_positives(rs, seg) -> tuple:
+    return tuple(sorted(qbops.alcove._root_step(rs, gamma)[1] for gamma in seg))
+
+
+@pytest.mark.parametrize("label", ["A2", "C2", "G2", "A3", "B3", "C3", "D4"])
+def test_blocked_yang_baxter_against_full_sweep(label):
+    # the full sweep over every start column is the oracle of the blocked
+    # check, on every pair; yang_baxter_checks gives the same verdicts
+    rs = qa.root_system_from_cartan(D4, label) if label == "D4" else qa.build_root_system(label)
+    verdicts = {}
+    cosets: dict = {}
+    n = len(rs.weyl_elements)
+    for alpha, beta in yang_baxter_pairs(rs):
+        seg = rs.rank2_subsystem(alpha, beta).segment
+        full = same_operator(rs, seg, tuple(reversed(seg)))
+        assert qa.check_yang_baxter(rs, alpha, beta) == full, (alpha, beta)
+        assert qa.check_yang_baxter(rs, alpha, beta, cosets) == full, (alpha, beta)
+        verdicts[alpha, beta] = full
+    assert [ok for a, b, ok in qbops.yang_baxter_checks(rs)] == list(verdicts.values())
+    # every memo entry is a union of whole cosets of W', one per signature
+    right = qbops.alcove._sweep_tables(rs)[5]
+    for ps, starts in cosets.items():
+        assert starts == sorted(set(starts)) and 0 < len(starts) <= n
+        assert all(right[p][x] in starts for x in starts for p in ps)
+    if rs.rank > 2:
+        assert sum(map(len, cosets.values())) < n * len(cosets)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3"])
+def test_coset_starts_decide_unequal_products(label):
+    # products of R_gamma over one rank-2 subsystem, most of them unequal:
+    # compared from the coset starts, they are equal exactly when the full
+    # sweep says so
+    rs = qa.build_root_system(label)
+    rng = random.Random(label)
+    seen = set()
+    outcomes = set()
+    for alpha, beta in yang_baxter_pairs(rs):
+        seg = rs.rank2_subsystem(alpha, beta).segment
+        ps = _segment_positives(rs, seg)
+        if ps in seen:
+            continue
+        seen.add(ps)
+        starts = qbops._coset_starts(rs, ps)
+        signed = list(seg) + [-gamma for gamma in seg]
+        for _ in range(4):
+            seq1 = tuple(rng.choice(signed) for _ in range(rng.randint(1, 5)))
+            seq2 = tuple(rng.sample(seq1, len(seq1))) if rng.random() < 0.5 else tuple(
+                rng.choice(signed) for _ in range(rng.randint(1, 5))
+            )
+            full = same_operator(rs, seq1, seq2)
+            assert same_operator(rs, seq1, seq2, starts) == full, (seq1, seq2)
+            outcomes.add(full)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "C3"])
+def test_blocked_yang_baxter_sees_flipped_quantum_flag(label):
+    # one quantum flag flipped in one coset outside the representatives: the
+    # coset's signature changes, so the blocked check sweeps it and must
+    # agree with the full sweep, which the flip breaks on most pairs
+    rs = qa.root_system_from_cartan(qa.build_root_system(label).cartan, label)
+    tables = qbops.alcove._sweep_tables(rs)
+    column, quantum = tables[:2]
+    tried = broken = 0
+    done = set()
+    for alpha, beta in yang_baxter_pairs(rs):
+        if frozenset((alpha, beta)) in done:
+            continue
+        done.add(frozenset((alpha, beta)))
+        seg = rs.rank2_subsystem(alpha, beta).segment
+        ps = _segment_positives(rs, seg)
+        starts = qbops._coset_starts(rs, ps)
+        x = next(x for x in range(len(rs.weyl_elements)) if x not in starts)
+        for p in ps:
+            if column[p][x] < 0:
+                continue
+            flipped = [list(row) for row in quantum]
+            flipped[p][x] = not flipped[p][x]
+            # a fresh shifts cache: the packed coroot shifts read the flags
+            rs._sweep_tables = (column, tuple(map(tuple, flipped))) + tables[2:4] + ({},) + tables[5:]
+            try:
+                full = same_operator(rs, seg, tuple(reversed(seg)))
+                assert qa.check_yang_baxter(rs, alpha, beta) == full, (alpha, beta, x, p)
+            finally:
+                rs._sweep_tables = tables
+            tried += 1
+            broken += not full
+    assert tried and broken > tried // 2
+
+
+def _root_pair_filter(rs) -> list:
+    """yang_baxter_pairs by Root objects and root_pair, as it was first written."""
+    return [
+        (alpha, beta)
+        for alpha in rs.all_roots
+        for beta in rs.all_roots
+        if alpha not in (beta, -beta) and rs.root_pair(alpha, rs.coroot(beta)) <= 0
+    ]
+
+
+def test_yang_baxter_pairs_integer_filter():
+    types = [qa.build_root_system(label) for label in ("A1", "A1xA1", "A2", "C2", "G2", "A3", "B3", "C3")]
+    types += [qa.root_system_from_cartan(D4, "D4"), qa.root_system_from_cartan(F4, "F4")]
+    for rs in types:
+        assert list(yang_baxter_pairs(rs)) == _root_pair_filter(rs), rs.type_label
+
+
+@pytest.mark.parametrize("label", PROP_TYPES)
+def test_reverse_chain_swaps_s_and_s_prime(label):
+    # rank2_chain(rs, True) is the forward chain reversed, so S_k(rev) is
+    # S'_{q-k}(fwd) and S'_k(rev) is S_{q-k}(fwd), as sequences and as tables
+    rs = qa.build_root_system(label)
+    fwd, rev = rank2_chain(rs), rank2_chain(rs, True)
+    q = len(fwd)
+    assert rev == tuple(reversed(fwd))
+    for k in range(q + 1):
+        s_rev, sp_rev = qbops._sk_sequence(rev, k), qbops._sprime_sequence(rev, k)
+        assert s_rev == qbops._sprime_sequence(fwd, q - k)
+        assert sp_rev == qbops._sk_sequence(fwd, q - k)
+        assert qbops._table(rs, s_rev) == qbops._table(rs, qbops._sprime_sequence(fwd, q - k))
+        assert qbops._table(rs, sp_rev) == qbops._table(rs, qbops._sk_sequence(fwd, q - k))
+
+
+def _distinct_sequences(rs) -> set:
+    """The sequences a run of the multiplicity laws over both chains and
+    every k reads, each once."""
+    q = len(rs.positive_roots)
+    out = set()
+    for reverse in (False, True):
+        chain = rank2_chain(rs, reverse)
+        for k in range(q + 1):
+            out.update((
+                qbops._sk_sequence(chain, k),
+                qbops._tk_sequence(chain, k, plus=True),
+                qbops._tk_sequence(chain, k, plus=False),
+                qbops._sprime_sequence(chain, k),
+            ))
+    return out
+
+
+def test_multiplicity_runs_build_each_table_once(monkeypatch, capsys):
+    # criterion 6 and ops verify-props share one table memo per root system:
+    # a table per distinct sequence, at most 6(q+1) per type (S_k of one
+    # chain is S'_{q-k} of the other; S_0 = S_q = T_0^+ = T_q^- besides)
+    # instead of 8(q+1), and the same reports
+    from qalcove import cli, suite
+
+    sizes = {}
+    for label in PROP_TYPES:
+        rs = qa.build_root_system(label)
+        sizes[label] = len(_distinct_sequences(rs))
+        assert sizes[label] <= 6 * (len(rs.positive_roots) + 1)
+    assert sizes == {"A1xA1": 8, "A2": 16, "C2": 22, "G2": 34}
+
+    real = qbops._table
+    built = []
+
+    def counted(rs_, seq):
+        built.append((rs_.type_label, seq))
+        return real(rs_, seq)
+
+    monkeypatch.setattr(qbops, "_table", counted)
+    assert cli.main(["ops", "verify-props", "--type", "G2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 14 and all(": ok" in line for line in lines)
+    assert len(built) == len(set(built)) == sizes["G2"]
+    built.clear()
+    assert suite.criterion_matrix_props().passed
+    assert len(built) == len(set(built)) == sum(sizes.values())
+    g2 = qa.build_root_system("G2")
+    tables: dict = {}
+    for reverse in (False, True):
+        for k in range(7):
+            assert verify_matrix_props(g2, k, reverse, tables) == verify_matrix_props(g2, k, reverse)
 
 
 def test_sweep_endpoints_match_shellability():
