@@ -15,8 +15,8 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
+from collections.abc import Iterable, Sequence
 from operator import add, attrgetter, mul, sub
-from typing import Iterable, Optional, Sequence
 
 from . import qbg
 from .records import FrozenRecord
@@ -41,13 +41,12 @@ class LambdaChain(FrozenRecord):
         lam: Weight,
         roots: tuple[Root, ...],
         levels: tuple[int, ...],
-        _step_cache: Optional[dict] = None,
     ):
         object.__setattr__(self, "rs", rs)
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "_step_cache", {} if _step_cache is None else _step_cache)
+        object.__setattr__(self, "_step_cache", {})
 
     @property
     def tilde_levels(self) -> tuple[int, ...]:
@@ -81,7 +80,7 @@ class LambdaChain(FrozenRecord):
         }
 
     @staticmethod
-    def from_json(data: dict, rs: Optional[RootSystem] = None) -> "LambdaChain":
+    def from_json(data: dict, rs: RootSystem | None = None) -> "LambdaChain":
         from .rootsys import _ALIASES, build_root_system
 
         if rs is None:
@@ -96,7 +95,7 @@ class LambdaChain(FrozenRecord):
         return chain
 
     @staticmethod
-    def load(path: str, rs: Optional[RootSystem] = None) -> "LambdaChain":
+    def load(path: str, rs: RootSystem | None = None) -> "LambdaChain":
         with open(path, "r", encoding="utf-8") as fh:
             return LambdaChain.from_json(json.load(fh), rs)
 
@@ -311,7 +310,7 @@ def insert_pair(chain: LambdaChain, u: int, beta: Root) -> LambdaChain:
 
 
 def chain_with_segment(
-    rs: RootSystem, segment: Sequence[Root], lam: Optional[Weight] = None
+    rs: RootSystem, segment: Sequence[Root], lam: Weight | None = None
 ) -> tuple[LambdaChain, int]:
     """A genuine lambda-chain containing the given YB segment consecutively.
 
@@ -839,7 +838,7 @@ def concat_chains(c1: LambdaChain, c2: LambdaChain) -> LambdaChain:
 
 
 def concat_admissible(
-    a: AdmissibleSubset, b: AdmissibleSubset, concat: Optional[LambdaChain] = None
+    a: AdmissibleSubset, b: AdmissibleSubset, concat: LambdaChain | None = None
 ) -> AdmissibleSubset:
     """The image A*B of (A, B) under the concatenation bijection."""
     if b.w != a.ed:

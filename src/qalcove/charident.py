@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from operator import mul
-from typing import Optional
 
 from .alcove import (
     LambdaChain,
@@ -119,7 +118,7 @@ def verify_vanishing(
     rs: RootSystem,
     lam: Weight,
     w: WeylElement,
-    chain: Optional[LambdaChain] = None,
+    chain: LambdaChain | None = None,
 ) -> bool:
     """Exact cancellation sum_A (-1)^{|A|} q^{-height(A)} e^{wt(A)} = 0.
 

@@ -87,6 +87,14 @@ def _weight(rs, text):
     return _parsed(rs.weight, _parse_ints(text))
 
 
+def _dominant_mu(rs, args):
+    """The weight of --mu, a usage error unless it is dominant."""
+    mu = _weight(rs, _required(args, "mu", "--mu"))
+    if not mu.is_dominant:
+        raise CliError(f"{args.command} {args.action} needs a dominant --mu")
+    return mu
+
+
 def _lex_weight(rs, text):
     lam = _weight(rs, text)
     if not (lam.is_dominant or lam.is_antidominant):
@@ -145,16 +153,10 @@ def _emit(args, payload, text=None):
 
 
 def _emit_terms(args, f):
-    """Print a GenFun or FormalChar f as _emit(args, f.to_json()) would.
-
-    Under --format json the indented JSON is written straight from f's
-    term table, without building the items or running the pure-Python
-    indenting encoder.
-    """
-    if args.format == "json":
-        _write(args, table_json(f.table, f.rs._json_words, f.ROW_NAMES))
-    else:
-        _write(args, json.dumps(f.to_json()))
+    """Print a GenFun or FormalChar f as _emit(args, f.to_json()) would, in
+    either layout written straight from f's term table by `table_json`."""
+    indent = 1 if args.format == "json" else None
+    _write(args, table_json(f.table, f.rs._json_words, f.ROW_NAMES, indent))
 
 
 def _write(args, out):
@@ -353,9 +355,12 @@ def cmd_chev(args):
     x = AffineWeylElt(_w(rs, args), _coroot(rs, args.xi))
     floor = args.floor if args.floor is not None else -8
     if args.action == "rhs":
-        mu = _weight(rs, _required(args, "mu", "--mu"))
+        mu = _dominant_mu(rs, args)
         lam = _weight(rs, lam_text)
         chain = _chain(rs, args)
+        if chain.lam != lam:
+            found = ",".join(map(str, chain.lam.coeffs))
+            raise CliError(f"the --chain file is a chain for lambda {found}, not --lambda {lam_text}")
         _emit_terms(args, rhs_chevalley(rs, mu, lam, chain, x, floor))
         return 0
     _text_only(args)
@@ -378,7 +383,7 @@ def cmd_chev(args):
         print("\n".join(rows))
         return 0 if all_ok else 1
     # factor
-    mu = _weight(rs, _required(args, "mu", "--mu"))
+    mu = _dominant_mu(rs, args)
     lam = _weight(rs, lam_text)
     ok = verify_factorization(rs, mu, lam, x, floor)
     print("factorization holds" if ok else "FACTORIZATION FAILS")

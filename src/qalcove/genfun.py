@@ -21,10 +21,12 @@ expansions in `charident` use it too.  All of these work on term tables of
 blocks {(mu, w): {tail: {exponent: count}}} (see TermTable), whose blocks
 and polys are never changed in place (`add_block` is copy-on-write at both
 levels), from the sweep's end states to the JSON writer `table_json`, which
-renders each distinct vector, word and q-polynomial once and each block
-object once, memoized by id(block); `Laurent` and the key objects are built
-only where a caller reads `.terms`.  `weight_orbit_sum`, which reads only
-wt and height, folds `alcove.weight_sums` instead, the sweep without down.
+writes either of json.dumps's layouts in one walk over the blocks, each
+distinct vector, word and q-polynomial rendered once and each block object
+once, memoized by id(block); `Laurent` and the key objects are built only
+where a caller reads `.terms`, and the JSON items only in `to_json`, the
+writer's reference.  `weight_orbit_sum`, which reads only wt and height,
+folds `alcove.weight_sums` instead, the sweep without down.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import copy
 import itertools
 from collections.abc import Mapping
 from operator import add
-from typing import Optional
 
 from .alcove import LambdaChain, is_cancellation_free, sweep_seeded, weight_sums
 from .records import FrozenRecord
@@ -80,7 +81,7 @@ class Laurent:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def max_exponent(self) -> Optional[int]:
+    def max_exponent(self) -> int | None:
         return max(self.terms) if self.terms else None
 
     def __eq__(self, other):
@@ -235,31 +236,23 @@ class TermTable:
         f.table = table
         return f
 
-    def max_exponent(self) -> Optional[int]:
+    def max_exponent(self) -> int | None:
         return max((max(p) for block in self.table.values() for p in block.values()), default=None)
 
     def __eq__(self, other):
         return type(other) is type(self) and self.rs is other.rs and self.table == other.table
 
-    def rows(self) -> list:
-        """The terms as sorted rows (mu, w, ..., q_pairs) of int tuples.
-
-        w is the 1-based reduced word and q_pairs the (exponent, coefficient)
-        pairs by increasing exponent; rows are sorted by their key, which is
-        unique, so the sort never compares q_pairs.
-        """
+    def to_json(self) -> list:
+        """The items that `table_json` writes, sorted by their unique keys
+        (mu, word, ...): {"q": [[exponent, count], ...] by exponent, then
+        ROW_NAMES, w as its 1-based reduced word}."""
         words = self.rs._json_words
-        return sorted([
+        rows = sorted([
             (mu, words[w], *tail, tuple(sorted(p.items())))
             for (mu, w), block in self.table.items() for tail, p in block.items()
         ])
-
-    def to_json(self) -> list:
         names = self.ROW_NAMES
-        return [
-            {"q": [list(p) for p in row[-1]], **dict(zip(names, map(list, row)))}
-            for row in self.rows()
-        ]
+        return [{"q": [list(p) for p in row[-1]], **dict(zip(names, map(list, row)))} for row in rows]
 
     def __repr__(self):
         elements = self.rs.weyl_elements
@@ -329,7 +322,7 @@ def compose(chain1: LambdaChain, chain2: LambdaChain, x: AffineWeylElt) -> GenFu
     return genfun_extend(chain1, genfun(chain2, x))
 
 
-def genfun_equal(f: GenFun, g: GenFun, q_floor: Optional[int] = None) -> bool:
+def genfun_equal(f: GenFun, g: GenFun, q_floor: int | None = None) -> bool:
     """f == g; with q_floor, equality of the q-exponents >= q_floor only."""
     if q_floor is None:
         return f == g
@@ -448,7 +441,7 @@ def par_groups(rs: RootSystem, lam: Weight, bound: int) -> list:
 
 
 def par_convolve(
-    heads: dict, rs: RootSystem, lam: Weight, q_floor: int, shift: Optional[Weight] = None
+    heads: dict, rs: RootSystem, lam: Weight, q_floor: int, shift: Weight | None = None
 ) -> dict:
     """The sum over the partition tuples chi of lam of the shifted heads, above q_floor.
 
@@ -576,27 +569,27 @@ def is_weyl_invariant(rs: RootSystem, f: dict) -> bool:
 # -- JSON writer ----------------------------------------------------------------
 
 
-def _json_list(elems: list, pad: int) -> str:
-    """An indent=1 JSON list of rendered elems, its closing bracket at column pad."""
-    if not elems:
-        return "[]"
-    sep = "\n" + " " * (pad + 1)
-    return "[" + sep + ("," + sep).join(elems) + "\n" + " " * pad + "]"
+# json.dumps's layouts of a term table by indent, 1 or None (compact): an
+# item opened with its "q" list (%s), one (exponent, count) pair, the pair
+# and list separator, a field label, a nonempty list's brackets, an item's
+# close and the table's brackets; an item starts with a 2-character separator
+_LAYOUTS = {
+    1: (',\n {\n  "q": [\n   %s\n  ]', "[\n    %d,\n    %d\n   ]", ",\n   ", ',\n  "%s": ',
+        "[\n   ", "\n  ]", "\n }", "[\n", "\n]"),
+    None: (', {"q": [%s]', "[%d, %d]", ", ", ', "%s": ', "[", "]", "}", "[", "]"),
+}
 
 
-# one (exponent, count) pair of an item's "q" list, after its separator
-_PAIR = "\n   [\n    %d,\n    %d\n   ]"
-
-
-def table_json(table: dict, words: tuple, names: tuple) -> str:
-    """json.dumps(f.to_json(), indent=1), byte for byte, written from f.table.
+def table_json(table: dict, words: tuple, names: tuple, indent: int | None) -> str:
+    """json.dumps(f.to_json(), indent=indent), byte for byte, written from f.table.
 
     table is the term table of blocks of a GenFun or a FormalChar, {(v_1,
     w): {tail: {exponent: count}}} with w an index into words (the 1-based
     reduced words), and names names the item's vectors after "q", as
-    ROW_NAMES does.  The prefixes are sorted once by (v_1, word) and the
-    tails within a block by their tuples.  Each distinct vector, word, tail
-    and q-polynomial is rendered once, as a fragment cached with its field
+    ROW_NAMES does; indent picks the layout's templates (_LAYOUTS) once.
+    The prefixes are sorted once by (v_1, word) and the tails within a
+    block by their tuples.  Each distinct vector, word, tail and
+    q-polynomial is rendered once, as a fragment cached with its field
     labels, each prefix's (v_1, w) fragment is joined once, and every item
     is three shared fragment references; one join writes them and the
     brackets at the end.  A block object is rendered once, memoized by
@@ -604,18 +597,19 @@ def table_json(table: dict, words: tuple, names: tuple) -> str:
     blocks, see par_convolve) copies that block's fragment references with
     its own (v_1, w) fragment.
     This avoids json.dumps, which takes its pure-Python encoder whenever it
-    indents, and builds no Laurent, Weight or Coroot.
+    indents, and builds no item, Laurent, Weight or Coroot.
     """
     if not table:
         return "[]"
+    item, pair, sep, label, left, right, close, first, last = _LAYOUTS[indent]
     # the fragment of the vector (or word index) v at key position i, with
     # its field label; the last position also closes the item
-    labels = [f',\n  "{name}": ' for name in names]
-    closing = [""] * (len(names) - 1) + ["\n }"]
+    labels = [label % name for name in names]
+    closing = [""] * (len(names) - 1) + [close]
 
     def fragment(i, v):
         vec = words[v] if i == 1 else v
-        return labels[i] + _json_list(list(map(str, vec)), 2) + closing[i]
+        return labels[i] + (left + sep.join(map(str, vec)) + right if vec else "[]") + closing[i]
 
     # caches: v_1, w and tail -> fragment; (exponent, count) pairs -> "q"
     # fragment; id(block) -> where its items start in parts, and their count
@@ -624,7 +618,7 @@ def table_json(table: dict, words: tuple, names: tuple) -> str:
     tails: dict = {}
     qs: dict = {}
     written: dict = {}
-    parts: list = ["[\n"]
+    parts: list = [first]
     put = parts.append
     for mu, w in sorted(table, key=lambda p: (p[0], words[p[1]])):
         frag = mus.get(mu)
@@ -647,8 +641,7 @@ def table_json(table: dict, words: tuple, names: tuple) -> str:
             pairs = tuple(block[tail].items())
             frag = qs.get(pairs)
             if frag is None:
-                rendered = ",".join([_PAIR % pair for pair in sorted(pairs)])
-                frag = qs[pairs] = ',\n {\n  "q": [' + rendered + "\n  ]"
+                frag = qs[pairs] = item % sep.join([pair % p for p in sorted(pairs)])
             put(frag)
             put(head)
             frag = tails.get(tail)
@@ -656,5 +649,5 @@ def table_json(table: dict, words: tuple, names: tuple) -> str:
                 frag = tails[tail] = "".join([fragment(i, v) for i, v in enumerate(tail, 2)])
             put(frag)
     parts[1] = parts[1][2:]  # no separator before the first item
-    put("\n]")
+    put(last)
     return "".join(parts)

@@ -11,8 +11,8 @@ the integer tables of _columns; edges and paths are views built from them.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from operator import add
-from typing import Optional, Sequence
 
 # alcove imports this module at its top; its sweep tables and kernel are
 # used only inside functions, so the partial module is enough here
@@ -97,7 +97,7 @@ def _columns(rs: RootSystem) -> tuple[tuple, tuple, tuple]:
     return tuple(column), tuple(quantum), tuple(right)
 
 
-def _edge(rs: RootSystem, v: WeylElement, p: int) -> Optional[QbgEdge]:
+def _edge(rs: RootSystem, v: WeylElement, p: int) -> QbgEdge | None:
     """The edge v -> v s_p for p indexing rs.positive_roots, as a QbgEdge view."""
     column, quantum = alcove._sweep_tables(rs)[:2]
     t = column[p][v.index]
@@ -107,7 +107,7 @@ def _edge(rs: RootSystem, v: WeylElement, p: int) -> Optional[QbgEdge]:
     return QbgEdge(v, rs.weyl_elements[t], rs.positive_roots[p], kind)
 
 
-def qbg_edge(rs: RootSystem, v: WeylElement, alpha: Root) -> Optional[QbgEdge]:
+def qbg_edge(rs: RootSystem, v: WeylElement, alpha: Root) -> QbgEdge | None:
     """The edge v -> v s_alpha, if the Bruhat or quantum condition holds."""
     if not alpha.is_positive:
         raise ValueError("edge labels are positive roots")

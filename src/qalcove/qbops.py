@@ -18,8 +18,8 @@ edge flags have equal blocks.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from operator import mul
-from typing import Sequence
 
 from . import alcove
 from .records import FrozenRecord, Record

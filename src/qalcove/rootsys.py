@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Iterable, Union
+from collections.abc import Iterable
 
 from .records import FrozenRecord
 
@@ -171,9 +171,6 @@ class WeylElement:
 
     def __repr__(self):
         return self.word_str
-
-
-Actable = Union[Weight, Root]
 
 
 class Rank2Segment(FrozenRecord):
@@ -458,7 +455,7 @@ class RootSystem:
             inv[b] = a
         return self._by_perm[tuple(inv)]
 
-    def act(self, w: WeylElement, x: Actable):
+    def act(self, w: WeylElement, x: Weight | Root):
         """Action of w on a Weight or Root."""
         if isinstance(x, Root):
             return self.all_roots[w.root_perm[self._root_index[x]]]

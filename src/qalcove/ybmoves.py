@@ -25,7 +25,7 @@ height, n) without n, and in sign when n has the same parity.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import alcove, qbg
 from .alcove import AdmissibleSubset, LambdaChain, admissible_from_indices
@@ -51,8 +51,6 @@ class YbContext(FrozenRecord):
         q: int,
         alpha: Root,
         beta: Root,
-        _path_cache: Optional[dict] = None,
-        _class_cache: Optional[dict] = None,
     ):
         object.__setattr__(self, "chain1", chain1)
         object.__setattr__(self, "chain2", chain2)
@@ -60,8 +58,8 @@ class YbContext(FrozenRecord):
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "_path_cache", {} if _path_cache is None else _path_cache)
-        object.__setattr__(self, "_class_cache", {} if _class_cache is None else _class_cache)
+        object.__setattr__(self, "_path_cache", {})
+        object.__setattr__(self, "_class_cache", {})
 
     @property
     def rs(self) -> RootSystem:
@@ -182,7 +180,7 @@ _EXC_VERTEX = {"A": "s1s2s1", "B": "s2s1s2s1"}
 _EXC_END = {"A": "s1s2", "B": "s2s1s2"}
 
 
-def _pattern_kind(pi: Sequence[Root]) -> Optional[str]:
+def _pattern_kind(pi: Sequence[Root]) -> str | None:
     coeffs = tuple(r.coeffs for r in pi)
     neg = tuple(tuple(-c for c in t) for t in coeffs)
     if coeffs == _E13_PATTERN or neg == _E13_PATTERN:

@@ -9,7 +9,7 @@ import pytest
 import qalcove as qa
 from qalcove import alcove, charident, qbg
 from qalcove.cli import main
-from qalcove.genfun import Laurent
+from qalcove.genfun import Laurent, TermTable
 
 
 def run(capsys, *argv):
@@ -208,6 +208,32 @@ def test_chev_without_mu_is_usage_error(capsys):
     # --mu has no default, so a missing one is named, not read as an empty weight
     for action in ("rhs", "factor"):
         _missing_option(capsys, ("chev", action, "--type", "A2", "--lambda", "1,0"), "--mu")
+
+
+def test_chev_invalid_mu_or_chain_is_usage_error(tmp_path, capsys):
+    # a --mu that is not dominant, or a --chain for another lambda, is bad
+    # input, not a failed check
+    rs = qa.build_root_system("A2")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(qa.lex_chain(rs, rs.weight([2, 1])).to_json()))
+    cases = (
+        (("chev", "rhs", "--type", "A2", "--mu", "-1,0", "--lambda", "1,0"),
+         "chev rhs needs a dominant --mu"),
+        (("chev", "factor", "--type", "A2", "--mu", "1,-1", "--lambda", "-1,1"),
+         "chev factor needs a dominant --mu"),
+        (("chev", "rhs", "--type", "A2", "--mu", "1,0", "--lambda", "1,0", "--chain", str(path)),
+         "the --chain file is a chain for lambda 2,1, not --lambda 1,0"),
+    )
+    for argv, message in cases:
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"usage error: {message}\n"), argv
+    # the API keeps its ValueError for both
+    x = qa.AffineWeylElt(rs.identity, qa.Coroot((0, 0)))
+    chain = qa.lex_chain(rs, rs.weight([1, 0]))
+    for mu, lam in (([-1, 0], [1, 0]), ([1, 0], [2, 1])):
+        with pytest.raises(ValueError):
+            charident.rhs_chevalley(rs, rs.weight(mu), rs.weight(lam), chain, x, -4)
 
 
 def test_ops_options_only_where_read(capsys):
@@ -516,10 +542,12 @@ def test_chev_rhs_and_factor(capsys):
 @pytest.mark.parametrize("fmt", ("json", "tsv"))
 def test_term_outputs_build_no_laurent(capsys, monkeypatch, fmt):
     # G, Ghat and the character expansion go from the sweep to the output
-    # as int-keyed tables; Laurent is built only where a caller asks for it
+    # as int-keyed tables; Laurent is built only where a caller asks for it,
+    # and neither layout goes through the items of to_json
     built = []
     init = Laurent.__init__
     monkeypatch.setattr(Laurent, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    monkeypatch.setattr(TermTable, "to_json", lambda self: pytest.fail("a term output built its items"))
     for argv in (
         ("gf", "eval", "--type", "C2", "--lambda", "1,1", "--w", "s1", "--xi", "1,-1"),
         ("gf", "ghat", "--type", "G2", "--lambda", "1,0", "--xi", "0,1", "--floor", "-6"),

@@ -73,8 +73,9 @@ def test_no_module_imports_dataclasses():
 
 def test_cli_cold_start_imports():
     # a fresh interpreter without site imports the CLI and none of the
-    # modules only a golden check or a debug traceback needs; the golden
-    # check then loads them and passes
+    # modules only a golden check or a debug traceback needs, nor typing,
+    # which annotations alone do not need; the golden check then loads its
+    # modules and passes
     import json
     import subprocess
     import sys
@@ -83,7 +84,7 @@ def test_cli_cold_start_imports():
         "import json, sys",
         f"sys.path.insert(0, {str(SRC.parent)!r})",
         "import qalcove.cli",
-        "late = ('dataclasses', 'inspect', 'hashlib', 'importlib.resources', 'traceback')",
+        "late = ('dataclasses', 'inspect', 'hashlib', 'importlib.resources', 'traceback', 'typing')",
         "loaded = [name for name in late if name in sys.modules]",
         "from qalcove import build_root_system, qbops",
         "print(json.dumps([loaded, qbops.check_golden(build_root_system('C2'))]))",
