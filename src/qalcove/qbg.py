@@ -4,19 +4,20 @@ The graph QBG(W) has the Weyl group as vertex set and, for each positive
 root alpha, an edge v -> v*s_alpha when the length either goes up by one
 (Bruhat edge) or drops by 2<rho, alpha^vee> - 1 (quantum edge).  Directed
 paths carry the statistics end, weight (sum of coroots over quantum steps)
-and nega (number of negative labels used).  The graph is held once, as
-the integer tables of _columns; edges and paths are views built from them.
+and nega (number of negative labels used).  The graph is held once per
+root system, as the integer tables of _columns; edges and paths are views
+built from them.  The one sweep kernel, sweep_step (pack and unpack build
+its int keys), walks the graph along root sequences for alcove, qbops and
+shellability_pairs, on states {vertex index: {key: count}} over the
+occupied vertices only.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from operator import add
 
-# alcove imports this module at its top; its sweep tables and kernel are
-# used only inside functions, so the partial module is enough here
-from . import alcove
 from .records import FrozenRecord
 from .rootsys import Coroot, Root, RootSystem, RootSystemError, WeylElement
 
@@ -84,22 +85,30 @@ def _columns(rs: RootSystem) -> tuple[tuple, tuple, tuple]:
 
     right[p][v] is the index of v s_p, column[p][v] the same if QBG has the
     edge v -> v s_p, else -1, and quantum[p][v] flags a quantum edge.
-    Cached by alcove._sweep_tables, through which every reader of the graph
-    goes.
+    Built once per root system; every reader of the graph goes through it.
     """
-    column, quantum, right = [], [], []
-    for alpha in rs.positive_roots:
-        s, drop = rs.reflection(alpha), 2 * rs.coroot(alpha).height - 1
-        ends = [(v.length, rs.mult(v, s)) for v in rs.weyl_elements]
-        column.append(tuple(t.index if t.length in (l + 1, l - drop) else -1 for l, t in ends))
-        quantum.append(tuple(t.length == l - drop for l, t in ends))
-        right.append(tuple(t.index for _, t in ends))
-    return tuple(column), tuple(quantum), tuple(right)
+    if rs._columns is None:
+        column, quantum, right = [], [], []
+        for alpha in rs.positive_roots:
+            s, drop = rs.reflection(alpha), 2 * rs.coroot(alpha).height - 1
+            ends = [(v.length, rs.mult(v, s)) for v in rs.weyl_elements]
+            column.append(tuple(t.index if t.length in (l + 1, l - drop) else -1 for l, t in ends))
+            quantum.append(tuple(t.length == l - drop for l, t in ends))
+            right.append(tuple(t.index for _, t in ends))
+        rs._columns = tuple(column), tuple(quantum), tuple(right)
+    return rs._columns
+
+
+def _root_step(rs: RootSystem, beta: Root) -> tuple[int, int, int]:
+    """(index in all_roots, index of |beta| in positive_roots, sign) of beta."""
+    k = rs._root_index[beta]
+    npos = len(rs.positive_roots)
+    return k, k % npos, 1 if k < npos else -1
 
 
 def _edge(rs: RootSystem, v: WeylElement, p: int) -> QbgEdge | None:
     """The edge v -> v s_p for p indexing rs.positive_roots, as a QbgEdge view."""
-    column, quantum = alcove._sweep_tables(rs)[:2]
+    column, quantum, _ = _columns(rs)
     t = column[p][v.index]
     if t < 0:
         return None
@@ -152,8 +161,9 @@ def index_paths(rs: RootSystem, v: int, pi: Sequence[Root]) -> list:
     runs on an explicit stack, children pushed in reverse so the order is
     kept, so no closure cycle is left.
     """
-    column, quantum, _, coroot = alcove._sweep_tables(rs)[:4]
-    labels = [alcove._root_step(rs, gamma)[1] for gamma in pi]
+    column, quantum, _ = _columns(rs)
+    coroot = rs._coroot_vec
+    labels = [_root_step(rs, gamma)[1] for gamma in pi]
     out: list = []
     stack = [(0, v, (0,) * rs.rank, ())]
     push = stack.append
@@ -176,7 +186,7 @@ def directed_path(
     each a QBG edge from the vertex the path has reached."""
     steps = []
     for j in indices:
-        edge = _edge(rs, steps[-1].edge.target if steps else v, alcove._root_step(rs, pi[j - 1])[1])
+        edge = _edge(rs, steps[-1].edge.target if steps else v, _root_step(rs, pi[j - 1])[1])
         steps.append(PathStep(j, pi[j - 1], edge))
     return DirectedPath(v, tuple(steps))
 
@@ -208,29 +218,85 @@ def _shell_defect(count, v, w, order) -> RuntimeError:
     )
 
 
+# -- the sweep kernel ---------------------------------------------------------
+
+
+def pack(values: Iterable[int], width: int, first: int = 0) -> int:
+    """sum_i values[i] 2^((first + i) width): the values as fields of one int key.
+
+    A key whose fields all lie in [0, 2^width) is their base-2^width
+    expansion, so adding the packing of any increments adds them field by
+    field as long as every field stays in that range; the fields read back
+    with unpack.  Callers keep signed fields in range by storing value + off.
+    """
+    return sum(x << (i * width) for i, x in enumerate(values, first))
+
+
+def unpack(bits: int, width: int, count: int, off: int = 0) -> tuple[int, ...]:
+    """The low count fields of bits, each minus off."""
+    mask = (1 << width) - 1
+    return tuple([((bits >> s) & mask) - off for s in range(0, count * width, width)])
+
+
+def sweep_step(states: dict, column: Sequence[int], incs, sign: int, keep: bool) -> dict:
+    """The states after one QBG step along a positive root.
+
+    states is {v: {key: count}} over the occupied vertex indices v of
+    rs.weyl_elements only, each key one int of packed fields (see pack):
+    G's state is (c, down, height), weight_sums' (-c, height), an
+    operator's (start, down) and the shell-check's (start, length).  Every
+    state at v moves to column[v] (-1: QBG has no edge there), incs[v]
+    added to its key (0: unchanged; incs is read at occupied v with an edge
+    only), and its count multiplied by sign; keep=True also leaves it at v,
+    as R = 1 + Q does, keep=False does not, as Q does.  States that meet
+    merge, zero counts dropped, and a vertex left with no state is dropped
+    too, so equal operators give equal dicts.  v -> v s_p is injective, so
+    each target hears from one v.
+    """
+    new = dict(states) if keep else {}
+    for v, src in states.items():
+        t = column[v]
+        if t < 0:
+            continue
+        inc = incs[v]
+        moved = zip([key + inc for key in src], src.values()) if inc else src.items()
+        dst = dict(new.get(t, ()))
+        get = dst.get
+        for key, cnt in moved:
+            cnt = get(key, 0) + sign * cnt
+            if cnt:
+                dst[key] = cnt
+            else:
+                del dst[key]
+        if dst:
+            new[t] = dst
+        else:
+            new.pop(t, None)
+    return new
+
+
 def shellability_pairs(rs: RootSystem, order: Sequence[Root]):
     """(v, w, minimal) for every pair of Weyl elements, v outer, in ShortLex order.
 
     minimal says whether the label-increasing path v -> w for the reflection
-    order has length l(v => w).  One sweep along the order (alcove.sweep_step
-    on the QBG columns) from every start v at once, with states {v << width
-    | length: count}, counts the label-increasing paths by start, end and
+    order has length l(v => w).  One sweep along the order (sweep_step on
+    the QBG columns) from every start v at once, with states {v << width |
+    length: count}, counts the label-increasing paths by start, end and
     length; l(v => w) comes from the distance table, built once per root
     system.  Raises label_increasing_path's RuntimeError at the first pair
     without exactly one such path.
     """
-    column = alcove._sweep_tables(rs)[0]
+    column, _, _ = _columns(rs)
     n = len(rs.weyl_elements)
     width = len(order).bit_length()  # length <= len(order)
     inc = [1] * n  # every edge keeps the start and adds one to the length
-    states: list = [{v << width: 1} for v in range(n)]
+    states = {v: {v << width: 1} for v in range(n)}
     for alpha in order:
-        col = column[alcove._root_step(rs, alpha)[1]]
-        states = alcove.sweep_step(states, col, inc, 1, keep=True)
+        states = sweep_step(states, column[_root_step(rs, alpha)[1]], inc, 1, keep=True)
     mask = (1 << width) - 1
     count = [[0] * n for _ in range(n)]
     length = [[0] * n for _ in range(n)]
-    for w, ends in enumerate(states):
+    for w, ends in states.items():
         for key, c in ends.items():
             v = key >> width
             count[v][w] += c
@@ -264,14 +330,14 @@ def _bfs(rs: RootSystem, s: int) -> list:
     One breadth-first search over the sweep's QBG columns, labels in
     positive-root order; QBG is strongly connected.
     """
-    column, quantum, _, coroot = alcove._sweep_tables(rs)[:4]
+    column, quantum, _ = _columns(rs)
     dist: list = [None] * len(rs.weyl_elements)
     dist[s] = (0, (0,) * rs.rank)
     queue = deque([s])
     while queue:
         u = queue.popleft()
         d, acc = dist[u]
-        for col, qcol, cor in zip(column, quantum, coroot):
+        for col, qcol, cor in zip(column, quantum, rs._coroot_vec):
             t = col[u]
             if t >= 0 and dist[t] is None:
                 dist[t] = (d + 1, tuple(map(add, acc, cor)) if qcol[u] else acc)

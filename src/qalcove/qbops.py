@@ -5,14 +5,15 @@ Q_gamma sends v to v*s_gamma (Bruhat edge), to Q^{gamma^vee} v*s_gamma
 A product of R-operators is a |W| x |W| matrix over the exact polynomial
 ring Z[Q_1..Q_n], in the ShortLex basis order of W, computed as a sparse
 table {(v, w): {exponent: coefficient}} of its nonzero cells, which
-OperatorMatrix holds.  The multiplicity laws and the golden files are
-checked on these tables; golden files compare byte for byte with their
-canonical TSV (`_tsv`, `cell_str` per cell), and a run of the laws over
-both chains keeps one table per distinct sequence.  The Yang-Baxter check
-of a pair compares its two products as end states from the columns of one
-coset of the dihedral subgroup W' per signature (`_coset_starts`): the
-products are block-diagonal over the cosets v W', and cosets with equal
-edge flags have equal blocks.
+OperatorMatrix holds; each R_gamma or Q_gamma is one qbg.sweep_step on
+states that hold their occupied vertices only.  The multiplicity laws and
+the golden files are checked on these tables; golden files compare byte
+for byte with their canonical TSV (`_tsv`, `cell_str` per cell), and a
+run of the laws over both chains keeps one table per distinct sequence.
+The Yang-Baxter check of a pair compares its two products as end states
+from the columns of one coset of the dihedral subgroup W' per signature
+(`_coset_starts`): the products are block-diagonal over the cosets v W',
+and cosets with equal edge flags have equal blocks.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 from collections.abc import Sequence
 from operator import mul
 
-from . import alcove
+from . import qbg
 from .records import FrozenRecord, Record
 from .rootsys import Root, RootSystem, WeylElement
 
@@ -124,63 +125,59 @@ class GroupAlgebraElt:
 
 # -- the operator sweep --------------------------------------------------------
 #
-# A state list holds, by vertex index v of rs.weyl_elements, None or
-# {key: count}: the coefficient of Q^down at v in the image of the basis
+# States are {v: {key: count}} over the occupied vertex indices v of
+# rs.weyl_elements: the coefficient of Q^down at v in the image of the basis
 # vector rs.weyl_elements[start], keyed by start << (n width) plus down packed
-# in n fields of width bits (`alcove.pack`).  down >= 0, so no field needs
+# in n fields of width bits (`qbg.pack`).  down >= 0, so no field needs
 # an offset, and width bounds the degree the sequence can reach (_width).
-# Each operator is one `alcove.sweep_step`, so every column advances in one
+# Each operator is one `qbg.sweep_step`, so every column advances in one
 # pass.
 
 
 def _width(rs: RootSystem, seq: Sequence[Root], top: int = 0) -> int:
     """Field width for down after seq from exponents <= top: each step adds
     at most one coroot."""
-    coroot = alcove._sweep_tables(rs)[3]
-    bound = top + sum(max(coroot[alcove._root_step(rs, gamma)[1]]) for gamma in seq)
+    bound = top + sum(max(rs._coroot_vec[qbg._root_step(rs, gamma)[1]]) for gamma in seq)
     return max(bound.bit_length(), 1)
 
 
 def _shifts(rs: RootSystem, width: int) -> tuple:
     """shift[p][v]: the packed coroot of rs.positive_roots[p] on a quantum
-    edge at v, 0 on a Bruhat one; cached per width on the sweep tables."""
-    _, quantum, _, coroot, cache, _ = alcove._sweep_tables(rs)
-    got = cache.get(width)
+    edge at v, 0 on a Bruhat one; cached per width on the root system."""
+    got = rs._shifts.get(width)
     if got is None:
-        got = cache[width] = tuple(
+        _, quantum, _ = qbg._columns(rs)
+        got = rs._shifts[width] = tuple(
             tuple(d if q else 0 for q in qs)
-            for d, qs in zip((alcove.pack(c, width) for c in coroot), quantum)
+            for d, qs in zip((qbg.pack(c, width) for c in rs._coroot_vec), quantum)
         )
     return got
 
 
-def _step(rs: RootSystem, states: list, gamma: Root, keep: bool, width: int) -> list:
+def _step(rs: RootSystem, states: dict, gamma: Root, keep: bool, width: int) -> dict:
     """The states after R_gamma (keep=True) or Q_gamma (keep=False)."""
-    column = alcove._sweep_tables(rs)[0]
-    _, p, sign = alcove._root_step(rs, gamma)
-    return alcove.sweep_step(states, column[p], _shifts(rs, width)[p], sign, keep)
+    column, _, _ = qbg._columns(rs)
+    _, p, sign = qbg._root_step(rs, gamma)
+    return qbg.sweep_step(states, column[p], _shifts(rs, width)[p], sign, keep)
 
 
-def _sweep(rs: RootSystem, seq: Sequence[Root], starts: Sequence[int], width: int) -> list:
+def _sweep(rs: RootSystem, seq: Sequence[Root], starts: Sequence[int], width: int) -> dict:
     """End states of R_{gamma_r} ... R_{gamma_1} on each start vertex index."""
-    states: list = [None] * len(rs.weyl_elements)
-    for s in starts:
-        states[s] = {s << (rs.rank * width): 1}
+    states = {s: {s << (rs.rank * width): 1} for s in starts}
     for gamma in seq:
         states = _step(rs, states, gamma, True, width)
     return states
 
 
-def _to_elt(rs: RootSystem, states: list, width: int, low: int = 0) -> GroupAlgebraElt:
+def _to_elt(rs: RootSystem, states: dict, width: int, low: int = 0) -> GroupAlgebraElt:
     """The states as a group-algebra element; they must share one start, and
     each down field holds exponent - low."""
     n = rs.rank
     dmask = (1 << (n * width)) - 1
     terms = {}
-    for v, final in enumerate(states):
-        if final:
-            exps = {alcove.unpack(key & dmask, width, n, -low): c for key, c in final.items()}
-            terms[rs.weyl_elements[v]] = QPoly(n, exps)
+    for v, final in sorted(states.items()):
+        exps = {qbg.unpack(key & dmask, width, n, -low): c for key, c in final.items()}
+        terms[rs.weyl_elements[v]] = QPoly(n, exps)
     return GroupAlgebraElt(rs, terms)
 
 
@@ -194,9 +191,8 @@ def apply_Q(rs: RootSystem, gamma: Root, elt) -> GroupAlgebraElt:
     exps = [x for p in terms.values() for e in p.terms for x in e]
     low = min(exps + [0])
     width = _width(rs, (gamma,), max(exps + [0]) - low)
-    states: list = [None] * len(rs.weyl_elements)
-    for w, p in terms.items():
-        states[w.index] = {alcove.pack([x - low for x in e], width): c for e, c in p.terms.items()}
+    states = {w.index: {qbg.pack([x - low for x in e], width): c for e, c in p.terms.items()}
+              for w, p in terms.items()}
     return _to_elt(rs, _step(rs, states, gamma, False, width), width, low)
 
 
@@ -226,9 +222,7 @@ def _table(rs: RootSystem, seq: Sequence[Root]) -> dict:
     dmask = (1 << shift) - 1
     exps: dict = {}
     table = {}
-    for v, final in enumerate(_sweep(rs, seq, range(len(rs.weyl_elements)), width)):
-        if not final:
-            continue
+    for v, final in sorted(_sweep(rs, seq, range(len(rs.weyl_elements)), width).items()):
         row: dict = {}
         for key, c in final.items():
             start = key >> shift
@@ -238,7 +232,7 @@ def _table(rs: RootSystem, seq: Sequence[Root]) -> dict:
             bits = key & dmask
             exp = exps.get(bits)
             if exp is None:
-                exp = exps[bits] = alcove.unpack(bits, width, n)
+                exp = exps[bits] = qbg.unpack(bits, width, n)
             cell[exp] = c
         for w in sorted(row):
             table[v, w] = row[w]
@@ -329,7 +323,7 @@ def _coset_starts(rs: RootSystem, ps: Sequence[int]) -> list:
     gamma alone, so cosets with equal signatures have equal blocks.
     Returns the elements of the first coset of each signature, increasing.
     """
-    column, quantum, *_, right = alcove._sweep_tables(rs)
+    column, quantum, right = qbg._columns(rs)
     steps = [right[p] for p in ps]
     flags = [(column[p], quantum[p]) for p in ps]
     seen = [False] * len(rs.weyl_elements)
@@ -359,7 +353,7 @@ def check_yang_baxter(rs: RootSystem, alpha: Root, beta: Root, cosets: dict | No
     share them.
     """
     seg = rs.rank2_subsystem(alpha, beta).segment
-    ps = tuple(sorted(alcove._root_step(rs, gamma)[1] for gamma in seg))
+    ps = tuple(sorted(qbg._root_step(rs, gamma)[1] for gamma in seg))
     memo = {} if cosets is None else cosets
     starts = memo.get(ps)
     if starts is None:

@@ -214,8 +214,9 @@ class RootSystem:
         self.coxeter_number = 1 + max(
             self.coroot(b).height for b in self.positive_roots
         )
-        self._sweep_tables = None  # lazy QBG and index tables, owned by qalcove.alcove
+        self._columns = None  # lazy QBG tables, owned by qalcove.qbg
         self._distances = None  # lazy QBG distance table, owned by qalcove.qbg
+        self._shifts = {}  # packed coroot shifts by field width, owned by qalcove.qbops
 
     # -- construction ------------------------------------------------------
 

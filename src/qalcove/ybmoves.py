@@ -217,14 +217,14 @@ def _path_from_labels(rs: RootSystem, v: int, seq: Sequence[Root], labels) -> tu
     """The index set (within seq, 1..len(seq)) of the explicit family path
     from the vertex of index v whose edges carry the given positive-root
     labels, each |gamma_j| for one gamma_j of seq, in increasing j."""
-    column = alcove._sweep_tables(rs)[0]
+    column, _, _ = qbg._columns(rs)
     by_label = {abs(g).coeffs: j for j, g in enumerate(seq, start=1)}
     js = ()
     for lab in labels:
         j = by_label[lab]
         if js and j <= js[-1]:
             raise SijectionError("family labels out of order for this segment")
-        v = column[alcove._root_step(rs, seq[j - 1])[1]][v]
+        v = column[qbg._root_step(rs, seq[j - 1])[1]][v]
         if v < 0:
             raise SijectionError("explicit family path is not a QBG path")
         js += (j,)

@@ -781,7 +781,7 @@ def test_validation_uses_integers_only(monkeypatch):
                     qa.insert_pair(chain, u, rs.positive_roots[-1])
                 except ChainError:
                     pass
-        assert rs._sweep_tables is None
+        assert rs._columns is None
 
 
 def test_admissible_from_indices_rejects_non_subsets():

@@ -441,6 +441,25 @@ def test_corrupt_chain_fails_validation(tmp_path, capsys):
     assert code == 1
 
 
+def test_malformed_chain_file_is_a_chain_error(tmp_path, capsys):
+    # a chain file that lacks a field or is not JSON raises ChainError naming
+    # the field or the parse error, and fails as a bad chain file does
+    rs = qa.build_root_system("A2")
+    data = qa.lex_chain(rs, rs.weight([1, 1])).to_json()
+    del data["lambda"]
+    path = tmp_path / "bad.json"
+    for text, message in (
+        (json.dumps(data), "chain file has no 'lambda' field"),
+        ("{", "chain file is not JSON: Expecting property name"),
+        ("[]", "chain file does not hold a JSON object"),
+    ):
+        path.write_text(text)
+        with pytest.raises(qa.ChainError, match=message):
+            qa.LambdaChain.load(str(path), rs)
+        assert main(["chain", "validate", "--type", "A2", "--chain", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"verification error: {message}")
+
+
 def test_deterministic_reports(capsys):
     args = ("yb", "segments", "--type", "A2", "--lambda", "1,1")
     _, first = run(capsys, *args)

@@ -1008,11 +1008,38 @@ def write_json(f, indent=1):
     return table_json(f.table, f.rs._json_words, f.ROW_NAMES, indent)
 
 
+def assert_same_text(got, want):
+    """got == want for texts of up to about a megabyte.  A mismatch reports
+    both lengths and the first differing offset with 40 characters on each
+    side, since pytest's own diff of two such strings takes minutes."""
+    if got == want:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    lo, hi = max(at - 40, 0), at + 40
+    pytest.fail(
+        f"texts of lengths {len(got)} and {len(want)} differ at offset {at}: "
+        f"{got[lo:hi]!r} != {want[lo:hi]!r}",
+        pytrace=False,
+    )
+
+
 def assert_table_json(f):
     # both layouts: indented (--format json) and compact (the default)
     assert f.to_json() == reference_items(f)
     for indent in (1, None):
-        assert write_json(f, indent) == json.dumps(f.to_json(), indent=indent)
+        assert_same_text(write_json(f, indent), json.dumps(f.to_json(), indent=indent))
+
+
+def test_assert_same_text_reports_the_first_difference():
+    text = "[" + "1," * 200_000 + "2]"
+    assert_same_text(text, text)
+    with pytest.raises(pytest.fail.Exception) as info:
+        assert_same_text(text[:5000] + "3" + text[5001:], text)
+    message = str(info.value)
+    assert "lengths 400003 and 400003" in message and "offset 5000" in message
+    assert len(message) < 300
+    with pytest.raises(pytest.fail.Exception, match="offset 400003"):
+        assert_same_text(text + "\n", text)
 
 
 def test_table_json_edge_cases():
@@ -1117,7 +1144,8 @@ def test_table_json_shared_and_copied_tables():
         assert shares_blocks(h) and not shares_blocks(copied)
         for indent in (1, None):
             want = json.dumps(h.to_json(), indent=indent)
-            assert write_json(h, indent) == write_json(copied, indent) == want
+            assert_same_text(write_json(h, indent), want)
+            assert_same_text(write_json(copied, indent), want)
 
 
 def assert_table_shape(f):

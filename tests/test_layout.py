@@ -28,6 +28,41 @@ def test_one_point_model_and_one_lock():
     assert set(locking) <= {"rootsys"}
 
 
+def package_imports(path):
+    """The package modules a source file imports by relative import, at any
+    depth: x for `from . import x` and `from .x import y`."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_package_imports_form_a_dag():
+    # the QBG tables and the sweep kernel live in qbg, below alcove and
+    # qbops, so no module needs another one half-imported
+    graph = {path.stem: package_imports(path) for path in sorted(SRC.glob("*.py"))}
+    done, stack = set(), []
+
+    def visit(name):
+        if name in stack:
+            raise AssertionError("import cycle: " + " -> ".join(stack[stack.index(name):] + [name]))
+        if name not in done:
+            stack.append(name)
+            for dep in sorted(graph.get(name, ())):
+                visit(dep)
+            stack.pop()
+            done.add(name)
+
+    for name in graph:
+        visit(name)
+    assert "qbg" in graph["alcove"] and "qbg" in graph["qbops"]
+    assert not graph["qbg"] & {"alcove", "qbops"} and "alcove" not in graph["qbops"]
+
+
 def test_genfun_is_the_module():
     # the package does not re-export the function genfun over its module
     import sys

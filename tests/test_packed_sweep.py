@@ -1,7 +1,7 @@
 """The packed-int sweep against the tuple-keyed sweep it replaced.
 
 Every sweep in the package keys a state by one int of packed fields
-(`alcove.pack`).  The tuple-keyed versions below, with tuple keys and
+(`qbg.pack`).  The tuple-keyed versions below, with tuple keys and
 tuple increments (None for no change), are the oracles: G and its linear
 extension, `compose`, `sweep_admissible` and `verify_vanishing` on A2..C3 and
 on D4 and F4 from their Cartan matrices, and the operator tables and the
@@ -56,7 +56,7 @@ def oracle_sweep_step(states, column, incs, sign, keep):
 def oracle_sweep_seeded(chain, seeds):
     """{(ed, wt, down, height): count} from seeds {v: {(c, down, height): count}}."""
     rs = chain.rs
-    column, quantum = alcove._sweep_tables(rs)[:2]
+    column, quantum, _ = qbg._columns(rs)
     n = rs.rank
     npos = len(rs.positive_roots)
     perms = [v.root_perm for v in rs.weyl_elements]
@@ -113,7 +113,7 @@ def oracle_vanishing(chain, w):
 
 def oracle_operator_step(rs, states, gamma, keep):
     """R_gamma (keep=True) or Q_gamma on states {(start, down_1..down_n): count}."""
-    column, quantum = alcove._sweep_tables(rs)[:2]
+    column, quantum, _ = qbg._columns(rs)
     npos = len(rs.positive_roots)
     k = rs._root_index[gamma]
     p = k % npos
@@ -152,7 +152,7 @@ def oracle_table(rs, seq):
 
 def oracle_shell_counts(rs, order):
     """{(v, w): (number of label-increasing paths, length of the last)}."""
-    column = alcove._sweep_tables(rs)[0]
+    column, _, _ = qbg._columns(rs)
     npos = len(rs.positive_roots)
     n = len(rs.weyl_elements)
     states = [{(v, 0): 1} for v in range(n)]

@@ -299,6 +299,20 @@ def test_nega_zero_for_positive_pi():
             assert p.nega == 0
 
 
+def test_sweep_step_drops_cancelled_vertices():
+    # states hold occupied vertices only: a vertex whose counts all cancel
+    # is absent, not {}, and the input states are left as they were
+    column = (1, -1, 0)  # 0 -> 1, no edge at 1, 2 -> 0
+    states = {0: {5: 1}, 1: {5: 1}, 2: {3: 4}}
+    got = qbg.sweep_step(states, column, (0, 0, 0), -1, keep=True)
+    assert got == {0: {5: 1, 3: -4}, 2: {3: 4}}
+    assert states == {0: {5: 1}, 1: {5: 1}, 2: {3: 4}}
+    # keep=False moves every state; incs is read at occupied vertices only
+    got = qbg.sweep_step({0: {5: 1}, 2: {3: 4}}, column, {0: 2, 2: 0}, 1, keep=False)
+    assert got == {1: {7: 1}, 0: {3: 4}}
+    assert qbg.sweep_step({0: {5: 1}, 1: {5: 1}}, column, (0,) * 3, -1, keep=False) == {1: {5: -1}}
+
+
 def test_dot_export():
     a2 = qa.build_root_system("A2")
     dot = qa.to_dot(a2)

@@ -6,7 +6,7 @@ import shutil
 import pytest
 
 import qalcove as qa
-from qalcove import qbops
+from qalcove import qbg, qbops
 from qalcove.qbops import (
     MatrixPropReport,
     OperatorMatrix,
@@ -335,10 +335,11 @@ def test_yang_baxter_checks_once_per_unordered_pair(monkeypatch):
 
 D4 = ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))
 F4 = ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2))
+C4 = ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -2), (0, 0, -1, 2))
 
 
 def _segment_positives(rs, seg) -> tuple:
-    return tuple(sorted(qbops.alcove._root_step(rs, gamma)[1] for gamma in seg))
+    return tuple(sorted(qbg._root_step(rs, gamma)[1] for gamma in seg))
 
 
 @pytest.mark.parametrize("label", ["A2", "C2", "G2", "A3", "B3", "C3", "D4"])
@@ -357,12 +358,22 @@ def test_blocked_yang_baxter_against_full_sweep(label):
         verdicts[alpha, beta] = full
     assert [ok for a, b, ok in qbops.yang_baxter_checks(rs)] == list(verdicts.values())
     # every memo entry is a union of whole cosets of W', one per signature
-    right = qbops.alcove._sweep_tables(rs)[5]
+    _, _, right = qbg._columns(rs)
     for ps, starts in cosets.items():
         assert starts == sorted(set(starts)) and 0 < len(starts) <= n
         assert all(right[p][x] in starts for x in starts for p in ps)
     if rs.rank > 2:
         assert sum(map(len, cosets.values())) < n * len(cosets)
+
+
+@pytest.mark.parametrize("label, cartan, pairs", [("C4", C4, 672), ("F4", F4, 1536)], ids=["C4", "F4"])
+def test_yang_baxter_holds_in_rank_4(label, cartan, pairs):
+    # the sweeps hold only their occupied vertices, here the coset columns of
+    # each pair: on the rank-4 types from their Cartan matrices, every pair's
+    # two products agree
+    rs = qa.root_system_from_cartan(cartan, label)
+    got = list(qbops.yang_baxter_checks(rs))
+    assert len(got) == pairs and all(ok for *_, ok in got)
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "C3"])
@@ -399,8 +410,8 @@ def test_blocked_yang_baxter_sees_flipped_quantum_flag(label):
     # coset's signature changes, so the blocked check sweeps it and must
     # agree with the full sweep, which the flip breaks on most pairs
     rs = qa.root_system_from_cartan(qa.build_root_system(label).cartan, label)
-    tables = qbops.alcove._sweep_tables(rs)
-    column, quantum = tables[:2]
+    tables = qbg._columns(rs)
+    column, quantum, right = tables
     tried = broken = 0
     done = set()
     for alpha, beta in yang_baxter_pairs(rs):
@@ -417,12 +428,12 @@ def test_blocked_yang_baxter_sees_flipped_quantum_flag(label):
             flipped = [list(row) for row in quantum]
             flipped[p][x] = not flipped[p][x]
             # a fresh shifts cache: the packed coroot shifts read the flags
-            rs._sweep_tables = (column, tuple(map(tuple, flipped))) + tables[2:4] + ({},) + tables[5:]
+            rs._columns, rs._shifts = (column, tuple(map(tuple, flipped)), right), {}
             try:
                 full = same_operator(rs, seg, tuple(reversed(seg)))
                 assert qa.check_yang_baxter(rs, alpha, beta) == full, (alpha, beta, x, p)
             finally:
-                rs._sweep_tables = tables
+                rs._columns, rs._shifts = tables, {}
             tried += 1
             broken += not full
     assert tried and broken > tried // 2
