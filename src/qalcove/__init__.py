@@ -58,6 +58,7 @@ from .ybmoves import (
     SijectionError,
     YbContext,
     build_sijection,
+    check_sijection,
     classify_phi,
     delete_pair,
     find_yb_segments,

@@ -27,7 +27,12 @@ class ChainError(ValueError):
     """The root sequence is not a lambda-chain (or fails validation)."""
 
 
-class ChainTypeError(ChainError):
+class ChainFieldError(ChainError):
+    """A field of a chain's JSON holds a value of the wrong shape: the file
+    is unusable input, not a chain that fails validation."""
+
+
+class ChainTypeError(ChainFieldError):
     """A chain's JSON names another root-system type than the one it is read in."""
 
 
@@ -88,10 +93,25 @@ class LambdaChain(FrozenRecord):
         for field in ("type", "lambda", "roots"):
             if field not in data:
                 raise ChainError(f"chain file has no {field!r} field")
+        if not isinstance(data["type"], str):
+            raise ChainFieldError("chain file field 'type' is not a string")
         if rs is None:
             rs = build_root_system(data["type"])
         elif _ALIASES.get(data["type"], data["type"]) != rs.type_label:
             raise ChainTypeError(f"chain file has type {data['type']}, not {rs.type_label}")
+
+        def ints(value) -> bool:
+            return (
+                isinstance(value, list)
+                and len(value) == rs.rank
+                and all(type(x) is int for x in value)
+            )
+
+        shape = f"{rs.rank} integers"
+        if not ints(data["lambda"]):
+            raise ChainFieldError(f"chain file field 'lambda' is not a list of {shape}")
+        if not (isinstance(data["roots"], list) and all(map(ints, data["roots"]))):
+            raise ChainFieldError(f"chain file field 'roots' is not a list of lists of {shape}")
         lam = rs.weight(data["lambda"])
         roots = tuple(rs.root(c) for c in data["roots"])
         chain = compute_levels(rs, roots, lam)
@@ -462,6 +482,25 @@ class AdmissibleSubset:
         return f"A{list(self._indices)}"
 
 
+def _step_rows(chain: LambdaChain, lo: int, hi: int) -> list:
+    """The parts of _vertex_steps' increments that do not depend on the
+    vertex, for the 0-based positions lo..hi-1 of chain.
+
+    Row j is (k, p, l_j, Bruhat increment, quantum increment) for beta_j =
+    rs.all_roots[k] and |beta_j| = rs.positive_roots[p]; both increments
+    leave out c, the first rank fields, which depend on the vertex.
+    """
+    rs = chain.rs
+    still = (0,) * (rs.rank + 1)
+    levels, tildes = chain.levels[lo:hi], chain.tilde_levels[lo:hi]
+    rows = []
+    for beta, l, tilde in zip(chain.roots[lo:hi], levels, tildes):
+        k, p, sign = qbg._root_step(rs, beta)
+        neg = (int(sign < 0),)
+        rows.append((k, p, l, still + neg, rs._coroot_vec[p] + (sign * tilde,) + neg))
+    return rows
+
+
 def _vertex_steps(chain: LambdaChain, v: int) -> tuple[list, list, tuple]:
     """(positions, steps, v(lambda)) at the vertex of index v, built once per chain.
 
@@ -471,7 +510,8 @@ def _vertex_steps(chain: LambdaChain, v: int) -> tuple[list, list, tuple]:
     the flat tuple (c, down, height, n) of one subset: -l_j v(beta_j) to c,
     on a quantum edge |beta_j|^vee to down and sign(beta_j) l~_j to height,
     and 1 to n when beta_j is negative.  The parts that do not depend on v
-    are built once per chain, under the key -1, which no vertex has.
+    are built once per chain (_step_rows), under the key -1, which no
+    vertex has.
     """
     cache = chain._step_cache
     got = cache.get(v)
@@ -480,12 +520,7 @@ def _vertex_steps(chain: LambdaChain, v: int) -> tuple[list, list, tuple]:
         column, quantum, _ = qbg._columns(rs)
         rows = cache.get(-1)
         if rows is None:
-            rows = cache[-1] = []
-            still = (0,) * (rs.rank + 1)
-            for beta, l, tilde in zip(chain.roots, chain.levels, chain.tilde_levels):
-                k, p, sign = qbg._root_step(rs, beta)
-                neg = (int(sign < 0),)
-                rows.append((k, p, l, still + neg, rs._coroot_vec[p] + (sign * tilde,) + neg))
+            rows = cache[-1] = _step_rows(chain, 0, len(chain))
         element = rs.weyl_elements[v]
         perm = element.root_perm
         positions, steps = [], []

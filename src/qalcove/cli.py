@@ -133,11 +133,12 @@ def _chain(rs, args):
 
 
 def _load(rs, path):
-    """The chain file at path, read in rs; a file of another type is a usage
-    error, while one that fails validation stays a failed check."""
+    """The chain file at path, read in rs; a file of another type or with a
+    field of the wrong shape is a usage error, while one that fails
+    validation stays a failed check."""
     try:
         return alcove.LambdaChain.load(path, rs)
-    except alcove.ChainTypeError as exc:
+    except alcove.ChainFieldError as exc:
         raise CliError(exc) from exc
 
 

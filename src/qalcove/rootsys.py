@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import threading
 from collections.abc import Iterable
+from operator import mul
 
 from .records import FrozenRecord
 
@@ -336,6 +337,8 @@ class RootSystem:
                 self._root_index[self._reflect_root(r, x)] for x in self.all_roots
             )
             self._reflections[r] = by_perm[perm]
+        # root_perm of s_beta by the index of beta in positive_roots
+        self._reflection_perms = tuple(self._reflections[r].root_perm for r in self.positive_roots)
 
     def _weight_reflect(self, i: int, coeffs) -> tuple[int, ...]:
         # s_i(mu) = mu - mu_i alpha_i, with alpha_i = sum_k a_{ki} varpi_k
@@ -474,26 +477,27 @@ class RootSystem:
         generate.  The segment is its reflection order (Dyer 1993): gamma_1 =
         alpha, gamma_2 = s_alpha(beta) and gamma_{j+1} =
         -s_{gamma_j}(gamma_{j-1}), until gamma_j = beta after at most 6 roots.
+        The recurrence runs on indices in all_roots: s_gamma is one lookup in
+        its root permutation, and the negative of the root of index k < npos
+        has index k + npos.
         """
-        if alpha == -beta or alpha == beta:
+        npos = len(self.positive_roots)
+        a, b = self._root_index[alpha], self._root_index[beta]
+        if a % npos == b % npos:
             raise RootSystemError("alpha and beta must be non-proportional")
-        if self.root_pair(alpha, self.coroot(beta)) > 0:
+        if sum(map(mul, self._root_wt[a], self._coroot_vec[b])) > 0:
             raise RootSystemError("<alpha, beta^vee> must be <= 0")
-        index = self._root_index
-
-        def reflect(gamma: Root, delta: Root) -> Root:
-            return self.all_roots[self.reflection(gamma).root_perm[index[delta]]]
-
-        roots = [alpha, reflect(alpha, beta)]
-        while roots[-1] != beta:
-            if len(roots) == 6:
+        perms = self._reflection_perms
+        ks = [a, perms[a % npos][b]]
+        while ks[-1] != b:
+            if len(ks) == 6:
                 raise RootSystemError("segment construction failed")
-            roots.append(-reflect(roots[-1], roots[-2]))
-        q = len(roots)
+            ks.append((perms[ks[-1] % npos][ks[-2]] + npos) % (2 * npos))
+        q = len(ks)
         label = {2: "A1xA1", 3: "A2", 4: "C2", 6: "G2"}.get(q)
         if label is None:
             raise RootSystemError(f"unexpected rank-2 segment length {q}")
-        return Rank2Segment(label, tuple(roots))
+        return Rank2Segment(label, tuple([self.all_roots[k] for k in ks]))
 
     # -- serialization helpers ----------------------------------------------
 

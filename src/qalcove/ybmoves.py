@@ -20,12 +20,19 @@ decoded on access.  The checks of build_sijection never decode them: both
 chains have the same lambda, so two subsets agree in ed, wt, down and
 height exactly when they agree in end vertex and in their key (c, down,
 height, n) without n, and in sign when n has the same parity.
+
+check_sijection runs the same checks without listing subsets: once per
+(side, prefix-end vertex, segment part), on the part's end vertex and the
+part of the key that it adds, and it counts the subsets of each class by
+sweeping the prefix and the suffix.  build_sijection stays the report of
+`yb sijection` and the oracle of the tests.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
+from operator import add
 
 from . import alcove, qbg
 from .alcove import AdmissibleSubset, LambdaChain, admissible_from_indices
@@ -41,7 +48,7 @@ class YbContext(FrozenRecord):
     """A chain together with one Yang-Baxter segment and its reversal."""
 
     _fields = ("chain1", "chain2", "t", "q", "alpha", "beta")
-    __slots__ = _fields + ("_path_cache", "_class_cache")
+    __slots__ = _fields + ("_path_cache", "_class_cache", "_check_cache")
 
     def __init__(
         self,
@@ -60,6 +67,8 @@ class YbContext(FrozenRecord):
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "_path_cache", {})
         object.__setattr__(self, "_class_cache", {})
+        # check_sijection's: _checked_vertex by vertex, _plan under -1
+        object.__setattr__(self, "_check_cache", {})
 
     @property
     def rs(self) -> RootSystem:
@@ -103,13 +112,9 @@ def find_yb_segments(chain: LambdaChain) -> list[tuple[int, int, Root, Root]]:
             if t + q > r:
                 break
             beta = chain.roots[t + q - 1]
-            if alpha == beta or alpha == -beta:
-                continue
-            if rs.root_pair(alpha, rs.coroot(beta)) > 0:
-                continue
             try:
                 seg = rs.rank2_subsystem(alpha, beta)
-            except RootSystemError:
+            except RootSystemError:  # proportional, or <alpha, beta^vee> > 0
                 continue
             if seg.q == q and seg.segment == chain.roots[t : t + q]:
                 out.append((t, q, alpha, beta))
@@ -246,11 +251,16 @@ def _class_entry(ctx: YbContext, a: AdmissibleSubset, primed: bool):
     m = bisect_right(indices, ctx.t)
     m2 = bisect_right(indices, ctx.t + ctx.q, m)
     v = a.vertices[m - 1] if m else a.w.index
+    phi, partner, p_primed = _class_table(ctx, primed, v)[indices[m:m2]]
+    return phi, indices[:m] + partner + indices[m2:], p_primed
+
+
+def _class_table(ctx: YbContext, primed: bool, v: int) -> dict:
+    """_classify(ctx, primed, v), built once per context."""
     table = ctx._class_cache.get((primed, v))
     if table is None:
         table = ctx._class_cache[primed, v] = _classify(ctx, primed, v)
-    phi, partner, p_primed = table[indices[m:m2]]
-    return phi, indices[:m] + partner + indices[m2:], p_primed
+    return table
 
 
 def _classify(ctx: YbContext, primed: bool, v: int) -> dict:
@@ -428,18 +438,11 @@ def _pair_up(side: dict, records, what):
     return tuple(pairs)
 
 
-def build_sijection(ctx: YbContext, w: WeylElement) -> Sijection:
-    """Construct and fully verify the sijection for one (YB) move and one w.
-
-    Every check compares the subsets' records (see _records), never their
-    decoded statistics.
-    """
-    records = (
-        _records(ctx, alcove.enumerate_admissible(ctx.chain1, w), False),
-        _records(ctx, alcove.enumerate_admissible(ctx.chain2, w), True),
-    )
+def _verify(records) -> tuple:
+    """Check Y, I1, I2 and the signed statistics multisets on records =
+    (records of side 1, records of side 2), each {indices: record} in lex
+    order (see _records); returns (Y pairs, I1 pairs, I2 pairs) of labels."""
     side1, side2 = records
-
     core = []
     for r in side1.values():
         if r[1][0] in (2, 4, 5):
@@ -462,13 +465,169 @@ def build_sijection(ctx: YbContext, w: WeylElement) -> Sijection:
             signed[stats] = signed.get(stats, 0) + (-sign if odd else sign)
     if any(v != 0 for v in signed.values()):
         raise SijectionError("signed statistics multisets disagree")
+    return tuple(core), invol1, invol2
 
+
+def build_sijection(ctx: YbContext, w: WeylElement) -> Sijection:
+    """Construct and fully verify the sijection for one (YB) move and one w.
+
+    Every check compares the subsets' records (see _records), never their
+    decoded statistics.  check_sijection runs the same checks once per
+    segment part instead of once per subset.
+    """
+    records = (
+        _records(ctx, alcove.enumerate_admissible(ctx.chain1, w), False),
+        _records(ctx, alcove.enumerate_admissible(ctx.chain2, w), True),
+    )
+    core, invol1, invol2 = _verify(records)
     return Sijection(
         ctx,
         w,
-        tuple(core),
+        core,
         invol1,
         invol2,
-        {i: r[1][0] for i, r in side1.items()},
-        {i: s[1][0] for i, s in side2.items()},
+        {i: r[1][0] for i, r in records[0].items()},
+        {i: s[1][0] for i, s in records[1].items()},
     )
+
+
+# -- the counted check -----------------------------------------------------------
+
+
+class _Part:
+    """The label of a segment part's record in check_sijection."""
+
+    __slots__ = ("rs", "primed", "v", "indices")
+
+    def __init__(self, rs: RootSystem, primed: bool, v: int, indices: tuple[int, ...]):
+        self.rs = rs
+        self.primed = primed
+        self.v = v
+        self.indices = indices
+
+    def __repr__(self):
+        chain, v = 2 if self.primed else 1, self.rs.weyl_elements[self.v]
+        return f"segment part {list(self.indices)} of chain {chain} from {v}"
+
+
+def _segment_stats(ctx: YbContext, primed: bool, v: int) -> dict:
+    """{segment indices: (end, key without n, parity of n)} of the segment
+    paths from the vertex of index v on one side, in lex order.
+
+    A depth-first walk over the segment positions only, adding the
+    increments of alcove._vertex_steps: key is the (c, down, height, n)
+    that the segment part adds to a subset's key, end the vertex it
+    reaches.  Indices are absolute in the side's chain.
+    """
+    rs = ctx.rs
+    column, quantum, _ = qbg._columns(rs)
+    root_wt, elements = rs._root_wt, rs.weyl_elements
+    rows = _plan(ctx)[1][primed]
+    out = {}
+    stack = [(0, v, (0,) * (2 * rs.rank + 2), ())]
+    push = stack.append
+    while stack:
+        pos, u, key, js = stack.pop()
+        out[js] = (u, key[:-1], key[-1] & 1)
+        perm = elements[u].root_perm
+        for i in range(len(rows) - 1, pos - 1, -1):
+            k, p, l, bruhat, lift = rows[i]
+            target = column[p][u]
+            if target >= 0:
+                c = tuple([-l * x for x in root_wt[perm[k]]])
+                inc = c + (lift if quantum[p][u] else bruhat)
+                push((i + 1, target, tuple(map(add, key, inc)), js + (ctx.t + i + 1,)))
+    return out
+
+
+def _checked_vertex(ctx: YbContext, v: int) -> list:
+    """[(end, tag, number of segment parts)] of the segment parts from the
+    vertex of index v on both sides, tag = 2 phi + side, after _verify has
+    passed on their records; built once per context, since nothing in it
+    depends on w.
+    """
+    got = ctx._check_cache.get(v)
+    if got is None:
+        rs = ctx.rs
+        records = []
+        for primed in (False, True):
+            table = _class_table(ctx, primed, v)
+            records.append({
+                js: (_Part(rs, primed, v, js), table[js], (end, key), odd)
+                for js, (end, key, odd) in _segment_stats(ctx, primed, v).items()
+            })
+        _verify(records)
+        tally: dict = {}
+        for primed, side in enumerate(records):
+            for _, entry, (end, _), _ in side.values():
+                group = (end, 2 * entry[0] + primed)
+                tally[group] = tally.get(group, 0) + 1
+        got = ctx._check_cache[v] = [(end, tag, count) for (end, tag), count in tally.items()]
+    return got
+
+
+def _plan(ctx: YbContext) -> tuple[list, tuple]:
+    """(labels, segment rows) of check_sijection, built once per context.
+
+    labels[j] indexes |beta_j| of chain1 in rs.positive_roots, for the
+    counting sweeps; segment rows are alcove._step_rows of each side's
+    segment positions.  SijectionError unless the chains agree outside the
+    segment.
+    """
+    got = ctx._check_cache.get(-1)
+    if got is None:
+        c1, c2, t, q = ctx.chain1, ctx.chain2, ctx.t, ctx.q
+        if not (
+            0 <= t and t + q <= len(c1) == len(c2)
+            and c1.lam == c2.lam
+            and c1.roots[:t] == c2.roots[:t] and c1.roots[t + q :] == c2.roots[t + q :]
+            and c1.levels[:t] == c2.levels[:t] and c1.levels[t + q :] == c2.levels[t + q :]
+        ):
+            raise SijectionError("the chains differ outside the segment")
+        labels = [qbg._root_step(ctx.rs, beta)[1] for beta in c1.roots]
+        rows = tuple(alcove._step_rows(chain, t, t + q) for chain in (c1, c2))
+        got = ctx._check_cache[-1] = labels, rows
+    return got
+
+
+def check_sijection(ctx: YbContext, w: WeylElement) -> tuple[dict, dict]:
+    """Every check of build_sijection(ctx, w), run once per segment part.
+
+    Returns (counts1, counts2), each {phi: number of w-admissible subsets
+    of class phi} on one side.  A subset is (prefix path to v, segment part
+    from v, suffix); Y, I1 and I2 keep the prefix and suffix indices, and
+    the key grows by increments that depend on (vertex, position) only.
+    So where the chains agree outside the segment, two subsets agree in
+    end, key without n and parity of n exactly when their segment parts
+    from v do, and every check on the subsets through v holds exactly when
+    it holds on the segment parts from v (_checked_vertex, cached under v;
+    the chains are compared once, by _plan under the key -1).  Every segment
+    part from a reachable v lies in some subset, the one with an empty
+    suffix, so the checks run on exactly the vertices that build_sijection
+    reaches.  The counts come from two counting sweeps: the prefix paths
+    from w by end vertex, and the suffix paths from each segment part's
+    end.
+    """
+    rs, t, q = ctx.rs, ctx.t, ctx.q
+    column, _, _ = qbg._columns(rs)
+    labels = _plan(ctx)[0]
+    still = [0] * len(rs.weyl_elements)  # no key changes: the sweeps only count
+
+    states = {w.index: {0: 1}}
+    for p in labels[:t]:
+        states = qbg.sweep_step(states, column[p], still, 1, keep=True)
+    ends: dict = {}  # {end vertex: {tag: number of subsets up to the suffix}}
+    for v, prefix in states.items():
+        paths = prefix[0]
+        for end, tag, count in _checked_vertex(ctx, v):
+            dst = ends.setdefault(end, {})
+            dst[tag] = dst.get(tag, 0) + paths * count
+    for p in labels[t + q :]:
+        ends = qbg.sweep_step(ends, column[p], still, 1, keep=True)
+
+    counts: tuple = ({}, {})
+    for final in ends.values():
+        for tag, count in final.items():
+            side = counts[tag & 1]
+            side[tag >> 1] = side.get(tag >> 1, 0) + count
+    return tuple({phi: side[phi] for phi in sorted(side)} for side in counts)

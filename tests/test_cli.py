@@ -460,6 +460,30 @@ def test_malformed_chain_file_is_a_chain_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"verification error: {message}")
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("lambda", "ab", "chain file field 'lambda' is not a list of 2 integers"),
+        ("roots", [1, 2], "chain file field 'roots' is not a list of lists of 2 integers"),
+        ("lambda", [1, 1, 0], "chain file field 'lambda' is not a list of 2 integers"),
+        ("type", ["A2"], "chain file field 'type' is not a string"),
+    ],
+)
+def test_misshapen_chain_field_is_a_usage_error(tmp_path, capsys, field, value, message):
+    # a field of the wrong JSON shape is unusable input: ChainError naming the
+    # field, reported by the CLI as a usage error (exit 2), as a chain file
+    # of another type is
+    rs = qa.build_root_system("A2")
+    data = qa.lex_chain(rs, rs.weight([1, 1])).to_json()
+    data[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(qa.ChainError, match=message):
+        qa.LambdaChain.load(str(path), rs)
+    assert main(["chain", "validate", "--type", "A2", "--chain", str(path)]) == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 def test_deterministic_reports(capsys):
     args = ("yb", "segments", "--type", "A2", "--lambda", "1,1")
     _, first = run(capsys, *args)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -355,13 +356,13 @@ def per_subset_entry(ctx, a, primed):
 def test_class_table_against_per_subset_classification(monkeypatch):
     # the criterion-7 contexts, which include both G2 exceptional ones
     built = []
-    build = ybmoves.build_sijection
+    check = ybmoves.check_sijection
 
     def recording(ctx, w):
         built.append((ctx, w))
-        return build(ctx, w)
+        return check(ctx, w)
 
-    monkeypatch.setattr(ybmoves, "build_sijection", recording)
+    monkeypatch.setattr(ybmoves, "check_sijection", recording)
     assert suite.criterion_sijection().passed
     kinds = {ybmoves._pattern_kind(ctx.pi) for ctx, _ in built}
     assert {"E13", "E24"} <= kinds
@@ -502,3 +503,220 @@ def test_yb_cli_golden_bytes(tmp_path, monkeypatch):
         with contextlib.redirect_stdout(out):
             assert main(command.split()) == 0
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, command
+
+
+# -- the counted check ---------------------------------------------------------
+
+# the A2 and C2 weights of suite criterion 7
+SUITE_LAMBDAS = {
+    "A2": ([-2, 1], [1, 1], [2, -1], [-1, -1], [0, 2], [1, -2]),
+    "C2": ([-1, 1], [1, 1], [1, -1], [0, 2], [-2, 1], [2, 0]),
+}
+
+
+def suite_segments():
+    """(host chain, t, q) for every YB segment of the chains of suite
+    criterion 7: lex(lambda+) lex(lambda-) and the segment chain of each
+    A2 and C2 weight, and the two G2 exceptional hosts."""
+    out = []
+    for label, lams in SUITE_LAMBDAS.items():
+        rs = qa.build_root_system(label)
+        for coeffs in lams:
+            lam = rs.weight(coeffs)
+            for chain in (
+                qa.concat_chains(*(qa.lex_chain(rs, part) for part in qa.lambda_pm(lam))),
+                qa.segment_chain(rs, lam),
+            ):
+                out += [(chain, t, q) for t, q, _, _ in qa.find_yb_segments(chain)]
+    for kind in ("E13", "E24"):
+        chain = g2_exceptional_context(kind)[1].chain1
+        out += [(chain, t, q) for t, q, _, _ in qa.find_yb_segments(chain)]
+    return out
+
+
+def class_counts(sij):
+    return dict(Counter(sij.classes1.values())), dict(Counter(sij.classes2.values()))
+
+
+def test_check_sijection_counts_classes_as_build_sijection():
+    # every segment of criterion 7's chains at every w, both G2 exceptional
+    # patterns among them, then every D4 segment of both mixed chains at e
+    # and a seeded w, and the F4 segment of test_f4_sijection_one_segment
+    cases = [
+        (chain, t, q, w)
+        for chain, t, q in suite_segments()
+        for w in chain.rs.weyl_elements
+    ]
+    assert len(cases) == 266
+    rs, chain, reverse = mixed_chains(D4, "D4", (0, 1, 0, -1))
+    w = random.Random(20261019).choice(rs.weyl_elements)
+    cases += [
+        (host, t, q, x)
+        for host in (chain, reverse)
+        for t, q, _, _ in qa.find_yb_segments(host)
+        for x in (rs.identity, w)
+    ]
+    rs, chain, _ = mixed_chains(F4, "F4", (0, 0, 1, -1))
+    t, q, _, _ = next(s for s in qa.find_yb_segments(chain) if s[1] == 3)
+    cases.append((chain, t, q, rs.identity))
+    seen = set()
+    for chain, t, q, w in cases:
+        ctx = qa.make_context(chain, t, q)
+        counts = ybmoves.check_sijection(ctx, w)
+        assert counts == class_counts(qa.build_sijection(ctx, w)), (chain.rs.type_label, t, w)
+        seen |= set(counts[0]) | set(counts[1])
+    assert seen == {1, 2, 3, 4, 5}
+    assert counts[0] == {2: 2434}
+
+
+def test_check_sijection_refuses_chains_that_differ_outside_the_segment():
+    # the counted check assumes equal prefixes and suffixes: a second chain
+    # that also reverses a segment after or before the context's, or is
+    # another lambda's chain, is refused, not miscounted
+    rs = qa.build_root_system("C2")
+    chain = qa.lex_chain(rs, rs.weight([2, 1]))
+    first, _, last = qa.find_yb_segments(chain)
+    assert first[:2] == (0, 4) and last[:2] == (6, 2)
+    for (t, q, a, b), (t2, q2, _, _) in ((first, last), (last, first)):
+        chain2 = qa.make_context(chain, t, q).chain2
+        for other in (qa.yb_transform(chain2, t2, q2), qa.lex_chain(rs, rs.weight([1, 1]))):
+            ctx = ybmoves.YbContext(chain, other, t, q, a, b)
+            with pytest.raises(ybmoves.SijectionError, match="differ outside the segment"):
+                ybmoves.check_sijection(ctx, rs.identity)
+
+
+def refusing_cases(fn, make=qa.make_context):
+    """The (segment number, w index) at which fn(ctx, w) raises
+    SijectionError, over criterion 7's A2 and C2 segments and both G2
+    exceptional ones and every w, on one context make(host, t, q) per
+    segment and function."""
+    segments = [
+        (chain, t, q)
+        for chain, t, q in suite_segments()
+        if chain.rs.type_label != "G2" or ybmoves._pattern_kind(chain.roots[t : t + q])
+    ]
+    out = set()
+    for i, (chain, t, q) in enumerate(segments):
+        ctx = make(chain, t, q)
+        for w in chain.rs.weyl_elements:
+            try:
+                fn(ctx, w)
+            except ybmoves.SijectionError:
+                out.add((i, w.index))
+    return out
+
+
+def assert_same_refusals(make=qa.make_context):
+    """build_sijection and check_sijection refuse the same (context, w)
+    pairs of refusing_cases, some but not all of them."""
+    refused = refusing_cases(qa.build_sijection, make)
+    assert refusing_cases(ybmoves.check_sijection, make) == refused
+    assert 0 < len(refused) < 122
+
+
+# the vertex whose class tables and segment statistics the mutants corrupt;
+# it is s1 s2 in A2, C2 and G2
+FAULT_WORD = "s1s2"
+
+
+@pytest.mark.parametrize("fault", ["partner", "phi", "not an index set"])
+def test_counted_check_refuses_a_planted_class_entry(monkeypatch, fault):
+    # one class-2 entry of chain 1's table at FAULT_WORD, in every context
+    classify = ybmoves._classify
+
+    def planted(ctx, primed, v):
+        table = classify(ctx, primed, v)
+        if primed or ctx.rs.weyl_elements[v].word_str != FAULT_WORD:
+            return table
+        js = next((js for js, entry in table.items() if entry[0] == 2), None)
+        if js is not None:
+            phi, partner, side = table[js]
+            if fault == "partner":
+                paths = [tuple(ctx.t + j for j in ks) for ks, _ in ctx.paths(v, True)[0]]
+                partner = next(path for path in paths if path != partner)
+            elif fault == "phi":
+                phi = 1
+            else:
+                partner = (1, 1)
+            table[js] = phi, partner, side
+        return table
+
+    monkeypatch.setattr(ybmoves, "_classify", planted)
+    assert_same_refusals()
+
+
+@pytest.mark.parametrize("part", ["end", "c", "height", "n"])
+def test_counted_check_refuses_a_planted_statistic(monkeypatch, part):
+    # the least nonempty segment part from FAULT_WORD on chain 2 gets a wrong
+    # end vertex, c, height or parity of n, in every context: in the record
+    # of every subset through it for build_sijection, in its own record for
+    # check_sijection
+    segment_stats, records = ybmoves._segment_stats, ybmoves._records
+
+    def corrupt(rs, end, key, odd):
+        if part == "end":
+            end = (end + 1) % len(rs.weyl_elements)
+        elif part == "n":
+            odd ^= 1
+        else:
+            k = 0 if part == "c" else len(key) - 1  # height ends the key without n
+            key = tuple(x + (j == k) for j, x in enumerate(key))
+        return end, key, odd
+
+    def target(ctx):
+        v = ctx.rs.element_from_word(FAULT_WORD).index
+        return v, next((js for js in segment_stats(ctx, True, v) if js), None)
+
+    def planted_stats(ctx, primed, v):
+        out = segment_stats(ctx, primed, v)
+        v0, js = target(ctx)
+        if primed and v == v0 and js is not None:
+            out[js] = corrupt(ctx.rs, *out[js])
+        return out
+
+    def planted_records(ctx, side, primed):
+        out = records(ctx, side, primed)
+        v0, js = target(ctx)
+        for i, (a, entry, (end, key), odd) in out.items() if primed else ():
+            prefix, segment, _ = qa.split_admissible(i, ctx.t, ctx.q)
+            v = a.vertices[len(prefix) - 1] if prefix else a.w.index
+            if (v, segment) == (v0, js):
+                end, key, odd = corrupt(ctx.rs, end, key, odd)
+                out[i] = a, entry, (end, key), odd
+        return out
+
+    monkeypatch.setattr(ybmoves, "_segment_stats", planted_stats)
+    monkeypatch.setattr(ybmoves, "_records", planted_records)
+    assert_same_refusals()
+
+
+@pytest.mark.parametrize("part", ["c", "height", "n"])
+def test_counted_check_refuses_a_planted_step(monkeypatch, part):
+    # chain 2's step row at the first segment position, which the enumerator
+    # and the segment walk both read from alcove._step_rows, gets a level
+    # one off (so a wrong c), a height increment one off or the wrong sign
+    step_rows = qa.alcove._step_rows
+    starts = {}  # id(chain 2) -> (chain 2, t), so no id is reused
+
+    def make(chain, t, q):
+        ctx = qa.make_context(chain, t, q)
+        starts[id(ctx.chain2)] = ctx.chain2, t
+        return ctx
+
+    def planted(chain, lo, hi):
+        rows = step_rows(chain, lo, hi)
+        t = starts.get(id(chain), (None, -1))[1]
+        if lo <= t < hi:
+            k, p, l, bruhat, lift = rows[t - lo]
+            n = len(lift) - 2  # the height field
+            if part == "c":
+                l += 1
+            elif part == "height":
+                lift = lift[:n] + (lift[n] + 1,) + lift[n + 1 :]
+            else:
+                bruhat, lift = (x[:-1] + (1 - x[-1],) for x in (bruhat, lift))
+            rows[t - lo] = k, p, l, bruhat, lift
+        return rows
+
+    monkeypatch.setattr(qa.alcove, "_step_rows", planted)
+    assert_same_refusals(make)
