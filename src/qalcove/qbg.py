@@ -83,19 +83,19 @@ class DirectedPath(FrozenRecord):
 def _columns(rs: RootSystem) -> tuple[tuple, tuple, tuple]:
     """(column, quantum, right) by positive root p, then by vertex index v.
 
-    right[p][v] is the index of v s_p, column[p][v] the same if QBG has the
-    edge v -> v s_p, else -1, and quantum[p][v] flags a quantum edge.
+    right is rs._right: right[p][v] is the index of v s_p.  column[p][v] is
+    the same if QBG has the edge v -> v s_p, else -1, and quantum[p][v]
+    flags a quantum edge; both are read off the lengths of v and v s_p.
     Built once per root system; every reader of the graph goes through it.
     """
     if rs._columns is None:
-        column, quantum, right = [], [], []
-        for alpha in rs.positive_roots:
-            s, drop = rs.reflection(alpha), 2 * rs.coroot(alpha).height - 1
-            ends = [(v.length, rs.mult(v, s)) for v in rs.weyl_elements]
-            column.append(tuple(t.index if t.length in (l + 1, l - drop) else -1 for l, t in ends))
-            quantum.append(tuple(t.length == l - drop for l, t in ends))
-            right.append(tuple(t.index for _, t in ends))
-        rs._columns = tuple(column), tuple(quantum), tuple(right)
+        column, quantum = [], []
+        length = [len(v.word) for v in rs.weyl_elements]
+        for row, cor in zip(rs._right, rs._coroot_vec):
+            drop = 2 * sum(cor) - 1
+            column.append(tuple([t if length[t] in (l + 1, l - drop) else -1 for l, t in zip(length, row)]))
+            quantum.append(tuple([length[t] == l - drop for l, t in zip(length, row)]))
+        rs._columns = tuple(column), tuple(quantum), rs._right
     return rs._columns
 
 
@@ -356,18 +356,19 @@ def reflection_orders(rs: RootSystem) -> list[tuple[Root, ...]]:
     at the end, so the order of the walk does not matter.
     """
     npos = len(rs.positive_roots)
-    simple = [(rs._root_index[rs.simple_root(i)], rs.simple_reflection(i)) for i in range(rs.rank)]
+    simple = [(rs._root_index[rs.simple_root(i)], rs._simple[i]) for i in range(rs.rank)]
     words = []
-    stack = [(rs.identity, ())]
+    stack = [(0, ())]
     push = stack.append
     while stack:
-        w, seq = stack.pop()
+        v, seq = stack.pop()
         if len(seq) == npos:
             words.append(seq)
-        for a, s in simple:
-            k = w.root_perm[a]
+        perm = rs.weyl_elements[v].root_perm
+        for a, step in simple:
+            k = perm[a]
             if k < npos:
-                push((rs.mult(w, s), seq + (k,)))
+                push((step[v], seq + (k,)))
     return [tuple(rs.positive_roots[k] for k in seq) for seq in sorted(words)]
 
 

@@ -3,10 +3,12 @@
 All arithmetic is exact: roots and coroots are integer vectors in the
 simple-(co)root basis and weights are integer vectors in the
 fundamental-weight basis; the alcove walk carries d times each point, an
-integer vector.  Weyl elements carry their
-ShortLex-minimal reduced word plus cached action tables; each root system
-makes exactly one instance per element, so equality and hashing are object
-identity.
+integer vector.  The Weyl group is walked breadth-first as the orbit of
+rho, each element w keyed by w^-1(rho), and multiplied through integer
+tables: _right[p][v] is the index of v s_beta for beta = positive_roots[p].
+Weyl elements carry their ShortLex-minimal reduced word and their
+permutation of the roots; each root system makes exactly one instance per
+element, so equality and hashing are object identity.
 """
 
 from __future__ import annotations
@@ -147,20 +149,19 @@ class Weight(_Coeffs):
 class WeylElement:
     """A Weyl group element, canonicalized by its ShortLex-minimal reduced word.
 
-    Instances are created only by RootSystem enumeration, one per root
-    permutation, and every operation returns one of them; equality and
-    hashing are therefore the default object identity.  Elements of two
-    root systems are never equal, even with the same word.
+    Instances are created only by RootSystem enumeration, one per point
+    w^-1(rho) of the orbit of rho, and every operation returns one of them;
+    equality and hashing are therefore the default object identity.
+    Elements of two root systems are never equal, even with the same word.
     """
 
-    __slots__ = ("rs", "word", "index", "root_perm", "wt_cols")
+    __slots__ = ("rs", "word", "index", "root_perm")
 
-    def __init__(self, rs, word, index, root_perm, wt_cols):
+    def __init__(self, rs, word, index, root_perm):
         self.rs = rs
         self.word = word  # tuple of 0-based generator indices
         self.index = index  # position in rs.weyl_elements (ShortLex order)
         self.root_perm = root_perm  # permutation of rs.all_roots indices
-        self.wt_cols = wt_cols  # wt_cols[j] = image of varpi_j in fund coords
 
     @property
     def length(self) -> int:
@@ -286,57 +287,55 @@ class RootSystem:
         self._coroot_vec = tuple(self._coroots[r].coeffs for r in self.all_roots)
 
     def _build_weyl_group(self):
+        # key w by w^-1(rho) in fundamental-weight coordinates: the orbit of
+        # rho is regular, so the key is unique, and (w s_i)^-1(rho) =
+        # s_i(w^-1(rho)), so a step of the breadth-first walk by right
+        # multiplication is one reflection of an n-vector (Bjorner-Brenti,
+        # Combinatorics of Coxeter Groups, ch. 4)
         n = self.rank
-        nroots = len(self.all_roots)
-        id_perm = tuple(range(nroots))
-        id_cols = tuple(
-            tuple(1 if i == j else 0 for i in range(n)) for j in range(n)
-        )
-        gen_perm = []
-        gen_cols = []
-        for i in range(n):
-            perm = tuple(
+        gen_perm = [
+            tuple(
                 self._root_index[Root(self._simple_reflect_root(i, r.coeffs))]
                 for r in self.all_roots
             )
-            cols = tuple(
-                self._weight_reflect(i, id_cols[j]) for j in range(n)
-            )
-            gen_perm.append(perm)
-            gen_cols.append(cols)
-
-        elements: list[WeylElement] = []
-        by_perm: dict[tuple[int, ...], WeylElement] = {}
-        e = WeylElement(self, (), 0, id_perm, id_cols)
-        elements.append(e)
-        by_perm[id_perm] = e
-        queue = [e]
-        while queue:
-            nxt = []
-            for w in queue:
-                for i in range(n):
+            for i in range(n)
+        ]
+        elements = [WeylElement(self, (), 0, tuple(range(len(self.all_roots))))]
+        keys = [(1,) * n]
+        index = {keys[0]: 0}
+        simple = [[] for _ in range(n)]  # simple[i][v]: the index of v s_i
+        for w in elements:  # grows while walked: breadth-first
+            key = keys[w.index]
+            for i in range(n):
+                img = self._weight_reflect(i, key)
+                u = index.get(img)
+                if u is None:
                     # right multiplication by s_i: x -> w(s_i(x))
-                    perm = tuple(w.root_perm[k] for k in gen_perm[i])
-                    if perm in by_perm:
-                        continue
-                    cols = tuple(
-                        self._apply_cols(w.wt_cols, gen_cols[i][j]) for j in range(n)
-                    )
-                    u = WeylElement(self, w.word + (i,), len(elements), perm, cols)
-                    elements.append(u)
-                    by_perm[perm] = u
-                    nxt.append(u)
-            queue = nxt
+                    perm = tuple([w.root_perm[k] for k in gen_perm[i]])
+                    u = index[img] = len(elements)
+                    elements.append(WeylElement(self, w.word + (i,), u, perm))
+                    keys.append(img)
+                simple[i].append(u)
         self.weyl_elements: tuple[WeylElement, ...] = tuple(elements)
         # 1-based reduced words by element index, as element_to_json writes them
         self._json_words = tuple(tuple(i + 1 for i in w.word) for w in elements)
-        self._by_perm = by_perm
-        self._reflections: dict[Root, WeylElement] = {}
-        for r in self.positive_roots:
-            perm = tuple(
-                self._root_index[self._reflect_root(r, x)] for x in self.all_roots
-            )
-            self._reflections[r] = by_perm[perm]
+        # _right[p][v]: the index of v s_beta for beta = positive_roots[p];
+        # _simple holds its rows for the simple roots, by generator index.
+        # s_beta = s_i s_gamma s_i for gamma = s_i(beta), lower in height
+        # order when <beta, alpha_i^vee> > 0.
+        self._simple = tuple(map(tuple, simple))
+        right: list = [None] * len(self.positive_roots)
+        for i in range(n):
+            right[self._root_index[self.simple_root(i)]] = self._simple[i]
+        for p in range(len(right)):
+            if right[p] is None:
+                i = next(i for i in range(n) if self._root_wt[p][i] > 0)
+                r, mid = self._simple[i], right[gen_perm[i][p]]
+                right[p] = tuple([r[mid[x]] for x in r])
+        self._right = tuple(right)
+        self._reflections: dict[Root, WeylElement] = {
+            beta: elements[right[p][0]] for p, beta in enumerate(self.positive_roots)
+        }
         # root_perm of s_beta by the index of beta in positive_roots
         self._reflection_perms = tuple(self._reflections[r].root_perm for r in self.positive_roots)
 
@@ -345,23 +344,6 @@ class RootSystem:
         mi = coeffs[i]
         return tuple(
             coeffs[k] - mi * self.cartan[k][i] for k in range(self.rank)
-        )
-
-    def _apply_cols(self, cols, vec):
-        # image of the weight `vec` under the element with weight columns `cols`
-        n = self.rank
-        out = [0] * n
-        for j in range(n):
-            if vec[j]:
-                for k in range(n):
-                    out[k] += vec[j] * cols[j][k]
-        return tuple(out)
-
-    def _reflect_root(self, alpha: Root, beta: Root) -> Root:
-        # s_alpha(beta) = beta - <beta, alpha^vee> alpha
-        p = self.root_pair(beta, self.coroot(alpha))
-        return Root(
-            tuple(b - p * a for b, a in zip(beta.coeffs, alpha.coeffs))
         )
 
     # -- basic queries ------------------------------------------------------
@@ -431,16 +413,18 @@ class RootSystem:
         if isinstance(word, str):
             if word in ("e", ""):
                 return self.identity
-            parts = word.replace(" ", "").split("s")
-            idx = tuple(int(p) - 1 for p in parts if p)
+            parts = [p for p in word.replace(" ", "").split("s") if p]
+            if not all(p.isdecimal() for p in parts):
+                raise RootSystemError(f"not a Weyl word: {word!r}")
+            idx = tuple(int(p) - 1 for p in parts)
         else:
             idx = tuple(word)
-        w = self.identity
+        t = 0
         for i in idx:
             if not 0 <= i < self.rank:
                 raise RootSystemError(f"generator index out of range: s{i + 1}")
-            w = self.mult(w, self.simple_reflection(i))
-        return w
+            t = self._simple[i][t]
+        return self.weyl_elements[t]
 
     def simple_reflection(self, i: int) -> WeylElement:
         return self._reflections[self.simple_root(i)]
@@ -450,21 +434,26 @@ class RootSystem:
 
     def mult(self, u: WeylElement, v: WeylElement) -> WeylElement:
         """Product uv (uv acts by x -> u(v(x)))."""
-        perm = tuple(u.root_perm[k] for k in v.root_perm)
-        return self._by_perm[perm]
+        t = u.index
+        for i in v.word:
+            t = self._simple[i][t]
+        return self.weyl_elements[t]
 
     def inverse(self, w: WeylElement) -> WeylElement:
-        inv = [0] * len(w.root_perm)
-        for a, b in enumerate(w.root_perm):
-            inv[b] = a
-        return self._by_perm[tuple(inv)]
+        t = 0
+        for i in reversed(w.word):
+            t = self._simple[i][t]
+        return self.weyl_elements[t]
 
     def act(self, w: WeylElement, x: Weight | Root):
         """Action of w on a Weight or Root."""
         if isinstance(x, Root):
             return self.all_roots[w.root_perm[self._root_index[x]]]
         if isinstance(x, Weight):
-            return Weight(self._apply_cols(w.wt_cols, x.coeffs))
+            mu = x.coeffs
+            for i in reversed(w.word):
+                mu = self._weight_reflect(i, mu)
+            return Weight(mu)
         raise TypeError(f"cannot act on {type(x).__name__}")
 
     # -- rank-2 subsystems ----------------------------------------------------

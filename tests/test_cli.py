@@ -126,6 +126,14 @@ def test_usage_errors(capsys, tmp_path):
     ):
         code, out = run(capsys, *argv)
         assert (code, out) == (2, "")
+    # a --w that is not a word names its text, as a usage error
+    for argv, text in (
+        (("gf", "eval", "--type", "A2", "--lambda", "1,0", "--w", "x"), "x"),
+        (("adm", "enumerate", "--type", "G2", "--lambda", "1,-2", "--w", "s2s1x"), "s2s1x"),
+    ):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"usage error: not a Weyl word: {text!r}\n")
     # positions that are no Yang-Baxter segment of the chain, in or out of range
     for action in ("apply", "sijection"):
         for t, q in (("9", "3"), ("-1", "3"), ("0", "2")):

@@ -1363,3 +1363,75 @@ def test_enumerator_against_path_listing(label, coeffs):
                 assert (a.wt, a.ed, a.down, a.height, a.n) == walk_statistics(chain, w, p)
                 assert a.path == p
                 assert a.vertices == tuple(v.index for v in p.vertices()[1:])
+
+
+# -- every power of q against Macdonald's P_(k)(x; q, 0) in type A --------------
+
+
+def q_binomial(n, j):
+    """[n; j]_q as {exponent: coefficient}, by [n; j] = [n-1; j-1] + q^j [n-1; j]."""
+    if j in (0, n):
+        return {0: 1}
+    out = dict(q_binomial(n - 1, j - 1))
+    for e, c in q_binomial(n - 1, j).items():
+        out[e + j] = out.get(e + j, 0) + c
+    return out
+
+
+def q_multinomial(mu):
+    """[|mu|; mu_1, ..., mu_m]_q, the product of [mu_1 + ... + mu_i; mu_i]_q."""
+    out, total = {0: 1}, 0
+    for part in mu:
+        total += part
+        prod: dict = {}
+        for e, c in out.items():
+            for f, d in q_binomial(total, part).items():
+                prod[e + f] = prod.get(e + f, 0) + c * d
+        out = prod
+    return out
+
+
+def compositions(k, parts):
+    if parts == 1:
+        yield (k,)
+        return
+    for first in range(k + 1):
+        for rest in compositions(k - first, parts - 1):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_single_row_is_q_multinomial(label, k):
+    # for lambda = k varpi_1 in type A_n, the sum over A(e, Gamma) of
+    # q^height e^wt is P_(k)(x; q, 0) = sum over |mu| = k of the
+    # q-multinomial [k; mu_1, ..., mu_{n+1}]_q x^mu (Macdonald, Symmetric
+    # Functions and Hall Polynomials, ch. VI), x^mu of fundamental-weight
+    # coordinates (mu_i - mu_{i+1})_i; no subset of a dominant lex chain has
+    # a negative root, so every sign is +1
+    rs = qa.build_root_system(label)
+    n = rs.rank
+    want = {}
+    for mu in compositions(k, n + 1):
+        wt = tuple(mu[i] - mu[i + 1] for i in range(n))
+        want[wt] = q_multinomial(mu)
+    chain = qa.lex_chain(rs, rs.weight((k,) + (0,) * (n - 1)))
+
+    sums: dict = {}
+    for (wt, height), count in qa.weight_sums(chain, rs.identity).items():
+        sums.setdefault(wt, {})[height] = count
+    assert sums == want
+
+    by_genfun: dict = {}
+    for (mu, _), block in genfun(chain, x_at(rs)).table.items():
+        poly = by_genfun.setdefault(mu, {})
+        for p in block.values():
+            for e, c in p.items():  # the exponent of q is -height
+                poly[-e] = poly.get(-e, 0) + c
+    assert by_genfun == want
+
+    by_subset: dict = {}
+    for a in qa.enumerate_admissible(chain, rs.identity):
+        poly = by_subset.setdefault(a.wt.coeffs, {})
+        poly[a.height] = poly.get(a.height, 0) + a.sign
+    assert by_subset == want

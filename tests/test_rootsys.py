@@ -1,8 +1,12 @@
-import pytest
+import random
+import re
 from fractions import Fraction
 
+import pytest
+
 import qalcove as qa
-from qalcove.rootsys import Root, RootSystemError
+from qalcove import qbg
+from qalcove.rootsys import _CARTAN, Root, RootSystemError
 
 
 def test_standard_data():
@@ -181,6 +185,17 @@ def test_word_round_trip():
         assert rs.element_from_json(rs.element_to_json(w)) == w
 
 
+def test_word_text_forms():
+    rs = qa.build_root_system("B3")
+    assert rs.element_from_word("e") is rs.element_from_word("") is rs.identity
+    assert rs.element_from_word("s1 s2") is rs.element_from_word((0, 1))
+    assert rs.element_from_word("3") is rs.element_from_word("s3") is rs.simple_reflection(2)
+    # a part between the s's that is not decimal digits is no word
+    for text in ("x", "s2s1x", "s+1", "s1-"):
+        with pytest.raises(RootSystemError, match=re.escape(repr(text))):
+            rs.element_from_word(text)
+
+
 @pytest.mark.parametrize(
     "cartan",
     [
@@ -310,3 +325,118 @@ def test_weyl_elements_are_canonical_instances():
     for w, v in zip(a2.weyl_elements, twin.weyl_elements):
         assert w.word == v.word and w != v
     assert qa.build_root_system("C2").identity != a2.identity
+
+
+# -- differential test: the permutation-composition build as oracle for the
+# rho-orbit walk and the reflection tables -------------------------------------
+
+
+def perm_walk(rs):
+    """The Weyl group built by composing root permutations, as it was before
+    the rho-orbit walk: (elements, by_perm, reflections, columns).
+
+    elements[v] = (word, root_perm, weight columns) in breadth-first order by
+    right multiplication, the columns cols[j] the image of varpi_j;
+    by_perm maps a root permutation to its element's index, reflections a
+    positive root beta to the index of s_beta, and columns are the
+    (column, quantum, right) tables of qbg._columns, each v s_beta formed as
+    a full permutation product.
+    """
+    n, roots, a = rs.rank, rs.all_roots, rs.cartan
+
+    def reflect_weight(i, mu):
+        return tuple(mu[k] - mu[i] * a[k][i] for k in range(n))
+
+    def reflect_root(alpha, beta):
+        p = rs.root_pair(beta, rs.coroot(alpha))
+        return Root(tuple(b - p * c for b, c in zip(beta.coeffs, alpha.coeffs)))
+
+    id_perm = tuple(range(len(roots)))
+    id_cols = tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
+    gen_perm = [tuple(rs._root_index[reflect_root(rs.simple_root(i), r)] for r in roots) for i in range(n)]
+    gen_cols = [tuple(reflect_weight(i, c) for c in id_cols) for i in range(n)]
+    elements = [((), id_perm, id_cols)]
+    by_perm = {id_perm: 0}
+    queue = [0]
+    while queue:
+        nxt = []
+        for v in queue:
+            word, perm0, cols0 = elements[v]
+            for i in range(n):
+                perm = tuple(perm0[k] for k in gen_perm[i])
+                if perm in by_perm:
+                    continue
+                cols = tuple(apply_cols(cols0, gen_cols[i][j]) for j in range(n))
+                by_perm[perm] = len(elements)
+                elements.append((word + (i,), perm, cols))
+                nxt.append(by_perm[perm])
+        queue = nxt
+    reflections = {
+        r: by_perm[tuple(rs._root_index[reflect_root(r, x)] for x in roots)]
+        for r in rs.positive_roots
+    }
+    column, quantum, right = [], [], []
+    for alpha in rs.positive_roots:
+        s, drop = elements[reflections[alpha]][1], 2 * rs.coroot(alpha).height - 1
+        ends = []
+        for word, perm, _ in elements:
+            t = by_perm[tuple(perm[k] for k in s)]
+            ends.append((len(word), t, len(elements[t][0])))
+        column.append(tuple(t if m in (l + 1, l - drop) else -1 for l, t, m in ends))
+        quantum.append(tuple(m == l - drop for l, _, m in ends))
+        right.append(tuple(t for _, t, _ in ends))
+    return elements, by_perm, reflections, (tuple(column), tuple(quantum), tuple(right))
+
+
+def apply_cols(cols, vec):
+    """The image of the weight vec under the element with weight columns cols."""
+    out = [0] * len(vec)
+    for j, x in enumerate(vec):
+        for k in range(len(vec)):
+            out[k] += x * cols[j][k]
+    return tuple(out)
+
+
+def oracle_types():
+    yield from (qa.build_root_system(label) for label in _CARTAN)
+    yield qa.root_system_from_cartan(D4, "D4")
+    yield qa.root_system_from_cartan(F4, "F4")
+
+
+@pytest.mark.parametrize("rs", list(oracle_types()), ids=lambda rs: rs.type_label)
+def test_weyl_group_against_permutation_walk(rs):
+    elements, _, reflections, columns = perm_walk(rs)
+    assert len(rs.weyl_elements) == len(elements)
+    for v, (word, perm, _) in zip(rs.weyl_elements, elements):
+        assert (v.word, v.root_perm) == (word, perm)
+    assert [w.index for w in rs.weyl_elements] == list(range(len(elements)))
+    assert rs._json_words == tuple(tuple(i + 1 for i in word) for word, _, _ in elements)
+    assert {r: w.index for r, w in rs._reflections.items()} == reflections
+    assert rs._reflection_perms == tuple(elements[reflections[r]][1] for r in rs.positive_roots)
+    assert qbg._columns(rs) == columns
+
+
+def test_products_against_permutation_walk():
+    rng = random.Random(7)
+    for rs in oracle_types():
+        elements, by_perm, _, _ = perm_walk(rs)
+        mu = tuple((-1) ** j * (j + 1) for j in range(rs.rank))  # (1, -2, 3, ...)
+        if rs.rank <= 3:
+            pairs = [(u, v) for u in rs.weyl_elements for v in rs.weyl_elements]
+        elif rs.type_label == "F4":
+            pairs = [(rng.choice(rs.weyl_elements), rng.choice(rs.weyl_elements)) for _ in range(500)]
+        else:
+            continue
+        for u, v in pairs:
+            pu, pv = elements[u.index][1], elements[v.index][1]
+            assert rs.mult(u, v).index == by_perm[tuple(pu[k] for k in pv)]
+            cols = elements[rs.mult(u, v).index][2]
+            assert rs.act(u, rs.act(v, rs.weight(mu))).coeffs == apply_cols(cols, mu)
+        for u in {u for pair in pairs for u in pair}:
+            perm, cols = elements[u.index][1:]
+            inv = [0] * len(perm)
+            for k, t in enumerate(perm):
+                inv[t] = k
+            assert rs.inverse(u).index == by_perm[tuple(inv)]
+            for j in range(rs.rank):
+                assert rs.act(u, rs.fundamental_weight(j)).coeffs == cols[j]
