@@ -69,9 +69,7 @@ from .ybmoves import (
     yb_transform,
 )
 from .qbops import (
-    GroupAlgebraElt,
     OperatorMatrix,
-    QPoly,
     apply_Q,
     apply_R_sequence,
     check_golden,
@@ -84,7 +82,6 @@ from .qbops import (
 from .genfun import (
     AffineWeylElt,
     GenFun,
-    Laurent,
     ParTuple,
     compose,
     genfun_equal,

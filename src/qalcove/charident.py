@@ -3,7 +3,10 @@
 The character symbols gch[w] are opaque; the only relation imposed is the
 translation normalization gch[w t_xi] = q^{-<mu, xi>} gch[w] for the ambient
 dominant weight mu.  The right-hand side of the expansion is computed exactly
-above a q-exponent floor, and specializes combinatorially at mu = 0.
+above a q-exponent floor, and specializes combinatorially at mu = 0.  A
+FormalChar is a genfun.TermTable, so its coefficients, and those that
+add_symbol and specialize_trivial take and return, are plain {exponent:
+count} dicts.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .alcove import (
 from .genfun import (
     AffineWeylElt,
     GenFun,
-    Laurent,
     TermTable,
     add_block,
     compose,
@@ -47,10 +49,11 @@ class FormalChar(TermTable):
         self.mu_param = mu_param
         super().__init__(rs, terms)
 
-    def add_symbol(self, mu: Weight, x: AffineWeylElt, coeff: Laurent):
-        """Add coeff * e^mu * gch[x], normalizing gch[w t_xi] to q^{-<mu_param,xi>} gch[w]."""
+    def add_symbol(self, mu: Weight, x: AffineWeylElt, coeff: dict):
+        """Add coeff * e^mu * gch[x], coeff as {exponent: count}, normalizing
+        gch[w t_xi] to q^{-<mu_param,xi>} gch[w]."""
         shift = -self.rs.pair(self.mu_param, x.xi)
-        poly = {e + shift: c for e, c in coeff.terms.items()}
+        poly = {e + shift: c for e, c in coeff.items()}
         add_block(self.table, (mu.coeffs, x.w.index), {(): poly})
 
     def __eq__(self, other):
@@ -103,7 +106,8 @@ def _expand(
 
 
 def specialize_trivial(f: FormalChar) -> dict:
-    """Substitute gch[w] := 1 for all w; defined only for mu_param = 0."""
+    """Substitute gch[w] := 1 for all w, as {Weight: {exponent: count}} with
+    no zero count; defined only for mu_param = 0."""
     if not f.mu_param.is_zero():
         raise ValueError("specialization requires mu = 0")
     acc: dict = {}
@@ -111,7 +115,7 @@ def specialize_trivial(f: FormalChar) -> dict:
         out = acc.setdefault(mu, {})
         for e, c in block[()].items():
             out[e] = out.get(e, 0) + c
-    return {Weight(k): Laurent(p) for k, p in acc.items() if any(p.values())}
+    return {Weight(k): q for k, p in acc.items() if (q := {e: c for e, c in p.items() if c})}
 
 
 def verify_vanishing(

@@ -26,7 +26,7 @@ class CliError(Exception):
 
 def _parse_ints(text):
     try:
-        return [int(x) for x in text.split(",") if x != ""]
+        return [int(x) for x in text.split(",")] if text else []
     except ValueError:
         raise CliError(f"not a comma-separated list of integers: {text!r}") from None
 

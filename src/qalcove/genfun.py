@@ -23,10 +23,12 @@ and polys are never changed in place (`add_block` is copy-on-write at both
 levels), from the sweep's end states to the JSON writer `table_json`, which
 writes either of json.dumps's layouts in one walk over the blocks, each
 distinct vector, word and q-polynomial rendered once and each block object
-once, memoized by id(block); `Laurent` and the key objects are built only
-where a caller reads `.terms`, and the JSON items only in `to_json`, the
-writer's reference.  `weight_orbit_sum`, which reads only wt and height,
-folds `alcove.weight_sums` instead, the sweep without down.
+once, memoized by id(block); the key objects are built only where a
+caller reads `.terms`, and the JSON items only in `to_json`, the writer's
+reference.  Every q-polynomial, in a table and in what a caller reads or
+passes, is a plain {exponent: count} dict (`q_str` renders one).
+`weight_orbit_sum`, which reads only wt and height, folds
+`alcove.weight_sums` instead, the sweep without down.
 """
 
 from __future__ import annotations
@@ -41,73 +43,19 @@ from .records import FrozenRecord
 from .rootsys import Coroot, RootSystem, Weight, WeylElement
 
 
-class Laurent:
-    """A Laurent polynomial in q with integer coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def q_power(cls, e: int, c: int = 1) -> "Laurent":
-        return cls({e: c})
-
-    def __add__(self, other: "Laurent") -> "Laurent":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return Laurent(out)
-
-    def __neg__(self) -> "Laurent":
-        return Laurent({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "Laurent") -> "Laurent":
-        return self + (-other)
-
-    def __mul__(self, other: "Laurent") -> "Laurent":
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return Laurent(out)
-
-    def shifted(self, e: int) -> "Laurent":
-        return Laurent({k + e: c for k, c in self.terms.items()})
-
-    def truncated(self, floor: int) -> "Laurent":
-        return Laurent({e: c for e, c in self.terms.items() if e >= floor})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def max_exponent(self) -> int | None:
-        return max(self.terms) if self.terms else None
-
-    def __eq__(self, other):
-        return isinstance(other, Laurent) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e, c in sorted(self.terms.items()):
-            if e == 0:
-                body = str(abs(c))
-            else:
-                qq = "q" if e == 1 else f"q^{e}"
-                body = qq if abs(c) == 1 else f"{abs(c)}*{qq}"
-            if not parts:
-                parts.append(body if c > 0 else "-" + body)
-            else:
-                parts.append(("+" if c > 0 else "-") + body)
-        return "".join(parts)
-
-    def __repr__(self):
-        return f"Laurent({self})"
+def q_str(poly: dict) -> str:
+    """The canonical text of a Laurent polynomial {exponent: count} in q:
+    terms by exponent ascending, as in "-q^-2+3-2*q^3"; "0" for no term."""
+    if not poly:
+        return "0"
+    out = []
+    for e, c in sorted(poly.items()):
+        mono = "" if e == 0 else "q" if e == 1 else f"q^{e}"
+        mag = -c if c < 0 else c
+        body = (mono if mag == 1 else f"{mag}*{mono}") if mono else str(mag)
+        out.append(("-" if c < 0 else "+") + body)
+    text = "".join(out)
+    return text[1:] if text[0] == "+" else text
 
 
 class AffineWeylElt(FrozenRecord):
@@ -124,11 +72,12 @@ class AffineWeylElt(FrozenRecord):
 
 
 class TermView(Mapping):
-    """A read-only view of a term table of blocks as {key: Laurent}.
+    """A read-only view of a term table of blocks as {key: {exponent: count}}.
 
     decode turns a table (prefix, tail) into the key callers see (Weight,
-    WeylElement, Coroot, ...) and encode turns it back; every lookup builds
-    a fresh Laurent.  The package itself works on the table.
+    WeylElement, Coroot, ...) and encode turns it back; every lookup returns
+    a copy of the table's q-polynomial, so a caller may change it.  The
+    package itself works on the table.
     """
 
     __slots__ = ("_table", "_decode", "_encode")
@@ -149,7 +98,7 @@ class TermView(Mapping):
         poly = self._table.get(prefix, {}).get(tail)
         if poly is None:
             raise KeyError(key)
-        return Laurent(poly)
+        return dict(poly)
 
 
 def add_block(table: dict, prefix, block: dict):
@@ -188,7 +137,8 @@ class TermTable:
     poly is empty.  A block may be shared between prefixes and between
     tables, and a poly between blocks; nothing changes either in place
     (`add_block` replaces them).  `terms` shows the table as {(Weight,
-    WeylElement, Coroot...): Laurent}.
+    WeylElement, Coroot...): {exponent: count}}; the constructor takes that
+    form, zero counts dropped.
     Subclasses name the key's vectors (ROW_NAMES, for the JSON items after
     "q") and the symbol a term's w and later vectors stand for (SYMBOL).
     """
@@ -203,7 +153,7 @@ class TermTable:
         blocks: dict = {}
         for key, c in (terms or {}).items():
             prefix, tail = _encode(key)
-            blocks.setdefault(prefix, {})[tail] = c.terms
+            blocks.setdefault(prefix, {})[tail] = c
         for prefix, block in blocks.items():
             add_block(self.table, prefix, block)
 
@@ -257,7 +207,7 @@ class TermTable:
     def __repr__(self):
         elements = self.rs.weyl_elements
         body = ", ".join(
-            f"({Laurent(block[tail])})*e^{mu}*" + self.SYMBOL.format(elements[w].word_str, *tail)
+            f"({q_str(block[tail])})*e^{mu}*" + self.SYMBOL.format(elements[w].word_str, *tail)
             for (mu, w), block in sorted(self.table.items())
             for tail in sorted(block)
         )
@@ -270,14 +220,15 @@ def _encode(key) -> tuple:
 
 
 class GenFun(TermTable):
-    """A finite formal sum of (Laurent in q) * e^mu * (w t_xi), the tails (xi,)."""
+    """A finite formal sum of (Laurent polynomial in q) * e^mu * (w t_xi), the
+    tails (xi,); a coefficient is {exponent: count}, a zero count absent."""
 
     __slots__ = ()
     ROW_NAMES = ("mu", "w", "xi")
     SYMBOL = "{}*t{}"
 
-    def add_term(self, mu: Weight, x: AffineWeylElt, coeff: Laurent):
-        add_block(self.table, (mu.coeffs, x.w.index), {(x.xi.coeffs,): coeff.terms})
+    def add_term(self, mu: Weight, x: AffineWeylElt, coeff: dict):
+        add_block(self.table, (mu.coeffs, x.w.index), {(x.xi.coeffs,): coeff})
 
     def __add__(self, other: "GenFun") -> "GenFun":
         out = GenFun.of_table(self.rs, dict(self.table))
@@ -285,10 +236,10 @@ class GenFun(TermTable):
             add_block(out.table, prefix, block)
         return out
 
-    def scaled(self, coeff: Laurent, mu_shift: Weight, xi_shift: Coroot) -> "GenFun":
+    def scaled(self, coeff: dict, mu_shift: Weight, xi_shift: Coroot) -> "GenFun":
         # the shift is injective, so each output block gets one product per poly
         out = GenFun(self.rs)
-        factor = coeff.terms.items()
+        factor = coeff.items()
         for (mu, w), block in self.table.items():
             prods: dict = {}
             for (xi,), poly in block.items():
@@ -536,7 +487,7 @@ def ghat_compose(
 
 
 def weight_orbit_sum(chain: LambdaChain) -> dict:
-    """sum_{A in A(e, Gamma)} q^{height(A)} e^{wt(A)}, as {weight: Laurent}.
+    """sum_{A in A(e, Gamma)} q^{height(A)} e^{wt(A)}, as {Weight: {exponent: count}}.
 
     Re-keys alcove.weight_sums(chain, e), the sweep that skips down, its c
     fields negated, and folds the end states over ed without decoding them
@@ -549,19 +500,20 @@ def weight_orbit_sum(chain: LambdaChain) -> dict:
     acc: dict = {}
     for (wt, height), count in weight_sums(chain, rs.identity).items():
         acc.setdefault(wt, {})[height] = count
-    return {Weight(k): Laurent(p) for k, p in acc.items()}
+    return {Weight(k): p for k, p in acc.items()}
 
 
 def is_weyl_invariant(rs: RootSystem, f: dict) -> bool:
-    """Whether a {weight: Laurent} sum is invariant under the Weyl action."""
+    """Whether a {Weight: {exponent: count}} sum is invariant under the Weyl
+    action, a zero count counting as absent.
+
+    A simple reflection permutes the weights, so it maps the sum to
+    {s(mu): f[mu]}, which must be the sum again.
+    """
+    f = {mu: q for mu, p in f.items() if (q := {e: c for e, c in p.items() if c})}
     for i in range(rs.rank):
         s = rs.simple_reflection(i)
-        acc: dict = {}
-        for mu, c in f.items():
-            poly = acc.setdefault(rs.act(s, mu), {})
-            for e, k in c.terms.items():
-                poly[e] = poly.get(e, 0) + k
-        if {k: Laurent(p) for k, p in acc.items() if any(p.values())} != f:
+        if {rs.act(s, mu): p for mu, p in f.items()} != f:
             return False
     return True
 
@@ -597,7 +549,7 @@ def table_json(table: dict, words: tuple, names: tuple, indent: int | None) -> s
     blocks, see par_convolve) copies that block's fragment references with
     its own (v_1, w) fragment.
     This avoids json.dumps, which takes its pure-Python encoder whenever it
-    indents, and builds no item, Laurent, Weight or Coroot.
+    indents, and builds no item, Weight or Coroot.
     """
     if not table:
         return "[]"

@@ -6,7 +6,10 @@ A product of R-operators is a |W| x |W| matrix over the exact polynomial
 ring Z[Q_1..Q_n], in the ShortLex basis order of W, computed as a sparse
 table {(v, w): {exponent: coefficient}} of its nonzero cells, which
 OperatorMatrix holds; each R_gamma or Q_gamma is one qbg.sweep_step on
-states that hold their occupied vertices only.  The multiplicity laws and
+states that hold their occupied vertices only.  Every polynomial is such a
+plain {exponent: coefficient} dict with no zero coefficient: one decoder,
+`_cells`, turns end states into the table's cells and into the
+{WeylElement: polynomial} sums that apply_Q and apply_R_sequence return.  The multiplicity laws and
 the golden files are checked on these tables; golden files compare byte
 for byte with their canonical TSV (`_tsv`, `cell_str` per cell), and a
 run of the laws over both chains keeps one table per distinct sequence.
@@ -27,70 +30,6 @@ from .records import FrozenRecord, Record
 from .rootsys import Root, RootSystem, WeylElement
 
 
-class QPoly:
-    """A polynomial in Q_1..Q_n with integer coefficients, in canonical form.
-
-    Exponent vectors live in the positive coroot cone (all entries >= 0 for
-    everything produced by the operators).  Zero coefficients are dropped.
-    """
-
-    __slots__ = ("rank", "terms")
-
-    def __init__(self, rank: int, terms: dict | None = None):
-        self.rank = rank
-        self.terms = {e: c for e, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def zero(cls, rank: int) -> "QPoly":
-        return cls(rank)
-
-    @classmethod
-    def const(cls, rank: int, c: int) -> "QPoly":
-        return cls(rank, {(0,) * rank: c})
-
-    @classmethod
-    def monomial(cls, rank: int, exponent: Sequence[int], c: int = 1) -> "QPoly":
-        return cls(rank, {tuple(exponent): c})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "QPoly") -> "QPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return QPoly(self.rank, out)
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) - c
-        return QPoly(self.rank, out)
-
-    def __neg__(self) -> "QPoly":
-        return QPoly(self.rank, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other: "QPoly") -> "QPoly":
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return QPoly(self.rank, out)
-
-    def __eq__(self, other):
-        return isinstance(other, QPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __str__(self):
-        return cell_str(self.terms)
-
-    def __repr__(self):
-        return f"QPoly({self})"
-
-
 def cell_str(terms: dict) -> str:
     """The canonical text of {exponent: coefficient}: terms exponent-lex
     descending, as in "3*Q1*Q2^2-Q1+1"; "0" for no term."""
@@ -104,23 +43,6 @@ def cell_str(terms: dict) -> str:
         out.append(("-" if c < 0 else "+") + body)
     text = "".join(out)
     return text[1:] if text[0] == "+" else text
-
-
-class GroupAlgebraElt:
-    """A finite map from Weyl elements to polynomials."""
-
-    __slots__ = ("rs", "terms")
-
-    def __init__(self, rs: RootSystem, terms: dict | None = None):
-        self.rs = rs
-        self.terms = {w: p for w, p in (terms or {}).items() if not p.is_zero()}
-
-    def __eq__(self, other):
-        return isinstance(other, GroupAlgebraElt) and self.terms == other.terms
-
-    def __repr__(self):
-        items = sorted(self.terms.items(), key=lambda t: t[0].index)
-        return " + ".join(f"({p})*{w}" for w, p in items) or "0"
 
 
 # -- the operator sweep --------------------------------------------------------
@@ -169,60 +91,16 @@ def _sweep(rs: RootSystem, seq: Sequence[Root], starts: Sequence[int], width: in
     return states
 
 
-def _to_elt(rs: RootSystem, states: dict, width: int, low: int = 0) -> GroupAlgebraElt:
-    """The states as a group-algebra element; they must share one start, and
-    each down field holds exponent - low."""
+def _cells(rs: RootSystem, states: dict, width: int, low: int = 0) -> dict:
+    """The end states as {(v, start): {exponent: coefficient}}, by vertex
+    indices, in (v, start) order; each down field holds exponent - low, and
+    each exponent is decoded once per distinct packed value."""
     n = rs.rank
-    dmask = (1 << (n * width)) - 1
-    terms = {}
-    for v, final in sorted(states.items()):
-        exps = {qbg.unpack(key & dmask, width, n, -low): c for key, c in final.items()}
-        terms[rs.weyl_elements[v]] = QPoly(n, exps)
-    return GroupAlgebraElt(rs, terms)
-
-
-def apply_Q(rs: RootSystem, gamma: Root, elt) -> GroupAlgebraElt:
-    """Apply the quantum Bruhat operator Q_gamma (signed) to v or a sum."""
-    if isinstance(elt, WeylElement):
-        terms = {elt: QPoly.const(rs.rank, 1)}
-    else:
-        terms = elt.terms
-    # a caller's polynomial may hold negative exponents; fields hold e - low
-    exps = [x for p in terms.values() for e in p.terms for x in e]
-    low = min(exps + [0])
-    width = _width(rs, (gamma,), max(exps + [0]) - low)
-    states = {w.index: {qbg.pack([x - low for x in e], width): c for e, c in p.terms.items()}
-              for w, p in terms.items()}
-    return _to_elt(rs, _step(rs, states, gamma, False, width), width, low)
-
-
-def apply_R_sequence(
-    rs: RootSystem, seq: Sequence[Root], v: WeylElement
-) -> GroupAlgebraElt:
-    """R_{gamma_r} ... R_{gamma_1} v for seq = (gamma_1, ..., gamma_r).
-
-    The sequence is given in application order, matching the path order of
-    compatible-path sums.
-    """
-    width = _width(rs, seq)
-    return _to_elt(rs, _sweep(rs, seq, (v.index,), width), width)
-
-
-def _table(rs: RootSystem, seq: Sequence[Root]) -> dict:
-    """The matrix of R_{gamma_r} ... R_{gamma_1} as a sparse table.
-
-    {(v, w): {exponent: coefficient}} holds the nonzero cells only, by
-    vertex indices, in (row, column) order: the coefficient of
-    Q^exponent v in the image of w, from one sweep over all columns.
-    Exponents are decoded once per distinct packed value.
-    """
-    n = rs.rank
-    width = _width(rs, seq)
     shift = n * width
     dmask = (1 << shift) - 1
     exps: dict = {}
-    table = {}
-    for v, final in sorted(_sweep(rs, seq, range(len(rs.weyl_elements)), width).items()):
+    cells = {}
+    for v, final in sorted(states.items()):
         row: dict = {}
         for key, c in final.items():
             start = key >> shift
@@ -232,11 +110,55 @@ def _table(rs: RootSystem, seq: Sequence[Root]) -> dict:
             bits = key & dmask
             exp = exps.get(bits)
             if exp is None:
-                exp = exps[bits] = qbg.unpack(bits, width, n)
+                exp = exps[bits] = qbg.unpack(bits, width, n, -low)
             cell[exp] = c
         for w in sorted(row):
-            table[v, w] = row[w]
-    return table
+            cells[v, w] = row[w]
+    return cells
+
+
+def apply_Q(rs: RootSystem, gamma: Root, elt) -> dict:
+    """Apply the quantum Bruhat operator Q_gamma (signed) to v or to a sum.
+
+    A sum, and the result, is {WeylElement: {exponent: coefficient}}; the
+    result holds no zero coefficient and no empty polynomial, and a zero
+    coefficient of the sum counts as absent.
+    """
+    terms = {elt: {(0,) * rs.rank: 1}} if isinstance(elt, WeylElement) else elt
+    # a caller's polynomial may hold negative exponents; fields hold e - low
+    exps = [x for p in terms.values() for e in p for x in e]
+    low = min(exps + [0])
+    width = _width(rs, (gamma,), max(exps + [0]) - low)
+    states = {}
+    for w, p in terms.items():
+        seed = {qbg.pack([x - low for x in e], width): c for e, c in p.items() if c}
+        if seed:
+            states[w.index] = seed
+    cells = _cells(rs, _step(rs, states, gamma, False, width), width, low)
+    return {rs.weyl_elements[v]: cell for (v, _), cell in cells.items()}
+
+
+def apply_R_sequence(rs: RootSystem, seq: Sequence[Root], v: WeylElement) -> dict:
+    """R_{gamma_r} ... R_{gamma_1} v for seq = (gamma_1, ..., gamma_r), as
+    {WeylElement: {exponent: coefficient}}.
+
+    The sequence is given in application order, matching the path order of
+    compatible-path sums.
+    """
+    width = _width(rs, seq)
+    cells = _cells(rs, _sweep(rs, seq, (v.index,), width), width)
+    return {rs.weyl_elements[w]: cell for (w, _), cell in cells.items()}
+
+
+def _table(rs: RootSystem, seq: Sequence[Root]) -> dict:
+    """The matrix of R_{gamma_r} ... R_{gamma_1} as a sparse table.
+
+    {(v, w): {exponent: coefficient}} holds the nonzero cells only, by
+    vertex indices, in (row, column) order: the coefficient of
+    Q^exponent v in the image of w, from one sweep over all columns.
+    """
+    width = _width(rs, seq)
+    return _cells(rs, _sweep(rs, seq, range(len(rs.weyl_elements)), width), width)
 
 
 def _tsv(rs: RootSystem, table: dict) -> str:
@@ -250,7 +172,7 @@ class OperatorMatrix(FrozenRecord):
     """Matrix (c_{v,w}) of an operator T, T w = sum_v c_{v,w} v, basis ShortLex.
 
     It holds the sparse table {(v, w): {exponent: coefficient}} of _table;
-    entry and entries build QPoly values on read.
+    entry reads a copy of one cell.
     """
 
     __slots__ = _fields = ("rs", "table")
@@ -259,18 +181,9 @@ class OperatorMatrix(FrozenRecord):
         object.__setattr__(self, "rs", rs)
         object.__setattr__(self, "table", table)
 
-    @property
-    def basis(self) -> tuple[WeylElement, ...]:
-        return self.rs.weyl_elements
-
-    def entry(self, v: WeylElement, w: WeylElement) -> QPoly:
-        return QPoly(self.rs.rank, self.table.get((v.index, w.index)))
-
-    @property
-    def entries(self) -> tuple[tuple[QPoly, ...], ...]:
-        n = range(len(self.rs.weyl_elements))
-        get = self.table.get
-        return tuple(tuple(QPoly(self.rs.rank, get((v, w))) for w in n) for v in n)
+    def entry(self, v: WeylElement, w: WeylElement) -> dict:
+        """c_{v,w} as {exponent: coefficient}, {} for a zero cell."""
+        return dict(self.table.get((v.index, w.index), ()))
 
     def to_tsv(self) -> str:
         return _tsv(self.rs, self.table)

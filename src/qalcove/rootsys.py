@@ -285,6 +285,9 @@ class RootSystem:
         # its coroot in the simple-coroot basis, as int tuples
         self._root_wt = tuple(self.root_to_weight(r).coeffs for r in self.all_roots)
         self._coroot_vec = tuple(self._coroots[r].coeffs for r in self.all_roots)
+        # alpha_i = sum_k a_{ki} varpi_k in the fundamental-weight basis, by
+        # generator index: _root_wt at alpha_i's all_roots index, not at i
+        self._alpha_wt = tuple(self._root_wt[self._root_index[self.simple_root(i)]] for i in range(n))
 
     def _build_weyl_group(self):
         # key w by w^-1(rho) in fundamental-weight coordinates: the orbit of
@@ -340,11 +343,9 @@ class RootSystem:
         self._reflection_perms = tuple(self._reflections[r].root_perm for r in self.positive_roots)
 
     def _weight_reflect(self, i: int, coeffs) -> tuple[int, ...]:
-        # s_i(mu) = mu - mu_i alpha_i, with alpha_i = sum_k a_{ki} varpi_k
+        # s_i(mu) = mu - mu_i alpha_i
         mi = coeffs[i]
-        return tuple(
-            coeffs[k] - mi * self.cartan[k][i] for k in range(self.rank)
-        )
+        return tuple([c - mi * a for c, a in zip(coeffs, self._alpha_wt[i])])
 
     # -- basic queries ------------------------------------------------------
 
@@ -411,9 +412,12 @@ class RootSystem:
     def element_from_word(self, word) -> WeylElement:
         """Element from a word over generator indices (0-based ints) or 's1s2' text."""
         if isinstance(word, str):
-            if word in ("e", ""):
+            text = word.replace(" ", "")
+            if text in ("e", ""):
                 return self.identity
-            parts = [p for p in word.replace(" ", "").split("s") if p]
+            # "s1s2" or "3": past a leading s, every part the s's separate is a
+            # number, so "s", "s1s" and "s1ss2" are no words
+            parts = text.split("s")[1:] if text.startswith("s") else text.split("s")
             if not all(p.isdecimal() for p in parts):
                 raise RootSystemError(f"not a Weyl word: {word!r}")
             idx = tuple(int(p) - 1 for p in parts)

@@ -1,6 +1,7 @@
 import copy
 import json
 import random
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,7 +19,6 @@ from qalcove.charident import (
 from qalcove.genfun import (
     AffineWeylElt,
     GenFun,
-    Laurent,
     ParTuple,
     add_block,
     compose,
@@ -32,10 +32,12 @@ from qalcove.genfun import (
     par_enumerate,
     par_convolve,
     par_groups,
+    q_str,
     table_json,
     weight_orbit_sum,
 )
 from qalcove.rootsys import Coroot, Weight, WeylElement
+from polys import add, shift
 from table_shapes import blocks, flat
 
 
@@ -51,13 +53,36 @@ def term(g, mu, word, xi):
     return g.terms.get(key)
 
 
-def test_laurent_basics():
-    a = Laurent.q_power(-2) + Laurent.q_power(0, 3)
-    assert str(a) == "q^-2+3"
-    assert str(-a) == "-q^-2-3"
-    assert (a - a).is_zero()
-    assert a.truncated(0).terms == {0: 3}
-    assert (Laurent.q_power(1) * Laurent.q_power(-1)).terms == {0: 1}
+def test_q_str_canonical_form():
+    a = add({-2: 1}, {0: 3})
+    assert q_str(a) == "q^-2+3"
+    assert q_str(shift(a, 0, -1)) == "-q^-2-3"
+    assert q_str(add(a, shift(a, 0, -1))) == "0"
+    assert q_str({e: c for e, c in a.items() if e >= 0}) == "3"
+    assert q_str(shift({1: 1}, -1)) == "1"
+    assert q_str({1: -1, 2: 1, -1: 5, 3: -12}) == "5*q^-1-q+q^2-12*q^3"
+
+
+def parse_q(text):
+    """The {exponent: count} of q_str's text, read back."""
+    if text == "0":
+        return {}
+    out = {}
+    for sign, coeff, mono, power in re.findall(r"([+-]?)(?:(\d+)\*?)?(q(?:\^(-?\d+))?)?", text):
+        if not (coeff or mono):
+            continue
+        e = (int(power) if power else 1) if mono else 0
+        out[e] = (-1 if sign == "-" else 1) * int(coeff or 1)
+    return out
+
+
+def test_q_str_round_trip():
+    rng = random.Random(13)
+    for _ in range(300):
+        poly = {rng.randint(-12, 12): rng.choice((-13, -2, -1, 1, 2, 7)) for _ in range(rng.randint(0, 4))}
+        text = q_str(poly)
+        assert (text == "0") == (not poly)
+        assert parse_q(text) == poly
 
 
 def test_genfun_a1_examples():
@@ -65,11 +90,11 @@ def test_genfun_a1_examples():
     chain = qa.lex_chain(rs, rs.weight([1]))
     g = genfun(chain, x_at(rs))
     assert len(g.terms) == 2
-    assert term(g, [1], "e", [0]).terms == {0: 1}
-    assert term(g, [-1], "s1", [0]).terms == {0: 1}
+    assert term(g, [1], "e", [0]) == {0: 1}
+    assert term(g, [-1], "s1", [0]) == {0: 1}
     g = genfun(chain, x_at(rs, "s1"))
-    assert term(g, [-1], "s1", [0]).terms == {0: 1}
-    assert term(g, [1], "e", [1]).terms == {-1: 1}
+    assert term(g, [-1], "s1", [0]) == {0: 1}
+    assert term(g, [1], "e", [1]) == {-1: 1}
 
 
 def test_genfun_zero_chain():
@@ -78,7 +103,7 @@ def test_genfun_zero_chain():
     x = x_at(rs, "s1s2", [1, 0])
     g = genfun(chain, x)
     assert len(g.terms) == 1
-    assert term(g, [0, 0], "s1s2", [1, 0]).terms == {0: 1}
+    assert term(g, [0, 0], "s1s2", [1, 0]) == {0: 1}
 
 
 def test_extend_linearity_base_case():
@@ -86,7 +111,7 @@ def test_extend_linearity_base_case():
     chain = qa.lex_chain(rs, rs.weight([1]))
     x = x_at(rs, "s1")
     single = GenFun(rs)
-    single.add_term(rs.weight([0]), x, Laurent.q_power(0))
+    single.add_term(rs.weight([0]), x, {0: 1})
     assert genfun_extend(chain, single) == genfun(chain, x)
 
 
@@ -139,7 +164,7 @@ def test_simple_root_insertion_factor():
             corrected.add_term(
                 mu,
                 AffineWeylElt(w, xi + rs.coroot(beta)),
-                c * Laurent.q_power(-h, -1),
+                shift(c, -h, -1),
             )
         assert genfun_equal(big, corrected)
 
@@ -281,7 +306,7 @@ def test_ghat_trivial_cases():
     assert ghat(anti, x, -10) == genfun(anti, x).truncated(-10)
     zero = qa.compute_levels(rs, (), rs.weight([0, 0]))
     g = ghat(zero, x, -10)
-    assert len(g.terms) == 1 and term(g, [0, 0], "s1", [0, 0]).terms == {0: 1}
+    assert len(g.terms) == 1 and term(g, [0, 0], "s1", [0, 0]) == {0: 1}
 
 
 def test_ghat_a1_expansion():
@@ -294,7 +319,7 @@ def test_ghat_a1_expansion():
     base = genfun(chain, x)
     for k in range(0, 4):
         expect = expect + base.scaled(
-            Laurent.q_power(-k), rs.weight([0]), Coroot((k,))
+            {-k: 1}, rs.weight([0]), Coroot((k,))
         )
     assert genfun_equal(g, expect.truncated(-3), -3)
 
@@ -317,7 +342,7 @@ def test_genfun_equal_with_floor():
     rs = qa.build_root_system("A1")
     f = GenFun(rs)
     x = x_at(rs)
-    f.add_term(rs.weight([0]), x, Laurent.q_power(-9))
+    f.add_term(rs.weight([0]), x, {-9: 1})
     g = GenFun(rs)
     assert genfun_equal(f, g, -5)
     assert not genfun_equal(f, g, -10)
@@ -331,8 +356,8 @@ def test_sums_of_different_root_systems_differ():
     f, g = GenFun(a2), GenFun(c2)
     fc, gc = FormalChar(a2, a2.weight([0, 0])), FormalChar(c2, c2.weight([0, 0]))
     for rs, h, hc in ((a2, f, fc), (c2, g, gc)):
-        h.add_term(rs.weight([1, 0]), x_at(rs, "s1"), Laurent.q_power(-1))
-        hc.add_symbol(rs.weight([1, 0]), x_at(rs, "s1"), Laurent.q_power(-1))
+        h.add_term(rs.weight([1, 0]), x_at(rs, "s1"), {-1: 1})
+        hc.add_symbol(rs.weight([1, 0]), x_at(rs, "s1"), {-1: 1})
     assert f.table == g.table and f != g
     assert fc.table == gc.table and fc != gc
 
@@ -342,7 +367,7 @@ def random_genfun(rng, rs, terms):
     for _ in range(terms):
         mu = rs.weight([rng.randint(-1, 1) for _ in range(rs.rank)])
         x = AffineWeylElt(rng.choice(rs.weyl_elements), Coroot((rng.randint(-1, 1),) * rs.rank))
-        f.add_term(mu, x, Laurent({rng.randint(-6, 2): rng.choice((-2, -1, 1, 2))}))
+        f.add_term(mu, x, {rng.randint(-6, 2): rng.choice((-2, -1, 1, 2))})
     return f
 
 
@@ -355,12 +380,12 @@ def test_genfun_equal_against_truncated(seed, floor):
     g = random_genfun(rng, rs, rng.randint(0, 6))
     # g2 differs from f only below the floor; g3 loses one term of f above it
     g2 = GenFun(rs, dict(f.terms))
-    g2.add_term(rs.weight([0] * rs.rank), x_at(rs), Laurent.q_power(floor - 1, 3))
+    g2.add_term(rs.weight([0] * rs.rank), x_at(rs), {floor - 1: 3})
     g3 = GenFun(rs, dict(f.terms))
-    above = [(k, e) for k, c in f.terms.items() for e in c.terms if e >= floor]
+    above = [(k, e) for k, c in f.terms.items() for e in c if e >= floor]
     if above:
         (mu, w, xi), e = rng.choice(above)
-        g3.add_term(mu, AffineWeylElt(w, xi), Laurent.q_power(e, -f.terms[mu, w, xi].terms[e]))
+        g3.add_term(mu, AffineWeylElt(w, xi), {e: -f.terms[mu, w, xi][e]})
     for a, b in ((f, g), (f, g2), (g2, f), (f, g3), (g3, f), (f, f)):
         expect = a.truncated(floor) == b.truncated(floor)
         assert genfun_equal(a, b, floor) == expect
@@ -382,13 +407,42 @@ def test_dominant_specialization_invariant():
             assert is_weyl_invariant(rs, f)
             expect = {}
             for a in qa.enumerate_admissible(chain, rs.identity):
-                expect[a.wt] = expect.get(a.wt, Laurent()) + Laurent.q_power(a.height)
+                expect[a.wt] = add(expect.get(a.wt, {}), {a.height: 1})
             assert f == expect
     # a non-invariant sum is recognized, also one holding a zero coefficient
     rs = qa.build_root_system("A2")
-    bogus = {rs.weight([1, 0]): Laurent.q_power(0)}
+    bogus = {rs.weight([1, 0]): {0: 1}}
     assert not is_weyl_invariant(rs, bogus)
-    assert not is_weyl_invariant(rs, {rs.weight([0, 0]): Laurent()})
+    assert not is_weyl_invariant(rs, {rs.weight([1, 0]): {0: 1, 2: 0}, rs.weight([0, 1]): {0: 0}})
+
+
+def test_zero_coefficient_is_absent():
+    # a zero count that a caller passes counts as absent: the table, the
+    # character and the invariance verdict are those of the input without it
+    rs = qa.build_root_system("A2")
+    x, y = x_at(rs, "s1", [1, 0]), x_at(rs, "s2")
+    mu, nu = rs.weight([1, 0]), rs.weight([0, -1])
+    f, g = GenFun(rs), GenFun(rs)
+    f.add_term(mu, x, {-1: 2, 3: 0})
+    f.add_term(nu, y, {0: 0})
+    g.add_term(mu, x, {-1: 2})
+    assert f == g and len(f.terms) == 1 and f.terms[mu, x.w, x.xi] == {-1: 2}
+    assert f.scaled({0: 1, 5: 0}, mu, x.xi) == g.scaled({0: 1}, mu, x.xi)
+    char, plain = FormalChar(rs, mu), FormalChar(rs, mu)
+    char.add_symbol(mu, x, {-1: 2, 0: 0})
+    char.add_symbol(nu, y, {4: 0})
+    plain.add_symbol(mu, x, {-1: 2})
+    assert char == plain and len(char.terms) == 1
+    orbit = weight_orbit_sum(qa.lex_chain(rs, rs.weight([1, 0])))
+    assert is_weyl_invariant(rs, orbit)
+    padded = {w: {**p, 7: 0} for w, p in orbit.items()}
+    padded[rs.weight([3, -1])] = {0: 0}
+    assert is_weyl_invariant(rs, padded)
+    # a zero count does not hide a term that breaks the invariance
+    broken = {w: dict(p) for w, p in padded.items()}
+    broken[rs.weight([1, 0])][-9] = 1
+    assert not is_weyl_invariant(rs, broken)
+    assert is_weyl_invariant(rs, {rs.weight([0, 0]): {0: 0}}) and is_weyl_invariant(rs, {})
 
 
 def test_weight_orbit_sum_needs_positive_roots():
@@ -406,7 +460,7 @@ def test_weight_orbit_sum_needs_positive_roots():
 
 def q1_character(chain):
     """sum over A(e, chain) of e^{wt(A)}: G at x = e t_0, coefficients summed per mu."""
-    return {mu.coeffs: sum(c.terms.values()) for mu, c in weight_orbit_sum(chain).items()}
+    return {mu.coeffs: sum(c.values()) for mu, c in weight_orbit_sum(chain).items()}
 
 
 def char_product(f, g):
@@ -464,7 +518,7 @@ def reference_genfun(chain, x):
     base = -rs.pair(chain.lam, x.xi)
     out = GenFun(rs)
     for a in qa.enumerate_admissible(chain, x.w):
-        coeff = Laurent.q_power(base - a.height, a.sign)
+        coeff = {base - a.height: a.sign}
         out.add_term(a.wt, AffineWeylElt(a.ed, x.xi + a.down), coeff)
     return out
 
@@ -604,7 +658,7 @@ def reference_extend(chain, f):
     for (mu, w, xi), c in f.terms.items():
         base = -rs.pair(chain.lam, xi)
         for a in qa.enumerate_admissible(chain, w):
-            coeff = c * Laurent.q_power(base - a.height, a.sign)
+            coeff = shift(c, base - a.height, a.sign)
             out.add_term(mu + a.wt, AffineWeylElt(a.ed, xi + a.down), coeff)
     return out
 
@@ -630,7 +684,7 @@ def reference_nested(rs, mu, lam, x, q_floor):
         for chi in tuples:
             e = c - chi.size - rs.pair(lam_m + mu, chi.iota())
             if e >= q_floor:
-                out.add_symbol(wt, AffineWeylElt(ed, Coroot((0,) * rs.rank)), Laurent.q_power(e, sign))
+                out.add_symbol(wt, AffineWeylElt(ed, Coroot((0,) * rs.rank)), {e: sign})
     return out
 
 
@@ -659,7 +713,7 @@ def seeded_cases(draw, label):
         mu = vector(-2, 2)
         assume(any(mu))
         poly = draw(st.dictionaries(st.integers(-3, 3), st.sampled_from((-2, -1, 1, 3)), min_size=1, max_size=3))
-        f.add_term(rs.weight(mu), point(), Laurent(poly))
+        f.add_term(rs.weight(mu), point(), poly)
     assume(sum(count_admissible(chain1, w) for _mu, w, _xi in f.terms) <= 2000)
     # one term whose empty subset cancels a term of another's image
     image = reference_extend(chain1, f).terms
@@ -667,10 +721,10 @@ def seeded_cases(draw, label):
     (wt, ed, xi), c = draw(st.sampled_from(sorted(
         image.items(), key=lambda kv: (kv[0][0].coeffs, kv[0][1].index, kv[0][2].coeffs)
     )))
-    e = draw(st.sampled_from(sorted(c.terms)))
+    e = draw(st.sampled_from(sorted(c)))
     mu = wt - rs.act(ed, chain1.lam)
     assume((mu, ed, xi) not in f.terms)
-    f.add_term(mu, AffineWeylElt(ed, xi), Laurent.q_power(e + rs.pair(chain1.lam, xi), -c.terms[e]))
+    f.add_term(mu, AffineWeylElt(ed, xi), {e + rs.pair(chain1.lam, xi): -c[e]})
     assume(count_admissible(qa.concat_chains(chain2, chain1), x.w) <= 2000)
     return chain1, chain2, x, f
 
@@ -707,7 +761,7 @@ def test_factorization_nested_side_against_enumerator(label, data):
     lam_p, lam_m = qa.lambda_pm(lam)
     g = compose(qa.lex_chain(rs, lam_m), qa.lex_chain(rs, lam_p), x)
     assume(g.terms)
-    floor = max(e - rs.pair(mu, xi) for (_wt, _ed, xi), c in g.terms.items() for e in c.terms) - depth
+    floor = max(e - rs.pair(mu, xi) for (_wt, _ed, xi), c in g.terms.items() for e in c) - depth
     nested = _expand(rs, mu, g, lam_p, lam_m + mu, floor)
     assert nested == reference_nested(rs, mu, lam, x, floor)
     assert nested == rhs_chevalley(rs, mu, lam, lex_pm(rs, lam), x, floor)
@@ -760,7 +814,7 @@ def reference_ghat(chain, x, q_floor):
         return out
     for chi in par_enumerate(rs, chain.lam, top - q_floor):
         out = out + g.scaled(
-            Laurent.q_power(-chi.size), rs.weight([0] * rs.rank), chi.iota()
+            {-chi.size: 1}, rs.weight([0] * rs.rank), chi.iota()
         )
     return out.truncated(q_floor)
 
@@ -785,7 +839,7 @@ def reference_ghat_compose(chain1, chain2, x, q_floor):
                     xi = x.xi + b.down + omega.iota() + a.down + psi.iota()
                     out.add_term(
                         a.wt + b.wt, AffineWeylElt(a.ed, xi),
-                        Laurent.q_power(e, a.sign * b.sign),
+                        {e: a.sign * b.sign},
                     )
     return out
 
@@ -802,8 +856,8 @@ def reference_rhs(rs, mu, lam, chain, x, q_floor):
             e = head - chi.size - rs.pair(mu, chi.iota())
             if e >= q_floor:
                 key = (a.wt, a.ed)
-                out[key] = out.get(key, Laurent()) + Laurent.q_power(e, a.sign)
-    return {k: v for k, v in out.items() if not v.is_zero()}
+                out[key] = add(out.get(key, {}), {e: a.sign})
+    return {k: v for k, v in out.items() if v}
 
 
 def lex_pm(rs, lam):
@@ -943,7 +997,7 @@ def assert_terms_independent(f, add):
 
 def add_marker(f, key, marker):
     mu, w, xi = key
-    f.add_term(Weight(mu), AffineWeylElt(f.rs.weyl_elements[w], Coroot(xi)), Laurent.q_power(marker))
+    f.add_term(Weight(mu), AffineWeylElt(f.rs.weyl_elements[w], Coroot(xi)), {marker: 1})
 
 
 def test_ghat_terms_are_independent():
@@ -958,8 +1012,8 @@ def test_ghat_terms_are_independent():
     g = ghat(chain, x_at(rs, "s1"), genfun(chain, x).max_exponent() - 3)
     f_before, g_before = snapshot(f), snapshot(g)
     total = f + g
-    assert total.terms == {k: f.terms.get(k, Laurent()) + g.terms.get(k, Laurent()) for k in total.terms}
-    shifted = f.scaled(Laurent({0: 1, -1: -2}), rs.weight([1, 0]), Coroot((0, 1)))
+    assert total.terms == {k: add(f.terms.get(k, {}), g.terms.get(k, {})) for k in total.terms}
+    shifted = f.scaled({0: 1, -1: -2}, rs.weight([1, 0]), Coroot((0, 1)))
     assert len(flat(shifted.table)) == len(flat(f.table))
     assert_terms_independent(total, add_marker)
     assert_terms_independent(shifted, add_marker)
@@ -980,7 +1034,7 @@ def test_ghat_terms_are_independent():
     def add_symbol(f, key, marker):
         mu, w = key
         x = AffineWeylElt(c2.weyl_elements[w], Coroot((0, 0)))
-        f.add_symbol(Weight(mu), x, Laurent.q_power(marker))
+        f.add_symbol(Weight(mu), x, {marker: 1})
 
     assert shares_blocks(char)
     assert_terms_independent(char, add_symbol)
@@ -997,7 +1051,7 @@ def reference_items(f):
             [i + 1 for i in v.word] if isinstance(v, WeylElement) else list(v.coeffs)
             for v in key
         ]
-        item = {"q": sorted([e, k] for e, k in c.terms.items())}
+        item = {"q": sorted([e, k] for e, k in c.items())}
         item.update(zip(f.ROW_NAMES, vecs))
         items.append(item)
     items.sort(key=lambda d: [d[name] for name in f.ROW_NAMES])
@@ -1048,17 +1102,17 @@ def test_table_json_edge_cases():
         assert write_json(GenFun(a1), indent) == "[]"
         assert write_json(FormalChar(a1, a1.weight([0])), indent) == "[]"
     single = GenFun(a1)  # rank 1, one q pair
-    single.add_term(a1.weight([-3]), x_at(a1, "s1", [11]), Laurent.q_power(-1, -1))
+    single.add_term(a1.weight([-3]), x_at(a1, "s1", [11]), {-1: -1})
     wide = GenFun(b3)  # rank 3, w = e, multi-digit and negative entries
     wide.add_term(b3.weight([-10, 0, 123]), x_at(b3, "s1s2s3", [-7, 0, 45]),
-                  Laurent({-12: -345, 7: 10, 0: 1}))
+                  {-12: -345, 7: 10, 0: 1})
     wide.add_term(b3.weight([-10, 0, 123]), x_at(b3, "e", [-7, 0, 45]),
-                  Laurent.q_power(-100, 2048))
-    wide.add_term(b3.weight([0, 0, 0]), x_at(b3), Laurent.q_power(0, -1))
+                  {-100: 2048})
+    wide.add_term(b3.weight([0, 0, 0]), x_at(b3), {0: -1})
     char = FormalChar(b3, b3.weight([2, 0, 1]))
     char.add_symbol(b3.weight([5, -14, 0]), x_at(b3, "s3s2", [3, -1, 0]),
-                    Laurent({-21: 99, 13: -1000}))
-    char.add_symbol(b3.weight([5, -14, 0]), x_at(b3), Laurent.q_power(1))
+                    {-21: 99, 13: -1000})
+    char.add_symbol(b3.weight([5, -14, 0]), x_at(b3), {1: 1})
     for f in (GenFun(a1), single, wide, char, genfun(qa.lex_chain(a1, a1.weight([2])), x_at(a1))):
         assert_table_json(f)
     assert json.loads(write_json(single)) == [
@@ -1079,12 +1133,12 @@ def test_table_json_prefix_groups():
         for w in (early, late):
             for xi in ([3, -1], [-10, 2], [-2, 5], [10, 0], [-2, -5]):
                 f.add_term(c2.weight(mu), AffineWeylElt(c2.weyl_elements[w], Coroot(tuple(xi))),
-                           Laurent({xi[0]: 1, -4: -mu[0] - 2}))
+                           {xi[0]: 1, -4: -mu[0] - 2})
     char = FormalChar(c2, c2.weight([1, 1]))
     for mu in ([0, 0], [-1, 2], [2, -1]):
         for w in (late, 0, early):
             char.add_symbol(c2.weight(mu), AffineWeylElt(c2.weyl_elements[w], Coroot((0, 0))),
-                            Laurent({w: 1, -3: mu[1] - 5}))
+                            {w: 1, -3: mu[1] - 5})
     assert len(f.table) == 6 and len(flat(f.table)) == 30
     assert_table_json(f)
     assert_table_json(char)
@@ -1157,7 +1211,7 @@ def assert_table_shape(f):
     elements = f.rs.weyl_elements
     keys = [(Weight(mu), elements[w], *map(Coroot, tail)) for mu, w, *tail in table]
     assert list(f.terms) == keys
-    assert all(f.terms[k].terms == p for k, p in zip(keys, table.values()))
+    assert all(f.terms[k] == p for k, p in zip(keys, table.values()))
     assert f.max_exponent() == max((max(p) for p in table.values()), default=None)
     words = f.rs._json_words
     assert f.to_json() == [
@@ -1221,7 +1275,7 @@ def test_table_json_against_json_dumps(case):
         assert_table_json(f)
 
 
-# -- differential test: Laurent sums as oracle for the term tables ------------
+# -- differential test: sums of {exponent: count} dicts as oracle for the tables
 
 
 @st.composite
@@ -1250,17 +1304,17 @@ def test_term_tables_against_laurent_sums(case):
     expect_f, expect_char = {}, {}
     for (mu, w, xi), poly in terms:
         x = AffineWeylElt(w, Coroot(xi))
-        f.add_term(rs.weight(mu), x, Laurent(poly))
-        char.add_symbol(rs.weight(mu), x, Laurent(poly))
+        f.add_term(rs.weight(mu), x, poly)
+        char.add_symbol(rs.weight(mu), x, poly)
         key = (rs.weight(mu), w, x.xi)
-        expect_f[key] = expect_f.get(key, Laurent()) + Laurent(poly)
-        normalized = Laurent(poly).shifted(-rs.pair(mu_param, x.xi))
-        expect_char[key[:2]] = expect_char.get(key[:2], Laurent()) + normalized
+        expect_f[key] = add(expect_f.get(key, {}), poly)
+        normalized = shift(poly, -rs.pair(mu_param, x.xi))
+        expect_char[key[:2]] = add(expect_char.get(key[:2], {}), normalized)
     for h, expect, rebuilt in (
         (f, expect_f, GenFun(rs, dict(f.terms))),
         (char, expect_char, FormalChar(rs, mu_param, dict(char.terms))),
     ):
-        nonzero = {k: v for k, v in expect.items() if not v.is_zero()}
+        nonzero = {k: v for k, v in expect.items() if v}
         assert len(h.terms) == len(nonzero)
         assert dict(h.terms) == nonzero
         assert rebuilt == h

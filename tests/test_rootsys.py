@@ -190,8 +190,9 @@ def test_word_text_forms():
     assert rs.element_from_word("e") is rs.element_from_word("") is rs.identity
     assert rs.element_from_word("s1 s2") is rs.element_from_word((0, 1))
     assert rs.element_from_word("3") is rs.element_from_word("s3") is rs.simple_reflection(2)
-    # a part between the s's that is not decimal digits is no word
-    for text in ("x", "s2s1x", "s+1", "s1-"):
+    # a part between the s's that is not decimal digits is no word, nor is
+    # an empty part
+    for text in ("x", "s2s1x", "s+1", "s1-", "s", "ss", "s1s", "s1ss2", "s 1 s"):
         with pytest.raises(RootSystemError, match=re.escape(repr(text))):
             rs.element_from_word(text)
 
