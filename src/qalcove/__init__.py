@@ -89,7 +89,6 @@ from .genfun import (
     ghat,
     ghat_compose,
     is_weyl_invariant,
-    par_concat,
     par_enumerate,
     weight_orbit_sum,
 )

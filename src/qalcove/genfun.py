@@ -11,24 +11,25 @@ seeded with x alone, and G_{Gamma1}(G_{Gamma2}(x)), which is G of the
 concatenated chain, the sweep along Gamma1 seeded with G_{Gamma2}(x).
 The hatted variant further sums over tuples of bounded partitions and is
 computed exactly above a caller-supplied q-exponent floor; a partition tuple
-chi enters only through (iota(chi), |chi|), so the sum runs over those groups
-(`par_groups`, counted node by node without listing the tuples).
-`par_convolve` adds each shifted term of G, or of the composition for the
-hatted composition, when it lies above the floor; the terms under one prefix
-(mu, w) shift together, so each distinct block of them is convolved once and
-the one output block shared by every prefix that carries it.  The character
-expansions in `charident` use it too.  All of these work on term tables of
-blocks {(mu, w): {tail: {exponent: count}}} (see TermTable), whose blocks
-and polys are never changed in place (`add_block` is copy-on-write at both
-levels), from the sweep's end states to the JSON writer `table_json`, which
-writes either of json.dumps's layouts in one walk over the blocks, each
-distinct vector, word and q-polynomial rendered once and each block object
-once, memoized by id(block); the key objects are built only where a
-caller reads `.terms`, and the JSON items only in `to_json`, the writer's
-reference.  Every q-polynomial, in a table and in what a caller reads or
-passes, is a plain {exponent: count} dict (`q_str` renders one).
-`weight_orbit_sum`, which reads only wt and height, folds
-`alcove.weight_sums` instead, the sweep without down.
+chi enters only through (iota(chi), |chi|), so the sum runs over those
+groups (`par_groups`, counted node by node), one ladder of (drop,
+multiplicity) per iota.  `par_convolve` multiplies each distinct
+q-polynomial of G, or of the composition for the hatted composition, by each
+ladder once above the floor and places those parts at every translation of a
+head with that poly; the terms under one prefix (mu, w) shift together, so
+each distinct block of them is convolved once, the output block shared by
+every prefix holding it.  The character expansions in `charident` use it
+too.  All of these work on term tables of blocks {(mu, w): {tail: {exponent:
+count}}} (see TermTable), whose blocks and polys are never changed in place
+(`add_block` is copy-on-write at both levels), from the sweep's end states
+to the JSON writer `table_json`, which writes either of json.dumps's layouts
+in one walk over the blocks, each distinct vector, word and q-polynomial
+rendered once and each block object once, memoized by id(block); the key
+objects are built only where a caller reads `.terms`, and the JSON items
+only in `to_json`, the writer's reference.  Every q-polynomial, in a table
+and in what a caller reads or passes, is a plain {exponent: count} dict
+(`q_str` renders one).  `weight_orbit_sum`, which reads only wt and height,
+folds `alcove.weight_sums` instead, the sweep without down.
 """
 
 from __future__ import annotations
@@ -322,37 +323,10 @@ def par_enumerate(rs: RootSystem, lam: Weight, bound: int) -> list[ParTuple]:
     """All partition tuples for lam with total size <= bound."""
     if bound < 0:
         return []
-    per_node = []
-    for i in range(rs.rank):
-        m = max(lam.coeffs[i], 0)
-        per_node.append(_partitions(bound, m))
-    out = []
-    for combo in itertools.product(*per_node):
-        tup = ParTuple(tuple(combo))
-        if tup.size <= bound:
-            out.append(tup)
+    per_node = [_partitions(bound, max(m, 0)) for m in lam.coeffs]
+    out = [t for t in map(ParTuple, itertools.product(*per_node)) if t.size <= bound]
     out.sort(key=lambda t: (t.size, t.parts))
     return out
-
-
-def par_concat(psi: ParTuple, omega: ParTuple, mu: Weight, nu: Weight) -> ParTuple:
-    """The concatenation psi * omega for a cancellation-free mu + nu."""
-    if not is_cancellation_free([mu, nu]):
-        raise ValueError("decomposition must be cancellation free")
-    parts = []
-    for i in range(len(mu.coeffs)):
-        m1, m2 = mu.coeffs[i], nu.coeffs[i]
-        p, o = psi.parts[i], omega.parts[i]
-        if m1 <= 0 and m2 <= 0:
-            if p or o:
-                raise ValueError("nonempty partition on a nonpositive node")
-            parts.append(())
-            continue
-        width = p[0] if p else 0
-        rows = [width + (o[r] if r < len(o) else 0) for r in range(max(m2, 0))]
-        rows.extend(p)
-        parts.append(tuple(r for r in rows if r > 0))
-    return ParTuple(tuple(parts))
 
 
 # -- hatted generating functions ----------------------------------------------
@@ -397,54 +371,80 @@ def par_convolve(
     """The sum over the partition tuples chi of lam of the shifted heads, above q_floor.
 
     heads is a table of blocks {prefix: {tail: {exponent: count}}}, the tail
-    (xi,) with xi a translation as an int tuple, or (); the result has the
-    blocks {prefix: {(xi + iota(chi),) or (): {exponent - |chi| - <shift,
+    (xi,) with xi a translation as an int tuple, or () (and then a head may
+    hold a zero count, see `charident._expand`); the result has the blocks
+    {prefix: {(xi + iota(chi),) or (): {exponent - |chi| - <shift,
     iota(chi)>: sum of counts}}}, nothing zero or empty kept.  shift pairs
     to >= 0 with every iota, so |chi| <= max-exponent(heads) - q_floor
-    bounds the tuples; equal (iota, |chi|) are summed as one group
-    (par_groups), and each shifted head is added only above q_floor.
-    A prefix's output block depends only on its head block, and few of them
-    are distinct (44 for Ghat's 140 (mu, w) prefixes in C2 at lambda = (2,
-    2), depth 10), so each distinct head block is convolved once and every
-    prefix that has it holds that one output block, which `table_json`
-    renders once.
+    bounds the tuples.  The groups (par_groups) fold into one ladder
+    [(drop, multiplicity)] per iota, drop = |chi| + <shift, iota>, or into
+    one in all when every tail is (), which iota does not move; sorted by
+    lowest drop, a poly leaves them at the first wholly below q_floor.
+    A head's part on a ladder, its poly times the ladder above q_floor,
+    depends only on the poly, and few polys are distinct (G for C2 at
+    lambda = (2, 2), depth 10: 23 for 247 heads on 7 tails and 140 (mu, w)
+    prefixes, 216 groups on 66 ladders), so each part is computed once and
+    placed at a head's translations with one lookup, a merged dict built
+    only where two tails of a block meet.  A prefix's output block depends
+    only on its head block, and few are distinct (44 of those 140), so each
+    is convolved once and shared by every prefix that has it, and
+    `table_json` renders it once.  No part or block changes once placed.
     """
     highest = max((max(p) for block in heads.values() for p in block.values()), default=q_floor - 1)
-    bound = highest - q_floor
-    groups = sorted(
-        (
-            (iota.coeffs, size if shift is None else size + rs.pair(shift, iota), m)
-            for iota, size, m in par_groups(rs, lam, bound)
-        ),
-        key=lambda g: g[1],
-    )
-    # tail -> [its shift by iota per group], one sum per distinct tail: G's
-    # translations x.xi + down(A) take few values (3-7 for 26-247 terms in
-    # the benchmark's ghat jobs)
+    moves = any(tail for block in heads.values() for tail in block)
+    rungs: dict = {}  # iota -> {drop: multiplicity}
+    for iota, size, m in par_groups(rs, lam, highest - q_floor):
+        ladder = rungs.setdefault(iota.coeffs if moves else (), {})
+        drop = size if shift is None else size + rs.pair(shift, iota)
+        ladder[drop] = ladder.get(drop, 0) + m
+    order = sorted(rungs.items(), key=lambda r: min(r[1]))
+    ladders = [sorted(ladder.items()) for _iota, ladder in order]
+    # head poly items -> [(ladder index, its part there)], and tail -> [its
+    # translation by each ladder's iota]
+    parts: dict = {}
     shifted: dict = {}
+
+    def parts_of(poly: dict) -> list:
+        reach = max(poly) - q_floor
+        out = []
+        for k, ladder in enumerate(ladders):
+            if ladder[0][0] > reach:
+                break
+            acc: dict = {}
+            for drop, m in ladder:
+                if drop > reach:
+                    break
+                for e, c in poly.items():
+                    if e - drop >= q_floor:
+                        acc[e - drop] = acc.get(e - drop, 0) + c * m
+            if 0 in acc.values():
+                acc = {e: c for e, c in acc.items() if c}
+            if acc:
+                out.append((k, acc))
+        return out
 
     def convolve(block: dict) -> dict:
         """The output block of one head block."""
         out: dict = {}
         for tail, poly in block.items():
+            ready = parts.get(key := tuple(poly.items()))
+            if ready is None:
+                ready = parts[key] = parts_of(poly)
             targets = shifted.get(tail)
             if targets is None:
-                targets = shifted[tail] = [
-                    tuple([tuple(map(add, xi, iota)) for xi in tail]) for iota, _drop, _m in groups
-                ]
-            top = max(poly)
-            for target, (_iota, drop, m) in zip(targets, groups):
-                if top - drop < q_floor:
-                    break
-                acc = out.setdefault(target, {})
-                for e, c in poly.items():
-                    if e - drop >= q_floor:
-                        acc[e - drop] = acc.get(e - drop, 0) + c * m
-        for target, poly in list(out.items()):
-            if 0 in poly.values():
-                poly = out[target] = {e: c for e, c in poly.items() if c}
-                if not poly:
-                    del out[target]
+                targets = shifted[tail] = [tuple([tuple(map(add, xi, iota)) for xi in tail]) for iota, _ in order]
+            for k, part in ready:
+                held = out.setdefault(targets[k], part)
+                if held is not part:
+                    merged = dict(held)
+                    for e, c in part.items():
+                        merged[e] = merged.get(e, 0) + c
+                    if 0 in merged.values():
+                        merged = {e: c for e, c in merged.items() if c}
+                    if merged:
+                        out[targets[k]] = merged
+                    else:
+                        del out[targets[k]]
         return out
 
     # head block contents -> output block, whatever order its heads came in

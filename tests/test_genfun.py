@@ -28,7 +28,6 @@ from qalcove.genfun import (
     ghat,
     ghat_compose,
     is_weyl_invariant,
-    par_concat,
     par_enumerate,
     par_convolve,
     par_groups,
@@ -255,6 +254,28 @@ def test_par_enumerate():
     assert sizes == [0, 1, 2]
     iotas = sorted(t.iota().coeffs for t in tuples)
     assert iotas == [(0, 0), (1, 0), (2, 0)]
+
+
+def par_concat(psi: ParTuple, omega: ParTuple, mu: Weight, nu: Weight) -> ParTuple:
+    """The concatenation psi * omega for a cancellation-free mu + nu: on each
+    node, psi's first part added to each of omega's rows (max(nu_i, 0) of
+    them), then psi's rows."""
+    if not qa.is_cancellation_free([mu, nu]):
+        raise ValueError("decomposition must be cancellation free")
+    parts = []
+    for i in range(len(mu.coeffs)):
+        m1, m2 = mu.coeffs[i], nu.coeffs[i]
+        p, o = psi.parts[i], omega.parts[i]
+        if m1 <= 0 and m2 <= 0:
+            if p or o:
+                raise ValueError("nonempty partition on a nonpositive node")
+            parts.append(())
+            continue
+        width = p[0] if p else 0
+        rows = [width + (o[r] if r < len(o) else 0) for r in range(max(m2, 0))]
+        rows.extend(p)
+        parts.append(tuple(r for r in rows if r > 0))
+    return ParTuple(tuple(parts))
 
 
 def test_par_concat_example():
@@ -976,12 +997,69 @@ def test_convolution_blocks_against_per_tuple():
         assert out == reference_convolve(heads, c2, c2.weight([1, 1]), floor, c2.weight([1, 0]))
 
 
+@st.composite
+def head_tables(draw):
+    """(type, lambda, heads, floor, shift) for par_convolve: a few prefixes of
+    small signed heads, their tails all (xi,) or all () (the character
+    expansion's form), an optional dominant shift and a floor near the top."""
+    label, lam = draw(st.sampled_from((("A1", (2,)), ("A1", (3,)), ("A2", (1, 1)), ("A2", (2, 1)))))
+    rs = qa.build_root_system(label)
+    vec = st.tuples(*[st.integers(0, 2)] * rs.rank)
+    tail = st.just(()) if draw(st.booleans()) else st.tuples(vec)
+    poly = st.dictionaries(st.integers(-3, 1), st.integers(-2, 2).filter(bool), min_size=1, max_size=3)
+    prefix = st.tuples(st.tuples(*[st.integers(-1, 1)] * rs.rank), st.integers(0, len(rs.weyl_elements) - 1))
+    heads = draw(st.dictionaries(prefix, st.dictionaries(tail, poly, min_size=1, max_size=3), min_size=1, max_size=3))
+    return label, lam, heads, draw(st.integers(-6, 2)), draw(st.none() | vec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=head_tables())
+# two tails of one block meet at (1,) and at (2,), where their parts cancel
+@example(case=("A1", (2,), {((0,), 0): {((0,),): {0: 1}, ((1,),): {-1: -1, -2: -1}}}, -2, None))
+# q^0 - q^-1 times the ladder q^-1 + q^-2 of iota = 1 is q^-1 - q^-3; a head
+# folded by the character expansion may hold zero counts only, and then
+# every part of it cancels to nothing
+@example(case=("A1", (2,), {((0,), 0): {((0,),): {0: 1, -1: -1}}}, -3, None))
+@example(case=("A2", (1, 1), {((0, 0), 0): {(): {0: 0, -1: 0}}, ((1, 0), 1): {(): {-1: 2}}}, -3, (1, 0)))
+# the character expansion's form: empty tails, one ladder, and a shift
+@example(case=("C2", (1, 1), {((1, 0), 2): {(): {0: 1, -1: -2}}, ((0, 1), 3): {(): {-1: -2, 0: 1}},
+                              ((0, 0), 0): {(): {2: 1, 1: -1}}}, -4, (1, 0)))
+# q^-1 reaches drop 1 only: the ladder of iota = (1, 0), lowest drop 1,
+# must come before that of (0, 2), lowest drop 2
+@example(case=("A2", (1, 1), {((0, 0), 0): {((0, 0),): {0: 1}, ((1, 1),): {-1: 1}}}, -2, None))
+# the floor above every head exponent: no tuple at all
+@example(case=("A2", (2, 1), {((0, 0), 0): {((0, 0),): {-1: 1}, ((1, 0),): {0: 3}}}, 1, None))
+def test_convolution_parts_against_per_tuple(case):
+    label, lam, heads, floor, shift = case
+    rs = qa.build_root_system(label)
+    shift = None if shift is None else rs.weight(list(shift))
+    out = par_convolve(heads, rs, rs.weight(list(lam)), floor, shift)
+    assert out == reference_convolve(heads, rs, rs.weight(list(lam)), floor, shift)
+
+
+def test_convolution_parts_cancel_to_absent_keys():
+    a1, a2 = qa.build_root_system("A1"), qa.build_root_system("A2")
+    # target (1,): q^-1 + q^-2 from (0,) and iota = 1, and its negative from
+    # (1,); target (2,): q^-2 from (0,) and iota = 2, -q^-2 from (1,) and 1
+    heads = {((0,), 0): {((0,),): {0: 1}, ((1,),): {-1: -1, -2: -1}}}
+    assert par_convolve(heads, a1, a1.weight([2]), -2) == {((0,), 0): {((0,),): {0: 1}}}
+    # no heads (which reference_convolve cannot take): no tuple, no term
+    assert par_convolve({}, a2, a2.weight([2, 1]), 0) == {}
+
+
 def snapshot(f):
     return {k: dict(p) for k, p in flat(f.table).items()}
 
 
 def shares_blocks(f):
     return len({id(b) for b in f.table.values()}) < len(f.table)
+
+
+def shares_polys(f):
+    """Whether two keys of distinct blocks of f hold one q-polynomial object."""
+    distinct = {id(b): b for b in f.table.values()}.values()
+    polys = [id(p) for block in distinct for p in block.values()]
+    return len(set(polys)) < len(polys)
 
 
 def assert_terms_independent(f, add):
@@ -1000,26 +1078,43 @@ def add_marker(f, key, marker):
     f.add_term(Weight(mu), AffineWeylElt(f.rs.weyl_elements[w], Coroot(xi)), {marker: 1})
 
 
-def test_ghat_terms_are_independent():
-    # G2 at lambda = (1, 1) puts 100 heads on 92 prefixes with 10 head sets
-    rs = qa.build_root_system("G2")
-    chain = qa.lex_chain(rs, rs.weight([1, 1]))
-    x = x_at(rs)
-    f = ghat(chain, x, genfun(chain, x).max_exponent() - 3)
-    assert shares_blocks(f)
-    # the sum shares dicts with its operands; adding to it, or to the scaled
-    # copy, leaves both operands as they were
-    g = ghat(chain, x_at(rs, "s1"), genfun(chain, x).max_exponent() - 3)
+def assert_operations_independent(f, g, floor):
+    """The sum of f and g (which shares dicts with both), f scaled and f
+    truncated at floor: adding to any key of these, or of f, through
+    add_term and so add_block, leaves every other key and both operands as
+    they were."""
+    rs = f.rs
     f_before, g_before = snapshot(f), snapshot(g)
     total = f + g
     assert total.terms == {k: add(f.terms.get(k, {}), g.terms.get(k, {})) for k in total.terms}
     shifted = f.scaled({0: 1, -1: -2}, rs.weight([1, 0]), Coroot((0, 1)))
     assert len(flat(shifted.table)) == len(flat(f.table))
-    assert_terms_independent(total, add_marker)
-    assert_terms_independent(shifted, add_marker)
+    cut = f.truncated(floor)
+    assert flat(cut.table) == {k: q for k, p in f_before.items() if (q := {e: c for e, c in p.items() if e >= floor})}
+    for h in (total, shifted, cut):
+        assert_terms_independent(h, add_marker)
     assert snapshot(f) == f_before and snapshot(g) == g_before
     assert_terms_independent(f, add_marker)
     assert snapshot(g) == g_before
+
+
+def test_ghat_terms_are_independent():
+    # G2 at lambda = (1, 1) puts 100 heads on 92 prefixes with 10 head sets
+    rs = qa.build_root_system("G2")
+    chain = qa.lex_chain(rs, rs.weight([1, 1]))
+    x = x_at(rs)
+    top = genfun(chain, x).max_exponent()
+    f = ghat(chain, x, top - 3)
+    assert shares_blocks(f)
+    assert_operations_independent(f, ghat(chain, x_at(rs, "s1"), top - 3), top - 1)
+    # C2 at lambda = (2, 2): 140 prefixes on 43 distinct output blocks, and
+    # those blocks share each part dict (a head poly times a ladder)
+    b2 = qa.build_root_system("C2")
+    chain = qa.lex_chain(b2, b2.weight([2, 2]))
+    top = genfun(chain, x_at(b2)).max_exponent()
+    f = ghat(chain, x_at(b2), top - 2)
+    assert shares_blocks(f) and shares_polys(f)
+    assert_operations_independent(f, ghat(chain, x_at(b2, "s1"), top - 2), top - 1)
     # the hatted composition, A2 lambda = (2, 0) + (0, -2)
     a2 = qa.build_root_system("A2")
     c1, c2 = qa.lex_chain(a2, a2.weight([2, 0])), qa.lex_chain(a2, a2.weight([0, -2]))
